@@ -185,7 +185,9 @@ pub fn bridge_lp_objective(x0: f64) -> Objective2 {
 
 /// Exact brute-force bridge over the subset `ids` of `points`, straddling
 /// the vertical line `x = x0`. Returns `None` when no pair straddles
-/// (x0 outside the subset's open x-range).
+/// (x0 outside the subset's open x-range), or when a contact election
+/// came back empty because a step lost its writes (a fault plan); the
+/// supervised wrappers type both as [`ipch_pram::RunError::Invariant`].
 ///
 /// Cost: O(1) executed steps, Θ(|ids|³) work.
 pub fn bridge_brute(
@@ -276,7 +278,13 @@ pub fn bridge_brute(
         }
     });
     let (l, r) = (shm.get(lwin, 0), shm.get(rwin, 0));
-    debug_assert!(l != EMPTY && r != EMPTY);
+    // The elected pair straddles x0, so both contact elections have a
+    // candidate and must have written. An empty cell means a step did not
+    // commit as the model says (a dropped processor, corrupted memory):
+    // report no bridge, never an `EMPTY as usize` id.
+    if l == EMPTY || r == EMPTY {
+        return None;
+    }
     Some(Bridge {
         left: l as usize,
         right: r as usize,
@@ -450,6 +458,28 @@ mod tests {
         assert_eq!(r.seed_dependent_races, 0);
         assert_eq!(r.unconfirmed_arbitrary_races, 0);
         assert!(r.deterministic_races > 0, "election should be contested");
+    }
+
+    #[test]
+    fn lost_contact_election_is_no_bridge() {
+        use ipch_pram::{DropWindow, FaultPlan};
+        let pts = vec![p(0.0, 0.0), p(2.0, 2.0), p(4.0, 0.0), p(1.0, -1.0)];
+        let ids: Vec<usize> = (0..pts.len()).collect();
+        // Steps 0–3 elect the supporting pair and the contact keys; step 4
+        // elects the contacts. Drop every processor of step 4.
+        let mut m = Machine::new(7);
+        m.install_faults(FaultPlan {
+            drop_window: Some(DropWindow {
+                from_step: 4,
+                until_step: 5,
+                rate: 1.0,
+            }),
+            ..FaultPlan::default()
+        });
+        let mut shm = Shm::new();
+        assert_eq!(bridge_brute(&mut m, &mut shm, &pts, &ids, 1.5), None);
+        assert!(m.metrics.faults.dropped_processors > 0);
+        assert!(check_bridge(&pts, 1.5).is_some(), "fault-free run finds it");
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   host (`available_parallelism() == 1`) the pool spawns **zero** threads
 //!   and [`ThreadPool::run`] degenerates to an inline sequential loop with no
 //!   synchronisation at all.
+//! * **One dispatcher at a time** — the pool runs one job at a time. A
+//!   caller that finds it busy (another machine stepping on another
+//!   thread) runs its chunks inline rather than sharing the job slot.
 //!
 //! Determinism note: which thread executes a chunk is scheduling-dependent,
 //! but chunks are data-independent (each owns its slice of processors and
@@ -23,7 +26,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, TryLockError};
 use std::thread;
 
 /// A chunk-indexed job: called with each index in `0..nchunks` exactly once.
@@ -52,6 +55,10 @@ struct Slot {
 }
 
 struct Shared {
+    /// Held by the one caller dispatching an epoch, for the whole epoch.
+    /// The slot and `cursor` describe a single job, so a second concurrent
+    /// dispatcher must never touch them; it runs its chunks inline instead.
+    dispatch: Mutex<()>,
     slot: Mutex<Slot>,
     /// Next chunk index to claim for the current epoch.
     cursor: AtomicUsize,
@@ -86,6 +93,7 @@ impl ThreadPool {
         // hundred bytes plus the worker stacks) leaks for the life of the
         // process.
         let shared: &'static Shared = Box::leak(Box::new(Shared {
+            dispatch: Mutex::new(()),
             slot: Mutex::new(Slot {
                 epoch: 0,
                 job: None,
@@ -133,24 +141,40 @@ impl ThreadPool {
         if nchunks == 0 {
             return;
         }
-        if self.workers == 0 || nchunks == 1 || max_lanes <= 1 {
+        let shared = self.shared;
+        // Trivial dispatches (no workers, one chunk, one lane) run inline, and
+        // so does a caller that finds the pool busy: one dispatcher at a time,
+        // and another machine stepping on another thread waits for no one.
+        // Chunks are data-independent, so the result is the same as a pooled
+        // run. The lock guards no data, so a poisoned one is simply taken.
+        let dispatch = if self.workers == 0 || nchunks == 1 || max_lanes <= 1 {
+            None
+        } else {
+            match shared.dispatch.try_lock() {
+                Ok(guard) => Some(guard),
+                Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            }
+        };
+        let Some(_dispatch) = dispatch else {
             for c in 0..nchunks {
                 job(c);
             }
             return;
-        }
-
-        let shared = self.shared;
+        };
         shared.poisoned.store(false, Ordering::Relaxed);
         {
             // Lock poisoning carries no invariant here (critical sections
             // only assign plain fields), so recover the guard and continue;
             // job panics are reported via the separate `poisoned` flag.
             let mut slot = lock_slot(shared);
-            // SAFETY: lifetime erasure only — `job` outlives this call, and
-            // this call does not return until `slot.job` is cleared and no
-            // worker is active, so workers never use the reference after it
-            // dies.
+            // Lifetime erasure, argued for one dispatcher at a time: this
+            // caller holds `dispatch` for the whole epoch, so no other caller
+            // can replace `slot.job` or reset `cursor` while its chunks are
+            // being claimed.
+            // SAFETY: `job` outlives this call, and this call does not return
+            // (nor release `dispatch`) until it has cleared `slot.job` with no
+            // worker active, so no worker uses the reference after it dies.
             let eternal: &'static (dyn Fn(usize) + Sync) =
                 unsafe { std::mem::transmute::<Job<'_>, Job<'static>>(job) };
             shared.cursor.store(0, Ordering::Relaxed);

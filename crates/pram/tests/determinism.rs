@@ -384,3 +384,64 @@ proptest! {
         prop_assert_eq!(&fused, &generic, "generic path diverged at large n");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Concurrent machines: several machines stepping at once on different
+// threads share the one global pool. Each must observe exactly what it
+// observes when it runs alone — memory, Metrics counters, AnalysisReport.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn concurrent_machines_match_sequential_runs() {
+    const MACHINES: usize = 4;
+    const ROUNDS: usize = 3;
+    // One fixed program per machine, big enough to span several chunks,
+    // so every step takes the pooled path.
+    let programs: Vec<(Vec<usize>, Vec<StepSpec>, Vec<KernelSpec>)> = (0..MACHINES)
+        .map(|i| {
+            let lens = vec![257 + 31 * i, 64 + 7 * i];
+            let steps = (0..8)
+                .map(|k| StepSpec {
+                    nprocs: 4_000 + 2_311 * ((i + k) % 7),
+                    policy: POLICIES[(i + k) % POLICIES.len()],
+                    pattern: ((i * 3 + k) % 6) as u8,
+                    param: (i * 13 + k * 5 + 1) as u64,
+                })
+                .collect();
+            let kernels = (0..8)
+                .map(|k| KernelSpec {
+                    shape: ((i + k) % 4) as u8,
+                    nprocs: 9_000 + 1_777 * ((i * 2 + k) % 5),
+                    policy: POLICIES[(i * 5 + k) % POLICIES.len()],
+                    op: REDUCE_OPS[(i + 2 * k) % REDUCE_OPS.len()],
+                    param: (i * 7 + k * 11 + 1) as u64,
+                })
+                .collect();
+            (lens, steps, kernels)
+        })
+        .collect();
+    let tuning = Tuning {
+        force_parallel: true,
+        kernel_backend: KernelBackend::Parallel,
+        kernel_par_threshold: 1,
+        ..Tuning::default()
+    };
+    let run = |(lens, steps, kernels): &(Vec<usize>, Vec<StepSpec>, Vec<KernelSpec>)| {
+        (
+            run_program(tuning, lens, steps),
+            run_kernel_program(tuning, lens, kernels),
+        )
+    };
+    let alone: Vec<_> = programs.iter().map(run).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = programs
+            .iter()
+            .map(|p| s.spawn(move || (0..ROUNDS).map(|_| run(p)).collect::<Vec<_>>()))
+            .collect();
+        for (i, h) in handles.into_iter().enumerate() {
+            for (round, got) in h.join().expect("machine thread").iter().enumerate() {
+                assert_eq!(got, &alone[i], "machine {i} diverged in round {round}");
+            }
+        }
+    });
+}

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use ipch_geom::{Point2, Point3, UpperHull};
 use ipch_hull3d::Facet;
-use ipch_pram::{FaultPlan, Outcome};
+use ipch_pram::{FaultPlan, Metrics, Outcome};
 
 use crate::breaker::Tier;
 
@@ -127,4 +127,25 @@ pub struct Response {
     /// workspace budget — the measured bound the memory-pressure soak
     /// asserts.
     pub peak_cells: u64,
+}
+
+impl Response {
+    /// A response whose `sim_steps` and `peak_cells` are read from the
+    /// metrics of the machine that served it.
+    pub(crate) fn new(
+        value: ResponseValue,
+        tier: Tier,
+        outcome: Option<Outcome>,
+        attempts: u32,
+        machine: &Metrics,
+    ) -> Self {
+        Self {
+            value,
+            tier,
+            outcome,
+            attempts,
+            sim_steps: machine.steps,
+            peak_cells: machine.peak_live_cells,
+        }
+    }
 }

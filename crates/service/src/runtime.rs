@@ -25,12 +25,18 @@
 //!
 //! # Execution
 //!
-//! Workers pop jobs and run them *outside* the lock. Each job gets its own
-//! [`Machine`] (seeded from the request, chaos plan installed if any) with
-//! the ticket's [`CancelToken`] attached, so the simulator aborts
-//! cooperatively at the next step boundary once the deadline passes or the
-//! client cancels. The run is wrapped in `catch_unwind`: a panic is
-//! isolated to its request and surfaced as a typed [`RunError::Panic`].
+//! Workers pop a unit of work — one job, or a coalesced batch (below) —
+//! and resolve it through one path: a lone job is a batch of one. Under
+//! the lock, members whose token fired while queued resolve without
+//! running, and every other member is planned and charged an admission
+//! (in-flight slot, gauge cells, tenant load). Members then run *outside*
+//! the lock, and a final lock round settles each admission exactly once.
+//! A member that runs alone gets its own [`Machine`] (seeded from the
+//! request, chaos plan installed if any) with the ticket's [`CancelToken`]
+//! attached, so the simulator aborts cooperatively at the next step
+//! boundary once the deadline passes or the client cancels. The run is
+//! wrapped in `catch_unwind`: a panic is isolated to its request and
+//! surfaced as a typed [`RunError::Panic`].
 //!
 //! # Batch admission
 //!
@@ -38,8 +44,9 @@
 //! 2-D request scans up to `batch_window` queue entries behind it and
 //! coalesces same-algorithm, chaos-free requests of at most
 //! [`ServiceConfig::batch_point_cap`] points (up to
-//! [`ServiceConfig::batch_max`] members) into **one fused machine run**:
-//! concatenated SoA input plus an offset table
+//! [`ServiceConfig::batch_max`] members). When at least two of them are
+//! planned at [`Tier::Full`] (and are not half-open probes), those run as
+//! **one fused machine run**: concatenated SoA input plus an offset table
 //! ([`ipch_geom::batch::ConcatPoints2`]), a constant number of fused
 //! steps for the whole batch
 //! ([`ipch_hull2d::parallel::batch::upper_hulls_batch`]), and a
@@ -47,10 +54,9 @@
 //! its own cancellation/deadline check, its own typed errors, its own
 //! ledger line — so one member aborting or failing never poisons its
 //! siblings: a member whose certificate (or the whole batch machine)
-//! fails is demoted to an ordinary solo run at its planned tier. Only
-//! requests planned at [`Tier::Full`] (and not half-open probes) fuse;
-//! a degraded breaker naturally disables batching for its algorithm.
-//! Because a certified upper hull is unique, fused results are
+//! fails runs alone at its planned tier, like every member that did not
+//! fuse. A degraded breaker therefore disables batching for its
+//! algorithm. Because a certified upper hull is unique, fused results are
 //! bit-identical to what the same requests produce unbatched.
 //!
 //! # Shard-split of large requests
@@ -605,7 +611,7 @@ impl Service {
         loop {
             let work = pop_work(&self.shared.cfg, &mut lock(&self.shared));
             match work {
-                Some(jobs) => handle_many(&self.shared, jobs),
+                Some(jobs) => resolve(&self.shared, jobs, run_request),
                 None => return,
             }
         }
@@ -700,7 +706,7 @@ fn worker_loop(shared: &Shared) {
                 inner = shared.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
             }
         };
-        handle_many(shared, jobs);
+        resolve(shared, jobs, run_request);
     }
 }
 
@@ -751,17 +757,6 @@ fn pop_work(cfg: &ServiceConfig, inner: &mut Inner) -> Option<Vec<Job>> {
     Some(batch)
 }
 
-/// Dispatch one popped unit of work: a lone job goes down the classic
-/// path, a coalesced batch through the fused path.
-fn handle_many(shared: &Shared, mut jobs: Vec<Job>) {
-    if jobs.len() > 1 {
-        return handle_batch(shared, jobs);
-    }
-    if let Some(job) = jobs.pop() {
-        handle(shared, job);
-    }
-}
-
 fn finish_tenant(inner: &mut Inner, tenant: &str) {
     if let Some(load) = inner.tenant_load.get_mut(tenant) {
         *load -= 1;
@@ -775,221 +770,70 @@ fn finish_tenant(inner: &mut Inner, tenant: &str) {
 /// into the aggregate whether it succeeded or not) and the outcome.
 type RunReturn = (Metrics, Result<Response, RunError>);
 
-fn handle(shared: &Shared, job: Job) {
-    handle_with(shared, job, run_request)
-}
+/// A reply to send once the service lock is released.
+type Reply = (
+    mpsc::Sender<Result<Response, ServiceError>>,
+    Result<Response, ServiceError>,
+);
 
-/// The resolution path, parameterized over the runner so tests can drive
-/// the isolation machinery with a panicking or unwinding body.
-fn handle_with(
-    shared: &Shared,
+/// A popped job that survived its queued-death check. It holds one
+/// in-flight slot, `cells` of the memory-pressure gauge and one unit of its
+/// tenant's load until [`settle`] consumes it; it is neither `Clone` nor
+/// `Copy`, so a second release of the same admission does not compile.
+struct Admission {
     job: Job,
-    runner: impl FnOnce(&ServiceConfig, &Request, Tier, CancelToken) -> RunReturn,
-) {
-    let Job { req, token, tx } = job;
-    let alg = req.workload.algorithm();
-
-    // Resolve without running if the request died while queued: an expired
-    // deadline is load shedding (typed, with a retry hint), an explicit
-    // cancel is the client's own typed abort.
-    if let Err(cause) = token.check() {
-        let mut guard = lock(shared);
-        let inner = &mut *guard;
-        finish_tenant(inner, &req.tenant);
-        let err = match cause {
-            CancelCause::DeadlineExceeded => {
-                inner.metrics.service.shed_expired += 1;
-                ServiceError::Rejected {
-                    reason: RejectReason::Expired,
-                    retry_after: shared.cfg.retry_after_base,
-                }
-            }
-            CancelCause::Cancelled => {
-                inner.metrics.service.cancelled += 1;
-                ServiceError::Run(RunError::Cancelled { algorithm: alg })
-            }
-        };
-        drop(guard);
-        let _ = tx.send(Err(err));
-        return;
-    }
-
-    // Let the algorithm's breaker pick the tier (possibly a half-open
-    // probe above it), then let memory pressure demote the *execution*
-    // tier. Probes are exempt: a probe exists to test the tier above, and
-    // its workspace overage is bounded by one request.
-    let est = workspace_estimate(&req);
-    let (plan, run_tier): (Plan, Tier) = {
-        let mut guard = lock(shared);
-        let inner = &mut *guard;
-        inner.in_flight += 1;
-        let br = inner
-            .breakers
-            .entry(alg)
-            .or_insert_with(|| Breaker::new(shared.cfg.breaker));
-        let plan = br.plan(&mut inner.metrics.service);
-        let run_tier = if plan.probe {
-            plan.tier
-        } else {
-            pressure_tier(&shared.cfg, inner.inflight_cells, est, plan.tier)
-        };
-        inner.inflight_cells += est;
-        (plan, run_tier)
-    };
-
-    // Run outside the lock, panic-isolated to this request.
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        runner(&shared.cfg, &req, run_tier, token.clone())
-    }));
-
-    let mut guard = lock(shared);
-    let inner = &mut *guard;
-    inner.in_flight -= 1;
-    inner.inflight_cells = inner.inflight_cells.saturating_sub(est);
-    finish_tenant(inner, &req.tenant);
-    let (signal, result) = resolve_run(inner, alg, run_tier, caught);
-    let svc = &mut inner.metrics.service;
-    if let Some(br) = inner.breakers.get_mut(alg) {
-        br.report(plan, signal, svc);
-    }
-    drop(guard);
-    let _ = tx.send(result);
-}
-
-/// Copy a machine's noisy-predicate and workspace-trip counters into the
-/// [`ServiceStats`] ledger. Called exactly where the machine's metrics are
-/// absorbed, so the ledger copies stay equal to the aggregate books
-/// (`noise_flips`/`noise_votes` vs `Metrics::faults.predicate_flips`/
-/// `predicate_votes`, and `workspace_trips` vs
-/// `Metrics::supervisor.workspace_aborts`) — the invariants the tests and
-/// `hulld`'s exit checks assert.
-fn book_ledgers(inner: &mut Inner, metrics: &Metrics) {
-    inner.metrics.service.noise_flips += metrics.faults.predicate_flips;
-    inner.metrics.service.noise_votes += metrics.faults.predicate_votes;
-    inner.metrics.service.workspace_trips += metrics.supervisor.workspace_aborts;
-}
-
-/// Resolve one executed request under the lock: absorb its machine's
-/// metrics, bump the matching ledger counter exactly once, and map the
-/// outcome to the breaker signal. Shared by the solo path
-/// ([`handle_with`]) and every batch member that ran (or was demoted to)
-/// its own machine.
-fn resolve_run(
-    inner: &mut Inner,
-    alg: &'static str,
+    /// The breaker's plan, reported back with the run's signal.
+    plan: Plan,
+    /// The tier the job executes at: `plan.tier`, or lower under memory
+    /// pressure (see [`pressure_tier`]).
     tier: Tier,
-    caught: std::thread::Result<RunReturn>,
-) -> (Signal, Result<Response, ServiceError>) {
-    match caught {
-        Ok((metrics, outcome)) => {
-            inner.metrics.absorb(&metrics);
-            book_ledgers(inner, &metrics);
-            match outcome {
-                Ok(resp) => {
-                    inner.metrics.service.completed += 1;
-                    match tier {
-                        Tier::Full => {}
-                        Tier::ReducedRetry => inner.metrics.service.degraded_tier1_runs += 1,
-                        Tier::Frugal => inner.metrics.service.frugal_runs += 1,
-                        Tier::Sequential => inner.metrics.service.degraded_tier2_runs += 1,
-                    }
-                    let signal = match resp.outcome {
-                        // A clean sequential run (no supervisor) also
-                        // counts as healthy: the probe path relies on it.
-                        Some(Outcome::FirstTry) | None => Signal::Clean,
-                        Some(Outcome::Retried(_)) | Some(Outcome::FellBack) => Signal::Strained,
-                    };
-                    (signal, Ok(resp))
-                }
-                Err(e) => {
-                    let signal = match &e {
-                        RunError::Cancelled { .. } => {
-                            inner.metrics.service.cancelled += 1;
-                            Signal::Neutral
-                        }
-                        RunError::DeadlineExceeded { .. } => {
-                            inner.metrics.service.deadline_exceeded += 1;
-                            Signal::Neutral
-                        }
-                        RunError::InvalidInput { .. } => {
-                            inner.metrics.service.invalid_inputs += 1;
-                            Signal::Neutral
-                        }
-                        _ => {
-                            inner.metrics.service.run_errors += 1;
-                            Signal::Strained
-                        }
-                    };
-                    (signal, Err(ServiceError::Run(e)))
-                }
-            }
-        }
-        Err(payload) => {
-            // Defence in depth: a cancellation unwind that escaped the
-            // supervisor (e.g. a machine poll outside any supervised
-            // scope) is still typed, not an isolated panic.
-            if let Some(cu) = payload.downcast_ref::<CancelUnwind>() {
-                match cu.cause {
-                    CancelCause::Cancelled => inner.metrics.service.cancelled += 1,
-                    CancelCause::DeadlineExceeded => inner.metrics.service.deadline_exceeded += 1,
-                }
-                (
-                    Signal::Neutral,
-                    Err(ServiceError::Run(RunError::from_cancel(alg, cu.cause))),
-                )
-            } else {
-                inner.metrics.service.panics_isolated += 1;
-                let detail = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                (
-                    Signal::Strained,
-                    Err(ServiceError::Run(RunError::Panic {
-                        algorithm: alg,
-                        detail,
-                    })),
-                )
-            }
-        }
-    }
+    /// Workspace cells charged to the gauge at admission.
+    cells: u64,
 }
 
-/// The fused batch path: one coalesced group of small same-algorithm 2-D
-/// requests through one shared machine run, every member still resolved
-/// individually.
-///
-/// Three phases. **A** (lock): count the batch, resolve members whose
-/// token already fired (identical to the solo queued-death path), charge
-/// in-flight and plan each survivor's tier. **B** (no lock): members
-/// planned at `Full` (and not probes) run fused —
-/// [`upper_hulls_batch`] on a [`batch_machine`] seeded from the member
-/// seeds; everyone else, plus any member whose fused certificate failed
-/// (or all members, if the shared machine panicked), runs an ordinary
-/// panic-isolated solo machine at its planned tier. **C** (lock): resolve
-/// every member exactly once — fused completions absorb the batch metrics
-/// a single time and report `Clean`; terminal fused errors
-/// (cancel/deadline/invalid) resolve typed and `Neutral`; solo members go
-/// through the same [`resolve_run`] as the classic path. The resolution
-/// invariant (`submitted == total_resolved`) holds member-by-member.
-fn handle_batch(shared: &Shared, jobs: Vec<Job>) {
-    type Send = (
-        mpsc::Sender<Result<Response, ServiceError>>,
-        Result<Response, ServiceError>,
-    );
+/// How one admitted member's run ended: its own machine's metrics (`None`
+/// for a fused member, whose shared machine is absorbed once per batch, and
+/// for a run that unwound) and the outcome, or the unwind payload.
+type Ran = (
+    Admission,
+    Option<Metrics>,
+    std::thread::Result<Result<Response, RunError>>,
+);
 
-    // Phase A: admission bookkeeping under one lock round. Each member
-    // carries its execution tier alongside the breaker's plan — the two
-    // differ when memory pressure demotes (see [`pressure_tier`]): later
-    // members of one batch see the cells the earlier members just charged.
-    let mut live: Vec<(Job, Plan, Tier)> = Vec::with_capacity(jobs.len());
-    let mut early: Vec<Send> = Vec::new();
+/// Resolve one popped unit of work — a lone job or a coalesced batch of
+/// small same-algorithm 2-D requests; a lone job is a batch of one — with
+/// every member resolved individually and exactly once. `runner` executes
+/// a member on its own machine: the service passes [`run_request`], tests
+/// pass a panicking body to drive the isolation machinery.
+///
+/// Three phases. **A** (lock): resolve members whose token fired while
+/// queued, then plan each survivor's tier and charge its [`Admission`].
+/// **B** (no lock): when at least two members are planned at `Full` (not
+/// probes, not pressure-demoted), they run fused — [`upper_hulls_batch`]
+/// on a [`batch_machine`] seeded from the member seeds. Every other
+/// member, plus any member whose fused certificate failed (or all of them,
+/// if the shared machine panicked), runs its own panic-isolated machine
+/// through `runner` at its execution tier. **C** (lock): absorb the shared
+/// machine's metrics once, then [`settle`] every admission. The resolution
+/// invariant (`submitted == total_resolved`) holds member by member.
+fn resolve(
+    shared: &Shared,
+    jobs: Vec<Job>,
+    runner: impl Fn(&ServiceConfig, &Request, Tier, CancelToken) -> RunReturn,
+) {
+    let cfg = &shared.cfg;
+
+    // Phase A: admission bookkeeping under one lock round.
+    let mut admitted: Vec<Admission> = Vec::with_capacity(jobs.len());
+    let mut replies: Vec<Reply> = Vec::new();
     {
         let mut guard = lock(shared);
         let inner = &mut *guard;
         for job in jobs {
             let alg = job.req.workload.algorithm();
+            // A request that died while queued resolves without running: an
+            // expired deadline is load shedding (typed, with a retry hint),
+            // an explicit cancel is the client's own typed abort.
             if let Err(cause) = job.token.check() {
                 finish_tenant(inner, &job.req.tenant);
                 let err = match cause {
@@ -997,7 +841,7 @@ fn handle_batch(shared: &Shared, jobs: Vec<Job>) {
                         inner.metrics.service.shed_expired += 1;
                         ServiceError::Rejected {
                             reason: RejectReason::Expired,
-                            retry_after: shared.cfg.retry_after_base,
+                            retry_after: cfg.retry_after_base,
                         }
                     }
                     CancelCause::Cancelled => {
@@ -1005,51 +849,58 @@ fn handle_batch(shared: &Shared, jobs: Vec<Job>) {
                         ServiceError::Run(RunError::Cancelled { algorithm: alg })
                     }
                 };
-                early.push((job.tx, Err(err)));
+                replies.push((job.tx, Err(err)));
                 continue;
             }
-            inner.in_flight += 1;
-            let est = workspace_estimate(&job.req);
-            let br = inner
+            // The breaker picks the tier (possibly a half-open probe above
+            // it), then memory pressure demotes the *execution* tier; later
+            // members of one batch see the cells earlier members just
+            // charged. Probes are exempt: a probe exists to test the tier
+            // above, and its workspace overage is bounded by one request.
+            let plan = inner
                 .breakers
                 .entry(alg)
-                .or_insert_with(|| Breaker::new(shared.cfg.breaker));
-            let plan = br.plan(&mut inner.metrics.service);
-            let run_tier = if plan.probe {
+                .or_insert_with(|| Breaker::new(cfg.breaker))
+                .plan(&mut inner.metrics.service);
+            let cells = workspace_estimate(&job.req);
+            let tier = if plan.probe {
                 plan.tier
             } else {
-                pressure_tier(&shared.cfg, inner.inflight_cells, est, plan.tier)
+                pressure_tier(cfg, inner.inflight_cells, cells, plan.tier)
             };
-            inner.inflight_cells += est;
-            live.push((job, plan, run_tier));
+            inner.in_flight += 1;
+            inner.inflight_cells += cells;
+            admitted.push(Admission {
+                job,
+                plan,
+                tier,
+                cells,
+            });
         }
     }
-    for (tx, r) in early {
+    for (tx, r) in replies.drain(..) {
         let _ = tx.send(r);
     }
 
-    // Only healthy Full-tier members fuse; probes, degraded tiers, and
+    // Only healthy Full-tier members fuse; probes, degraded tiers and
     // pressure-demoted members keep their own machines so the breaker's
-    // feedback stays honest. A "batch" of one is just a solo run.
-    type PlannedJobs = Vec<(Job, Plan, Tier)>;
-    let (mut fused, mut solo): (PlannedJobs, PlannedJobs) =
-        live.into_iter().partition(|&(_, plan, run_tier)| {
-            plan.tier == Tier::Full && !plan.probe && run_tier == Tier::Full
-        });
+    // feedback stays honest. A lone fusable member runs alone.
+    let (mut fused, mut solo): (Vec<Admission>, Vec<Admission>) = admitted
+        .into_iter()
+        .partition(|a| a.plan.tier == Tier::Full && !a.plan.probe && a.tier == Tier::Full);
     if fused.len() == 1 {
         solo.append(&mut fused);
     }
     let fused_count = fused.len();
 
-    // Phase B: the fused run, outside the lock.
-    let mut fused_done: Vec<(Job, Plan, Response)> = Vec::new();
-    let mut fused_dead: Vec<(Job, Plan, RunError)> = Vec::new();
+    // Phase B: run everything outside the lock.
+    let mut ran: Vec<Ran> = Vec::with_capacity(fused.len() + solo.len());
     let mut batch_metrics: Option<Metrics> = None;
     if !fused.is_empty() {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let slices: Vec<&[ipch_geom::Point2]> = fused
                 .iter()
-                .map(|(j, _, _)| match &j.req.workload {
+                .map(|a| match &a.job.req.workload {
                     Workload::Hull2d { points, .. } => points.as_slice(),
                     Workload::Hull3d { .. } => {
                         unreachable!("batch_eligible admits only 2-D workloads")
@@ -1057,146 +908,185 @@ fn handle_batch(shared: &Shared, jobs: Vec<Job>) {
                 })
                 .collect();
             let cat = ConcatPoints2::from_members(&slices);
-            let mut bm = batch_machine(fused.iter().map(|(j, _, _)| j.req.seed), shared.cfg.tuning);
+            let mut bm = batch_machine(fused.iter().map(|a| a.job.req.seed), cfg.tuning);
             let mut shm = Shm::new();
             let results = upper_hulls_batch(&mut bm, &mut shm, &cat);
             (bm.metrics, results)
         }));
         match caught {
             Ok((metrics, results)) => {
-                let steps = metrics.steps;
-                let peak = metrics.peak_live_cells;
-                batch_metrics = Some(metrics);
-                for ((job, plan, _), result) in fused.drain(..).zip(results) {
+                for (adm, result) in fused.drain(..).zip(results) {
                     // Per-member deadline/cancel, checked at the batch
                     // boundary: the shared machine carries no token, so one
                     // member's abort cannot poison its siblings.
-                    if let Err(cause) = job.token.check() {
-                        let alg = job.req.workload.algorithm();
-                        fused_dead.push((job, plan, RunError::from_cancel(alg, cause)));
-                        continue;
-                    }
-                    match result {
-                        Ok(hull) => fused_done.push((
-                            job,
-                            plan,
-                            Response {
-                                value: ResponseValue::Hull2d(hull),
-                                tier: Tier::Full,
-                                outcome: Some(Outcome::FirstTry),
-                                attempts: 1,
-                                sim_steps: steps,
-                                peak_cells: peak,
-                            },
+                    let outcome = match (adm.job.token.check(), result) {
+                        (Err(cause), _) => Err(RunError::from_cancel(
+                            adm.job.req.workload.algorithm(),
+                            cause,
                         )),
-                        Err(e @ RunError::InvalidInput { .. }) => {
-                            fused_dead.push((job, plan, e));
-                        }
+                        (Ok(()), Ok(hull)) => Ok(Response::new(
+                            ResponseValue::Hull2d(hull),
+                            Tier::Full,
+                            Some(Outcome::FirstTry),
+                            1,
+                            &metrics,
+                        )),
+                        (Ok(()), Err(e @ RunError::InvalidInput { .. })) => Err(e),
                         // The certificate refused this member's fused
-                        // chain: demote it to a solo supervised run;
+                        // chain: it runs alone at its planned tier;
                         // siblings keep their fused results.
-                        Err(_) => solo.push((job, plan, Tier::Full)),
-                    }
+                        (Ok(()), Err(_)) => {
+                            solo.push(adm);
+                            continue;
+                        }
+                    };
+                    ran.push((adm, None, Ok(outcome)));
                 }
+                batch_metrics = Some(metrics);
             }
-            Err(_) => {
-                // The shared machine blew up. No member is charged a
-                // panic for a sibling's poison: everyone re-runs alone
-                // (a solo panic is then isolated to its own request).
-                solo.append(&mut fused);
-            }
+            // The shared machine blew up. No member is charged a panic for
+            // a sibling's poison: everyone runs alone (a panic there is
+            // isolated to its own request).
+            Err(_) => solo.append(&mut fused),
         }
     }
-
-    // Solo members (degraded/probe plans, demotions, or the whole batch
-    // after a shared-machine panic) each run their own machine.
-    let solo_runs: Vec<(Job, Plan, Tier, std::thread::Result<RunReturn>)> = solo
-        .into_iter()
-        .map(|(job, plan, run_tier)| {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                run_request(&shared.cfg, &job.req, run_tier, job.token.clone())
-            }));
-            (job, plan, run_tier, caught)
-        })
-        .collect();
+    for adm in solo {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            runner(cfg, &adm.job.req, adm.tier, adm.job.token.clone())
+        }));
+        ran.push(match caught {
+            Ok((metrics, outcome)) => (adm, Some(metrics), Ok(outcome)),
+            Err(payload) => (adm, None, Err(payload)),
+        });
+    }
 
     // Phase C: resolve every member exactly once under one lock round.
-    let mut sends: Vec<Send> = Vec::new();
     {
         let mut guard = lock(shared);
         let inner = &mut *guard;
-        if fused_count >= 2 {
+        if fused_count > 0 {
             inner.metrics.service.batches_formed += 1;
             inner.metrics.service.batch_members += fused_count as u64;
         }
         // The shared machine's metrics count once — not once per member.
-        if let Some(bm) = batch_metrics.take() {
-            inner.metrics.absorb(&bm);
-            book_ledgers(inner, &bm);
+        if let Some(bm) = &batch_metrics {
+            absorb_machine(inner, bm);
         }
-        for (job, plan, resp) in fused_done {
-            inner.in_flight -= 1;
-            inner.inflight_cells = inner
-                .inflight_cells
-                .saturating_sub(workspace_estimate(&job.req));
-            finish_tenant(inner, &job.req.tenant);
-            inner.metrics.service.completed += 1;
-            let alg = job.req.workload.algorithm();
-            let svc = &mut inner.metrics.service;
-            if let Some(br) = inner.breakers.get_mut(alg) {
-                br.report(plan, Signal::Clean, svc);
+        for (adm, metrics, outcome) in ran {
+            replies.push(settle(inner, adm, metrics.as_ref(), outcome));
+        }
+    }
+    for (tx, r) in replies {
+        let _ = tx.send(r);
+    }
+}
+
+/// Absorb one machine's metrics into the aggregate and copy its
+/// noisy-predicate and workspace-trip counters into the [`ServiceStats`]
+/// ledger, so the ledger copies stay equal to the aggregate books
+/// (`noise_flips`/`noise_votes` vs `Metrics::faults.predicate_flips`/
+/// `predicate_votes`, and `workspace_trips` vs
+/// `Metrics::supervisor.workspace_aborts`) — the invariants the tests and
+/// `hulld`'s exit checks assert.
+fn absorb_machine(inner: &mut Inner, metrics: &Metrics) {
+    inner.metrics.absorb(metrics);
+    inner.metrics.service.noise_flips += metrics.faults.predicate_flips;
+    inner.metrics.service.noise_votes += metrics.faults.predicate_votes;
+    inner.metrics.service.workspace_trips += metrics.supervisor.workspace_aborts;
+}
+
+/// Settle one admission under the lock: release its in-flight slot, gauge
+/// cells and tenant load, absorb its own machine's metrics (if it ran
+/// one), bump the matching ledger counter exactly once, report the
+/// outcome's signal to the breaker, and return the reply.
+fn settle(
+    inner: &mut Inner,
+    adm: Admission,
+    metrics: Option<&Metrics>,
+    outcome: std::thread::Result<Result<Response, RunError>>,
+) -> Reply {
+    let Admission {
+        job,
+        plan,
+        tier,
+        cells,
+    } = adm;
+    inner.in_flight -= 1;
+    inner.inflight_cells -= cells;
+    finish_tenant(inner, &job.req.tenant);
+    if let Some(m) = metrics {
+        absorb_machine(inner, m);
+    }
+    let alg = job.req.workload.algorithm();
+    let svc = &mut inner.metrics.service;
+    // Defence in depth: a cancellation unwind that escaped the supervisor
+    // (e.g. a machine poll outside any supervised scope) is still typed,
+    // not an isolated panic.
+    let outcome = match outcome {
+        Err(payload) => match payload.downcast::<CancelUnwind>() {
+            Ok(cu) => Ok(Err(RunError::from_cancel(alg, cu.cause))),
+            Err(payload) => Err(payload),
+        },
+        ran => ran,
+    };
+    let (signal, result) = match outcome {
+        Ok(Ok(resp)) => {
+            svc.completed += 1;
+            match tier {
+                Tier::Full => {}
+                Tier::ReducedRetry => svc.degraded_tier1_runs += 1,
+                Tier::Frugal => svc.frugal_runs += 1,
+                Tier::Sequential => svc.degraded_tier2_runs += 1,
             }
-            sends.push((job.tx, Ok(resp)));
+            let signal = match resp.outcome {
+                // A clean sequential run (no supervisor) also counts as
+                // healthy: the probe path relies on it.
+                Some(Outcome::FirstTry) | None => Signal::Clean,
+                Some(Outcome::Retried(_)) | Some(Outcome::FellBack) => Signal::Strained,
+            };
+            (signal, Ok(resp))
         }
-        for (job, plan, err) in fused_dead {
-            inner.in_flight -= 1;
-            inner.inflight_cells = inner
-                .inflight_cells
-                .saturating_sub(workspace_estimate(&job.req));
-            finish_tenant(inner, &job.req.tenant);
-            let signal = match &err {
+        Ok(Err(e)) => {
+            let signal = match &e {
                 RunError::Cancelled { .. } => {
-                    inner.metrics.service.cancelled += 1;
+                    svc.cancelled += 1;
                     Signal::Neutral
                 }
                 RunError::DeadlineExceeded { .. } => {
-                    inner.metrics.service.deadline_exceeded += 1;
+                    svc.deadline_exceeded += 1;
                     Signal::Neutral
                 }
                 RunError::InvalidInput { .. } => {
-                    inner.metrics.service.invalid_inputs += 1;
+                    svc.invalid_inputs += 1;
                     Signal::Neutral
                 }
                 _ => {
-                    inner.metrics.service.run_errors += 1;
+                    svc.run_errors += 1;
                     Signal::Strained
                 }
             };
-            let alg = job.req.workload.algorithm();
-            let svc = &mut inner.metrics.service;
-            if let Some(br) = inner.breakers.get_mut(alg) {
-                br.report(plan, signal, svc);
-            }
-            sends.push((job.tx, Err(ServiceError::Run(err))));
+            (signal, Err(ServiceError::Run(e)))
         }
-        for (job, plan, run_tier, caught) in solo_runs {
-            inner.in_flight -= 1;
-            inner.inflight_cells = inner
-                .inflight_cells
-                .saturating_sub(workspace_estimate(&job.req));
-            finish_tenant(inner, &job.req.tenant);
-            let alg = job.req.workload.algorithm();
-            let (signal, result) = resolve_run(inner, alg, run_tier, caught);
-            let svc = &mut inner.metrics.service;
-            if let Some(br) = inner.breakers.get_mut(alg) {
-                br.report(plan, signal, svc);
-            }
-            sends.push((job.tx, result));
+        Err(payload) => {
+            svc.panics_isolated += 1;
+            let detail = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            (
+                Signal::Strained,
+                Err(ServiceError::Run(RunError::Panic {
+                    algorithm: alg,
+                    detail,
+                })),
+            )
         }
+    };
+    if let Some(br) = inner.breakers.get_mut(alg) {
+        br.report(plan, signal, svc);
     }
-    for (tx, r) in sends {
-        let _ = tx.send(r);
-    }
+    (job.tx, result)
 }
 
 /// Execute one admitted request at `tier` on its own machine.
@@ -1275,14 +1165,13 @@ fn run_frugal(cfg: &ServiceConfig, m: &mut Machine, req: &Request) -> Result<Res
                 max_attempts: cfg.max_attempts,
             };
             let s = upper_hull_frugal_supervised(m, points, scratch, cfg.memory_budget, &scfg)?;
-            Ok(Response {
-                value: ResponseValue::Hull2d(s.value.hull),
-                tier: Tier::Frugal,
-                outcome: Some(s.outcome),
-                attempts: s.attempts,
-                sim_steps: m.metrics.steps,
-                peak_cells: m.metrics.peak_live_cells,
-            })
+            Ok(Response::new(
+                ResponseValue::Hull2d(s.value.hull),
+                Tier::Frugal,
+                Some(s.outcome),
+                s.attempts,
+                &m.metrics,
+            ))
         }
         Workload::Hull3d { .. } => {
             let scfg = SuperviseConfig { max_attempts: 1 };
@@ -1312,14 +1201,13 @@ fn run_sharded(
             (ResponseValue::Hull3d(s.value), s.outcome, s.attempts)
         }
     };
-    Ok(Response {
+    Ok(Response::new(
         value,
         tier,
-        outcome: Some(outcome),
+        Some(outcome),
         attempts,
-        sim_steps: m.metrics.steps,
-        peak_cells: m.metrics.peak_live_cells,
-    })
+        &m.metrics,
+    ))
 }
 
 fn run_supervised(
@@ -1332,27 +1220,16 @@ fn run_supervised(
     // points regardless of the requested 2-D algorithm: the plain
     // algorithms would evaluate lying predicates unguarded and burn every
     // attempt on certificate failures.
-    if m.noise_spec().is_some() {
-        let (value, outcome, attempts) = match &req.workload {
-            Workload::Hull2d { points, .. } => {
-                let s = upper_hull_noisy_supervised(m, points, scfg)?;
-                (ResponseValue::Hull2d(s.value.hull), s.outcome, s.attempts)
-            }
-            Workload::Hull3d { points } => {
-                let s = upper_hull3_noisy_supervised(m, points, scfg)?;
-                (ResponseValue::Hull3d(s.value.facets), s.outcome, s.attempts)
-            }
-        };
-        return Ok(Response {
-            value,
-            tier,
-            outcome: Some(outcome),
-            attempts,
-            sim_steps: m.metrics.steps,
-            peak_cells: m.metrics.peak_live_cells,
-        });
-    }
+    let noisy = m.noise_spec().is_some();
     let (value, outcome, attempts) = match &req.workload {
+        Workload::Hull2d { points, .. } if noisy => {
+            let s = upper_hull_noisy_supervised(m, points, scfg)?;
+            (ResponseValue::Hull2d(s.value.hull), s.outcome, s.attempts)
+        }
+        Workload::Hull3d { points } if noisy => {
+            let s = upper_hull3_noisy_supervised(m, points, scfg)?;
+            (ResponseValue::Hull3d(s.value.facets), s.outcome, s.attempts)
+        }
         Workload::Hull2d { points, algo } => match algo {
             Hull2dAlgo::Unsorted => {
                 let s =
@@ -1373,14 +1250,13 @@ fn run_supervised(
             )
         }
     };
-    Ok(Response {
+    Ok(Response::new(
         value,
         tier,
-        outcome: Some(outcome),
+        Some(outcome),
         attempts,
-        sim_steps: m.metrics.steps,
-        peak_cells: m.metrics.peak_live_cells,
-    })
+        &m.metrics,
+    ))
 }
 
 /// The [`Tier::Sequential`] path: exact host-side algorithms, no
@@ -1417,14 +1293,7 @@ fn run_sequential(m: &mut Machine, req: &Request) -> Result<Response, RunError> 
             ResponseValue::Hull3d(facets)
         }
     };
-    Ok(Response {
-        value,
-        tier: Tier::Sequential,
-        outcome: None,
-        attempts: 0,
-        sim_steps: m.metrics.steps,
-        peak_cells: m.metrics.peak_live_cells,
-    })
+    Ok(Response::new(value, Tier::Sequential, None, 0, &m.metrics))
 }
 
 #[cfg(test)]
@@ -2000,7 +1869,9 @@ mod tests {
         // Drive the resolution path with a runner that panics, standing in
         // for any non-cancellation unwind escaping a request.
         let job = lock(&svc.shared).queues[0].pop_front().unwrap();
-        handle_with(&svc.shared, job, |_, _, _, _| panic!("request blew up"));
+        resolve(&svc.shared, vec![job], |_, _, _, _| {
+            panic!("request blew up")
+        });
         match t.wait() {
             Err(ServiceError::Run(RunError::Panic { detail, .. })) => {
                 assert!(detail.contains("request blew up"));
@@ -2024,7 +1895,7 @@ mod tests {
         let svc = manual(ServiceConfig::default());
         let t = svc.submit(req2("acme", 1, 16)).unwrap();
         let job = lock(&svc.shared).queues[0].pop_front().unwrap();
-        handle_with(&svc.shared, job, |_, _, _, _| {
+        resolve(&svc.shared, vec![job], |_, _, _, _| {
             std::panic::panic_any(CancelUnwind {
                 cause: CancelCause::DeadlineExceeded,
             })
