@@ -17,24 +17,17 @@
 //! measurement to `bench_results/verify.csv`.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use ipch_pram::verify::{verify, verify_all, AlgorithmPlan, VerifyConfig};
+use ipch_hull2d::parallel::unsorted::UNSORTED_CONTRACT;
+use ipch_pram::verify::{verify, verify_all, VerifyConfig};
 
 const SIZES: [usize; 3] = [1 << 8, 1 << 14, 1 << 20];
-
-fn all_plans() -> Vec<AlgorithmPlan> {
-    let mut plans = ipch_hull2d::parallel::verify_plans::verify_plans();
-    plans.extend(ipch_hull3d::parallel::verify_plans());
-    plans.extend(ipch_lp::verify_plans());
-    plans.extend(ipch_inplace::verify_plans());
-    plans
-}
 
 fn bench_verify(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify");
     group.sample_size(20);
     let cfg = VerifyConfig::default();
 
-    let plans = all_plans();
+    let plans = ipch_hull3d::paper_plans();
     for &n in &SIZES {
         group.throughput(Throughput::Elements(plans.len() as u64));
         group.bench_with_input(BenchmarkId::new("all-plans", n), &n, |b, &n| {
@@ -44,7 +37,7 @@ fn bench_verify(c: &mut Criterion) {
 
     let admission = plans
         .iter()
-        .find(|p| p.contract.algorithm == "hull2d/unsorted")
+        .find(|p| p.contract == UNSORTED_CONTRACT)
         .expect("served algorithm has a plan");
     for &n in &SIZES {
         group.throughput(Throughput::Elements(1));

@@ -235,7 +235,7 @@ pub fn upper_hull_frugal_supervised(
     workspace_budget: Option<u64>,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<HullOutput>, RunError> {
-    const ALG: &str = "hull2d/frugal";
+    const ALG: &str = FRUGAL_CONTRACT.algorithm;
     validate_points2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     let certify = |out: &HullOutput| -> Result<(), RunError> {
         verify_upper_hull(points, &out.hull).map_err(|detail| RunError::Verify {

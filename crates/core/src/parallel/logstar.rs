@@ -262,7 +262,7 @@ fn recurse(
         .enumerate()
         .map(|(gi, h)| {
             h.ok_or_else(|| RunError::Invariant {
-                algorithm: "hull2d/logstar",
+                algorithm: LOGSTAR_CONTRACT.algorithm,
                 detail: format!("group {gi} at depth {depth} unsolved after the failure sweep"),
             })
         })

@@ -240,7 +240,7 @@ pub fn upper_hull_noisy_supervised(
     points: &[Point2],
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<HullOutput>, RunError> {
-    const ALG: &str = "hull2d/noisy";
+    const ALG: &str = NOISY_CONTRACT.algorithm;
     validate_points2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     let certify = |out: &HullOutput| -> Result<(), RunError> {
         verify_upper_hull(points, &out.hull).map_err(|detail| RunError::Verify {

@@ -49,7 +49,7 @@ pub fn upper_hull_logstar_supervised(
     params: &LogstarParams,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<(HullOutput, LogstarReport)>, RunError> {
-    const ALG: &str = "hull2d/logstar";
+    const ALG: &str = super::logstar::LOGSTAR_CONTRACT.algorithm;
     validate_points2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     let mut fallback = |fm: &mut Machine| {
         let mut shm = Shm::new();
@@ -79,7 +79,7 @@ pub fn upper_hull_unsorted_supervised(
     params: &UnsortedParams,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<(HullOutput, UnsortedTrace)>, RunError> {
-    const ALG: &str = "hull2d/unsorted";
+    const ALG: &str = super::unsorted::UNSORTED_CONTRACT.algorithm;
     validate_points2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     let mut fallback = |fm: &mut Machine| {
         let mut shm = Shm::new();
@@ -113,7 +113,7 @@ pub fn upper_hull_dac_supervised(
     presorted: bool,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<HullOutput>, RunError> {
-    const ALG: &str = "hull2d/dac";
+    const ALG: &str = super::dac::DAC_CONTRACT.algorithm;
     validate_points2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     let mut fallback = |fm: &mut Machine| {
         let mut shm = Shm::new();

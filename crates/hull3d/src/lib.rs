@@ -21,3 +21,18 @@ pub mod parallel;
 pub mod seq;
 
 pub use facet::{verify_upper_hull3, Facet};
+
+/// Every paper entry-point plan in the workspace — the 2-D hull, 3-D
+/// hull, LP and in-place registries, in that order. This crate is the one
+/// algorithm crate that depends on the other three, so it owns the
+/// aggregate: the serving runtime's admission precheck, the verify suite
+/// and the verify bench all draw from it. Each plan's `contract` is the
+/// entry point's `ModelContract` const, so the contracts *are* the
+/// registry of names.
+pub fn paper_plans() -> Vec<ipch_pram::verify::AlgorithmPlan> {
+    let mut plans = ipch_hull2d::parallel::verify_plans();
+    plans.extend(parallel::verify_plans());
+    plans.extend(ipch_lp::verify_plans());
+    plans.extend(ipch_inplace::verify_plans());
+    plans
+}

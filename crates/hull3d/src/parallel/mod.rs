@@ -15,24 +15,3 @@ pub fn verify_plans() -> Vec<ipch_pram::verify::AlgorithmPlan> {
         noisy::verify_plan(),
     ]
 }
-
-#[cfg(test)]
-mod verify_tests {
-    use ipch_pram::verify::{verify_all, Verdict, VerifyConfig};
-
-    #[test]
-    fn all_hull3d_plans_verify() {
-        for n in [0usize, 1, 2, 64, 4096] {
-            let reports = verify_all(&super::verify_plans(), n, &VerifyConfig::default()).unwrap();
-            assert_eq!(reports.len(), 3);
-            for r in &reports {
-                assert_eq!(
-                    r.verdict,
-                    Verdict::VerifiedStatic,
-                    "{} at n={n}",
-                    r.algorithm
-                );
-            }
-        }
-    }
-}

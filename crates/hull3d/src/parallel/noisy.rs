@@ -210,7 +210,7 @@ pub fn upper_hull3_noisy_supervised(
     points: &[Point3],
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<Hull3Output>, RunError> {
-    const ALG: &str = "hull3d/noisy";
+    const ALG: &str = NOISY3_CONTRACT.algorithm;
     validate_points3(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     let mut fallback = |fm: &mut Machine| {
         let mut stats = Seq3Stats::default();

@@ -54,9 +54,10 @@ pub const FIND_FACET_CONTRACT: ModelContract = ModelContract {
 /// Symbolic step structure of [`find_facet_inplace`] for the static
 /// checker ([`ipch_pram::verify`]): the survivor-flag initialisation, the
 /// compaction feed, and the per-round survivor re-marking are all
-/// injective per-point pid maps over the id universe — the contract's
-/// CRCW allowance is consumed by the random-sample claim protocol and the
-/// in-place compaction, which carry their own contracts and plans.
+/// injective per-point pid maps over the id universe. The contract's
+/// CRCW allowance is consumed by the brute base solver, whose plan is
+/// included, and by the random-sample claim protocol and the in-place
+/// compaction, whose data-dependent shapes the dynamic analyzer checks.
 pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
     use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
     use ipch_pram::WritePolicy;
@@ -75,6 +76,7 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
         StepPlan::new("survivor-mark", Affine::n(), WritePolicy::Arbitrary)
             .write(surv, IndexSet::Exact(Affine::pid())),
     );
+    p.include(ipch_lp::bridge::facet_verify_plan());
     p
 }
 

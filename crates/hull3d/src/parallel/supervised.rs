@@ -48,7 +48,7 @@ pub fn upper_hull3_unsorted_supervised(
     params: &Unsorted3Params,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<(Hull3Output, Unsorted3Trace)>, RunError> {
-    const ALG: &str = "hull3d/unsorted3d";
+    const ALG: &str = super::unsorted3d::UNSORTED3_CONTRACT.algorithm;
     // Service-facing entry: reject NaN/infinite coordinates and duplicate
     // points before any step runs (gift wrapping's supporting-plane search
     // assumes distinct points; a NaN poisons every orientation test).

@@ -152,11 +152,12 @@ pub fn inplace_compact(
     let mut id_space = n.div_ceil(len);
     let mut cur_len = len;
     let mut workspace_cells = 0usize;
-    let mut rounds = 0usize;
+    let mut out = None;
 
-    loop {
-        rounds += 1;
-        let final_round = cur_len == 1;
+    // Group length shrinks len → len/sub → … → 1 over the rounds; the
+    // round with singleton groups (index `t_rounds`) is the final one.
+    for round in 0..=t_rounds {
+        let final_round = round == t_rounds;
         // Mark occupied groups; in the final round the payload is the
         // element's own position (groups are singletons).
         let marks = shm.alloc("ipc.marks", id_space, EMPTY);
@@ -185,13 +186,14 @@ pub fn inplace_compact(
                     ctx.write(slots, g % p, v);
                 }
             });
-            return Some(InplaceCompaction {
+            out = Some(InplaceCompaction {
                 slots,
                 positions: c.dst,
                 count: c.count,
-                rounds,
+                rounds: round + 1,
                 workspace_cells,
             });
+            break;
         }
 
         // Renumber: new id = (old mod p)·sub + subindex, computed locally.
@@ -207,8 +209,8 @@ pub fn inplace_compact(
         });
         id_space = p * sub;
         cur_len = next_len;
-        debug_assert!(rounds <= t_rounds + 1);
     }
+    out
 }
 
 #[cfg(test)]

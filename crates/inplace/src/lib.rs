@@ -47,41 +47,3 @@ pub fn verify_plans() -> Vec<ipch_pram::verify::AlgorithmPlan> {
         vote::verify_plan(),
     ]
 }
-
-#[cfg(test)]
-mod verify_tests {
-    use ipch_pram::verify::{verify_all, Verdict, VerifyConfig};
-
-    #[test]
-    fn inplace_plans_verify_with_honest_fallback() {
-        // n = 0 runs zero processors everywhere: every plan is trivially
-        // static-verified, so the sweep starts at 1.
-        for n in [1usize, 2, 64, 4096] {
-            let reports = verify_all(&super::verify_plans(), n, &VerifyConfig::default()).unwrap();
-            assert_eq!(reports.len(), 5);
-            for r in &reports {
-                let expect = if r.algorithm == "inplace/vote" {
-                    Verdict::VerifiedStatic
-                } else {
-                    Verdict::NeedsDynamic
-                };
-                assert_eq!(r.verdict, expect, "{} at n={n}", r.algorithm);
-            }
-        }
-    }
-
-    #[test]
-    fn needs_dynamic_reports_carry_reasons() {
-        let reports = verify_all(&super::verify_plans(), 256, &VerifyConfig::default()).unwrap();
-        for r in reports
-            .iter()
-            .filter(|r| r.verdict == Verdict::NeedsDynamic)
-        {
-            assert!(
-                !r.dynamic_reasons.is_empty(),
-                "{} lacks fallback reasons",
-                r.algorithm
-            );
-        }
-    }
-}

@@ -37,7 +37,7 @@ pub fn random_sample_supervised(
     attempts: usize,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<Vec<usize>>, RunError> {
-    const ALG: &str = "inplace/sample";
+    const ALG: &str = crate::sample::SAMPLE_CONTRACT.algorithm;
     // Entry validation: active ids must be in-universe and distinct (the
     // Lemma 3.1 size analysis counts distinct elements).
     let mut seen = vec![false; universe];

@@ -76,8 +76,8 @@ pub const LP2_AM_CONTRACT: ModelContract = ModelContract {
 /// Symbolic step structure of [`solve_lp2_am`] for the static checker
 /// ([`ipch_pram::verify`]): per-round coin flips read the survivor flags
 /// and the violation test rewrites them, both one-to-one over the
-/// constraint ids — the CRCW allowance is consumed by the brute base
-/// solver, which carries its own contract and plan.
+/// constraint ids; the CRCW allowance is consumed by the brute base
+/// solver, whose plan is included.
 pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
     use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
     let mut p = AlgorithmPlan::new(LP2_AM_CONTRACT);
@@ -90,6 +90,7 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
         StepPlan::new("survivor-test", Affine::n(), WritePolicy::Arbitrary)
             .write(surv, IndexSet::Exact(Affine::pid())),
     );
+    p.include(crate::brute::verify_plan());
     p
 }
 

@@ -197,6 +197,7 @@ pub fn bridge_brute(
     ids: &[usize],
     x0: f64,
 ) -> Option<Bridge> {
+    m.declare_contract(&BRIDGE_BRUTE_CONTRACT);
     let n = ids.len();
     if n < 2 {
         return None;
@@ -306,6 +307,7 @@ pub fn facet_brute(
     x0: f64,
     y0: f64,
 ) -> Option<(usize, usize, usize)> {
+    m.declare_contract(&FACET_BRUTE_CONTRACT);
     let n = ids.len();
     if n < 3 {
         return None;
@@ -446,7 +448,6 @@ mod tests {
         ];
         let mut m = Machine::new(9);
         m.enable_analysis(AnalyzeConfig::default());
-        m.declare_contract(&BRIDGE_BRUTE_CONTRACT);
         let mut shm = Shm::new();
         shm.enable_shadow(true);
         let ids: Vec<usize> = (0..pts.len()).collect();
@@ -454,6 +455,7 @@ mod tests {
         // canonical contacts: largest x ≤ 0 and smallest x > 0 on the line
         assert_eq!((b.left, b.right), (1, 2));
         let r = m.analysis_report().unwrap();
+        assert_eq!(r.contract, Some(BRIDGE_BRUTE_CONTRACT));
         assert!(r.is_clean(), "{}", r.render());
         assert_eq!(r.seed_dependent_races, 0);
         assert_eq!(r.unconfirmed_arbitrary_races, 0);
@@ -568,12 +570,12 @@ mod tests {
         ];
         let mut m = Machine::new(4);
         m.enable_analysis(AnalyzeConfig::default());
-        m.declare_contract(&FACET_BRUTE_CONTRACT);
         let mut shm = Shm::new();
         shm.enable_shadow(true);
         let ids: Vec<usize> = (0..pts.len()).collect();
         facet_brute(&mut m, &mut shm, &pts, &ids, 0.1, 0.05).expect("facet exists");
         let r = m.analysis_report().unwrap();
+        assert_eq!(r.contract, Some(FACET_BRUTE_CONTRACT));
         assert!(r.is_clean(), "{}", r.render());
         assert_eq!(r.seed_dependent_races, 0);
         assert_eq!(r.unconfirmed_arbitrary_races, 0);

@@ -229,7 +229,7 @@ pub fn frugal_bridge_supervised(
     workspace_budget: Option<u64>,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<Bridge>, RunError> {
-    const ALG: &str = "lp/frugal_bridge";
+    const ALG: &str = FRUGAL_BRIDGE_CONTRACT.algorithm;
     ensure_finite2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     validate_active(ALG, points.len(), active)?;

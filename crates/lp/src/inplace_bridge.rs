@@ -120,9 +120,10 @@ pub const INPLACE_BRIDGE_CONTRACT: ModelContract = ModelContract {
 /// Symbolic step structure of [`find_bridge_inplace`] for the static
 /// checker ([`ipch_pram::verify`]): survivor-flag initialisation, the
 /// compaction feed, and the per-round survivor check are all one-to-one
-/// pid maps over the id universe — the contract's CRCW allowance is
-/// consumed by the random-sample claim protocol and the in-place
-/// compaction, which carry their own contracts and plans.
+/// pid maps over the id universe. The contract's CRCW allowance is
+/// consumed by the brute base solver, whose plan is included, and by the
+/// random-sample claim protocol and the in-place compaction, whose
+/// data-dependent shapes the dynamic analyzer checks.
 pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
     use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
     use ipch_pram::WritePolicy;
@@ -141,6 +142,7 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
         StepPlan::new("survivor-check", Affine::n(), WritePolicy::Arbitrary)
             .write(surv, IndexSet::Exact(Affine::pid())),
     );
+    p.include(crate::bridge::bridge_verify_plan());
     p
 }
 

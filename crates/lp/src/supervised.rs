@@ -97,7 +97,7 @@ pub fn find_bridge_inplace_supervised(
     ib: &IbConfig,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<(Bridge, IbTrace)>, RunError> {
-    const ALG: &str = "lp/inplace_bridge";
+    const ALG: &str = crate::inplace_bridge::INPLACE_BRIDGE_CONTRACT.algorithm;
     ensure_finite2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     validate_active(ALG, points.len(), active)?;
@@ -139,7 +139,7 @@ pub fn bridge_brute_supervised(
     x0: f64,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<Bridge>, RunError> {
-    const ALG: &str = "lp/bridge_brute";
+    const ALG: &str = crate::bridge::BRIDGE_BRUTE_CONTRACT.algorithm;
     ensure_finite2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     validate_active(ALG, points.len(), active)?;
@@ -171,7 +171,7 @@ pub fn facet_brute_supervised(
     y0: f64,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<(usize, usize, usize)>, RunError> {
-    const ALG: &str = "lp/facet_brute";
+    const ALG: &str = crate::bridge::FACET_BRUTE_CONTRACT.algorithm;
     ensure_finite3(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("y0", y0).map_err(|e| RunError::invalid_input(ALG, e))?;

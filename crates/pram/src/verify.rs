@@ -378,6 +378,20 @@ impl AlgorithmPlan {
     pub fn step(&mut self, step: StepPlan) {
         self.steps.push(step);
     }
+
+    /// Append the arrays and steps of `sub`, the plan of a subroutine this
+    /// entry point runs on at most `n` of its own inputs. Shapes verified
+    /// at the caller's `n` cover the smaller subroutine sizes, so the
+    /// class derived for the combined plan bounds the whole run.
+    pub fn include(&mut self, sub: AlgorithmPlan) {
+        let base = self.arrays.len();
+        self.arrays.extend(sub.arrays);
+        for mut step in sub.steps {
+            step.reads.iter_mut().for_each(|r| r.array += base);
+            step.writes.iter_mut().for_each(|w| w.array += base);
+            self.steps.push(step);
+        }
+    }
 }
 
 /// Typed failure of a static plan check.
@@ -1021,6 +1035,30 @@ mod tests {
         assert_eq!(r.verdict, Verdict::VerifiedStatic);
         assert_eq!(r.proven, ModelClass::Erew);
         assert_eq!(r.derived, ModelClass::Erew);
+    }
+
+    #[test]
+    fn included_subroutine_raises_the_derived_class() {
+        // An EREW-shaped caller that runs a CRCW election subroutine: the
+        // combined plan derives CRCW, and the subroutine's accesses keep
+        // pointing at its own arrays.
+        let mut p = AlgorithmPlan::new(CRCW_DET);
+        let a = p.array("a", Affine::n());
+        p.step(
+            StepPlan::new("scatter", Affine::n(), WritePolicy::Arbitrary)
+                .write(a, IndexSet::Exact(Affine::pid())),
+        );
+        assert_eq!(check(&p, 64).unwrap().derived, ModelClass::Erew);
+        let mut sub = AlgorithmPlan::new(CRCW_DET);
+        let win = sub.array("win", Affine::k(1));
+        sub.step(
+            StepPlan::new("elect", Affine::n(), WritePolicy::PriorityMin)
+                .write(win, IndexSet::Exact(Affine::k(0))),
+        );
+        p.include(sub);
+        assert_eq!(p.arrays[1].name, "win");
+        assert_eq!(p.steps[1].writes[0].array, 1);
+        assert_eq!(check(&p, 64).unwrap().derived, ModelClass::Crcw);
     }
 
     #[test]

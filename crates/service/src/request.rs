@@ -43,12 +43,14 @@ impl Workload {
             Workload::Hull2d {
                 algo: Hull2dAlgo::Unsorted,
                 ..
-            } => "hull2d/unsorted",
+            } => ipch_hull2d::parallel::unsorted::UNSORTED_CONTRACT.algorithm,
             Workload::Hull2d {
                 algo: Hull2dAlgo::Dac,
                 ..
-            } => "hull2d/dac",
-            Workload::Hull3d { .. } => "hull3d/unsorted3d",
+            } => ipch_hull2d::parallel::dac::DAC_CONTRACT.algorithm,
+            Workload::Hull3d { .. } => {
+                ipch_hull3d::parallel::unsorted3d::UNSORTED3_CONTRACT.algorithm
+            }
         }
     }
 

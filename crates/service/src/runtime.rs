@@ -236,11 +236,7 @@ fn plan_for(algorithm: &str) -> Option<&'static ipch_pram::verify::AlgorithmPlan
     use std::sync::OnceLock;
     static PLANS: OnceLock<Vec<ipch_pram::verify::AlgorithmPlan>> = OnceLock::new();
     PLANS
-        .get_or_init(|| {
-            let mut v = ipch_hull2d::parallel::verify_plans::verify_plans();
-            v.extend(ipch_hull3d::parallel::verify_plans());
-            v
-        })
+        .get_or_init(ipch_hull3d::paper_plans)
         .iter()
         .find(|p| p.contract.algorithm == algorithm)
 }
@@ -1343,7 +1339,18 @@ mod tests {
     fn precheck_admits_all_served_algorithms() {
         // every served algorithm has a registered plan, and the canonical
         // plans prove out — the precheck must be invisible to clean traffic
-        for alg in ["hull2d/unsorted", "hull2d/dac", "hull3d/unsorted3d"] {
+        let served = [
+            Workload::Hull2d {
+                points: Vec::new(),
+                algo: Hull2dAlgo::Unsorted,
+            },
+            Workload::Hull2d {
+                points: Vec::new(),
+                algo: Hull2dAlgo::Dac,
+            },
+            Workload::Hull3d { points: Vec::new() },
+        ];
+        for alg in served.iter().map(Workload::algorithm) {
             let plan = plan_for(alg).unwrap_or_else(|| panic!("{alg} has no plan"));
             for n in [0usize, 1, 16, 4096] {
                 precheck_plan(plan, n).unwrap_or_else(|e| panic!("{alg} at n={n}: {e}"));

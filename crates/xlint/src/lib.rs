@@ -1,6 +1,6 @@
 //! `xlint` — repo-specific, lexer-level lint for the workspace.
 //!
-//! Five rules, all convention checks the compiler cannot express:
+//! Four rules, all convention checks the compiler cannot express:
 //!
 //! 1. **unsafe-safety** — every `unsafe` keyword carries a `// SAFETY:`
 //!    justification (or a `# Safety` doc section) nearby.
@@ -14,9 +14,12 @@
 //!    simulator workspace only inside `Shm::scope` blocks, so scratch
 //!    is provably freed and the workspace budget sees the true live
 //!    count.
-//! 5. **entry-contracts** — every paper entry point declares a
-//!    `ModelContract` and registers a `verify_plan` for the static
-//!    checker (`pram::verify`).
+//!
+//! Entry-point contracts are not a lint: every paper entry point's
+//! `ModelContract` is the `contract` of a plan in
+//! `ipch_hull3d::paper_plans()`, and `xtests/tests/analyze_suite.rs`
+//! checks at run time that each one is declared, registered, and bounds
+//! the class the analyzer observes.
 //!
 //! Std-only on purpose: the linter must build before anything else in
 //! the workspace does and must never need linting itself transitively.
@@ -26,7 +29,7 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{run_all, Finding, SourceFile, ENTRY_POINTS};
+pub use rules::{run_all, Finding, SourceFile};
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -12,7 +12,7 @@ use crate::lexer::{has_word, mask, Masked};
 pub struct Finding {
     /// Repo-relative path of the offending file.
     pub file: String,
-    /// 1-based line number (0 for whole-repo findings).
+    /// 1-based line number.
     pub line: usize,
     /// Stable rule identifier.
     pub rule: &'static str,
@@ -54,38 +54,6 @@ fn json_escape(s: &str) -> String {
     }
     out
 }
-
-/// The paper entry points: every algorithm that declares a
-/// [`ModelContract`](https://docs.rs) must also register a symbolic plan.
-/// This table is the lint's ground truth; growing the paper surface means
-/// growing it (the `entry_contracts` rule fails loudly when a name
-/// disappears from the tree).
-pub const ENTRY_POINTS: &[&str] = &[
-    "hull2d/brute",
-    "hull2d/folklore",
-    "hull2d/presorted",
-    "hull2d/logstar",
-    "hull2d/unsorted",
-    "hull2d/dac",
-    "hull2d/batch",
-    "hull2d/noisy",
-    "hull2d/frugal",
-    "hull3d/unsorted3d",
-    "hull3d/find_facet",
-    "hull3d/noisy",
-    "lp/brute2",
-    "lp/brute3",
-    "lp/alon_megiddo",
-    "lp/bridge_brute",
-    "lp/facet_brute",
-    "lp/inplace_bridge",
-    "lp/frugal_bridge",
-    "inplace/ragde_det",
-    "inplace/ragde_rand",
-    "inplace/compact",
-    "inplace/sample",
-    "inplace/vote",
-];
 
 /// A loaded source file ready for linting.
 pub struct SourceFile {
@@ -308,43 +276,6 @@ pub fn rule_frugal_scope(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule `entry-contracts`: every paper entry point in [`ENTRY_POINTS`]
-/// declares its `ModelContract` in some module that also calls
-/// `declare_contract` and registers a `verify_plan` for the static
-/// checker. Whole-repo rule — findings point at the repo root.
-pub fn rule_entry_contracts(files: &[SourceFile], out: &mut Vec<Finding>) {
-    for name in ENTRY_POINTS {
-        // Search for the quoted name rather than `algorithm: "..."` —
-        // some contracts route the name through a `const` (hull2d/batch).
-        let needle = format!("\"{name}\"");
-        let defining: Vec<&SourceFile> =
-            files.iter().filter(|f| f.text.contains(&needle)).collect();
-        if defining.is_empty() {
-            out.push(Finding {
-                file: "<workspace>".into(),
-                line: 0,
-                rule: "entry-contracts",
-                message: format!("entry point {name} declares no ModelContract anywhere"),
-            });
-            continue;
-        }
-        let ok = defining
-            .iter()
-            .any(|f| f.text.contains("declare_contract") && f.text.contains("verify_plan"));
-        if !ok {
-            out.push(Finding {
-                file: defining[0].path.clone(),
-                line: 0,
-                rule: "entry-contracts",
-                message: format!(
-                    "entry point {name}: contract module lacks a declare_contract call \
-                     or a verify_plan for the static checker"
-                ),
-            });
-        }
-    }
-}
-
 /// Run every rule over `files` and return the combined findings, sorted
 /// by file and line.
 pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
@@ -355,7 +286,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
         rule_arbitrary_policy(f, &mut out);
         rule_frugal_scope(f, &mut out);
     }
-    rule_entry_contracts(files, &mut out);
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }
@@ -493,42 +423,6 @@ mod tests {
         out.clear();
         rule_frugal_scope(&src("crates/lp/src/frugal_bridge.rs", escaped), &mut out);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn entry_contract_rule_wants_plan_and_declaration() {
-        let good: Vec<SourceFile> = ENTRY_POINTS
-            .iter()
-            .map(|n| {
-                src(
-                    "crates/a/src/m.rs",
-                    &format!(
-                        "pub const C: ModelContract = ModelContract {{ algorithm: \"{n}\" }};\n\
-                         pub fn verify_plan() {{}}\nfn run(m: &mut M) {{ m.declare_contract(&C); }}\n"
-                    ),
-                )
-            })
-            .collect();
-        let mut out = Vec::new();
-        rule_entry_contracts(&good, &mut out);
-        assert!(out.is_empty(), "{out:?}");
-
-        // drop one entry point entirely
-        let mut missing = Vec::new();
-        rule_entry_contracts(&good[1..], &mut missing);
-        assert_eq!(missing.len(), 1);
-        assert!(missing[0].message.contains(ENTRY_POINTS[0]));
-
-        // contract present but no verify_plan
-        let noplan = vec![src(
-            "crates/a/src/m.rs",
-            "const C: X = X { algorithm: \"hull2d/brute\" };\nfn r() { declare_contract(); }\n",
-        )];
-        let mut out2 = Vec::new();
-        rule_entry_contracts(&noplan, &mut out2);
-        assert!(out2
-            .iter()
-            .any(|f| f.rule == "entry-contracts" && f.message.contains("hull2d/brute")));
     }
 
     #[test]

@@ -1,26 +1,45 @@
-//! The analyzer acceptance suite: every paper algorithm runs under the
-//! dynamic concurrency analyzer ([`ipch_pram::analyze`]) with shadow-init
-//! tracking, at a small and a large input size, and must produce a report
-//! with
+//! The analyzer acceptance suite, keyed by the entry-point registry.
 //!
-//! * zero violations against its declared [`ModelContract`] (in
-//!   particular: no tiebreak-seed-dependent memory, no unconfirmed
-//!   `Arbitrary` races, no uninitialised reads, no access errors),
-//! * the model class its entry point declares (the paper's machine for
-//!   that algorithm: EREW for the divide-and-conquer baseline, CRCW for
-//!   everything else).
+//! Every plan in [`ipch_hull3d::paper_plans`] has one row here, named by
+//! the entry point's `ModelContract` const. A row runs the real algorithm
+//! under the dynamic concurrency analyzer ([`ipch_pram::analyze`]) with
+//! shadow-init tracking, at a small and a large input size, and checks
+//! that
 //!
-//! Superlinear-work algorithms (the Θ(n³)/Θ(n⁴) brute-force oracles) run
-//! at proportionally scaled sizes so the traced-event volume stays
-//! test-suite sized; every other algorithm runs at n = 256 and n = 4096.
+//! * the run declared exactly the row's contract, and that contract is
+//!   the `contract` of a registered plan;
+//! * the analyzer saw zero violations against it (in particular: no
+//!   tiebreak-seed-dependent memory, no unconfirmed `Arbitrary` races,
+//!   no uninitialised reads, no access errors);
+//! * the observed model class is within both the declared class and the
+//!   class the static checker ([`ipch_pram::verify`]) derives from the
+//!   plan at that size — the symbolic result is a true upper bound.
+//!
+//! [`rows_cover_every_registered_plan`] holds the rows and the registry
+//! to the same set, so a new entry point cannot skip the analyzer.
+//!
+//! Superlinear-work algorithms (the Θ(n³)/Θ(n⁴) brute-force oracles and
+//! the gift-wrapping frugal tier) run at proportionally scaled sizes so
+//! the traced-event volume stays test-suite sized; every other algorithm
+//! runs at n = 256 and n = 4096.
 //!
 //! A second half sweeps the write-policy taxonomy on primitive conflicting
 //! steps: each policy's races must land in exactly the expected bucket of
 //! the race census, for the generic and the fused-kernel path alike.
 
+use ipch_geom::batch::ConcatPoints2;
+use ipch_geom::gen3d;
 use ipch_geom::generators as g2;
 use ipch_geom::point::sorted_by_x;
-use ipch_hull2d::parallel::{brute, dac, folklore, logstar, presorted, unsorted};
+use ipch_geom::Point2;
+use ipch_hull2d::parallel::{
+    batch, brute, dac, folklore, frugal, logstar, noisy, presorted, unsorted,
+};
+use ipch_hull3d::paper_plans;
+use ipch_hull3d::parallel::{noisy as noisy3, probe, unsorted3d};
+use ipch_inplace::{compact, ragde, sample, vote};
+use ipch_lp::{alon_megiddo, bridge, frugal_bridge, inplace_bridge, lp3d};
+use ipch_pram::verify::{verify, VerifyConfig};
 use ipch_pram::{
     AnalyzeConfig, Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY,
 };
@@ -33,296 +52,261 @@ fn analyzed(seed: u64) -> (Machine, Shm) {
     (m, shm)
 }
 
-/// The suite's acceptance predicate: contract declared and satisfied,
-/// expected machine class, and none of the hard violation classes.
-fn check(label: &str, m: &Machine, algorithm: &str, class: ModelClass) {
-    let r = m
-        .analysis_report()
-        .unwrap_or_else(|| panic!("{label}: no report"));
-    let c = r
-        .contract
-        .unwrap_or_else(|| panic!("{label}: entry point declared no contract"));
-    assert_eq!(c.algorithm, algorithm, "{label}: wrong contract");
-    assert_eq!(c.class, class, "{label}: contract class drifted");
-    // The contract class is an upper bound: a lucky run may avoid every
-    // concurrent access (observe a weaker class), but never need a
-    // stronger machine than declared.
-    assert!(r.class <= class, "{label}: observed class {}", r.class);
-    assert!(r.is_clean(), "{label}:\n{}", r.render());
-    assert_eq!(r.seed_dependent_races, 0, "{label}: seed-dependent memory");
-    assert_eq!(r.unconfirmed_arbitrary_races, 0, "{label}");
-    assert_eq!(r.uninit_reads, 0, "{label}: uninitialised reads");
-    assert!(r.steps_analyzed > 0, "{label}: nothing traced");
+/// Run one row: `run` calls the entry point on a fresh analyzed machine
+/// for each `(seed, n)` in `sizes`, and the report must pass every check
+/// in the module docs.
+fn row(
+    contract: &ModelContract,
+    sizes: &[(u64, usize)],
+    run: impl Fn(&mut Machine, &mut Shm, u64, usize),
+) {
+    let name = contract.algorithm;
+    let plans = paper_plans();
+    let plan = plans
+        .iter()
+        .find(|p| p.contract == *contract)
+        .unwrap_or_else(|| panic!("{name}: no registered plan carries this contract"));
+    for &(seed, n) in sizes {
+        let label = format!("{name} at n={n}");
+        let (mut m, mut shm) = analyzed(seed);
+        run(&mut m, &mut shm, seed, n);
+
+        let r = m
+            .analysis_report()
+            .unwrap_or_else(|| panic!("{label}: no report"));
+        let declared = r
+            .contract
+            .unwrap_or_else(|| panic!("{label}: entry point declared no contract"));
+        assert_eq!(declared, *contract, "{label}: wrong contract");
+        // The contract class is an upper bound: a lucky run may avoid
+        // every concurrent access (observe a weaker class), but never need
+        // a stronger machine than declared — or than the plan proves.
+        assert!(
+            r.class <= contract.class,
+            "{label}: observed class {}",
+            r.class
+        );
+        let derived = verify(plan, n, &VerifyConfig::default())
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .derived;
+        assert!(
+            r.class <= derived,
+            "{label}: dynamic analyzer observed {} but the static checker derived {derived} \
+             — the symbolic upper bound is wrong",
+            r.class
+        );
+        if contract.races == RaceExpectation::Forbidden {
+            assert_eq!(r.total_races(), 0, "{label} raced:\n{}", r.render());
+        }
+        assert!(r.is_clean(), "{label}:\n{}", r.render());
+        assert_eq!(r.seed_dependent_races, 0, "{label}: seed-dependent memory");
+        assert_eq!(r.unconfirmed_arbitrary_races, 0, "{label}");
+        assert_eq!(r.uninit_reads, 0, "{label}: uninitialised reads");
+        assert!(r.steps_analyzed > 0, "{label}: nothing traced");
+    }
 }
 
-// ---------------------------------------------------------------------------
-// 2-D hull algorithms
-// ---------------------------------------------------------------------------
+/// Declares the rows: each `name: CONTRACT, sizes, run;` becomes a
+/// `#[test] fn name` calling [`row`], and `ROW_CONTRACTS` collects every
+/// row's contract for the coverage test.
+macro_rules! rows {
+    ($($name:ident: $contract:expr, $sizes:expr, $run:expr;)+) => {
+        const ROW_CONTRACTS: &[ModelContract] = &[$($contract),+];
+        $(
+            #[test]
+            fn $name() {
+                row(&$contract, &$sizes, $run);
+            }
+        )+
+    };
+}
 
-#[test]
-fn hull2d_brute_clean() {
+/// `n` sorted disk points (the presorted algorithms' input).
+fn sorted_disk(n: usize, seed: u64) -> Vec<Point2> {
+    sorted_by_x(&g2::uniform_disk(n, seed))
+}
+
+/// An `n`-cell array holding `k` occupied cells spread evenly (the
+/// compaction primitives' input).
+fn sparse(shm: &mut Shm, n: usize, k: usize) -> ipch_pram::ArrayId {
+    let src = shm.alloc("src", n, EMPTY);
+    for (j, i) in (0..n).step_by(n / k).enumerate() {
+        shm.host_set(src, i, j as i64);
+    }
+    src
+}
+
+rows! {
+    // ---- 2-D hull algorithms ---------------------------------------------
     // Θ(n³) work: scaled sizes.
-    for (seed, n) in [(1u64, 64usize), (2, 256)] {
+    hull2d_brute_clean: brute::BRUTE_CONTRACT, [(1, 64), (2, 256)],
+    |m, shm, seed, n| {
         let pts = g2::uniform_disk(n, seed);
         let ids: Vec<usize> = (0..n).collect();
-        let (mut m, mut shm) = analyzed(seed);
-        brute::upper_hull_brute(&mut m, &mut shm, &pts, &ids);
-        check("hull2d/brute", &m, "hull2d/brute", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn hull2d_folklore_clean() {
-    for (seed, n) in [(3u64, 256usize), (4, 4096)] {
-        let pts = sorted_by_x(&g2::uniform_disk(n, seed));
+        brute::upper_hull_brute(m, shm, &pts, &ids);
+    };
+    hull2d_folklore_clean: folklore::FOLKLORE_CONTRACT, [(3, 256), (4, 4096)],
+    |m, shm, seed, n| {
+        let pts = sorted_disk(n, seed);
         let ids: Vec<usize> = (0..pts.len()).collect();
-        let (mut m, mut shm) = analyzed(seed);
-        folklore::upper_hull_folklore(&mut m, &mut shm, &pts, &ids, 3);
-        check("hull2d/folklore", &m, "hull2d/folklore", ModelClass::Crcw);
-    }
-}
+        folklore::upper_hull_folklore(m, shm, &pts, &ids, 3);
+    };
+    hull2d_presorted_clean: presorted::PRESORTED_CONTRACT, [(5, 256), (6, 4096)],
+    |m, shm, seed, n| {
+        presorted::upper_hull_presorted(m, shm, &sorted_disk(n, seed), &Default::default());
+    };
+    hull2d_logstar_clean: logstar::LOGSTAR_CONTRACT, [(7, 256), (8, 4096)],
+    |m, shm, seed, n| {
+        logstar::upper_hull_logstar(m, shm, &sorted_disk(n, seed), &Default::default()).unwrap();
+    };
+    hull2d_unsorted_clean: unsorted::UNSORTED_CONTRACT, [(9, 256), (10, 4096)],
+    |m, shm, seed, n| {
+        unsorted::upper_hull_unsorted(m, shm, &g2::uniform_disk(n, seed), &Default::default());
+    };
+    hull2d_dac_is_erew: dac::DAC_CONTRACT, [(11, 256), (12, 4096)],
+    |m, shm, seed, n| {
+        dac::upper_hull_dac(m, shm, &g2::uniform_disk(n, seed), false);
+    };
+    // n points split into eight members of n/8.
+    hull2d_batch_clean: batch::BATCH_CONTRACT, [(44, 64), (45, 256)],
+    |m, shm, seed, n| {
+        let members: Vec<Vec<Point2>> =
+            (0..8).map(|g| g2::uniform_disk(n / 8, seed + g)).collect();
+        let refs: Vec<&[Point2]> = members.iter().map(Vec::as_slice).collect();
+        batch::upper_hulls_batch(m, shm, &ConcatPoints2::from_members(&refs));
+    };
+    // Θ(n³) work: scaled sizes. No noise plan is installed, so every
+    // predicate is voted once; the step structure is noise-invariant.
+    hull2d_noisy_clean: noisy::NOISY_CONTRACT, [(46, 32), (47, 128)],
+    |m, shm, seed, n| {
+        noisy::upper_hull_noisy(m, shm, &g2::uniform_disk(n, seed), 0);
+    };
+    // Θ(n·h) gift wrapping: scaled sizes.
+    hull2d_frugal_clean: frugal::FRUGAL_CONTRACT, [(48, 256), (49, 1024)],
+    |m, shm, seed, n| {
+        frugal::upper_hull_frugal(m, shm, &g2::uniform_disk(n, seed), 16);
+    };
 
-#[test]
-fn hull2d_presorted_clean() {
-    for (seed, n) in [(5u64, 256usize), (6, 4096)] {
-        let pts = sorted_by_x(&g2::uniform_disk(n, seed));
-        let (mut m, mut shm) = analyzed(seed);
-        presorted::upper_hull_presorted(&mut m, &mut shm, &pts, &Default::default());
-        check("hull2d/presorted", &m, "hull2d/presorted", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn hull2d_logstar_clean() {
-    for (seed, n) in [(7u64, 256usize), (8, 4096)] {
-        let pts = sorted_by_x(&g2::uniform_disk(n, seed));
-        let (mut m, mut shm) = analyzed(seed);
-        logstar::upper_hull_logstar(&mut m, &mut shm, &pts, &Default::default()).unwrap();
-        check("hull2d/logstar", &m, "hull2d/logstar", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn hull2d_unsorted_clean() {
-    for (seed, n) in [(9u64, 256usize), (10, 4096)] {
-        let pts = g2::uniform_disk(n, seed);
-        let (mut m, mut shm) = analyzed(seed);
-        unsorted::upper_hull_unsorted(&mut m, &mut shm, &pts, &Default::default());
-        check("hull2d/unsorted", &m, "hull2d/unsorted", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn hull2d_dac_is_erew() {
-    for (seed, n) in [(11u64, 256usize), (12, 4096)] {
-        let pts = g2::uniform_disk(n, seed);
-        let (mut m, mut shm) = analyzed(seed);
-        dac::upper_hull_dac(&mut m, &mut shm, &pts, false);
-        let r = m.analysis_report().unwrap();
-        assert_eq!(r.total_races(), 0, "EREW algorithm raced:\n{}", r.render());
-        check("hull2d/dac", &m, "hull2d/dac", ModelClass::Erew);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 3-D hull algorithms
-// ---------------------------------------------------------------------------
-
-#[test]
-fn hull3d_find_facet_clean() {
-    use ipch_hull3d::parallel::probe;
-    for (seed, n) in [(13u64, 256usize), (14, 4096)] {
-        let pts = ipch_geom::gen3d::in_ball(n, seed);
+    // ---- 3-D hull algorithms ---------------------------------------------
+    hull3d_find_facet_clean: probe::FIND_FACET_CONTRACT, [(13, 256), (14, 4096)],
+    |m, shm, seed, n| {
+        let pts = gen3d::in_ball(n, seed);
         let active: Vec<usize> = (0..n).collect();
-        let (mut m, mut shm) = analyzed(seed);
-        probe::find_facet_inplace(
-            &mut m,
-            &mut shm,
-            &pts,
-            &active,
-            0.01,
-            0.02,
-            &probe::FpConfig::default(),
-        );
-        check(
-            "hull3d/find_facet",
-            &m,
-            "hull3d/find_facet",
-            ModelClass::Crcw,
-        );
-    }
-}
-
-#[test]
-fn hull3d_unsorted3d_clean() {
-    use ipch_hull3d::parallel::unsorted3d;
+        let cfg = probe::FpConfig::default();
+        probe::find_facet_inplace(m, shm, &pts, &active, 0.01, 0.02, &cfg);
+    };
     // The full 3-D algorithm probes Θ(hull-size) facets; 4096 points under
     // full tracing is minutes of host time, so the large size is 1024.
-    for (seed, n) in [(15u64, 256usize), (16, 1024)] {
-        let pts = ipch_geom::gen3d::in_ball(n, seed);
-        let (mut m, mut shm) = analyzed(seed);
-        unsorted3d::upper_hull3_unsorted(&mut m, &mut shm, &pts, &Default::default());
-        check(
-            "hull3d/unsorted3d",
-            &m,
-            "hull3d/unsorted3d",
-            ModelClass::Crcw,
-        );
-    }
-}
+    hull3d_unsorted3d_clean: unsorted3d::UNSORTED3_CONTRACT, [(15, 256), (16, 1024)],
+    |m, shm, seed, n| {
+        let pts = gen3d::in_ball(n, seed);
+        unsorted3d::upper_hull3_unsorted(m, shm, &pts, &Default::default());
+    };
+    // Θ(n⁴) work: scaled sizes, noiseless as for the 2-D row.
+    hull3d_noisy_clean: noisy3::NOISY3_CONTRACT, [(50, 12), (51, 24)],
+    |m, shm, seed, n| {
+        noisy3::upper_hull3_noisy(m, shm, &gen3d::in_ball(n, seed), 0);
+    };
 
-// ---------------------------------------------------------------------------
-// Linear programming
-// ---------------------------------------------------------------------------
-
-#[test]
-fn lp_brute2_clean() {
-    use ipch_lp::brute::solve_lp2_brute;
+    // ---- Linear programming ----------------------------------------------
     // Θ(n³) work: scaled sizes.
-    for (seed, n) in [(17u64, 64usize), (18, 256)] {
+    lp_brute2_clean: ipch_lp::brute::LP2_BRUTE_CONTRACT, [(17, 64), (18, 256)],
+    |m, shm, seed, n| {
         let pts = g2::uniform_disk(512, seed);
         let active: Vec<usize> = (0..n).collect();
-        let cons = ipch_lp::bridge::bridge_lp_constraints(&pts, &active);
-        let obj = ipch_lp::bridge::bridge_lp_objective(0.0);
-        let (mut m, mut shm) = analyzed(seed);
-        solve_lp2_brute(&mut m, &mut shm, &cons, &obj);
-        check("lp/brute2", &m, "lp/brute2", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn lp_brute3_clean() {
-    use ipch_lp::constraint::Halfspace;
-    use ipch_lp::lp3d::{solve_lp3_brute, Objective3};
+        let cons = bridge::bridge_lp_constraints(&pts, &active);
+        ipch_lp::brute::solve_lp2_brute(m, shm, &cons, &bridge::bridge_lp_objective(0.0));
+    };
     // Θ(n⁴) work: scaled sizes. Tangent planes of the unit sphere bound
     // the instance in every direction.
-    for (seed, n) in [(19u64, 16usize), (20, 40)] {
-        let cons: Vec<Halfspace> = (0..n)
+    lp_brute3_clean: lp3d::LP3_BRUTE_CONTRACT, [(19, 16), (20, 40)],
+    |m, shm, _seed, n| {
+        let cons: Vec<ipch_lp::constraint::Halfspace> = (0..n)
             .map(|i| {
                 let t = std::f64::consts::TAU * i as f64 / n as f64;
                 let ph = std::f64::consts::PI * (i as f64 + 0.5) / n as f64;
                 let (a, b, c) = (ph.sin() * t.cos(), ph.sin() * t.sin(), ph.cos());
-                Halfspace { a, b, c, d: -1.0 }
+                ipch_lp::constraint::Halfspace { a, b, c, d: -1.0 }
             })
             .collect();
-        let obj = Objective3 {
-            cx: 0.3,
-            cy: -0.2,
-            cz: 1.0,
-        };
-        let (mut m, mut shm) = analyzed(seed);
-        solve_lp3_brute(&mut m, &mut shm, &cons, &obj);
-        check("lp/brute3", &m, "lp/brute3", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn lp_alon_megiddo_clean() {
-    use ipch_lp::alon_megiddo::{solve_lp2_am, AmConfig};
-    for (seed, n) in [(21u64, 256usize), (22, 4096)] {
+        let obj = lp3d::Objective3 { cx: 0.3, cy: -0.2, cz: 1.0 };
+        lp3d::solve_lp3_brute(m, shm, &cons, &obj);
+    };
+    lp_alon_megiddo_clean: alon_megiddo::LP2_AM_CONTRACT, [(21, 256), (22, 4096)],
+    |m, shm, seed, n| {
         let pts = g2::uniform_disk(n, seed);
         let active: Vec<usize> = (0..n).collect();
-        let cons = ipch_lp::bridge::bridge_lp_constraints(&pts, &active);
-        let obj = ipch_lp::bridge::bridge_lp_objective(0.0);
-        let (mut m, mut shm) = analyzed(seed);
-        solve_lp2_am(&mut m, &mut shm, &cons, &obj, &AmConfig::default());
-        check("lp/alon_megiddo", &m, "lp/alon_megiddo", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn lp_inplace_bridge_clean() {
-    use ipch_lp::inplace_bridge::{find_bridge_inplace_traced, IbConfig};
-    for (seed, n) in [(23u64, 256usize), (24, 4096)] {
+        let cons = bridge::bridge_lp_constraints(&pts, &active);
+        let obj = bridge::bridge_lp_objective(0.0);
+        alon_megiddo::solve_lp2_am(m, shm, &cons, &obj, &Default::default());
+    };
+    // Θ(n³) work: scaled sizes.
+    lp_bridge_brute_clean: bridge::BRIDGE_BRUTE_CONTRACT, [(52, 32), (53, 128)],
+    |m, shm, seed, n| {
+        let pts = g2::uniform_disk(n, seed);
+        let ids: Vec<usize> = (0..n).collect();
+        bridge::bridge_brute(m, shm, &pts, &ids, 0.0);
+    };
+    // Θ(n⁴) work: scaled sizes.
+    lp_facet_brute_clean: bridge::FACET_BRUTE_CONTRACT, [(54, 12), (55, 24)],
+    |m, shm, seed, n| {
+        let pts = gen3d::in_ball(n, seed);
+        let ids: Vec<usize> = (0..n).collect();
+        bridge::facet_brute(m, shm, &pts, &ids, 0.0, 0.0);
+    };
+    lp_inplace_bridge_clean: inplace_bridge::INPLACE_BRIDGE_CONTRACT, [(23, 256), (24, 4096)],
+    |m, shm, seed, n| {
         let pts = g2::uniform_disk(n, seed);
         let active: Vec<usize> = (0..n).collect();
-        let (mut m, mut shm) = analyzed(seed);
-        find_bridge_inplace_traced(&mut m, &mut shm, &pts, &active, 0.0, &IbConfig::default());
-        check(
-            "lp/inplace_bridge",
-            &m,
-            "lp/inplace_bridge",
-            ModelClass::Crcw,
-        );
-    }
-}
+        inplace_bridge::find_bridge_inplace_traced(m, shm, &pts, &active, 0.0, &Default::default());
+    };
+    // Θ(p·rounds) ascent in 16 cells: scaled sizes.
+    lp_frugal_bridge_clean: frugal_bridge::FRUGAL_BRIDGE_CONTRACT, [(56, 256), (57, 1024)],
+    |m, shm, seed, n| {
+        let pts = g2::uniform_disk(n, seed);
+        let active: Vec<usize> = (0..n).collect();
+        frugal_bridge::frugal_bridge(m, shm, &pts, &active, 0.0, 16);
+    };
 
-// ---------------------------------------------------------------------------
-// In-place toolbox
-// ---------------------------------------------------------------------------
-
-#[test]
-fn inplace_sample_clean() {
-    use ipch_inplace::sample::random_sample;
-    for (seed, n) in [(25u64, 256usize), (26, 4096)] {
+    // ---- In-place toolbox ------------------------------------------------
+    inplace_sample_clean: sample::SAMPLE_CONTRACT, [(25, 256), (26, 4096)],
+    |m, shm, _seed, n| {
         let active: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
-        let (mut m, mut shm) = analyzed(seed);
-        random_sample(&mut m, &mut shm, &active, n, 8, 4);
-        check("inplace/sample", &m, "inplace/sample", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn inplace_vote_clean() {
-    use ipch_inplace::vote::random_vote;
-    for (seed, n) in [(27u64, 256usize), (28, 4096)] {
+        sample::random_sample(m, shm, &active, n, 8, 4);
+    };
+    inplace_vote_clean: vote::VOTE_CONTRACT, [(27, 256), (28, 4096)],
+    |m, shm, _seed, n| {
         let active: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
-        let (mut m, mut shm) = analyzed(seed);
-        random_vote(&mut m, &mut shm, &active, n, 8, 4);
-        check("inplace/vote", &m, "inplace/vote", ModelClass::Crcw);
-    }
+        vote::random_vote(m, shm, &active, n, 8, 4);
+    };
+    inplace_compact_clean: compact::COMPACT_CONTRACT, [(29, 256), (30, 4096)],
+    |m, shm, _seed, n| {
+        let src = sparse(shm, n, 16);
+        compact::inplace_compact(m, shm, src, 24, 0.25);
+    };
+    inplace_ragde_det_clean: ragde::RAGDE_DET_CONTRACT, [(31, 256), (32, 4096)],
+    |m, shm, _seed, n| {
+        let src = sparse(shm, n, 8);
+        ragde::ragde_compact_det(m, shm, src, 8);
+    };
+    inplace_ragde_rand_clean: ragde::RAGDE_RAND_CONTRACT, [(33, 256), (34, 4096)],
+    |m, shm, _seed, n| {
+        let src = sparse(shm, n, 8);
+        ragde::ragde_compact_rand(m, shm, src, 8, 8);
+    };
 }
 
 #[test]
-fn inplace_compact_clean() {
-    use ipch_inplace::compact::inplace_compact;
-    for (seed, n) in [(29u64, 256usize), (30, 4096)] {
-        let (mut m, mut shm) = analyzed(seed);
-        let src = shm.alloc("src", n, EMPTY);
-        for (j, i) in (0..n).step_by(n / 16).enumerate() {
-            shm.host_set(src, i, j as i64);
-        }
-        inplace_compact(&mut m, &mut shm, src, 24, 0.25);
-        check("inplace/compact", &m, "inplace/compact", ModelClass::Crcw);
-    }
-}
-
-#[test]
-fn inplace_ragde_det_clean() {
-    use ipch_inplace::ragde::ragde_compact_det;
-    for (seed, n) in [(31u64, 256usize), (32, 4096)] {
-        let (mut m, mut shm) = analyzed(seed);
-        let src = shm.alloc("src", n, EMPTY);
-        for (j, i) in (0..n).step_by(n / 8).enumerate() {
-            shm.host_set(src, i, j as i64);
-        }
-        ragde_compact_det(&mut m, &mut shm, src, 8);
-        check(
-            "inplace/ragde_det",
-            &m,
-            "inplace/ragde_det",
-            ModelClass::Crcw,
-        );
-    }
-}
-
-#[test]
-fn inplace_ragde_rand_clean() {
-    use ipch_inplace::ragde::ragde_compact_rand;
-    for (seed, n) in [(33u64, 256usize), (34, 4096)] {
-        let (mut m, mut shm) = analyzed(seed);
-        let src = shm.alloc("src", n, EMPTY);
-        for (j, i) in (0..n).step_by(n / 8).enumerate() {
-            shm.host_set(src, i, j as i64);
-        }
-        ragde_compact_rand(&mut m, &mut shm, src, 8, 8);
-        check(
-            "inplace/ragde_rand",
-            &m,
-            "inplace/ragde_rand",
-            ModelClass::Crcw,
-        );
-    }
+fn rows_cover_every_registered_plan() {
+    let by_name = |cs: &mut Vec<ModelContract>| cs.sort_unstable_by_key(|c| c.algorithm);
+    let mut rows = ROW_CONTRACTS.to_vec();
+    let mut registered: Vec<ModelContract> = paper_plans().iter().map(|p| p.contract).collect();
+    by_name(&mut rows);
+    by_name(&mut registered);
+    assert_eq!(
+        rows, registered,
+        "analyzer rows and plan registry drifted apart"
+    );
 }
 
 // ---------------------------------------------------------------------------

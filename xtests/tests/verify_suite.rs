@@ -1,74 +1,57 @@
 //! The static-verification acceptance suite.
 //!
 //! Sweeps every paper entry point's symbolic step plan through
-//! [`ipch_pram::verify`] and pins three properties:
+//! [`ipch_pram::verify`] and pins two properties:
 //!
-//! 1. **Coverage** — the four crate registries together cover exactly the
-//!    entry points `xlint` enforces contracts for, and every plan passes
-//!    at a range of input sizes with its expected verdict
-//!    (`VerifiedStatic` for the provable algorithms, an honest
-//!    `NeedsDynamic` for the randomized in-place primitives whose
+//! 1. **Coverage** — every plan in [`ipch_hull3d::paper_plans`] has its
+//!    own algorithm name and passes at a range of input sizes with its
+//!    expected verdict (`VerifiedStatic` for the provable algorithms, an
+//!    honest `NeedsDynamic` for the randomized in-place primitives whose
 //!    indices are data-dependent).
 //! 2. **Rejection** — mutated plans (out-of-bounds scatter, a contract
 //!    claiming a weaker machine than the plan needs, undecidable shapes
 //!    with the fallback disabled) are rejected with the right typed
 //!    error and stable code.
-//! 3. **Agreement** — for algorithms that actually run here, the class
-//!    observed by the dynamic analyzer never exceeds the class the
-//!    static checker derived: the symbolic result is a true upper bound.
+//!
+//! That the static class bounds what the real code does is checked per
+//! entry point by `analyze_suite.rs`, which runs every registered plan's
+//! algorithm under the dynamic analyzer.
 //!
 //! The suite also runs the `xlint` rules over the repository itself, so
 //! `cargo test` fails if the tree regresses on the lint conventions.
 
-use ipch_geom::generators as g2;
-use ipch_geom::point::sorted_by_x;
+use ipch_hull3d::paper_plans;
+use ipch_inplace::{compact, ragde, sample};
 use ipch_pram::verify::{
     verify, verify_all, Affine, AlgorithmPlan, IndexSet, StepPlan, Verdict, VerifyConfig,
     VerifyError,
 };
-use ipch_pram::{
-    AnalyzeConfig, Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy,
-};
-
-/// Every entry-point plan in the workspace, across all four registries.
-fn all_plans() -> Vec<AlgorithmPlan> {
-    let mut plans = ipch_hull2d::parallel::verify_plans::verify_plans();
-    plans.extend(ipch_hull3d::parallel::verify_plans());
-    plans.extend(ipch_lp::verify_plans());
-    plans.extend(ipch_inplace::verify_plans());
-    plans
-}
+use ipch_pram::{ModelClass, ModelContract, RaceExpectation, WritePolicy};
 
 /// The randomized in-place primitives whose plans honestly declare
 /// data-dependent (opaque) index shapes.
-const NEEDS_DYNAMIC: &[&str] = &[
-    "inplace/ragde_det",
-    "inplace/ragde_rand",
-    "inplace/compact",
-    "inplace/sample",
+const NEEDS_DYNAMIC: [&str; 4] = [
+    ragde::RAGDE_DET_CONTRACT.algorithm,
+    ragde::RAGDE_RAND_CONTRACT.algorithm,
+    compact::COMPACT_CONTRACT.algorithm,
+    sample::SAMPLE_CONTRACT.algorithm,
 ];
-
-#[test]
-fn registries_cover_every_linted_entry_point() {
-    let plans = all_plans();
-    let mut planned: Vec<&str> = plans.iter().map(|p| p.contract.algorithm).collect();
-    planned.sort_unstable();
-    let mut linted: Vec<&str> = xlint::ENTRY_POINTS.to_vec();
-    linted.sort_unstable();
-    assert_eq!(
-        planned, linted,
-        "plan registries and the xlint entry-point table drifted apart"
-    );
-}
 
 #[test]
 fn every_plan_passes_with_its_expected_verdict() {
     // n = 0 runs zero processors, so everything is trivially static;
     // start at 1 where the opaque shapes actually appear.
-    for n in [1usize, 2, 17, 256, 4096] {
-        let reports = verify_all(&all_plans(), n, &VerifyConfig::default())
+    let plans = paper_plans();
+    // The serving precheck finds a plan by algorithm name, so names must
+    // be unique across the registries.
+    let mut names: Vec<&str> = plans.iter().map(|p| p.contract.algorithm).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), plans.len(), "two plans share a name");
+    for n in [1usize, 2, 17, 64, 256, 4096] {
+        let reports = verify_all(&plans, n, &VerifyConfig::default())
             .unwrap_or_else(|e| panic!("n={n}: {e}"));
-        assert_eq!(reports.len(), xlint::ENTRY_POINTS.len());
+        assert_eq!(reports.len(), plans.len());
         for r in &reports {
             let expected = if NEEDS_DYNAMIC.contains(&r.algorithm) {
                 Verdict::NeedsDynamic
@@ -90,7 +73,7 @@ fn every_plan_passes_with_its_expected_verdict() {
 
 #[test]
 fn zero_size_inputs_are_trivially_static() {
-    for r in verify_all(&all_plans(), 0, &VerifyConfig::default()).expect("n=0") {
+    for r in verify_all(&paper_plans(), 0, &VerifyConfig::default()).expect("n=0") {
         assert_eq!(r.verdict, Verdict::VerifiedStatic, "{}", r.algorithm);
     }
 }
@@ -175,67 +158,6 @@ fn opaque_shapes_fail_when_the_fallback_is_disabled() {
     // With the default config the same plan is an honest NeedsDynamic.
     let r = verify(&plan, 64, &VerifyConfig::default()).expect("fallback");
     assert_eq!(r.verdict, Verdict::NeedsDynamic);
-}
-
-// ---------------------------------------------------------------------------
-// Static-vs-dynamic agreement.
-// ---------------------------------------------------------------------------
-
-/// Run `algorithm`'s plan through the static checker and the real code
-/// through the dynamic analyzer; the observed class must not exceed the
-/// statically derived upper bound.
-fn assert_agreement(label: &str, algorithm: &str, m: &Machine, n: usize) {
-    let plans = all_plans();
-    let plan = plans
-        .iter()
-        .find(|p| p.contract.algorithm == algorithm)
-        .unwrap_or_else(|| panic!("{label}: no plan for {algorithm}"));
-    let derived = verify(plan, n, &VerifyConfig::default())
-        .unwrap_or_else(|e| panic!("{label}: {e}"))
-        .derived;
-    let report = m
-        .analysis_report()
-        .unwrap_or_else(|| panic!("{label}: no dynamic report"));
-    assert!(
-        report.class <= derived,
-        "{label}: dynamic analyzer observed {} but the static checker derived {derived} \
-         — the symbolic upper bound is wrong",
-        report.class
-    );
-}
-
-fn analyzed(seed: u64) -> (Machine, Shm) {
-    let mut m = Machine::new(seed);
-    m.enable_analysis(AnalyzeConfig::default());
-    let mut shm = Shm::new();
-    shm.enable_shadow(true);
-    (m, shm)
-}
-
-#[test]
-fn static_bound_dominates_dynamic_observation() {
-    let n = 512;
-
-    let pts = g2::uniform_disk(n, 11);
-    let (mut m, mut shm) = analyzed(11);
-    ipch_hull2d::parallel::unsorted::upper_hull_unsorted(
-        &mut m,
-        &mut shm,
-        &pts,
-        &Default::default(),
-    );
-    assert_agreement("unsorted", "hull2d/unsorted", &m, n);
-
-    let pts = sorted_by_x(&g2::uniform_disk(n, 12));
-    let (mut m, mut shm) = analyzed(12);
-    ipch_hull2d::parallel::dac::upper_hull_dac(&mut m, &mut shm, &pts, false);
-    assert_agreement("dac", "hull2d/dac", &m, pts.len());
-
-    let pts = sorted_by_x(&g2::uniform_disk(n, 13));
-    let ids: Vec<usize> = (0..pts.len()).collect();
-    let (mut m, mut shm) = analyzed(13);
-    ipch_hull2d::parallel::folklore::upper_hull_folklore(&mut m, &mut shm, &pts, &ids, 3);
-    assert_agreement("folklore", "hull2d/folklore", &m, pts.len());
 }
 
 // ---------------------------------------------------------------------------
