@@ -11,13 +11,10 @@
 //!
 //! The disabled runs exist to pin the "zero cost when off" claim: they run
 //! the *same binary* with the analyzer simply not enabled, so comparing
-//! their medians against `bench_results/machine.csv` history (or the
-//! `machine` bench directly) exposes any passive tax the analysis hooks
-//! put on the hot path. The on/off ratio printed at the end is the
-//! enabled-mode multiplier.
-//!
-//! A custom `main` (instead of `criterion_main!`) appends every
-//! measurement to `bench_results/analyze.csv`.
+//! their medians against perfbench's `pram.ns_per_step` exposes any
+//! passive tax the analysis hooks put on the hot path. The on/off ratio
+//! printed at the end is the enabled-mode multiplier. Numbers are printed
+//! only, never written into the repository.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use ipch_pram::{AnalyzeConfig, Machine, Shm, WritePolicy};
@@ -82,35 +79,6 @@ fn bench_profile(c: &mut Criterion, profile: &str, analyze: bool) {
     group.finish();
 }
 
-fn append_results(c: &Criterion) -> std::io::Result<std::path::PathBuf> {
-    use std::io::Write;
-    // anchor at the workspace root: bench binaries run with the package
-    // directory as cwd, but results belong next to the tables' CSVs
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("analyze.csv");
-    let fresh = !path.exists();
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    if fresh {
-        writeln!(f, "id,median_ns_per_iter,melem_per_s")?;
-    }
-    for m in &c.measurements {
-        writeln!(
-            f,
-            "{},{},{}",
-            m.id,
-            m.median.as_nanos(),
-            m.elements_per_sec()
-                .map(|r| format!("{:.3}", r / 1e6))
-                .unwrap_or_default()
-        )?;
-    }
-    Ok(path)
-}
-
 fn main() {
     // `cargo test --benches` executes bench binaries with `--test`; a full
     // measurement sweep there would be slow noise, so bail out.
@@ -137,9 +105,5 @@ fn main() {
                 println!("n={n}: {profile} analyzer multiplier {:.2}x", on / off);
             }
         }
-    }
-    match append_results(&c) {
-        Ok(p) => println!("appended results: {}", p.display()),
-        Err(e) => eprintln!("could not append results: {e}"),
     }
 }

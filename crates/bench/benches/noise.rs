@@ -12,8 +12,8 @@
 //!
 //! The summary prints the *voting overhead multiplier* (noisy / off) —
 //! the empirical counterpart of the `2k+1` analytic factor (times the
-//! retry rate at that p). A custom `main` appends every measurement to
-//! `bench_results/noise.csv`.
+//! retry rate at that p). Numbers are printed only, never written into
+//! the repository.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use ipch_hull2d::parallel::noisy::upper_hull_noisy_supervised;
@@ -53,35 +53,6 @@ fn bench_noise(c: &mut Criterion) {
     group.finish();
 }
 
-fn append_results(c: &Criterion) -> std::io::Result<std::path::PathBuf> {
-    use std::io::Write;
-    // anchor at the workspace root: bench binaries run with the package
-    // directory as cwd, but results belong next to the tables' CSVs
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("noise.csv");
-    let fresh = !path.exists();
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    if fresh {
-        writeln!(f, "id,median_ns_per_iter,melem_per_s")?;
-    }
-    for m in &c.measurements {
-        writeln!(
-            f,
-            "{},{},{}",
-            m.id,
-            m.median.as_nanos(),
-            m.elements_per_sec()
-                .map(|r| format!("{:.3}", r / 1e6))
-                .unwrap_or_default()
-        )?;
-    }
-    Ok(path)
-}
-
 fn main() {
     // `cargo test --benches` executes bench binaries with `--test`; a full
     // measurement sweep there would be slow noise, so bail out.
@@ -109,9 +80,5 @@ fn main() {
                 }
             }
         }
-    }
-    match append_results(&c) {
-        Ok(p) => println!("appended results: {}", p.display()),
-        Err(e) => eprintln!("could not append results: {e}"),
     }
 }

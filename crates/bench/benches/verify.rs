@@ -13,10 +13,10 @@
 //! evaluates affine endpoints, it never enumerates processors. A row
 //! that scales with `n` is a checker regression.
 //!
-//! A custom `main` (instead of `criterion_main!`) appends every
-//! measurement to `bench_results/verify.csv`.
+//! Numbers are printed only; wall-clock claims with provenance belong to
+//! `perfbench/`.
 
-use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ipch_hull2d::parallel::unsorted::UNSORTED_CONTRACT;
 use ipch_pram::verify::{verify, verify_all, VerifyConfig};
 
@@ -48,49 +48,5 @@ fn bench_verify(c: &mut Criterion) {
     group.finish();
 }
 
-fn append_results(c: &Criterion) -> std::io::Result<std::path::PathBuf> {
-    use std::io::Write;
-    // anchor at the workspace root: bench binaries run with the package
-    // directory as cwd, but results belong next to the tables' CSVs
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("verify.csv");
-    let fresh = !path.exists();
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    if fresh {
-        writeln!(f, "id,median_ns_per_iter,melem_per_s")?;
-    }
-    for m in &c.measurements {
-        writeln!(
-            f,
-            "{},{},{}",
-            m.id,
-            m.median.as_nanos(),
-            m.elements_per_sec()
-                .map(|r| format!("{:.3}", r / 1e6))
-                .unwrap_or_default()
-        )?;
-    }
-    Ok(path)
-}
-
-fn main() {
-    // `cargo test --benches` executes bench binaries with `--test`; a full
-    // measurement sweep there would be slow noise, so bail out.
-    if std::env::args().any(|a| a == "--test") {
-        return;
-    }
-    let mut c = Criterion::default();
-    bench_verify(&mut c);
-    match append_results(&c) {
-        Ok(path) => println!(
-            "appended {} rows to {}",
-            c.measurements.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("could not write verify.csv: {e}"),
-    }
-}
+criterion_group!(benches, bench_verify);
+criterion_main!(benches);

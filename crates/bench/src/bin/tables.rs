@@ -1,67 +1,38 @@
 //! Regenerate the experiment tables (DESIGN.md §3).
 //!
 //! ```text
-//! tables [all|t1..t10|f1..f5|a1..a3|sim|faults|noise|frugal]... [--quick]
+//! tables [all|<id>]...
 //! ```
 //!
-//! Prints each table and writes `bench_results/<id>.csv`.
+//! `<id>` is any id in [`ipch_bench::experiments::EXPERIMENTS`]; no
+//! argument means `all`. Prints each table and writes
+//! `bench_results/<id>.csv` at the workspace root. An unknown argument
+//! exits 2 before anything runs.
 
-use ipch_bench::experiments as ex;
-use ipch_bench::Table;
+use ipch_bench::experiments::EXPERIMENTS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
-    let run_all = wanted.is_empty() || wanted.contains(&"all");
-
-    let selected: Vec<Table> = if run_all {
-        ex::all(quick)
-    } else {
-        let mut out = Vec::new();
-        for w in wanted {
-            let t = match w {
-                "t1" => ex::t1(quick),
-                "t2" => ex::t2(quick),
-                "t3" => ex::t3(quick),
-                "t4" => ex::t4(quick),
-                "t5" => ex::t5(quick),
-                "t6" => ex::t6(quick),
-                "t7" => ex::t7(quick),
-                "t8" => ex::t8(quick),
-                "t9" => ex::t9(quick),
-                "t10" => ex::t10(quick),
-                "f1" => ex::f1(quick),
-                "f2" => ex::f2(quick),
-                "f3" => ex::f3(quick),
-                "f4" => ex::f4(quick),
-                "f5" => ex::f5(quick),
-                "a1" => ex::a1(quick),
-                "a2" => ex::a2(quick),
-                "a3" => ex::a3(quick),
-                "sim" => ex::sim(quick),
-                "faults" => ex::faults(quick),
-                "noise" => ex::noise(quick),
-                "frugal" => ex::frugal(quick),
-                other => {
-                    eprintln!("unknown experiment: {other}");
-                    std::process::exit(2);
-                }
-            };
-            out.push(t);
+    let mut selected = Vec::new();
+    for arg in &args {
+        if arg == "all" {
+            selected.extend(EXPERIMENTS);
+        } else if let Some(e) = EXPERIMENTS.iter().find(|(id, _)| id == arg) {
+            selected.push(e);
+        } else {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            eprintln!("unknown experiment: {arg} (known: all {})", ids.join(" "));
+            std::process::exit(2);
         }
-        out
-    };
+    }
+    if args.is_empty() {
+        selected.extend(EXPERIMENTS);
+    }
 
-    for t in &selected {
-        t.print();
-        match t.write_csv() {
-            Ok(p) => println!("  csv: {}", p.display()),
-            Err(e) => eprintln!("  csv write failed: {e}"),
-        }
+    for (id, build) in selected {
+        let t = build();
+        t.print(id);
+        let path = t.write_csv(id).expect("write the table's csv");
+        println!("  csv: {}", path.display());
     }
 }

@@ -1,8 +1,11 @@
 //! The experiment implementations (DESIGN.md §3: T1–T10, F1–F5).
 //!
-//! Every function returns a [`Table`]; the `tables` binary prints it and
-//! writes the CSV. `quick` shrinks sweeps to CI size. All runs are seeded
-//! and deterministic.
+//! Every function returns a [`Table`] of simulated costs — steps, work,
+//! processors, cells, failure counts — never host wall-clock time.
+//! [`EXPERIMENTS`] names each one once; the `tables` binary prints it and
+//! writes `bench_results/<id>.csv`. Every run is seeded, and the tables
+//! are byte-identical at any host thread count, which is what lets CI diff
+//! them against the committed CSVs.
 
 use ipch_geom::gen3d;
 use ipch_geom::generators as g2;
@@ -33,9 +36,8 @@ fn machine(seed: u64) -> (Machine, Shm) {
 type Gen2 = fn(usize, u64) -> Vec<Point2>;
 
 /// T1 — presorted O(1)-time algorithm (Lemma 2.5): steps flat in n.
-pub fn t1(quick: bool) -> Table {
+pub fn t1() -> Table {
     let mut t = Table::new(
-        "t1",
         "presorted hull: O(1) steps, O(n log n) work (Lemma 2.5)",
         &[
             "dist",
@@ -48,18 +50,14 @@ pub fn t1(quick: bool) -> Table {
             "swept",
         ],
     );
-    let ns: &[usize] = if quick {
-        &[512, 2048]
-    } else {
-        &[512, 2048, 8192, 16384]
-    };
+    let ns = [512, 2048, 8192, 16384];
     let dists: [(&str, Gen2); 3] = [
         ("square", g2::uniform_square),
         ("disk", g2::uniform_disk),
         ("circle", g2::on_circle),
     ];
     for (name, gen) in dists {
-        for &n in ns {
+        for n in ns {
             let pts = sorted_by_x(&gen(n, 42));
             let (mut m, mut shm) = machine(7);
             let (out, rep) =
@@ -83,18 +81,13 @@ pub fn t1(quick: bool) -> Table {
 }
 
 /// T2 — log* algorithm (Theorem 2): steps ~ log* n, work O(n)/level.
-pub fn t2(quick: bool) -> Table {
+pub fn t2() -> Table {
     let mut t = Table::new(
-        "t2",
         "log*-time hull (Theorem 2): steps, depth, work/n, Lemma-7 time at p = n/log*n",
         &["n", "steps", "depth", "work/n", "T(p=n/log*n)"],
     );
-    let ns: &[usize] = if quick {
-        &[512, 4096]
-    } else {
-        &[512, 4096, 32768, 131072]
-    };
-    for &n in ns {
+    let ns = [512, 4096, 32768, 131072];
+    for n in ns {
         let pts = sorted_by_x(&g2::uniform_disk(n, 11));
         let (mut m, mut shm) = machine(3);
         let (out, rep) =
@@ -116,22 +109,17 @@ pub fn t2(quick: bool) -> Table {
 }
 
 /// T3 — unsorted 2-D (Theorem 5): work/n tracks log h, not log n.
-pub fn t3(quick: bool) -> Table {
+pub fn t3() -> Table {
     let mut t = Table::new(
-        "t3",
         "unsorted 2-D hull (Theorem 5): work vs output size h",
         &[
             "n", "h", "log2(h)", "steps", "work", "work/n", "levels", "fallback",
         ],
     );
-    let n = if quick { 2048 } else { 8192 };
-    let hs: &[usize] = if quick {
-        &[8, 64, 512]
-    } else {
-        &[8, 32, 128, 512, 2048]
-    };
-    let seeds: u64 = if quick { 2 } else { 5 };
-    for &h in hs {
+    let n = 8192;
+    let hs = [8, 32, 128, 512, 2048];
+    let seeds: u64 = 5;
+    for h in hs {
         // average across seeds: individual runs vary with splitter luck
         let mut steps = 0.0;
         let mut work = 0.0;
@@ -162,11 +150,7 @@ pub fn t3(quick: bool) -> Table {
     }
     // n-sweep at fixed h: work/n should be ~constant in n
     let h = 32;
-    for &n in if quick {
-        &[2048usize, 8192][..]
-    } else {
-        &[2048usize, 8192, 32768][..]
-    } {
+    for n in [2048, 8192, 32768] {
         let pts = g2::circle_plus_interior(h, n, 19);
         let (mut m, mut shm) = machine(6);
         let (out, trace) = upper_hull_unsorted(&mut m, &mut shm, &pts, &UnsortedParams::default());
@@ -188,9 +172,8 @@ pub fn t3(quick: bool) -> Table {
 }
 
 /// T4 — output-sensitivity crossover vs baselines.
-pub fn t4(quick: bool) -> Table {
+pub fn t4() -> Table {
     let mut t = Table::new(
-        "t4",
         "crossover: Theorem-5 work vs non-output-sensitive DAC and sequential baselines",
         &[
             "h",
@@ -204,13 +187,9 @@ pub fn t4(quick: bool) -> Table {
             "monotone_ops",
         ],
     );
-    let n = if quick { 2048 } else { 8192 };
-    let hs: &[usize] = if quick {
-        &[8, 128]
-    } else {
-        &[8, 32, 128, 512, 2048]
-    };
-    for &h in hs {
+    let n = 8192;
+    let hs = [8, 32, 128, 512, 2048];
+    for h in hs {
         let pts = g2::circle_plus_interior(h, n, 23);
         let (mut m1, mut s1) = machine(1);
         let (o1, _) = upper_hull_unsorted(&mut m1, &mut s1, &pts, &UnsortedParams::default());
@@ -240,9 +219,8 @@ pub fn t4(quick: bool) -> Table {
 }
 
 /// T5 — unsorted 3-D (Theorem 6): work vs h, probe counts, fallback.
-pub fn t5(quick: bool) -> Table {
+pub fn t5() -> Table {
     let mut t = Table::new(
-        "t5",
         "unsorted 3-D hull (Theorem 6): work vs output size",
         &[
             "n",
@@ -257,13 +235,9 @@ pub fn t5(quick: bool) -> Table {
             "es_probe_ops",
         ],
     );
-    let n = if quick { 500 } else { 1500 };
-    let hs: &[usize] = if quick {
-        &[12, 96]
-    } else {
-        &[12, 48, 192, 768]
-    };
-    for &h in hs {
+    let n = 1500;
+    let hs = [12, 48, 192, 768];
+    for h in hs {
         let pts = gen3d::sphere_plus_interior(h, n, 29);
         let (mut m, mut shm) = machine(4);
         let (out, trace) =
@@ -292,9 +266,8 @@ pub fn t5(quick: bool) -> Table {
 }
 
 /// T6 — Alon–Megiddo LP and in-place bridge finding: O(1) rounds.
-pub fn t6(quick: bool) -> Table {
+pub fn t6() -> Table {
     let mut t = Table::new(
-        "t6",
         "LP probes (Lemma 2.2 / §3.3): rounds stay constant as m grows",
         &[
             "m",
@@ -307,13 +280,9 @@ pub fn t6(quick: bool) -> Table {
             "ib_base_avg",
         ],
     );
-    let ms: &[usize] = if quick {
-        &[256, 2048]
-    } else {
-        &[256, 1024, 4096, 16384, 65536]
-    };
-    let seeds: u64 = if quick { 3 } else { 8 };
-    for &mm in ms {
+    let ms = [256, 1024, 4096, 16384, 65536];
+    let seeds: u64 = 8;
+    for mm in ms {
         let mut am_rounds = vec![];
         let mut am_fail = 0;
         let mut ib_rounds = vec![];
@@ -380,9 +349,8 @@ pub fn t6(quick: bool) -> Table {
 }
 
 /// T7 — random sample (Lemma 3.1): size in [k/2, 4k], uniform.
-pub fn t7(quick: bool) -> Table {
+pub fn t7() -> Table {
     let mut t = Table::new(
-        "t7",
         "random sample (Lemma 3.1): size bounds and uniformity",
         &[
             "k",
@@ -394,7 +362,7 @@ pub fn t7(quick: bool) -> Table {
         ],
     );
     let mcount = 2000;
-    let trials: u64 = if quick { 100 } else { 400 };
+    let trials: u64 = 400;
     for &k in &[4usize, 8, 16, 32, 64] {
         let active: Vec<usize> = (0..mcount).collect();
         let mut sizes = vec![];
@@ -441,9 +409,8 @@ pub fn t7(quick: bool) -> Table {
 }
 
 /// T8 — compaction (Lemmas 2.1, 3.2): O(1) steps, bounded workspace.
-pub fn t8(quick: bool) -> Table {
+pub fn t8() -> Table {
     let mut t = Table::new(
-        "t8",
         "approximate compaction: Ragde (Lemma 2.1) and in-place (Lemma 3.2)",
         &[
             "m",
@@ -456,12 +423,8 @@ pub fn t8(quick: bool) -> Table {
             "ipc_workspace",
         ],
     );
-    let ms: &[usize] = if quick {
-        &[1024, 4096]
-    } else {
-        &[1024, 4096, 16384, 65536]
-    };
-    for &mm in ms {
+    let ms = [1024, 4096, 16384, 65536];
+    for mm in ms {
         for (pat, mk) in [("random", 0usize), ("clustered", 1), ("stride", 2)] {
             let k = 4usize;
             let occupied: Vec<usize> = match mk {
@@ -523,15 +486,14 @@ pub fn t8(quick: bool) -> Table {
 }
 
 /// T9 — failure sweeping ablation (§2.3).
-pub fn t9(quick: bool) -> Table {
+pub fn t9() -> Table {
     let mut t = Table::new(
-        "t9",
         "failure sweeping (§2.3): forced failures are always recovered",
         &[
             "algo", "n", "mode", "failures", "swept", "overflow", "correct",
         ],
     );
-    let n = if quick { 1000 } else { 3000 };
+    let n = 3000;
     // presorted with a crippled randomized finder
     for seed in 0..3u64 {
         let pts = sorted_by_x(&g2::uniform_disk(n, seed + 40));
@@ -586,9 +548,8 @@ pub fn t9(quick: bool) -> Table {
 }
 
 /// T10 — point-hull invariance (Lemma 2.6): hull-of-hulls costs.
-pub fn t10(quick: bool) -> Table {
+pub fn t10() -> Table {
     let mut t = Table::new(
-        "t10",
         "hull-of-hulls (Lemma 2.6): constant combine time over m groups of q points",
         &[
             "groups_m",
@@ -599,12 +560,8 @@ pub fn t10(quick: bool) -> Table {
             "correct",
         ],
     );
-    let cases: &[(usize, usize)] = if quick {
-        &[(8, 32), (32, 32)]
-    } else {
-        &[(8, 32), (32, 32), (128, 32), (32, 128), (128, 128)]
-    };
-    for &(gm, gq) in cases {
+    let cases = [(8, 32), (32, 32), (128, 32), (32, 128), (128, 128)];
+    for (gm, gq) in cases {
         let n = gm * gq;
         let pts = sorted_by_x(&g2::uniform_disk(n, 61));
         let groups: Vec<UpperHull> = (0..gm)
@@ -635,9 +592,8 @@ pub fn t10(quick: bool) -> Table {
 }
 
 /// F1 — Lemma 5.1: subproblem-size decay under the (15/16)^i envelope.
-pub fn f1(quick: bool) -> Table {
+pub fn f1() -> Table {
     let mut t = Table::new(
-        "f1",
         "subproblem-size decay (Lemma 5.1)",
         &[
             "level",
@@ -647,7 +603,7 @@ pub fn f1(quick: bool) -> Table {
             "active",
         ],
     );
-    let n = if quick { 2048 } else { 8192 };
+    let n = 8192;
     let pts = g2::uniform_disk(n, 3);
     let (mut m, mut shm) = machine(21);
     let (_, trace) = upper_hull_unsorted(&mut m, &mut shm, &pts, &UnsortedParams::default());
@@ -665,9 +621,8 @@ pub fn f1(quick: bool) -> Table {
 }
 
 /// F2 — Lemma 6.1: 3-D region-size decay.
-pub fn f2(quick: bool) -> Table {
+pub fn f2() -> Table {
     let mut t = Table::new(
-        "f2",
         "3-D region-size decay (Lemma 6.1)",
         &[
             "level",
@@ -678,7 +633,7 @@ pub fn f2(quick: bool) -> Table {
             "facets",
         ],
     );
-    let n = if quick { 500 } else { 1200 };
+    let n = 1200;
     let pts = gen3d::in_ball(n, 5);
     let (mut m, mut shm) = machine(23);
     let (_, trace) = upper_hull3_unsorted(&mut m, &mut shm, &pts, &Unsorted3Params::default());
@@ -697,13 +652,12 @@ pub fn f2(quick: bool) -> Table {
 }
 
 /// F3 — §4.1 step 3: growth of the lower bound l and the fallback trigger.
-pub fn f3(quick: bool) -> Table {
+pub fn f3() -> Table {
     let mut t = Table::new(
-        "f3",
         "phase mechanics: growth of l = edges + problems (fallback at l ≥ √n)",
         &["input", "phase", "l", "threshold", "fallback"],
     );
-    let n = if quick { 1024 } else { 4096 };
+    let n = 4096;
     for (name, pts) in [
         ("on_circle(h=n)", g2::on_circle(n, 9)),
         ("disk", g2::uniform_disk(n, 9)),
@@ -738,13 +692,12 @@ pub fn f3(quick: bool) -> Table {
 }
 
 /// F4 — Lemma 2.4: the O(k) time / n^{1+1/k} processor trade-off.
-pub fn f4(quick: bool) -> Table {
+pub fn f4() -> Table {
     let mut t = Table::new(
-        "f4",
         "folklore trade-off (Lemma 2.4): time O(k), processors n^{1+1/k}",
         &["k", "n", "steps", "peak_procs", "n^{1+1/k}", "peak/bound"],
     );
-    let n = if quick { 1024 } else { 4096 };
+    let n = 4096;
     let pts = sorted_by_x(&g2::uniform_disk(n, 7));
     for k in 1..=5usize {
         let (mut m, mut shm) = machine(k as u64);
@@ -765,13 +718,12 @@ pub fn f4(quick: bool) -> Table {
 }
 
 /// F5 — Lemma 7 (Matias–Vishkin): simulated time vs physical processors.
-pub fn f5(quick: bool) -> Table {
+pub fn f5() -> Table {
     let mut t = Table::new(
-        "f5",
         "processor allocation (Lemma 7): T = t + w/p + log t as p varies",
         &["p", "T", "ideal_T", "overhead"],
     );
-    let n = if quick { 2048 } else { 8192 };
+    let n = 8192;
     let pts = g2::uniform_disk(n, 2);
     let (mut m, mut shm) = machine(41);
     let (out, _) = upper_hull_unsorted(&mut m, &mut shm, &pts, &UnsortedParams::default());
@@ -790,10 +742,9 @@ pub fn f5(quick: bool) -> Table {
 
 /// A1 — ablation: random-vote splitter (paper §3.1) vs deterministic
 /// mid-extent splitter.
-pub fn a1(quick: bool) -> Table {
+pub fn a1() -> Table {
     use ipch_hull2d::parallel::unsorted::SplitterPolicy;
     let mut t = Table::new(
-        "a1",
         "ablation: splitter policy (random vote vs mid-extent)",
         &[
             "dist",
@@ -804,7 +755,7 @@ pub fn a1(quick: bool) -> Table {
             "max_level_size@5",
         ],
     );
-    let n = if quick { 2048 } else { 8192 };
+    let n = 8192;
     for (dname, pts) in [
         ("disk", g2::uniform_disk(n, 3)),
         ("clustered", {
@@ -843,13 +794,12 @@ pub fn a1(quick: bool) -> Table {
 }
 
 /// A2 — ablation: vote/sample workspace parameter k (the 16k workspace).
-pub fn a2(quick: bool) -> Table {
+pub fn a2() -> Table {
     let mut t = Table::new(
-        "a2",
         "ablation: sample parameter k (16k workspace) vs vote failures and cost",
         &["vote_k", "steps", "work", "level_failures", "swept"],
     );
-    let n = if quick { 2048 } else { 8192 };
+    let n = 8192;
     let pts = g2::uniform_disk(n, 7);
     for k in [2usize, 4, 8, 16, 32] {
         let params = UnsortedParams {
@@ -874,19 +824,14 @@ pub fn a2(quick: bool) -> Table {
 
 /// A3 — ablation: charged Cole sort vs the executed bitonic network in
 /// the DAC fallback.
-pub fn a3(quick: bool) -> Table {
+pub fn a3() -> Table {
     use ipch_hull2d::parallel::dac::{upper_hull_dac_with, SortMode};
     let mut t = Table::new(
-        "a3",
         "ablation: sort substrate in the DAC hull (charged Cole vs executed bitonic)",
         &["n", "mode", "steps", "executed_work", "charged_work"],
     );
-    let ns: &[usize] = if quick {
-        &[1024, 4096]
-    } else {
-        &[1024, 4096, 16384]
-    };
-    for &n in ns {
+    let ns = [1024, 4096, 16384];
+    for n in ns {
         let pts = g2::uniform_disk(n, 13);
         for (name, mode) in [
             ("cole(charged)", SortMode::ChargedCole),
@@ -908,17 +853,14 @@ pub fn a3(quick: bool) -> Table {
     t
 }
 
-/// SIM — simulator host observability: wall-clock cost of the step
-/// pipeline itself (compute vs commit), fast-path hit rate, and conflict
-/// counts, over contrasting write workloads and a real algorithm run.
-///
-/// These are *host* measurements (how fast the simulator simulates), never
-/// PRAM costs; they exist so simulator-performance regressions are visible
-/// in the same harness as the model experiments.
-pub fn sim(quick: bool) -> Table {
+/// SIM — the simulator's step pipeline over contrasting write workloads
+/// and a real algorithm run: buffered writes, conflicts, conflict-free
+/// fast-path hit rate and peak live workspace cells. Its wall-clock cost
+/// is measured by perfbench (`pram.ns_per_step`, `pram.ns_per_write`,
+/// `pram.fastpath_rate`).
+pub fn sim() -> Table {
     let mut t = Table::new(
-        "sim",
-        "simulator host performance: compute/commit wall time, fast-path rate, conflicts",
+        "simulator step pipeline: writes, conflicts, fast-path rate, peak cells",
         &[
             "workload",
             "n",
@@ -927,17 +869,13 @@ pub fn sim(quick: bool) -> Table {
             "conflicts",
             "fastpath%",
             "peak_cells",
-            "compute_ms",
-            "commit_ms",
-            "Mwrites/s",
         ],
     );
-    let n = if quick { 1 << 14 } else { 1 << 18 };
-    let rounds = if quick { 8 } else { 32 };
+    let n = 1 << 18;
+    let rounds = 32;
 
     let record = |t: &mut Table, name: &str, n: usize, m: &Machine| {
         let met = &m.metrics;
-        let secs = met.host_total_ns() as f64 / 1e9;
         t.row(vec![
             name.into(),
             n.to_string(),
@@ -946,9 +884,6 @@ pub fn sim(quick: bool) -> Table {
             met.write_conflicts.to_string(),
             f(met.fastpath_hit_rate().unwrap_or(0.0) * 100.0),
             met.peak_live_cells.to_string(),
-            f(met.host_compute_ns as f64 / 1e6),
-            f(met.host_commit_ns as f64 / 1e6),
-            f(met.writes_buffered as f64 / secs.max(1e-9) / 1e6),
         ]);
     };
 
@@ -977,21 +912,17 @@ pub fn sim(quick: bool) -> Table {
     }
     // a real algorithm end-to-end (mixed read/write/conflict profile)
     {
-        let hull_n = if quick { 2048 } else { 8192 };
+        let hull_n = 8192;
         let pts = sorted_by_x(&g2::uniform_disk(hull_n, 42));
         let (mut m, mut shm) = machine(7);
         let (out, _) = upper_hull_presorted(&mut m, &mut shm, &pts, &PresortedParams::default());
         assert_eq!(out.hull, UpperHull::of(&pts));
         record(&mut t, "presorted-hull", hull_n, &m);
     }
-    t.note(
-        "host wall-clock only — simulated step/work accounting is identical across commit paths",
-    );
     t.note("expected: scatter ~100% fastpath; combine 0% with one conflict per cell per step");
     t
 }
 
-/// All experiments in order.
 /// FAULTS — empirical attempt-failure probability of the supervised Las
 /// Vegas entry points vs n, under fixed per-algorithm fault plans.
 ///
@@ -1006,13 +937,12 @@ pub fn sim(quick: bool) -> Table {
 ///   fraction of live memory, so failure *falls* with n;
 /// * `unsorted` 2-D hull under light corruption — per-attempt exposure is
 ///   rate × steps and steps grow with n, so failure rises with n.
-pub fn faults(quick: bool) -> Table {
+pub fn faults() -> Table {
     use ipch_hull2d::parallel::supervised::upper_hull_unsorted_supervised;
     use ipch_inplace::supervised::{ragde_compact_supervised, random_sample_supervised};
     use ipch_pram::{FaultPlan, Outcome, RngBias, RunError, SuperviseConfig, Supervised};
 
     let mut t = Table::new(
-        "faults",
         "attempt failure probability under injected faults",
         &[
             "algorithm",
@@ -1083,16 +1013,12 @@ pub fn faults(quick: bool) -> Table {
     // default hook from spraying backtraces for those expected events.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let ns: &[usize] = if quick {
-        &[256, 512, 1024]
-    } else {
-        &[256, 512, 1024, 2048, 4096]
-    };
-    let trials = if quick { 6 } else { 20 };
+    let ns = [256, 512, 1024, 2048, 4096];
+    let trials = 20;
     let cfg = SuperviseConfig::default();
     let max_a = u64::from(cfg.max_attempts);
 
-    for &n in ns {
+    for n in ns {
         // sample: forced-true bias inflates the attempter count toward 4k.
         let mut tally = Tally::default();
         let active: Vec<usize> = (0..n).collect();
@@ -1111,7 +1037,7 @@ pub fn faults(quick: bool) -> Table {
         tally.row(&mut t, "sample", n);
     }
 
-    for &n in ns {
+    for n in ns {
         // ragde: heavy corruption; the n-cell source dilutes the chance a
         // corrupted cell lands in the small destination area.
         let mut tally = Tally::default();
@@ -1131,7 +1057,7 @@ pub fn faults(quick: bool) -> Table {
         tally.row(&mut t, "ragde", n);
     }
 
-    for &n in ns {
+    for n in ns {
         // unsorted 2-D: light corruption, but exposure = rate × steps.
         let mut tally = Tally::default();
         let pts = g2::uniform_disk(n, 77);
@@ -1171,12 +1097,11 @@ pub fn faults(quick: bool) -> Table {
 /// * persistent-lie mode: voting is provably useless against a memoized
 ///   lie, so fail_rate rises with p and recovery comes from *reseeded*
 ///   retries (the `retried` column), not from repetition.
-pub fn noise(quick: bool) -> Table {
+pub fn noise_sweep() -> Table {
     use ipch_hull2d::parallel::noisy::upper_hull_noisy_supervised;
     use ipch_pram::{FaultPlan, NoiseMode, NoisePlan, Outcome, SuperviseConfig};
 
     let mut t = Table::new(
-        "noise_sweep",
         "residual error under noisy predicates (voted hull2d/noisy)",
         &[
             "mode",
@@ -1195,14 +1120,14 @@ pub fn noise(quick: bool) -> Table {
         ],
     );
 
-    let ns: &[usize] = if quick { &[24, 40] } else { &[24, 40, 56] };
-    let trials: u64 = if quick { 6 } else { 20 };
+    let ns = [24, 40, 56];
+    let trials: u64 = 20;
     let cfg = SuperviseConfig::default();
     let rates = [0.02, 0.05, 0.1, 0.2];
 
     for mode in [NoiseMode::Fresh, NoiseMode::Persistent] {
         for &p in &rates {
-            for &n in ns {
+            for n in ns {
                 let pts = g2::uniform_disk(n, 77);
                 let (mut attempts, mut failed) = (0u64, 0u64);
                 let (mut first_try, mut retried, mut fell_back, mut typed_err) =
@@ -1272,12 +1197,11 @@ pub fn noise(quick: bool) -> Table {
 /// asserted, not just printed). Steps fall as s grows — each hull edge
 /// costs ⌈n/s⌉ scan steps plus a ⌈log₂ s⌉ combine — while work stays
 /// Θ(n·h): the classic read-only time/space product made visible.
-pub fn frugal(quick: bool) -> Table {
+pub fn frugal() -> Table {
     use ipch_hull2d::parallel::frugal::upper_hull_frugal_supervised;
     use ipch_pram::SuperviseConfig;
 
     let mut t = Table::new(
-        "frugal",
         "bounded-workspace hull: peak cells vs scratch s (budget = s)",
         &[
             "n",
@@ -1291,16 +1215,12 @@ pub fn frugal(quick: bool) -> Table {
             "peak<=budget",
         ],
     );
-    let ns: &[usize] = if quick {
-        &[256, 1024]
-    } else {
-        &[256, 1024, 4096]
-    };
-    let ss: &[usize] = &[1, 4, 16, 64, 256];
+    let ns = [256, 1024, 4096];
+    let ss = [1, 4, 16, 64, 256];
     let cfg = SuperviseConfig::default();
-    for &n in ns {
+    for n in ns {
         let pts = g2::uniform_disk(n, 23);
-        for &s in ss {
+        for s in ss {
             if s > n {
                 continue;
             }
@@ -1331,29 +1251,53 @@ pub fn frugal(quick: bool) -> Table {
     t
 }
 
-pub fn all(quick: bool) -> Vec<Table> {
-    vec![
-        t1(quick),
-        t2(quick),
-        t3(quick),
-        t4(quick),
-        t5(quick),
-        t6(quick),
-        t7(quick),
-        t8(quick),
-        t9(quick),
-        t10(quick),
-        f1(quick),
-        f2(quick),
-        f3(quick),
-        f4(quick),
-        f5(quick),
-        a1(quick),
-        a2(quick),
-        a3(quick),
-        sim(quick),
-        faults(quick),
-        noise(quick),
-        frugal(quick),
-    ]
+/// An experiment: its id (the `tables` argument and the CSV stem
+/// `bench_results/<id>.csv`) and the function that builds its table.
+pub type Experiment = (&'static str, fn() -> Table);
+
+/// Every experiment, in run order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("t1", t1),
+    ("t2", t2),
+    ("t3", t3),
+    ("t4", t4),
+    ("t5", t5),
+    ("t6", t6),
+    ("t7", t7),
+    ("t8", t8),
+    ("t9", t9),
+    ("t10", t10),
+    ("f1", f1),
+    ("f2", f2),
+    ("f3", f3),
+    ("f4", f4),
+    ("f5", f5),
+    ("a1", a1),
+    ("a2", a2),
+    ("a3", a3),
+    ("sim", sim),
+    ("faults", faults),
+    ("noise_sweep", noise_sweep),
+    ("frugal", frugal),
+];
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::EXPERIMENTS;
+    use crate::table::results_dir;
+
+    #[test]
+    fn committed_csvs_are_exactly_the_registered_experiments() {
+        let ids: BTreeSet<String> = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
+        assert_eq!(ids.len(), EXPERIMENTS.len(), "duplicate experiment id");
+        let stems: BTreeSet<String> = std::fs::read_dir(results_dir())
+            .expect("bench_results/ exists")
+            .map(|e| e.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "csv"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(stems, ids, "bench_results/*.csv must be the registry ids");
+    }
 }

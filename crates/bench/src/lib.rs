@@ -1,15 +1,17 @@
 //! # ipch-bench — the experiment harness
 //!
 //! The paper is a theory paper with no measured tables; DESIGN.md defines
-//! the experiment set (T1–T10, F1–F5) that turns each theorem into a
-//! measurable claim. This crate regenerates every one of them:
+//! the experiment set (T1–T10, F1–F5, A1–A3) that turns each theorem into
+//! a measurable claim. This crate regenerates every one of them:
 //!
 //! * `cargo run --release -p ipch-bench --bin tables -- all` prints every
-//!   experiment as an aligned table and writes CSVs under
-//!   `bench_results/`.
-//! * `cargo bench` runs the criterion wall-clock benches (experiment F6).
-//!
-//! Pass `--quick` for reduced sweeps (CI-sized).
+//!   experiment in [`experiments::EXPERIMENTS`] as an aligned table and
+//!   writes `bench_results/<id>.csv` at the workspace root. The tables
+//!   hold seeded simulated costs only, so the CSVs are byte-identical at
+//!   any thread count and CI diffs them against the committed files.
+//! * `cargo bench` runs the criterion benches (experiment F6, plus the
+//!   analyzer, static-checker and voting costs). They print and write
+//!   nothing; wall-clock claims belong to `perfbench/`.
 
 pub mod experiments;
 pub mod table;

@@ -1,13 +1,17 @@
 //! Minimal table/CSV output (no external deps).
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// The committed results directory, `bench_results/` at the workspace root
+/// — wherever the binary is started from.
+pub fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
+}
 
 /// One experiment's result table.
 #[derive(Clone, Debug)]
 pub struct Table {
-    /// Table id (e.g. "t3"), used as the CSV file stem.
-    pub id: String,
     /// Human title.
     pub title: String,
     /// Column headers.
@@ -20,9 +24,8 @@ pub struct Table {
 
 impl Table {
     /// New empty table.
-    pub fn new(id: &str, title: &str, headers: &[&str]) -> Self {
+    pub fn new(title: &str, headers: &[&str]) -> Self {
         Self {
-            id: id.to_string(),
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: vec![],
@@ -41,9 +44,9 @@ impl Table {
         self.notes.push(s.to_string());
     }
 
-    /// Render to stdout.
-    pub fn print(&self) {
-        println!("\n== {} — {} ==", self.id.to_uppercase(), self.title);
+    /// Render to stdout under the experiment id `id`.
+    pub fn print(&self, id: &str) {
+        println!("\n== {} — {} ==", id.to_uppercase(), self.title);
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for r in &self.rows {
             for (i, c) in r.iter().enumerate() {
@@ -75,11 +78,11 @@ impl Table {
         }
     }
 
-    /// Write as CSV under `bench_results/<id>.csv`.
-    pub fn write_csv(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("bench_results");
+    /// Write as CSV to [`results_dir`]`/<id>.csv`.
+    pub fn write_csv(&self, id: &str) -> std::io::Result<PathBuf> {
+        let dir = results_dir();
         std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.csv", self.id));
+        let path = dir.join(format!("{id}.csv"));
         let mut f = std::fs::File::create(&path)?;
         writeln!(f, "{}", self.headers.join(","))?;
         for r in &self.rows {
@@ -106,17 +109,17 @@ mod tests {
 
     #[test]
     fn table_roundtrip() {
-        let mut t = Table::new("tx", "demo", &["a", "b"]);
+        let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         t.note("hello");
-        t.print();
+        t.print("tx");
         assert_eq!(t.rows.len(), 1);
     }
 
     #[test]
     #[should_panic]
     fn arity_checked() {
-        let mut t = Table::new("tx", "demo", &["a", "b"]);
+        let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into()]);
     }
 

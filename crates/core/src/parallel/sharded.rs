@@ -27,9 +27,7 @@ use ipch_geom::hull_chain::verify_upper_hull;
 use ipch_geom::point::argsort_xy;
 use ipch_geom::validate::validate_points2;
 use ipch_geom::{Point2, UpperHull};
-use ipch_pram::{
-    KernelBackend, Machine, Metrics, Outcome, RunError, Shm, SuperviseConfig, Supervised,
-};
+use ipch_pram::{Machine, Metrics, Outcome, RunError, Shm, SuperviseConfig, Supervised};
 
 use super::invariant::{hull_of_hulls, HbConfig};
 use super::supervised::upper_hull_unsorted_supervised;
@@ -96,7 +94,6 @@ pub fn upper_hull_sharded_supervised(
         let ids = &order[w[0]..w[1]];
         let part: Vec<Point2> = ids.iter().map(|&i| points[i]).collect();
         let mut cm = m.child(SHARD_TAG ^ k as u64);
-        cm.tuning.kernel_backend = KernelBackend::Parallel;
         match upper_hull_unsorted_supervised(&mut cm, &part, &UnsortedParams::default(), cfg) {
             Ok(sup) => {
                 attempts += sup.attempts;

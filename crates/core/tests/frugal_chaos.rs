@@ -11,9 +11,10 @@
 //!    budget is installed.
 //! 2. **Backend invariance** — `Metrics::peak_live_cells` (and the
 //!    workspace-abort count, and the hull itself) is bit-identical across
-//!    the `Fused` and `Parallel` kernel backends at every worker cap
-//!    {1, 2, ∞}: workspace accounting is part of the deterministic
-//!    observable surface, same discipline as steps/work.
+//!    sequential fused kernels (threshold `usize::MAX`) and pooled ones
+//!    (threshold 1) at every worker cap {1, 2, ∞}: workspace accounting
+//!    is part of the deterministic observable surface, same discipline as
+//!    steps/work.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -21,7 +22,7 @@ use proptest::prelude::*;
 use ipch_geom::hull_chain::verify_upper_hull;
 use ipch_geom::{Point2, UpperHull};
 use ipch_hull2d::parallel::frugal::upper_hull_frugal_supervised;
-use ipch_pram::{FaultPlan, KernelBackend, Machine, RunError, SuperviseConfig, Tuning};
+use ipch_pram::{FaultPlan, Machine, RunError, SuperviseConfig, Tuning};
 
 /// One chaos-suite row: a scratch request crossed with a workspace budget
 /// and an injected fault plan.
@@ -174,14 +175,13 @@ proptest! {
     ) {
         let budget = [None, Some(6u64), Some(16u64)][budget_sel];
         let base = observe(
-            Tuning { kernel_backend: KernelBackend::Fused, ..Tuning::default() },
+            Tuning { kernel_par_threshold: usize::MAX, ..Tuning::default() },
             &pts, scratch, budget, seed,
         );
         prop_assert_eq!(&base.0, &UpperHull::of(&pts), "fused backend wrong");
         for lanes in [Some(1), Some(2), None] {
             let par = observe(
                 Tuning {
-                    kernel_backend: KernelBackend::Parallel,
                     kernel_par_threshold: 1,
                     num_threads: lanes,
                     ..Tuning::default()

@@ -23,7 +23,7 @@
 
 use ipch_geom::validate::validate_points3;
 use ipch_geom::Point3;
-use ipch_pram::{KernelBackend, Machine, Metrics, Outcome, RunError, SuperviseConfig, Supervised};
+use ipch_pram::{Machine, Metrics, Outcome, RunError, SuperviseConfig, Supervised};
 
 use super::supervised::upper_hull3_unsorted_supervised;
 use super::unsorted3d::Unsorted3Params;
@@ -66,7 +66,6 @@ pub fn upper_hull3_sharded_supervised(
         let end = (base + chunk).min(n);
         let part = &points[base..end];
         let mut cm = m.child(SHARD3_TAG ^ k as u64);
-        cm.tuning.kernel_backend = KernelBackend::Parallel;
         match upper_hull3_unsorted_supervised(&mut cm, part, &Unsorted3Params::default(), cfg) {
             Ok(sup) => {
                 attempts += sup.attempts;
@@ -107,7 +106,6 @@ pub fn upper_hull3_sharded_supervised(
     // certificate: supporting planes and coverage against *all* points.
     let cand_pts: Vec<Point3> = candidates.iter().map(|&i| points[i]).collect();
     let mut mm = m.child(MERGE3_TAG);
-    mm.tuning.kernel_backend = KernelBackend::Parallel;
     let merged =
         upper_hull3_unsorted_supervised(&mut mm, &cand_pts, &Unsorted3Params::default(), cfg);
     m.metrics.absorb(&mm.metrics);

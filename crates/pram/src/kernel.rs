@@ -41,11 +41,11 @@
 //!
 //! # The data-parallel ("metal") backend
 //!
-//! Under [`crate::KernelBackend::Parallel`] (the default), a kernel whose
-//! processor count reaches [`crate::Tuning::kernel_par_threshold`] executes
-//! its chunk loop across the [`crate::pool`] instead of on the calling
-//! thread; smaller kernels stay on the sequential fused loops, so the
-//! small-n latency profile is that of [`crate::KernelBackend::Fused`].
+//! A kernel whose processor count reaches
+//! [`crate::Tuning::kernel_par_threshold`] executes its chunk loop across
+//! the [`crate::pool`] instead of on the calling thread; smaller kernels
+//! stay on the sequential fused loops, so the small-n latency profile is
+//! that of plain host loops.
 //! The fan-out is *proven* bit-identical — memory, [`crate::Metrics`]
 //! accounting and [`crate::AnalysisReport`]s — at every worker count,
 //! because nothing observable depends on lane assignment:
@@ -94,9 +94,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
 use crate::analyze::{ReadEntry, ReadTrace, READ_ALL};
-use crate::machine::{
-    run_chunks_cancellable, ChunkCell, Ctx, KernelBackend, Machine, Pids, WriteEntry, CHUNK,
-};
+use crate::machine::{run_chunks_cancellable, ChunkCell, Ctx, Machine, Pids, WriteEntry, CHUNK};
 use crate::memory::{ArrayId, Shm, ShmError};
 use crate::policy::WritePolicy;
 use crate::Word;
@@ -308,14 +306,13 @@ impl Partial {
 
 impl Machine {
     /// True when a fused kernel over `count` processors should fan out over
-    /// the pool: only under [`KernelBackend::Parallel`], and only once the
-    /// kernel is large enough ([`crate::Tuning::kernel_par_threshold`]) that
-    /// the fan-out pays for its synchronisation — smaller kernels stay on
-    /// the sequential fused loops ([`KernelBackend::Fused`] behaviour).
+    /// the pool: only once the kernel is large enough
+    /// ([`crate::Tuning::kernel_par_threshold`]) that the fan-out pays for
+    /// its synchronisation — smaller kernels stay on the sequential fused
+    /// loops.
     #[inline]
     pub(crate) fn parallel_kernel(&self, count: usize) -> bool {
-        self.tuning.kernel_backend == KernelBackend::Parallel
-            && !self.tuning.force_sequential
+        !self.tuning.force_sequential
             && (self.tuning.force_parallel || count >= self.tuning.kernel_par_threshold)
     }
 

@@ -70,7 +70,7 @@ pub use analyze::{
 pub use cancel::{silence_cancel_unwinds, CancelCause, CancelToken, CancelUnwind};
 pub use faults::{Budget, DropWindow, FaultCounters, FaultPlan, NoiseMode, NoisePlan, RngBias};
 pub use kernel::{KCtx, ReduceOp};
-pub use machine::{Ctx, KernelBackend, Machine, Tuning};
+pub use machine::{Ctx, Machine, Tuning};
 pub use memory::{ArrayId, Shm, ShmError};
 pub use metrics::{Metrics, PhaseRecord, ServiceStats};
 pub use policy::WritePolicy;

@@ -321,24 +321,6 @@ impl<'a, 'b> Ctx<'a, 'b> {
     }
 }
 
-/// Execution backend of the fused [`crate::kernel`] layer.
-///
-/// Both backends run the same fused loops with the same fixed chunk
-/// boundaries (`CHUNK` = 8192 processors per chunk) and the same fixed-shape
-/// per-chunk combining, so memory, [`Metrics`] accounting, and
-/// [`crate::AnalysisReport`]s are bit-identical regardless of backend or
-/// worker count — the determinism suites assert exactly that.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// Tight sequential host loops on the calling thread (the PR 2
-    /// behaviour): lowest latency for small kernels, no fan-out ever.
-    Fused,
-    /// Chunked data-parallel execution over the [`crate::pool`] once a
-    /// kernel's processor count reaches [`Tuning::kernel_par_threshold`];
-    /// smaller kernels stay on the sequential fused loops.
-    Parallel,
-}
-
 /// Performance knobs. Defaults are right for production use; tests force
 /// specific paths to prove they are all equivalent.
 #[derive(Clone, Copy, Debug)]
@@ -360,14 +342,12 @@ pub struct Tuning {
     /// steps/work/conflict metrics); this switch exists so the equivalence
     /// tests can prove it.
     pub disable_kernels: bool,
-    /// How fused kernels execute ([`KernelBackend`]). Overridable
-    /// process-wide via `IPCH_KERNEL_BACKEND=fused|parallel` (read once, at
-    /// the first [`Tuning::default`]), which is how the CI `kernels-par`
-    /// job forces the whole test suite onto each backend.
-    pub kernel_backend: KernelBackend,
-    /// Processor count at which [`KernelBackend::Parallel`] kernels fan out
-    /// over the pool; below it they run the sequential fused loops (the
-    /// small-n fast path). Overridable via `IPCH_KERNEL_PAR_THRESHOLD=<n>`.
+    /// Processor count at which fused kernels fan out over the
+    /// [`crate::pool`]; below it they run the sequential fused loops (the
+    /// small-n fast path), and `usize::MAX` keeps every kernel on them.
+    /// Memory, [`Metrics`] and [`crate::AnalysisReport`]s are bit-identical
+    /// at every threshold and worker count — the determinism suites assert
+    /// exactly that. Overridable via `IPCH_KERNEL_PAR_THRESHOLD=<n>`.
     pub kernel_par_threshold: usize,
     /// Cap on execution lanes (calling thread + pool workers) any parallel
     /// phase of this machine may use. `None` = all pool lanes. The result
@@ -378,7 +358,6 @@ pub struct Tuning {
 
 impl Default for Tuning {
     fn default() -> Self {
-        let (backend, kernel_threshold) = env_kernel_overrides();
         Self {
             par_compute_threshold: 1 << 15,
             par_commit_threshold: 1 << 16,
@@ -386,32 +365,21 @@ impl Default for Tuning {
             force_parallel: false,
             disable_fast_path: false,
             disable_kernels: false,
-            kernel_backend: backend.unwrap_or(KernelBackend::Parallel),
-            kernel_par_threshold: kernel_threshold.unwrap_or(1 << 15),
+            kernel_par_threshold: env_kernel_par_threshold().unwrap_or(1 << 15),
             num_threads: None,
         }
     }
 }
 
-/// Process-wide kernel-backend overrides from the environment, parsed once:
-/// `IPCH_KERNEL_BACKEND=fused|parallel` and `IPCH_KERNEL_PAR_THRESHOLD=<n>`.
-/// Unset or unparseable values leave the compiled defaults.
-fn env_kernel_overrides() -> (Option<KernelBackend>, Option<usize>) {
-    static OVERRIDES: std::sync::OnceLock<(Option<KernelBackend>, Option<usize>)> =
-        std::sync::OnceLock::new();
-    *OVERRIDES.get_or_init(|| {
-        let backend = std::env::var("IPCH_KERNEL_BACKEND").ok().and_then(|v| {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "fused" => Some(KernelBackend::Fused),
-                "parallel" => Some(KernelBackend::Parallel),
-                _ => None,
-            }
-        });
-        let threshold = std::env::var("IPCH_KERNEL_PAR_THRESHOLD")
+/// Process-wide `IPCH_KERNEL_PAR_THRESHOLD=<n>` override, parsed once.
+/// Unset or unparseable values leave the compiled default.
+fn env_kernel_par_threshold() -> Option<usize> {
+    static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *OVERRIDE.get_or_init(|| {
+        std::env::var("IPCH_KERNEL_PAR_THRESHOLD")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1);
-        (backend, threshold)
+            .filter(|&n| n >= 1)
     })
 }
 

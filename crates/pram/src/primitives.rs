@@ -264,15 +264,17 @@ mod tests {
     fn or_over_recycles_its_workspace() {
         let (mut m, mut shm, a) = setup(&[0, 1, 0, 0]);
         or_over(&mut m, &mut shm, a, 0, 4);
+        leftmost_nonzero(&mut m, &mut shm, a);
         let count = shm.array_count();
         for _ in 0..100 {
             or_over(&mut m, &mut shm, a, 0, 4);
+            assert_eq!(leftmost_nonzero(&mut m, &mut shm, a), Some(1));
+            assert_eq!(
+                shm.array_count(),
+                count,
+                "iterated or_over / leftmost_nonzero must not grow shared memory"
+            );
         }
-        assert_eq!(
-            shm.array_count(),
-            count,
-            "iterated or_over must not grow shared memory"
-        );
     }
 
     #[test]

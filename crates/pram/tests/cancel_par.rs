@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use ipch_pram::{
-    silence_cancel_unwinds, supervise, CancelCause, CancelToken, CancelUnwind, KernelBackend,
-    Machine, RunError, Shm, SuperviseConfig, Tuning,
+    silence_cancel_unwinds, supervise, CancelCause, CancelToken, CancelUnwind, Machine, RunError,
+    Shm, SuperviseConfig, Tuning,
 };
 
 /// The kernel chunk size (`machine::CHUNK`); pinned here so the tests span
@@ -22,7 +22,6 @@ const CHUNK: usize = 8192;
 
 fn parallel_tuning(lanes: usize) -> Tuning {
     Tuning {
-        kernel_backend: KernelBackend::Parallel,
         kernel_par_threshold: 1,
         num_threads: Some(lanes),
         ..Tuning::default()

@@ -13,9 +13,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use ipch_pram::{
-    AnalysisReport, AnalyzeConfig, KernelBackend, Machine, ReduceOp, Shm, Tuning, Word, WritePolicy,
-};
+use ipch_pram::{AnalysisReport, AnalyzeConfig, Machine, ReduceOp, Shm, Tuning, Word, WritePolicy};
 
 const POLICIES: [WritePolicy; 6] = [
     WritePolicy::Arbitrary,
@@ -325,11 +323,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Backend equivalence: the data-parallel kernel backend must be observably
-// identical — memory, Metrics counters, AnalysisReport — to the sequential
-// Fused backend at *every* worker-count cap (1 lane, 2 lanes, uncapped),
-// with the dispatch threshold forced to 1 so even tiny kernels take the
-// parallel code path, and with processor counts spanning multiple CHUNK
+// Backend equivalence: pooled kernels must be observably identical —
+// memory, Metrics counters, AnalysisReport — to the sequential fused loops
+// (kernel threshold `usize::MAX`) at *every* worker-count cap (1 lane,
+// 2 lanes, uncapped), with the dispatch threshold forced to 1 so even tiny
+// kernels take the parallel code path, and with processor counts spanning multiple CHUNK
 // (8192) boundaries so cross-chunk combining is actually exercised.
 // ---------------------------------------------------------------------------
 
@@ -355,14 +353,13 @@ proptest! {
         program in vec(kernel_spec_large(), 1..5),
     ) {
         let fused = run_kernel_program(
-            Tuning { kernel_backend: KernelBackend::Fused, ..Tuning::default() },
+            Tuning { kernel_par_threshold: usize::MAX, ..Tuning::default() },
             &lens,
             &program,
         );
         for lanes in [Some(1), Some(2), None] {
             let par = run_kernel_program(
                 Tuning {
-                    kernel_backend: KernelBackend::Parallel,
                     kernel_par_threshold: 1,
                     num_threads: lanes,
                     ..Tuning::default()
@@ -422,7 +419,6 @@ fn concurrent_machines_match_sequential_runs() {
         .collect();
     let tuning = Tuning {
         force_parallel: true,
-        kernel_backend: KernelBackend::Parallel,
         kernel_par_threshold: 1,
         ..Tuning::default()
     };

@@ -141,9 +141,8 @@ fn main() {
         ..ServiceConfig::default()
     };
     println!(
-        "hulld: kernel backend {:?} (threshold {}), {} simulator lane(s) \
-         [IPCH_KERNEL_BACKEND / IPCH_KERNEL_PAR_THRESHOLD / IPCH_THREADS]",
-        cfg.tuning.kernel_backend,
+        "hulld: kernel par threshold {}, {} simulator lane(s) \
+         [IPCH_KERNEL_PAR_THRESHOLD / IPCH_THREADS]",
         cfg.tuning.kernel_par_threshold,
         ipch_pram::pool::configured_lanes(),
     );

@@ -159,9 +159,9 @@ pub struct ServiceConfig {
     /// Ceiling for the `retry_after` hint.
     pub retry_after_cap: Duration,
     /// Simulator tuning installed on every request's machine (kernel
-    /// backend, dispatch threshold, lane cap). The default picks up the
-    /// `IPCH_KERNEL_BACKEND` / `IPCH_KERNEL_PAR_THRESHOLD` env overrides,
-    /// and the pool itself honors `IPCH_THREADS`.
+    /// dispatch threshold, lane cap). The default picks up the
+    /// `IPCH_KERNEL_PAR_THRESHOLD` env override, and the pool itself
+    /// honors `IPCH_THREADS`.
     pub tuning: Tuning,
     /// Shard count: per-shard queues with tenant→shard affinity hashing,
     /// and the worker fan-out of split large requests.

@@ -36,8 +36,7 @@ use ipch_lp::frugal_bridge::frugal_bridge_supervised;
 use ipch_lp::inplace_bridge::IbConfig;
 use ipch_lp::supervised::{bridge_brute_supervised, find_bridge_inplace_supervised};
 use ipch_pram::{
-    Budget, FaultPlan, KernelBackend, Machine, Outcome, RngBias, RunError, Shm, SuperviseConfig,
-    Tuning, EMPTY,
+    Budget, FaultPlan, Machine, Outcome, RngBias, RunError, Shm, SuperviseConfig, Tuning, EMPTY,
 };
 
 /// A machine with `plan` installed (empty plan = clean control run).
@@ -568,17 +567,17 @@ fn chaos_metrics_count_what_happened() {
 #[test]
 fn chaos_fault_counters_identical_under_parallel_backend() {
     // Fault injection must be execution-mode-blind: the same seeded run
-    // under the sequential Fused backend and under the data-parallel
-    // backend (at a 2-lane cap and uncapped) injects the *same* faults —
+    // on the sequential fused loops (kernel threshold `usize::MAX`) and
+    // fanned out over the pool (threshold 1, at a 2-lane cap and
+    // uncapped) injects the *same* faults —
     // identical `FaultCounters`, supervisor stats, and PRAM accounting —
     // and produces the same verified hull. The fault schedule derives from
     // (seed, step, pid), never from host threads or chunk scheduling.
     let pts = uniform_disk(900, 36);
-    let run = |backend: KernelBackend, lanes: Option<usize>| {
+    let run = |threshold: usize, lanes: Option<usize>| {
         let mut m = rig(23, &corrupt_plan(0.003));
         m.tuning = Tuning {
-            kernel_backend: backend,
-            kernel_par_threshold: 1,
+            kernel_par_threshold: threshold,
             num_threads: lanes,
             ..Tuning::default()
         };
@@ -602,13 +601,13 @@ fn chaos_fault_counters_identical_under_parallel_backend() {
             m.metrics.write_conflicts,
         )
     };
-    let fused = run(KernelBackend::Fused, None);
+    let fused = run(usize::MAX, None);
     assert!(
         fused.2.total() > 0,
         "the corruption plan must actually inject faults"
     );
-    let par2 = run(KernelBackend::Parallel, Some(2));
-    let par = run(KernelBackend::Parallel, None);
+    let par2 = run(1, Some(2));
+    let par = run(1, None);
     assert_eq!(fused, par2, "2-lane parallel backend diverged under faults");
     assert_eq!(
         fused, par,

@@ -14,7 +14,7 @@
 //! * the *naive* single-shot variants demonstrably fail certification
 //!   under the same plans (voting, not luck, buys correctness);
 //! * the flip/vote `FaultCounters` are execution-mode-blind: identical
-//!   under the Fused and Parallel kernel backends at any lane cap;
+//!   on sequential and pooled kernels at any lane cap;
 //! * an all-zero `NoisePlan` is byte-identical to no plan at all.
 //!
 //! Seeds are pinned; everything here is reproducible byte-for-byte.
@@ -26,9 +26,7 @@ use ipch_geom::UpperHull;
 use ipch_hull2d::parallel::noisy::{upper_hull_noisy_naive, upper_hull_noisy_supervised};
 use ipch_hull3d::parallel::noisy::{upper_hull3_noisy_naive, upper_hull3_noisy_supervised};
 use ipch_hull3d::verify_upper_hull3;
-use ipch_pram::{
-    FaultPlan, KernelBackend, Machine, NoiseMode, NoisePlan, Outcome, Shm, SuperviseConfig, Tuning,
-};
+use ipch_pram::{FaultPlan, Machine, NoiseMode, NoisePlan, Outcome, Shm, SuperviseConfig, Tuning};
 use proptest::prelude::*;
 
 const RATES: [f64; 4] = [0.02, 0.05, 0.1, 0.2];
@@ -147,14 +145,14 @@ fn noisy_naive_variants_fail_certification() {
 fn noise_counters_identical_across_kernel_backends() {
     // Flip decisions are pure hashes of (noise seed, op, operands, trial)
     // and the counters are order-independent sums, so the same seeded run
-    // must inject and vote identically under the sequential Fused backend
-    // and the data-parallel backend at a 2-lane cap and uncapped.
+    // must inject and vote identically on the sequential fused loops
+    // (kernel threshold `usize::MAX`) and fanned out over the pool
+    // (threshold 1) at a 2-lane cap and uncapped.
     let pts = uniform_disk(36, 55);
-    let run = |backend: KernelBackend, lanes: Option<usize>| {
+    let run = |threshold: usize, lanes: Option<usize>| {
         let mut m = rig(23, &noise_plan(0.05, NoiseMode::Fresh));
         m.tuning = Tuning {
-            kernel_backend: backend,
-            kernel_par_threshold: 1,
+            kernel_par_threshold: threshold,
             num_threads: lanes,
             ..Tuning::default()
         };
@@ -170,9 +168,9 @@ fn noise_counters_identical_across_kernel_backends() {
             m.metrics.work,
         )
     };
-    let fused = run(KernelBackend::Fused, None);
-    let par2 = run(KernelBackend::Parallel, Some(2));
-    let par = run(KernelBackend::Parallel, None);
+    let fused = run(usize::MAX, None);
+    let par2 = run(1, Some(2));
+    let par = run(1, None);
     assert_eq!(fused, par2, "Fused vs Parallel(2) diverged under noise");
     assert_eq!(
         fused, par,
