@@ -5,7 +5,7 @@
 //! * `all-plans` — a full sweep of every entry-point plan in the
 //!   workspace at one input size (the CI / test-suite shape).
 //! * `admission` — a single served-algorithm plan check (the exact work
-//!   `Service::submit` pays per request when `precheck_plans` is on).
+//!   `Service::submit` pays on every submission).
 //!
 //! The point of the numbers is the admission budget: the precheck is a
 //! handful of symbolic evaluations over a step template, so it should

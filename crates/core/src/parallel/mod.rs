@@ -10,7 +10,6 @@ pub mod logstar;
 pub mod merge;
 pub mod noisy;
 pub mod presorted;
-pub mod sharded;
 pub mod supervised;
 pub mod trace;
 pub mod unsorted;

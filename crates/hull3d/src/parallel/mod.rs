@@ -2,7 +2,6 @@
 
 pub mod noisy;
 pub mod probe;
-pub mod sharded;
 pub mod supervised;
 pub mod unsorted3d;
 

@@ -168,12 +168,6 @@ pub struct ServiceStats {
     /// Members across all coalesced batches (mean batch size =
     /// `batch_members / batches_formed`).
     pub batch_members: u64,
-    /// Large requests split across shard workers (partial hulls merged via
-    /// the hull-of-hulls path).
-    pub shard_splits: u64,
-    /// Shard merges whose stitched hull failed the whole-hull certificate
-    /// (or the bridge invariant) and fell back to an unsharded run.
-    pub shard_merge_failures: u64,
     /// Predicate answers flipped by noisy-predicate injection, summed over
     /// every resolved request machine. A service-ledger copy of
     /// [`crate::FaultCounters::predicate_flips`]: the two books must agree
@@ -216,8 +210,6 @@ impl ServiceStats {
         self.degraded_tier2_runs += other.degraded_tier2_runs;
         self.batches_formed += other.batches_formed;
         self.batch_members += other.batch_members;
-        self.shard_splits += other.shard_splits;
-        self.shard_merge_failures += other.shard_merge_failures;
         self.noise_flips += other.noise_flips;
         self.noise_votes += other.noise_votes;
         self.frugal_runs += other.frugal_runs;

@@ -6,22 +6,23 @@
 //! end. Usage:
 //!
 //! ```text
-//! hulld [REQUESTS] [WORKERS] [SEED] [--shards S] [--batch-window W] [--batch-max B] [--noise-p P] [--memory-budget C] [--no-precheck]
+//! hulld [REQUESTS] [WORKERS] [SEED] [--shards S] [--batch-window W] [--batch-max B] [--noise-p P] [--memory-budget C]
 //! ```
 //!
-//! Defaults: 200 requests, 2 workers, seed 0xD1CE. The sharding and
-//! batching knobs also read the environment (`IPCH_SHARDS`,
-//! `IPCH_BATCH_WINDOW`, `IPCH_BATCH_MAX`); an explicit flag wins over its
-//! env var. `--noise-p P` (or `IPCH_NOISE_P`) turns on service-wide
-//! noisy-predicate mode: every orientation/comparison test lies with
-//! probability P and the voted entry points win correctness back (the
-//! driver shrinks its workloads accordingly — voting is cubic).
-//! `--memory-budget C` (or `IPCH_MEMORY_BUDGET`; 0 = off) sets the
-//! service-wide workspace budget in simulator cells: requests admitted
-//! past the in-flight aggregate execute at the read-only bounded-
-//! workspace tier, and each frugal run is hard-capped at C cells.
-//! `--no-precheck` (or `IPCH_PRECHECK=0`) disables the static plan check
-//! at admission. Exits non-zero if any request is lost (the resolution
+//! Defaults: 200 requests, 2 workers, seed 0xD1CE, and the
+//! [`ServiceConfig`] defaults for every flag. `--shards S` sets the number
+//! of tenant-hashed queue lanes; `--batch-window W` / `--batch-max B` turn
+//! on batch admission of small 2-D requests. `--noise-p P` turns on
+//! service-wide noisy-predicate mode: every orientation/comparison test
+//! lies with probability P and the voted entry points win correctness
+//! back (the driver shrinks its workloads accordingly — voting is cubic).
+//! `--memory-budget C` (0 = off) sets the service-wide workspace budget in
+//! simulator cells: requests admitted past the in-flight aggregate execute
+//! at the read-only bounded-workspace tier, and each frugal run is
+//! hard-capped at C cells. Every request passes the static plan check at
+//! admission. An unknown flag, a missing or malformed value, or more than
+//! three positionals prints the usage line and exits 2 before any request
+//! runs. Otherwise exits non-zero if any request is lost (the resolution
 //! invariant fails), the noise ledger disagrees with the absorbed fault
 //! counters, or the workspace-trip ledger disagrees with the absorbed
 //! supervisor book — the same guarantees the chaos and noise suites
@@ -64,69 +65,59 @@ fn points3(rng: &mut u64, n: usize) -> Vec<Point3> {
         .collect()
 }
 
-/// A knob sourced from an env var, overridable by a CLI flag.
-fn env_knob(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "usage: hulld [REQUESTS] [WORKERS] [SEED] [--shards S] \
+     [--batch-window W] [--batch-max B] [--noise-p P] [--memory-budget C]";
+
+/// Report a command-line error with the usage line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("hulld: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parse `arg` (named `what` in the error) or exit 2.
+fn parse<T: std::str::FromStr>(what: &str, arg: &str) -> T {
+    arg.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{what}: malformed value `{arg}`")))
 }
 
 fn main() {
     let defaults = ServiceConfig::default();
-    let mut shards = env_knob("IPCH_SHARDS", defaults.shards);
-    let mut batch_window = env_knob("IPCH_BATCH_WINDOW", defaults.batch_window);
-    let mut batch_max = env_knob("IPCH_BATCH_MAX", defaults.batch_max);
-    let mut precheck = env_knob("IPCH_PRECHECK", usize::from(defaults.precheck_plans)) != 0;
-    // 0 means "no budget" — the env-var spelling of `None`.
-    let mut memory_budget = env_knob("IPCH_MEMORY_BUDGET", 0) as u64;
-    let mut noise_p: f64 = std::env::var("IPCH_NOISE_P")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
+    let (mut shards, mut batch_window, mut batch_max) =
+        (defaults.shards, defaults.batch_window, defaults.batch_max);
+    // 0 means "no budget" and "no noise".
+    let mut memory_budget = 0u64;
+    let mut noise_p = 0.0f64;
+    let (mut requests, mut workers, mut seed) = (200usize, 2usize, 0xD1CEu64);
 
-    let mut positional: Vec<String> = Vec::new();
+    let mut positionals = 0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let flag = |args: &mut dyn Iterator<Item = String>| {
+        let mut value = || {
             args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{a} expects a number"))
+                .unwrap_or_else(|| usage_error(&format!("{a} expects a value")))
         };
         match a.as_str() {
-            "--shards" => shards = flag(&mut args),
-            "--batch-window" => batch_window = flag(&mut args),
-            "--batch-max" => batch_max = flag(&mut args),
-            "--memory-budget" => {
-                memory_budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--memory-budget expects a cell count"))
+            "--shards" => shards = parse(&a, &value()),
+            "--batch-window" => batch_window = parse(&a, &value()),
+            "--batch-max" => batch_max = parse(&a, &value()),
+            "--memory-budget" => memory_budget = parse(&a, &value()),
+            "--noise-p" => noise_p = parse(&a, &value()),
+            _ if a.starts_with('-') => usage_error(&format!("unknown flag `{a}`")),
+            _ => {
+                match positionals {
+                    0 => requests = parse("REQUESTS", &a),
+                    1 => workers = parse("WORKERS", &a),
+                    2 => seed = parse("SEED", &a),
+                    _ => usage_error(&format!("unexpected argument `{a}`")),
+                }
+                positionals += 1;
             }
-            "--noise-p" => {
-                noise_p = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--noise-p expects a probability"))
-            }
-            "--no-precheck" => precheck = false,
-            _ => positional.push(a),
         }
     }
     let noise = (noise_p > 0.0).then_some(NoisePlan {
         p: noise_p,
         mode: NoiseMode::Fresh,
     });
-    let mut positional = positional.into_iter();
-    let requests: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(200);
-    let workers: usize = positional.next().and_then(|a| a.parse().ok()).unwrap_or(2);
-    let seed: u64 = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0xD1CE);
 
     let cfg = ServiceConfig {
         workers,
@@ -135,7 +126,6 @@ fn main() {
         shards,
         batch_window,
         batch_max,
-        precheck_plans: precheck,
         noise,
         memory_budget: (memory_budget > 0).then_some(memory_budget),
         ..ServiceConfig::default()
@@ -148,25 +138,19 @@ fn main() {
     );
     println!(
         "hulld: {} queue shard(s), batch window {} / max {} \
-         [IPCH_SHARDS / IPCH_BATCH_WINDOW / IPCH_BATCH_MAX]",
+         [--shards / --batch-window / --batch-max]",
         cfg.shards, cfg.batch_window, cfg.batch_max,
-    );
-    println!(
-        "hulld: static plan precheck {} [--no-precheck / IPCH_PRECHECK]",
-        if cfg.precheck_plans { "on" } else { "off" },
     );
     match cfg.noise {
         Some(np) => println!(
-            "hulld: noisy predicates on, p={} mode={:?} [--noise-p / IPCH_NOISE_P]",
+            "hulld: noisy predicates on, p={} mode={:?} [--noise-p]",
             np.p, np.mode,
         ),
-        None => println!("hulld: noisy predicates off [--noise-p / IPCH_NOISE_P]"),
+        None => println!("hulld: noisy predicates off [--noise-p]"),
     }
     match cfg.memory_budget {
-        Some(b) => {
-            println!("hulld: workspace budget {b} cells [--memory-budget / IPCH_MEMORY_BUDGET]")
-        }
-        None => println!("hulld: workspace budget off [--memory-budget / IPCH_MEMORY_BUDGET]"),
+        Some(b) => println!("hulld: workspace budget {b} cells [--memory-budget]"),
+        None => println!("hulld: workspace budget off [--memory-budget]"),
     }
     let noisy_mode = cfg.noise.is_some();
     let svc = Service::new(cfg);

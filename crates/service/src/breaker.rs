@@ -6,7 +6,7 @@
 //! poisoned input distribution, an injected fault plan, a misbehaving
 //! tenant), the service should stop paying up front. The breaker watches
 //! each algorithm's supervised outcomes and degrades the *whole algorithm*
-//! through three tiers:
+//! through four tiers:
 //!
 //! 1. [`Tier::Full`] — supervised parallel run with the configured retry
 //!    budget. The normal state.
@@ -14,9 +14,11 @@
 //!    (straight to the deterministic fallback on failure): under a failure
 //!    streak, retries are wasted work with correlated causes.
 //! 3. [`Tier::Frugal`] — the read-only bounded-workspace algorithms
-//!    (`hull2d/frugal`), supervised with a single attempt under the
-//!    service's per-request workspace budget: under memory pressure the
-//!    service spends *less memory per request* instead of shedding.
+//!    (`hull2d/frugal`), supervised with the configured retry budget under
+//!    the service's per-request workspace budget; each retry halves the
+//!    scratch. Under memory pressure the service spends *less memory per
+//!    request* instead of shedding. 3-D has no bounded-workspace variant
+//!    yet and runs supervised with a single attempt.
 //! 4. [`Tier::Sequential`] — the direct sequential exact algorithm
 //!    (monotone chain / gift wrapping), no randomized machinery at all.
 //!    Slow in the simulated-cost model but deterministic and dependable.

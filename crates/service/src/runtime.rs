@@ -4,13 +4,16 @@
 //! # Request lifecycle
 //!
 //! [`Service::submit`] is the synchronous admission decision. Under the
-//! service lock it either rejects the request with a typed
-//! [`ServiceError::Rejected`] (queue at capacity, tenant over its in-flight
-//! limit — with an exponential-backoff `retry_after` hint that doubles per
-//! consecutive rejection of the same tenant) or enqueues it and returns a
-//! [`Ticket`]. Admitted requests are never silently dropped: every ticket
-//! resolves exactly once, to a certified [`Response`] or a typed
-//! [`ServiceError`]. The [`ServiceStats`] resolution invariant
+//! service lock it first checks the request's algorithm plan statically
+//! at the request's size ([`ipch_pram::verify`]; a failed proof is a
+//! typed [`RunError::PlanRejected`] that never queues), then either
+//! rejects the request with a typed [`ServiceError::Rejected`] (queue at
+//! capacity, tenant over its in-flight limit — with an exponential-backoff
+//! `retry_after` hint that starts at 10 ms, doubles per consecutive
+//! rejection of the same tenant and caps at 1 s) or enqueues it and
+//! returns a [`Ticket`]. Admitted requests are never silently dropped:
+//! every ticket resolves exactly once, to a certified [`Response`] or a
+//! typed [`ServiceError`]. The [`ServiceStats`] resolution invariant
 //! (`submitted == completed + sheds + cancelled + … + panics_isolated`)
 //! is checked by the chaos suite.
 //!
@@ -43,7 +46,7 @@
 //! With [`ServiceConfig::batch_window`] enabled, a worker popping a small
 //! 2-D request scans up to `batch_window` queue entries behind it and
 //! coalesces same-algorithm, chaos-free requests of at most
-//! [`ServiceConfig::batch_point_cap`] points (up to
+//! `BATCH_POINT_CAP` (96) points (up to
 //! [`ServiceConfig::batch_max`] members). When at least two of them are
 //! planned at [`Tier::Full`] (and are not half-open probes), those run as
 //! **one fused machine run**: concatenated SoA input plus an offset table
@@ -58,17 +61,6 @@
 //! fuse. A degraded breaker therefore disables batching for its
 //! algorithm. Because a certified upper hull is unique, fused results are
 //! bit-identical to what the same requests produce unbatched.
-//!
-//! # Shard-split of large requests
-//!
-//! A request of at least [`ServiceConfig::split_threshold`] points (at a
-//! supervised tier) is partitioned across [`ServiceConfig::shards`] shard
-//! workers, each computing a certified partial hull on its own child
-//! machine with the data-parallel kernel backend; the partials merge via
-//! the paper's hull-of-hulls path and the stitched result must pass the
-//! whole-input certificate ([`ipch_hull2d::parallel::sharded`],
-//! [`ipch_hull3d::parallel::sharded`]). Merge failures demote to an
-//! unsharded run and count in `ServiceStats::shard_merge_failures`.
 //!
 //! # Degradation
 //!
@@ -113,7 +105,6 @@ use ipch_geom::validate::{validate_points2, validate_points3};
 use ipch_hull2d::parallel::batch::upper_hulls_batch;
 use ipch_hull2d::parallel::frugal::upper_hull_frugal_supervised;
 use ipch_hull2d::parallel::noisy::upper_hull_noisy_supervised;
-use ipch_hull2d::parallel::sharded::upper_hull_sharded_supervised;
 use ipch_hull2d::parallel::supervised::{
     upper_hull_dac_supervised, upper_hull_unsorted_supervised,
 };
@@ -121,7 +112,6 @@ use ipch_hull2d::parallel::unsorted::UnsortedParams;
 use ipch_hull2d::seq::{monotone, SeqStats};
 use ipch_hull2d::verify_upper_hull;
 use ipch_hull3d::parallel::noisy::upper_hull3_noisy_supervised;
-use ipch_hull3d::parallel::sharded::upper_hull3_sharded_supervised;
 use ipch_hull3d::parallel::supervised::upper_hull3_unsorted_supervised;
 use ipch_hull3d::parallel::unsorted3d::Unsorted3Params;
 use ipch_hull3d::seq::giftwrap::upper_hull3_giftwrap;
@@ -154,17 +144,12 @@ pub struct ServiceConfig {
     pub default_deadline: Option<Duration>,
     /// Circuit-breaker thresholds (shared by every algorithm's breaker).
     pub breaker: BreakerConfig,
-    /// First `retry_after` hint; doubles per consecutive rejection.
-    pub retry_after_base: Duration,
-    /// Ceiling for the `retry_after` hint.
-    pub retry_after_cap: Duration,
     /// Simulator tuning installed on every request's machine (kernel
     /// dispatch threshold, lane cap). The default picks up the
     /// `IPCH_KERNEL_PAR_THRESHOLD` env override, and the pool itself
     /// honors `IPCH_THREADS`.
     pub tuning: Tuning,
-    /// Shard count: per-shard queues with tenant→shard affinity hashing,
-    /// and the worker fan-out of split large requests.
+    /// Shard count: per-shard queues with tenant→shard affinity hashing.
     /// `queue_capacity` is **per shard**. The default `1` reproduces the
     /// single-queue runtime exactly.
     pub shards: usize,
@@ -174,26 +159,13 @@ pub struct ServiceConfig {
     pub batch_window: usize,
     /// Maximum members in one fused batch (including the popped request).
     pub batch_max: usize,
-    /// Only requests of at most this many points are batch-eligible
-    /// (batching exists to amortize per-step cost over *small* requests;
-    /// big ones do enough work per step already).
-    pub batch_point_cap: usize,
-    /// Requests of at least this many points are shard-split across
-    /// `shards` workers at supervised tiers. `None` (the default)
-    /// disables splitting.
-    pub split_threshold: Option<usize>,
-    /// Run the symbolic plan checker ([`ipch_pram::verify`]) on the
-    /// workload's algorithm plan at admission, rejecting requests whose
-    /// plan fails its static proof (a `plan_*` [`RunError`] code). Plans
-    /// that merely fall back to dynamic analysis still admit.
-    pub precheck_plans: bool,
     /// Service-wide noisy-predicate mode ([`NoisePlan`]): every request
     /// machine without its own noise plan gets this one, and 2-D/3-D hull
     /// workloads dispatch to the noise-tolerant voted entry points
     /// (`hull2d/noisy`, `hull3d/noisy`) instead of the plain algorithms.
-    /// Noisy requests never batch-fuse or shard-split (the voting oracle
-    /// owns the whole input), and the sequential degraded tier stays
-    /// host-exact and noise-free. `None` (the default) serves exactly the
+    /// Noisy requests never batch-fuse (the voting oracle owns the whole
+    /// input), and the sequential degraded tier stays host-exact and
+    /// noise-free. `None` (the default) serves exactly the
     /// pre-noise runtime.
     pub noise: Option<NoisePlan>,
     /// Service-wide workspace budget in simulator cells. When set it acts
@@ -215,20 +187,26 @@ impl Default for ServiceConfig {
             max_attempts: 3,
             default_deadline: None,
             breaker: BreakerConfig::default(),
-            retry_after_base: Duration::from_millis(10),
-            retry_after_cap: Duration::from_secs(1),
             tuning: Tuning::default(),
             shards: 1,
             batch_window: 0,
             batch_max: 8,
-            batch_point_cap: 96,
-            split_threshold: None,
-            precheck_plans: true,
             noise: None,
             memory_budget: None,
         }
     }
 }
+
+/// Only requests of at most this many points are batch-eligible (batching
+/// exists to amortize per-step cost over *small* requests; big ones do
+/// enough work per step already).
+const BATCH_POINT_CAP: usize = 96;
+
+/// First `retry_after` hint; doubles per consecutive rejection.
+const RETRY_AFTER_BASE: Duration = Duration::from_millis(10);
+
+/// Ceiling for the `retry_after` hint.
+const RETRY_AFTER_CAP: Duration = Duration::from_secs(1);
 
 /// The symbolic plan registered for a served algorithm, if any. Plans are
 /// pure data; one copy per process serves every admission precheck.
@@ -459,13 +437,11 @@ impl Health {
         let _ = writeln!(
             s,
             "shards={} shard_depths={:?} batches_formed={} batch_members={} \
-             mean_batch_size={mean_batch:.2} shard_splits={} shard_merge_failures={}",
+             mean_batch_size={mean_batch:.2}",
             self.shard_depths.len(),
             self.shard_depths,
             st.batches_formed,
             st.batch_members,
-            st.shard_splits,
-            st.shard_merge_failures,
         );
         match self.noise {
             Some(np) => {
@@ -549,15 +525,16 @@ impl Service {
             return Err(ServiceError::ShuttingDown);
         }
         inner.metrics.service.submitted += 1;
-        // Static admission precheck: a request whose algorithm plan fails
-        // its symbolic proof never reaches the queue — the failure is a
+        // Static admission precheck: the symbolic plan checker
+        // (`ipch_pram::verify`) runs on the workload's algorithm plan, and
+        // a request whose plan fails its static proof (a `plan_*`
+        // `RunError` code) never reaches the queue — the failure is a
         // terminal plan defect, not load, so no backoff hint is issued.
-        if cfg.precheck_plans {
-            if let Some(plan) = plan_for(req.workload.algorithm()) {
-                if let Err(e) = precheck_plan(plan, req.workload.len()) {
-                    inner.metrics.service.static_rejects += 1;
-                    return Err(ServiceError::Run(e));
-                }
+        // Plans that merely fall back to dynamic analysis still admit.
+        if let Some(plan) = plan_for(req.workload.algorithm()) {
+            if let Err(e) = precheck_plan(plan, req.workload.len()) {
+                inner.metrics.service.static_rejects += 1;
+                return Err(ServiceError::Run(e));
             }
         }
         // Capacity is per shard: a tenant is shed when *its* lane is full,
@@ -565,7 +542,7 @@ impl Service {
         let shard = shard_of(&req.tenant, inner.queues.len());
         if inner.queues[shard].len() >= cfg.queue_capacity {
             inner.metrics.service.rejected_queue_full += 1;
-            let retry_after = bump_backoff(cfg, inner, &req.tenant);
+            let retry_after = bump_backoff(inner, &req.tenant);
             return Err(ServiceError::Rejected {
                 reason: RejectReason::QueueFull {
                     depth: inner.queues[shard].len(),
@@ -576,7 +553,7 @@ impl Service {
         let load = inner.tenant_load.get(&req.tenant).copied().unwrap_or(0);
         if load >= cfg.per_tenant_inflight {
             inner.metrics.service.rejected_tenant_limit += 1;
-            let retry_after = bump_backoff(cfg, inner, &req.tenant);
+            let retry_after = bump_backoff(inner, &req.tenant);
             return Err(ServiceError::Rejected {
                 reason: RejectReason::TenantLimit { in_flight: load },
                 retry_after,
@@ -676,16 +653,16 @@ impl Drop for Service {
 
 /// Increment `tenant`'s rejection streak and return the doubled backoff
 /// hint (base · 2^(streak − 1), capped).
-fn bump_backoff(cfg: &ServiceConfig, inner: &mut Inner, tenant: &str) -> Duration {
+fn bump_backoff(inner: &mut Inner, tenant: &str) -> Duration {
     let streak = inner
         .reject_streak
         .entry(tenant.to_owned())
         .and_modify(|s| *s = s.saturating_add(1))
         .or_insert(1);
     let exp = streak.saturating_sub(1).min(20);
-    cfg.retry_after_base
+    RETRY_AFTER_BASE
         .saturating_mul(1u32 << exp)
-        .min(cfg.retry_after_cap)
+        .min(RETRY_AFTER_CAP)
 }
 
 fn worker_loop(shared: &Shared) {
@@ -716,7 +693,7 @@ fn batch_eligible(cfg: &ServiceConfig, req: &Request) -> bool {
         && req.chaos.is_none()
         && matches!(
             &req.workload,
-            Workload::Hull2d { points, .. } if points.len() <= cfg.batch_point_cap
+            Workload::Hull2d { points, .. } if points.len() <= BATCH_POINT_CAP
         )
 }
 
@@ -837,7 +814,7 @@ fn resolve(
                         inner.metrics.service.shed_expired += 1;
                         ServiceError::Rejected {
                             reason: RejectReason::Expired,
-                            retry_after: cfg.retry_after_base,
+                            retry_after: RETRY_AFTER_BASE,
                         }
                     }
                     CancelCause::Cancelled => {
@@ -1109,8 +1086,8 @@ fn run_request(cfg: &ServiceConfig, req: &Request, tier: Tier, token: CancelToke
         // degraded never means "maybe wrong", and the host algorithms
         // don't consult the simulator's predicates anyway.
         Tier::Sequential => run_sequential(&mut m, req),
-        // Frugal requests never batch-fuse or shard-split: the bounded-
-        // workspace posture owns its own machine and its own budget.
+        // Frugal requests never batch-fuse: the bounded-workspace posture
+        // owns its own machine and its own budget.
         Tier::Frugal => run_frugal(cfg, &mut m, req),
         Tier::Full | Tier::ReducedRetry => {
             let scfg = SuperviseConfig {
@@ -1120,15 +1097,7 @@ fn run_request(cfg: &ServiceConfig, req: &Request, tier: Tier, token: CancelToke
                     cfg.max_attempts
                 },
             };
-            match cfg.split_threshold {
-                // Noisy requests never shard-split: the merge step trusts
-                // the partial certificates, and voting budgets are sized
-                // for the whole input, not per-shard fragments.
-                Some(thr) if req.workload.len() >= thr && m.noise_spec().is_none() => {
-                    run_sharded(&mut m, req, tier, &scfg, cfg.shards)
-                }
-                _ => run_supervised(&mut m, req, tier, &scfg),
-            }
+            run_supervised(&mut m, req, tier, &scfg)
         }
     };
     (m.metrics.clone(), result)
@@ -1174,36 +1143,6 @@ fn run_frugal(cfg: &ServiceConfig, m: &mut Machine, req: &Request) -> Result<Res
             run_supervised(m, req, Tier::Frugal, &scfg)
         }
     }
-}
-
-/// The shard-split path for large requests: certified partial hulls on
-/// `shards` child machines, merged and re-certified against the whole
-/// input. The 2-D split serves both `Hull2dAlgo` variants (the certified
-/// hull is the same unique chain either way).
-fn run_sharded(
-    m: &mut Machine,
-    req: &Request,
-    tier: Tier,
-    scfg: &SuperviseConfig,
-    shards: usize,
-) -> Result<Response, RunError> {
-    let (value, outcome, attempts) = match &req.workload {
-        Workload::Hull2d { points, .. } => {
-            let s = upper_hull_sharded_supervised(m, points, shards, scfg)?;
-            (ResponseValue::Hull2d(s.value), s.outcome, s.attempts)
-        }
-        Workload::Hull3d { points } => {
-            let s = upper_hull3_sharded_supervised(m, points, shards, scfg)?;
-            (ResponseValue::Hull3d(s.value), s.outcome, s.attempts)
-        }
-    };
-    Ok(Response::new(
-        value,
-        tier,
-        Some(outcome),
-        attempts,
-        &m.metrics,
-    ))
 }
 
 fn run_supervised(
@@ -2024,33 +1963,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_split_serves_large_requests_with_counters() {
-        let svc = manual(ServiceConfig {
-            shards: 3,
-            split_threshold: Some(100),
-            ..ServiceConfig::default()
-        });
-        let t = svc.submit(req2("acme", 3, 600)).unwrap();
-        svc.drain();
-        let resp = t.wait().unwrap();
-        assert_eq!(resp.outcome, Some(Outcome::FirstTry));
-        match resp.value {
-            ResponseValue::Hull2d(h) => assert_eq!(h.vertices.len(), 600),
-            _ => panic!("wrong value kind"),
-        }
-        let st = svc.health().stats;
-        assert_eq!(st.shard_splits, 1, "machine-side counter was absorbed");
-        assert_eq!(st.shard_merge_failures, 0);
-        assert_resolved(&st);
-
-        // below the threshold: no split
-        let t = svc.submit(req2("acme", 4, 64)).unwrap();
-        svc.drain();
-        assert!(t.wait().is_ok());
-        assert_eq!(svc.health().stats.shard_splits, 1);
-    }
-
-    #[test]
     fn tenant_affinity_pins_each_tenant_to_one_shard() {
         let svc = manual(ServiceConfig {
             shards: 4,
@@ -2174,16 +2086,13 @@ mod tests {
     }
 
     #[test]
-    fn noisy_mode_serves_hull3d_and_never_shard_splits() {
+    fn noisy_mode_serves_hull3d() {
         use ipch_pram::{NoiseMode, NoisePlan};
         let svc = manual(ServiceConfig {
             noise: Some(NoisePlan {
                 p: 0.02,
                 mode: NoiseMode::Fresh,
             }),
-            // A split threshold the 3-D workload exceeds: noisy requests
-            // must take the voted whole-input path instead.
-            split_threshold: Some(8),
             ..ServiceConfig::default()
         });
         let points: Vec<ipch_geom::Point3> = (0..16)
@@ -2218,7 +2127,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let h = svc.health();
-        assert_eq!(h.stats.shard_splits, 0, "noisy requests must not split");
         assert_eq!(h.stats.noise_flips, h.faults.predicate_flips);
         assert_eq!(h.stats.noise_votes, h.faults.predicate_votes);
         assert_resolved(&h.stats);

@@ -1,9 +1,10 @@
-//! Batch-admission and shard-split equivalence suite for `ipch-service`.
+//! Batch-admission equivalence suite for `ipch-service`.
 //!
-//! The contract under test: batching and sharding are *transparent*
-//! admission/execution strategies. A fused batch member or a shard-split
-//! request must return exactly the value (and pass exactly the
-//! certificate) that the same request would produce served alone — and a
+//! The contract under test: batching is a *transparent* admission and
+//! execution strategy. A fused batch member must return exactly the value
+//! (and pass exactly the certificate) that the same request would produce
+//! served alone — and a large request served whole must equal the direct
+//! supervised call on the same seed. A
 //! misbehaving batch member (malformed, cancelled, fault-poisoned) must
 //! resolve typed without poisoning its siblings or the resolution ledger.
 //!
@@ -11,12 +12,14 @@
 //! `drain`) on pinned seeds, so batch composition is reproducible.
 
 use ipch_geom::{Point2, UpperHull};
+use ipch_hull2d::parallel::supervised::upper_hull_unsorted_supervised;
+use ipch_hull2d::parallel::unsorted::UnsortedParams;
 use ipch_hull2d::seq::{monotone, SeqStats};
 use ipch_hull2d::verify_upper_hull;
-use ipch_pram::{FaultPlan, Outcome, RunError, ServiceStats};
+use ipch_pram::{FaultPlan, Machine, Outcome, RunError, ServiceStats, SuperviseConfig};
 use ipch_service::{
     Hull2dAlgo, Request, Response, ResponseValue, Service, ServiceConfig, ServiceError, Ticket,
-    Workload,
+    Tier, Workload,
 };
 
 /// SplitMix64 — the suite's own pinned-seed stream.
@@ -263,39 +266,43 @@ fn fault_poisoned_member_runs_solo_while_siblings_fuse() {
     assert_ledger(&stats);
 }
 
-/// A request above the split threshold is shard-split and merged; the
-/// result is bit-identical to the unsplit run of the same request, and
-/// the shard counters land in the service ledger.
+/// A large request is served whole: through `Service` at `Tier::Full` it
+/// passes the certificate, equals the sequential oracle, and is
+/// bit-identical to a direct supervised call on the same seed.
 #[test]
-fn shard_split_is_bit_identical_to_unsplit() {
+fn large_request_is_bit_identical_to_a_direct_supervised_call() {
     let mut rng = 0xB17E_0005u64;
     let pts = points2(&mut rng, 2500);
 
-    let serve = |split_threshold: Option<usize>| -> (Response, ServiceStats) {
-        let svc = Service::new(ServiceConfig {
-            workers: 0,
-            shards: 4,
-            split_threshold,
-            ..ServiceConfig::default()
-        });
-        let t = svc.submit(req2("acme", 42, pts.clone())).unwrap();
-        svc.drain();
-        (t.wait().expect("request completes"), svc.health().stats)
-    };
+    let svc = Service::new(ServiceConfig {
+        workers: 0,
+        shards: 4,
+        ..ServiceConfig::default()
+    });
+    let t = svc.submit(req2("acme", 42, pts.clone())).unwrap();
+    svc.drain();
+    let served = t.wait().expect("request completes");
+    assert_ledger(&svc.health().stats);
+    assert_eq!(served.tier, Tier::Full);
+    assert_eq!(served.outcome, Some(Outcome::FirstTry));
+    check_hull(&pts, &served);
 
-    let (split, split_stats) = serve(Some(1000));
-    let (solo, solo_stats) = serve(None);
-    assert_eq!(split_stats.shard_splits, 1);
-    assert_eq!(split_stats.shard_merge_failures, 0);
-    assert_eq!(solo_stats.shard_splits, 0);
-    assert_ledger(&split_stats);
-    assert_ledger(&solo_stats);
-
-    let hs = check_hull(&pts, &split);
-    let hu = check_hull(&pts, &solo);
-    assert_eq!(hs, hu, "sharded hull differs from unsharded");
-    assert_eq!(split.value, solo.value);
-    assert_eq!(split.outcome, Some(Outcome::FirstTry));
+    let mut m = Machine::new(42);
+    let direct = upper_hull_unsorted_supervised(
+        &mut m,
+        &pts,
+        &UnsortedParams::default(),
+        &SuperviseConfig {
+            max_attempts: ServiceConfig::default().max_attempts,
+        },
+    )
+    .expect("direct supervised run");
+    assert_eq!(served.attempts, direct.attempts);
+    assert_eq!(
+        served.value,
+        ResponseValue::Hull2d(direct.value.0.hull),
+        "served hull differs from the direct call"
+    );
 }
 
 /// Ledger regression under sustained batched traffic: several drained
