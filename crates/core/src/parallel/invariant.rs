@@ -30,7 +30,7 @@ use ipch_geom::predicates::orient2d_sign;
 use ipch_geom::{Point2, UpperHull};
 use ipch_inplace::sample::random_sample_with_p;
 use ipch_lp::bridge::Bridge;
-use ipch_pram::{Machine, Metrics, RunError, Shm, WritePolicy};
+use ipch_pram::{Machine, RunError, Shm, WritePolicy};
 
 /// Tuning for the hull-element bridge finder.
 #[derive(Clone, Copy, Debug)]
@@ -98,9 +98,9 @@ pub fn bridge_over_hulls(
         }
         base.sort_unstable();
         base.dedup();
-        let mut child = m.child(round as u64 ^ 0x4b);
-        let sol = brute_bridge_hulls(&mut child, points, groups, &base, x0, qmax);
-        m.metrics.absorb(&child.metrics);
+        let sol = m.sub(round as u64 ^ 0x4b, |c| {
+            brute_bridge_hulls(c, points, groups, &base, x0, qmax)
+        });
         let Some(bridge) = sol else { continue };
         best = Some(bridge);
         // survivor step: one executed step over hull ids; the above-line
@@ -230,35 +230,32 @@ pub fn hull_of_hulls(
     }
 
     // per-node bridge, all nodes in parallel
-    let mut bridges: Vec<Option<Bridge>> = vec![None; nodes.len()];
-    let mut children: Vec<Metrics> = Vec::new();
-    for (vi, &(lo, hi, mid)) in nodes.iter().enumerate() {
-        let x0 = (points[*groups[mid - 1].vertices.last().unwrap()].x
-            + points[groups[mid].vertices[0]].x)
-            / 2.0;
-        let mut child = m.child(vi as u64 ^ 0x40b);
-        let mut scratch = Shm::new();
-        bridges[vi] = bridge_over_hulls(&mut child, &mut scratch, points, &groups[lo..hi], x0, cfg);
-        if bridges[vi].is_none() {
-            // sweep: direct brute over all pairs of the node's groups
-            report.failures += 1;
-            let all: Vec<usize> = (0..hi - lo).collect();
-            let qmax = groups[lo..hi].iter().map(|h| h.len()).max().unwrap_or(1);
-            bridges[vi] = brute_bridge_hulls(&mut child, points, &groups[lo..hi], &all, x0, qmax);
-        }
-        children.push(child.metrics);
-        if bridges[vi].is_none() {
-            m.metrics.absorb_parallel(&children);
-            return Err(RunError::Invariant {
+    let bridges: Vec<Bridge> = m.fork_join(
+        nodes.iter().enumerate(),
+        |&(vi, _)| vi as u64 ^ 0x40b,
+        |child, (vi, &(lo, hi, mid))| {
+            let x0 = (points[*groups[mid - 1].vertices.last().unwrap()].x
+                + points[groups[mid].vertices[0]].x)
+                / 2.0;
+            let mut scratch = Shm::new();
+            let mut bridge =
+                bridge_over_hulls(child, &mut scratch, points, &groups[lo..hi], x0, cfg);
+            if bridge.is_none() {
+                // sweep: direct brute over all pairs of the node's groups
+                report.failures += 1;
+                let all: Vec<usize> = (0..hi - lo).collect();
+                let qmax = groups[lo..hi].iter().map(|h| h.len()).max().unwrap_or(1);
+                bridge = brute_bridge_hulls(child, points, &groups[lo..hi], &all, x0, qmax);
+            }
+            bridge.ok_or_else(|| RunError::Invariant {
                 algorithm: "hull2d/hull_of_hulls",
                 detail: format!(
                     "no straddling bridge at boundary node {vi} (groups {lo}..{hi}, x0={x0}) \
                      even after the brute-force sweep"
                 ),
-            });
-        }
-    }
-    m.metrics.absorb_parallel(&children);
+            })
+        },
+    )?;
 
     // cover step (executed): node vi covered iff an ancestor's bridge spans
     // its boundary abscissa
@@ -290,10 +287,9 @@ pub fn hull_of_hulls(
             if !(ulo <= vlo && vhi <= uhi && (uhi - ulo) > (vhi - vlo)) {
                 return;
             }
-            if let Some(b) = bridges_ref[ui] {
-                if points[b.left].x <= x0s_ref[vi] && x0s_ref[vi] <= points[b.right].x {
-                    ctx.write(covered, vi, 1);
-                }
+            let b = bridges_ref[ui];
+            if points[b.left].x <= x0s_ref[vi] && x0s_ref[vi] <= points[b.right].x {
+                ctx.write(covered, vi, 1);
             }
         },
     );
@@ -314,20 +310,18 @@ pub fn hull_of_hulls(
         if shm.get(covered, vi) != 0 {
             continue;
         }
-        if let Some(b) = b {
-            tangents.push(*b);
-            if let Some(&(gi, p)) = pos_of.get(&b.left) {
-                leaving[gi] = Some(match leaving[gi] {
-                    Some(old) => old.min(p),
-                    None => p,
-                });
-            }
-            if let Some(&(gi, p)) = pos_of.get(&b.right) {
-                arriving[gi] = Some(match arriving[gi] {
-                    Some(old) => old.max(p),
-                    None => p,
-                });
-            }
+        tangents.push(*b);
+        if let Some(&(gi, p)) = pos_of.get(&b.left) {
+            leaving[gi] = Some(match leaving[gi] {
+                Some(old) => old.min(p),
+                None => p,
+            });
+        }
+        if let Some(&(gi, p)) = pos_of.get(&b.right) {
+            arriving[gi] = Some(match arriving[gi] {
+                Some(old) => old.max(p),
+                None => p,
+            });
         }
     }
     let mut chain: Vec<usize> = Vec::new();

@@ -27,9 +27,8 @@
 //! simulator.
 
 use ipch_geom::{Point2, UpperHull};
-use ipch_pram::{
-    Machine, Metrics, ModelClass, ModelContract, RaceExpectation, RunError, Shm, EMPTY,
-};
+use ipch_inplace::sweep::failure_sweep;
+use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, RunError, Shm};
 
 use super::brute::upper_hull_brute;
 use super::folklore::upper_hull_folklore;
@@ -94,16 +93,12 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
     use ipch_pram::WritePolicy;
     let mut p = AlgorithmPlan::new(LOGSTAR_CONTRACT);
     let tops = p.array("hull2d.tops", Affine::n());
-    let fail = p.array("ls.fail", Affine::n());
     let cov = p.array("hoh.cov", Affine::n());
     p.step(
         StepPlan::new("column-tops", Affine::n(), WritePolicy::Arbitrary)
             .write(tops, IndexSet::Exact(Affine::pid())),
     );
-    p.step(
-        StepPlan::new("fail-mark", Affine::n(), WritePolicy::Arbitrary)
-            .write(fail, IndexSet::Exact(Affine::pid())),
-    );
+    p.include(ipch_inplace::sweep::verify_plan());
     // hull-of-hulls coverage: (node, ancestor) pairs ≤ n² processors
     p.step(
         StepPlan::new("hoh-cover", Affine::n2(), WritePolicy::CombineOr).write_uniform(
@@ -192,30 +187,19 @@ fn recurse(
     let q = ((n.max(2) as f64).log2().powi(params.b as i32).ceil() as usize)
         .clamp(params.cutoff.max(4), n);
 
-    // 1. recursive group solves, in parallel, with failure injection
-    let mut hulls: Vec<Option<UpperHull>> = Vec::new();
-    let mut children: Vec<Metrics> = Vec::new();
+    // 1. recursive group solves, in parallel, with failure injection; an
+    // Err stops the groups, keeping the accounting of every group that ran
     let mut rng = m.host_rng(depth as u64 ^ 0x105);
-    for (gi, chunk) in ids.chunks(q).enumerate() {
-        let mut child = m.child((depth as u64) << 32 | gi as u64);
-        let failed = params.inject_failure > 0.0 && rng.bernoulli(params.inject_failure);
-        if failed {
-            hulls.push(None);
-            children.push(child.metrics);
-        } else {
-            let r = recurse(&mut child, shm, points, chunk, params, depth + 1, report);
-            children.push(child.metrics);
-            match r {
-                Ok(h) => hulls.push(Some(h)),
-                Err(e) => {
-                    // keep the accounting of every group that did run
-                    m.metrics.absorb_parallel(&children);
-                    return Err(e);
-                }
+    let mut hulls: Vec<Option<UpperHull>> = m.fork_join(
+        ids.chunks(q).enumerate(),
+        |&(gi, _)| (depth as u64) << 32 | gi as u64,
+        |child, (_, chunk)| {
+            if params.inject_failure > 0.0 && rng.bernoulli(params.inject_failure) {
+                return Ok(None);
             }
-        }
-    }
-    m.metrics.absorb_parallel(&children);
+            recurse(child, shm, points, chunk, params, depth + 1, report).map(Some)
+        },
+    )?;
 
     // 2. failure sweeping: mark failed groups, Ragde-compact, brute-solve
     let ngroups = hulls.len();
@@ -225,35 +209,20 @@ fn recurse(
         .filter_map(|(i, h)| h.is_none().then_some(i))
         .collect();
     if !failed_ids.is_empty() {
-        let flags = shm.alloc("ls.fail", ngroups, EMPTY);
-        let failed = failed_ids.clone();
-        m.step(shm, 0..ngroups, move |ctx| {
-            let i = ctx.pid;
-            if failed.binary_search(&i).is_ok() {
-                ctx.write(flags, i, i as i64);
-            }
-        });
         let bound = ((ngroups as f64).powf(0.25).ceil() as usize).max(4);
-        let comp = ipch_inplace::ragde::ragde_compact_det(m, shm, flags, bound);
-        let sweep_list: Vec<usize> = match comp {
-            Some(c) => shm
-                .slice(c.dst)
-                .iter()
-                .copied()
-                .filter(|&x| x != EMPTY)
-                .map(|x| x as usize)
-                .collect(),
-            None => failed_ids.clone(),
-        };
-        let mut sweep_children: Vec<Metrics> = Vec::new();
-        for gi in sweep_list {
-            let chunk = &ids[gi * q..((gi + 1) * q).min(ids.len())];
-            let mut child = m.child(gi as u64 ^ 0x5133b);
-            hulls[gi] = Some(upper_hull_brute(&mut child, shm, points, chunk));
-            sweep_children.push(child.metrics);
-            report.swept += 1;
-        }
-        m.metrics.absorb_parallel(&sweep_children);
+        failure_sweep(
+            m,
+            shm,
+            ngroups,
+            &failed_ids,
+            bound,
+            0x5133b,
+            |child, shm, gi| {
+                let chunk = &ids[gi * q..((gi + 1) * q).min(ids.len())];
+                hulls[gi] = Some(upper_hull_brute(child, shm, points, chunk));
+                report.swept += 1;
+            },
+        );
     }
 
     // 3. constant-time point-hull-invariant combine (Lemma 2.6)

@@ -20,6 +20,8 @@
 //! The merged chain is assembled from the survivors, which are already in
 //! x-order.
 
+use std::convert::Infallible;
+
 use ipch_geom::hull_chain::UpperHull;
 use ipch_geom::hullops::common_upper_tangent;
 use ipch_geom::Point2;
@@ -30,7 +32,7 @@ use ipch_pram::{Machine, Shm, WritePolicy};
 ///
 /// The groups merge **in parallel** — each on its own processor block —
 /// so the level costs the *maximum* group time and the *sum* of group
-/// work ([`ipch_pram::Metrics::absorb_parallel`]).
+/// work ([`ipch_pram::Machine::fork_join`]).
 pub fn merge_groups(
     m: &mut Machine,
     shm: &mut Shm,
@@ -39,14 +41,11 @@ pub fn merge_groups(
     g: usize,
 ) -> Vec<Vec<usize>> {
     assert!(g >= 2);
-    let mut out: Vec<Vec<usize>> = Vec::with_capacity(hulls.len().div_ceil(g));
-    let mut children = Vec::with_capacity(out.capacity());
-    for (gi, group) in hulls.chunks(g).enumerate() {
-        let mut child = m.child(gi as u64 ^ 0x6e6);
-        out.push(merge_one_group(&mut child, shm, points, group));
-        children.push(child.metrics);
-    }
-    m.metrics.absorb_parallel(&children);
+    let Ok(out) = m.fork_join(
+        hulls.chunks(g).enumerate(),
+        |&(gi, _)| gi as u64 ^ 0x6e6,
+        |child, (_, group)| Ok::<_, Infallible>(merge_one_group(child, shm, points, group)),
+    );
     out
 }
 

@@ -25,12 +25,13 @@
 //! Every step of this pipeline is executed on the simulator; experiment T1
 //! tabulates the flat step counts and the failure-sweep activations.
 
+use std::convert::Infallible;
+
 use ipch_geom::{Point2, UpperHull};
-use ipch_lp::bridge::{bridge_brute, Bridge};
-use ipch_lp::inplace_bridge::{find_bridge_inplace, IbConfig};
-use ipch_pram::{
-    Machine, Metrics, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY,
-};
+use ipch_inplace::sweep::failure_sweep;
+use ipch_lp::bridge::Bridge;
+use ipch_lp::inplace_bridge::{find_bridge_inplace, sweep_bridge, IbConfig};
+use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
 
 use super::folklore::upper_hull_folklore;
 use crate::HullOutput;
@@ -127,7 +128,6 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
     use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
     use ipch_pram::WritePolicy;
     let mut p = AlgorithmPlan::new(PRESORTED_CONTRACT);
-    let fail = p.array("pres.fail", Affine::n());
     let cov = p.array("pres.cov", Affine::n());
     let lvl = p.array("pres.lvl", Affine::n());
     let above = p.array("pres.above", Affine::n());
@@ -135,10 +135,7 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
         lo: Affine::k(0),
         hi: Affine::n().minus(1),
     };
-    p.step(
-        StepPlan::new("fail-mark", Affine::n(), WritePolicy::Arbitrary)
-            .write(fail, IndexSet::Exact(Affine::pid())),
-    );
+    p.include(ipch_inplace::sweep::verify_plan());
     // (node, ancestor-level) pairs: ≤ n·depth ≤ n² processors
     p.step(
         StepPlan::new("cover", Affine::n2(), WritePolicy::CombineOr).write_uniform(cov, node_span),
@@ -199,85 +196,50 @@ pub fn upper_hull_presorted(
         .sweep_bound
         .unwrap_or(((np as f64).powf(0.25).ceil() as usize).max(4));
 
+    let x0s: Vec<f64> = nodes
+        .iter()
+        .map(|v| (points[ids[v.mid - 1]].x + points[ids[v.mid]].x) / 2.0)
+        .collect();
+
     // --- bridge finding, all nodes in parallel --------------------------
-    let mut bridges: Vec<Option<Bridge>> = vec![None; nodes.len()];
-    let mut small_children: Vec<Metrics> = Vec::new();
-    let mut big_children: Vec<Metrics> = Vec::new();
     let mut failed_big: Vec<usize> = Vec::new();
-    for (vi, v) in nodes.iter().enumerate() {
-        let x0 = (points[ids[v.mid - 1]].x + points[ids[v.mid]].x) / 2.0;
-        let span: Vec<usize> = ids[v.lo..v.hi].to_vec();
-        let mut child = m.child(vi as u64 ^ 0x9e5);
-        if v.hi - v.lo < small {
-            // deterministic Lemma 2.4 path
-            let hull = upper_hull_folklore(&mut child, &mut *shm, points, &span, params.folklore_k);
-            // read the bridge off the subtree hull (charged O(1) lookup)
-            child.charge(1, (v.hi - v.lo) as u64);
-            let b = hull_edge_over(points, &hull, x0);
-            bridges[vi] = b;
-            small_children.push(child.metrics);
-        } else {
-            report.randomized_nodes += 1;
-            match find_bridge_inplace(&mut child, shm, points, &span, x0, &params.ib) {
-                Some((b, _trace)) => bridges[vi] = Some(b),
-                None => failed_big.push(vi),
+    let Ok(mut bridges) = m.fork_join(
+        nodes.iter().enumerate(),
+        |&(vi, _)| vi as u64 ^ 0x9e5,
+        |child, (vi, v)| {
+            let span = &ids[v.lo..v.hi];
+            if span.len() < small {
+                // deterministic Lemma 2.4 path
+                let hull = upper_hull_folklore(child, shm, points, span, params.folklore_k);
+                // read the bridge off the subtree hull (charged O(1) lookup)
+                child.charge(1, span.len() as u64);
+                return Ok::<_, Infallible>(hull_edge_over(points, &hull, x0s[vi]));
             }
-            big_children.push(child.metrics);
-        }
-    }
-    m.metrics.absorb_parallel(&small_children);
-    m.metrics.absorb_parallel(&big_children);
+            report.randomized_nodes += 1;
+            let b = find_bridge_inplace(child, shm, points, span, x0s[vi], &params.ib);
+            if b.is_none() {
+                failed_big.push(vi);
+            }
+            Ok(b.map(|(b, _trace)| b))
+        },
+    );
 
     // --- failure sweeping (§2.3) ----------------------------------------
-    if !failed_big.is_empty() || report.randomized_nodes > 0 {
-        // mark failures (one step over node ids)
-        let flags = shm.alloc("pres.fail", nodes.len(), EMPTY);
-        let failed = failed_big.clone();
-        m.step(shm, 0..nodes.len(), move |ctx| {
-            let v = ctx.pid;
-            if failed.binary_search(&v).is_ok() {
-                ctx.write(flags, v, v as i64);
-            }
-        });
-        let comp = ipch_inplace::ragde::ragde_compact_det(m, shm, flags, sweep_bound);
-        let sweep_list: Vec<usize> = match &comp {
-            Some(c) => shm
-                .slice(c.dst)
-                .iter()
-                .copied()
-                .filter(|&x| x != EMPTY)
-                .map(|x| x as usize)
-                .collect(),
-            None => {
-                report.sweep_overflow = true;
-                failed_big.clone()
-            }
-        };
-        let mut sweep_children: Vec<Metrics> = Vec::new();
-        for &vi in &sweep_list {
-            let v = &nodes[vi];
-            let x0 = (points[ids[v.mid - 1]].x + points[ids[v.mid]].x) / 2.0;
-            let span: Vec<usize> = ids[v.lo..v.hi].to_vec();
-            let mut child = m.child(vi as u64 ^ 0x5eeb);
-            // The paper assigns each swept failure n^{3/4} processors and
-            // brute-forces it — enough because whp only problems of size
-            // ≤ n^{1/4} fail. A simulation must stay correct even off that
-            // event: big failed nodes re-run the randomized finder with a
-            // generous round budget instead of paying |span|³ brute work.
-            if span.len() <= 512 {
-                bridges[vi] = bridge_brute(&mut child, shm, points, &span, x0);
-            } else {
-                let retry = IbConfig {
-                    max_rounds: 64,
-                    ..IbConfig::default()
-                };
-                bridges[vi] =
-                    find_bridge_inplace(&mut child, shm, points, &span, x0, &retry).map(|(b, _)| b);
-            }
-            sweep_children.push(child.metrics);
-            report.swept_failures += 1;
-        }
-        m.metrics.absorb_parallel(&sweep_children);
+    if report.randomized_nodes > 0 {
+        let swept = failure_sweep(
+            m,
+            shm,
+            nodes.len(),
+            &failed_big,
+            sweep_bound,
+            0x5eeb,
+            |child, shm, vi| {
+                let span = &ids[nodes[vi].lo..nodes[vi].hi];
+                bridges[vi] = sweep_bridge(child, shm, points, span, x0s[vi], &IbConfig::default());
+            },
+        );
+        report.swept_failures += swept.list.len();
+        report.sweep_overflow = swept.overflow;
     }
 
     // --- cover step ------------------------------------------------------
@@ -297,10 +259,6 @@ pub fn upper_hull_presorted(
     let bspan: Vec<Option<(f64, f64)>> = bridges
         .iter()
         .map(|b| b.map(|b| (points[b.left].x, points[b.right].x)))
-        .collect();
-    let x0s: Vec<f64> = nodes
-        .iter()
-        .map(|v| (points[ids[v.mid - 1]].x + points[ids[v.mid]].x) / 2.0)
         .collect();
     // processor (node, ancestor-level): covered[v] |= ancestor bridge spans x0_v
     let nodes_ref = &nodes;
@@ -529,6 +487,28 @@ mod tests {
             last / prev < 1.8,
             "steps still growing fast at large n: {steps:?}"
         );
+    }
+
+    /// Small (folklore) and big (randomized) nodes find their bridges side
+    /// by side, so bridge finding costs the slowest node. While a big node
+    /// is the slowest, changing the folklore method's cost on the small
+    /// nodes must leave the total time unchanged.
+    #[test]
+    fn bridge_finding_time_is_the_slowest_node_of_any_kind() {
+        let pts = sorted_by_x(&uniform_disk(2000, 3));
+        let steps = |folklore_k| {
+            let params = PresortedParams {
+                small_threshold: Some(128),
+                folklore_k,
+                ..PresortedParams::default()
+            };
+            let (out, rep, m) = run(&pts, 5, &params);
+            verify_upper_hull(&pts, &out.hull).unwrap();
+            assert!(rep.randomized_nodes > 0 && rep.randomized_nodes < rep.nodes);
+            m.metrics.steps
+        };
+        assert_eq!(steps(2), steps(3));
+        assert_eq!(steps(2), steps(4));
     }
 
     #[test]

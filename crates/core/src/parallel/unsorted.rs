@@ -30,13 +30,15 @@
 //! geometrically (Lemma 5.1 — experiment F1 measures the (15/16)^i
 //! envelope) and each level is O(1).
 
+use std::convert::Infallible;
+
 use ipch_geom::soa::{f64_from_key, f64_key};
 use ipch_geom::{Point2, UpperHull};
-use ipch_lp::bridge::{bridge_brute, Bridge};
-use ipch_lp::inplace_bridge::{find_bridge_inplace, IbConfig};
+use ipch_inplace::sweep::failure_sweep;
+use ipch_lp::inplace_bridge::{find_bridge_inplace, sweep_bridge, IbConfig};
 use ipch_pram::prefix::compact_indices;
 use ipch_pram::{
-    Machine, Metrics, ModelClass, ModelContract, RaceExpectation, ReduceOp, Shm, WritePolicy, EMPTY,
+    Machine, ModelClass, ModelContract, RaceExpectation, ReduceOp, Shm, WritePolicy, EMPTY,
 };
 
 use super::dac::upper_hull_dac;
@@ -233,75 +235,41 @@ pub fn upper_hull_unsorted(
         let ri = trace.levels.len() - 1;
 
         // ---- step 1: vote + bridge per problem, in parallel -------------
-        let mut sols: Vec<Sol> = vec![Sol::Pending; problems.len()];
-        let mut failed: Vec<usize> = Vec::new();
-        let mut children: Vec<Metrics> = Vec::new();
-        for (j, ids) in problems.iter().enumerate() {
-            let mut child = m.child((level as u64) << 32 | j as u64);
-            let mut scratch = Shm::new();
-            sols[j] = solve_problem(
-                &mut child,
-                &mut scratch,
-                points,
-                &xkeys,
-                ids,
-                params,
-                &mut edges,
-            );
-            if matches!(sols[j], Sol::Pending) {
-                failed.push(j);
-            }
-            children.push(child.metrics);
-        }
-        m.metrics.absorb_parallel(&children);
+        let Ok(mut sols) = m.fork_join(
+            problems.iter().enumerate(),
+            |&(j, _)| (level as u64) << 32 | j as u64,
+            |child, (_, ids)| {
+                let mut scratch = Shm::new();
+                let sol =
+                    solve_problem(child, &mut scratch, points, &xkeys, ids, params, &mut edges);
+                Ok::<_, Infallible>(sol)
+            },
+        );
+        let failed: Vec<usize> = (0..sols.len())
+            .filter(|&j| matches!(sols[j], Sol::Pending))
+            .collect();
         trace.levels[ri].failures = failed.len();
 
         // ---- step 2: failure sweeping -----------------------------------
         m.metrics.begin_phase("sweep");
         if !failed.is_empty() && !params.disable_sweeping {
-            // scoped: one "uns.fail" slot (plus Ragde's internal workspace)
-            // is recycled across all levels instead of leaking per level
-            let sweep_list: Vec<usize> = shm.scope(|shm| {
-                let flags = shm.alloc("uns.fail", problems.len(), EMPTY);
-                let ff = failed.clone();
-                m.kernel_scatter(shm, 0..problems.len(), move |_, j| {
-                    if ff.binary_search(&j).is_ok() {
-                        Some((flags, j, j as i64))
-                    } else {
-                        None
+            failure_sweep(
+                m,
+                shm,
+                problems.len(),
+                &failed,
+                sweep_bound,
+                0xfa11,
+                |child, _, j| {
+                    let mut scratch = Shm::new();
+                    let ids = &problems[j];
+                    sols[j] =
+                        sweep_problem(child, &mut scratch, points, &xkeys, ids, params, &mut edges);
+                    if !matches!(sols[j], Sol::Pending) {
+                        trace.swept += 1;
                     }
-                });
-                let comp = ipch_inplace::ragde::ragde_compact_det(m, shm, flags, sweep_bound);
-                match comp {
-                    Some(c) => shm
-                        .slice(c.dst)
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != EMPTY)
-                        .map(|x| x as usize)
-                        .collect(),
-                    None => failed.clone(),
-                }
-            });
-            let mut sweep_children: Vec<Metrics> = Vec::new();
-            for j in sweep_list {
-                let mut child = m.child(j as u64 ^ 0xfa11);
-                let mut scratch = Shm::new();
-                sols[j] = sweep_problem(
-                    &mut child,
-                    &mut scratch,
-                    points,
-                    &xkeys,
-                    &problems[j],
-                    params,
-                    &mut edges,
-                );
-                if !matches!(sols[j], Sol::Pending) {
-                    trace.swept += 1;
-                }
-                sweep_children.push(child.metrics);
-            }
-            m.metrics.absorb_parallel(&sweep_children);
+                },
+            );
         }
 
         // ---- step 4: split (one concurrent step over active points) -----
@@ -551,16 +519,7 @@ fn sweep_problem(
     } else {
         x0
     };
-    let b: Option<Bridge> = if ids.len() <= 512 {
-        bridge_brute(child, scratch, points, ids, x0)
-    } else {
-        let retry = IbConfig {
-            max_rounds: 64,
-            ..params.ib
-        };
-        find_bridge_inplace(child, scratch, points, ids, x0, &retry).map(|(b, _)| b)
-    };
-    match b {
+    match sweep_bridge(child, scratch, points, ids, x0, &params.ib) {
         Some(b) => {
             let edge = edges.len();
             edges.push((b.left, b.right));

@@ -162,9 +162,9 @@ pub fn find_facet_inplace(
                 continue;
             }
 
-            let mut child = m.child(round as u64 ^ 0xface);
-            let sol = facet_brute(&mut child, shm, points, &base, x0, y0);
-            m.metrics.absorb(&child.metrics);
+            let sol = m.sub(round as u64 ^ 0xface, |c| {
+                facet_brute(c, shm, points, &base, x0, y0)
+            });
             let Some((a, b, c)) = sol else { continue };
             let facet = Facet { a, b, c };
             best = Some(facet);

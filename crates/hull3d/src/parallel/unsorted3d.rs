@@ -30,11 +30,12 @@
 //!   charged at Reif–Sen's published cost (O(log n) steps, O(n log n)
 //!   work), like the other cited-substrate charges.
 
+use std::convert::Infallible;
+
 use ipch_geom::predicates::orient3d_sign;
 use ipch_geom::{Point2, Point3};
-use ipch_pram::{
-    Machine, Metrics, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY,
-};
+use ipch_inplace::sweep::failure_sweep;
+use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
 
 use super::probe::{find_facet_inplace, FpConfig};
 use crate::facet::{xy_contains, Facet};
@@ -135,7 +136,6 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
     let mut p = AlgorithmPlan::new(UNSORTED3_CONTRACT);
     let alive = p.array("u3.alive", Affine::n());
     let face = p.array("u3.face", Affine::n());
-    let fail = p.array("u3.fail", Affine::n());
     // (active, facet) pairs: ≤ n · #new-facets ≤ n² processors
     p.step(
         StepPlan::new("facet-assign", Affine::n2(), WritePolicy::PriorityMin).write(
@@ -151,10 +151,7 @@ pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
             .read(alive, IndexSet::Exact(Affine::pid()))
             .write_uniform(alive, IndexSet::Exact(Affine::pid())),
     );
-    p.step(
-        StepPlan::new("fail-mark", Affine::n(), WritePolicy::Arbitrary)
-            .write(fail, IndexSet::Exact(Affine::pid())),
-    );
+    p.include(ipch_inplace::sweep::verify_plan());
     p
 }
 
@@ -225,36 +222,28 @@ pub fn upper_hull3_unsorted(
         let _ = level;
 
         // --- probe each region in parallel ------------------------------
-        let mut splitters: Vec<Option<usize>> = Vec::new();
-        let mut found: Vec<Option<Facet>> = Vec::new();
-        let mut children: Vec<Metrics> = Vec::new();
-        for (j, region) in regions.iter().enumerate() {
-            let mut child = m.child((trace.levels.len() as u64) << 32 | j as u64);
-            let mut scratch = Shm::new();
-            let s = ipch_inplace::vote::random_vote(
-                &mut child,
-                &mut scratch,
-                region,
-                n,
-                params.vote_k,
-                4,
-            );
-            splitters.push(s);
-            let f = s.and_then(|s| {
-                find_facet_inplace(
-                    &mut child,
+        let Ok(probes) = m.fork_join(
+            regions.iter().enumerate(),
+            |&(j, _)| (trace.levels.len() as u64) << 32 | j as u64,
+            |child, (_, region)| {
+                let mut scratch = Shm::new();
+                let s = ipch_inplace::vote::random_vote(
+                    child,
                     &mut scratch,
-                    points,
-                    &actives,
-                    points[s].x,
-                    points[s].y,
-                    &params.fp,
-                )
-            });
-            found.push(f);
-            children.push(child.metrics);
-        }
-        m.metrics.absorb_parallel(&children);
+                    region,
+                    n,
+                    params.vote_k,
+                    4,
+                );
+                let f = s.and_then(|s| {
+                    let (x, y) = (points[s].x, points[s].y);
+                    find_facet_inplace(child, &mut scratch, points, &actives, x, y, &params.fp)
+                });
+                Ok::<_, Infallible>((s, f))
+            },
+        );
+        let (splitters, mut found): (Vec<Option<usize>>, Vec<Option<Facet>>) =
+            probes.into_iter().unzip();
 
         // --- failure sweeping --------------------------------------------
         let failed: Vec<usize> = found
@@ -265,56 +254,29 @@ pub fn upper_hull3_unsorted(
         trace.levels[ri].failures = failed.len();
         if !failed.is_empty() {
             let bound = ((n as f64).powf(0.25).ceil() as usize).max(4);
-            // scoped: the flag slot and Ragde's workspace are recycled level
-            // to level instead of leaking per level
-            let sweep_list: Vec<usize> = shm.scope(|shm| {
-                let flags = shm.alloc("u3.fail", regions.len(), EMPTY);
-                let ff = failed.clone();
-                m.kernel_scatter(shm, 0..regions.len(), move |_, j| {
-                    if ff.binary_search(&j).is_ok() {
-                        Some((flags, j, j as i64))
-                    } else {
-                        None
+            let retry = FpConfig {
+                max_rounds: 64,
+                ..params.fp
+            };
+            failure_sweep(
+                m,
+                shm,
+                regions.len(),
+                &failed,
+                bound,
+                0x3dfa,
+                |child, _, j| {
+                    let mut scratch = Shm::new();
+                    let s = splitters[j].or_else(|| regions[j].first().copied());
+                    found[j] = s.and_then(|s| {
+                        let (x, y) = (points[s].x, points[s].y);
+                        find_facet_inplace(child, &mut scratch, points, &actives, x, y, &retry)
+                    });
+                    if found[j].is_some() {
+                        trace.swept += 1;
                     }
-                });
-                let comp = ipch_inplace::ragde::ragde_compact_det(m, shm, flags, bound);
-                match comp {
-                    Some(c) => shm
-                        .slice(c.dst)
-                        .iter()
-                        .copied()
-                        .filter(|&x| x != EMPTY)
-                        .map(|x| x as usize)
-                        .collect(),
-                    None => failed.clone(),
-                }
-            });
-            let mut sweep_children: Vec<Metrics> = Vec::new();
-            for j in sweep_list {
-                let mut child = m.child(j as u64 ^ 0x3dfa);
-                let mut scratch = Shm::new();
-                let retry = FpConfig {
-                    max_rounds: 64,
-                    ..params.fp
-                };
-                let s = splitters[j].or_else(|| regions[j].first().copied());
-                found[j] = s.and_then(|s| {
-                    find_facet_inplace(
-                        &mut child,
-                        &mut scratch,
-                        points,
-                        &actives,
-                        points[s].x,
-                        points[s].y,
-                        &retry,
-                    )
-                });
-                if found[j].is_some() {
-                    trace.swept += 1;
-                }
-                sweep_children.push(child.metrics);
-            }
-            m.metrics.absorb_parallel(&sweep_children);
+                },
+            );
         }
 
         // --- collect new facets -------------------------------------------
@@ -447,21 +409,15 @@ pub fn upper_hull3_unsorted(
         if guard > n {
             break;
         }
-        let mut child = m.child(u as u64 ^ 0xbac);
-        let mut scratch = Shm::new();
-        if let Some(f) = find_facet_inplace(
-            &mut child,
-            &mut scratch,
-            points,
-            &actives,
-            points[u].x,
-            points[u].y,
-            &FpConfig {
-                max_rounds: 64,
-                ..params.fp
-            },
-        ) {
-            m.metrics.absorb(&child.metrics);
+        let retry = FpConfig {
+            max_rounds: 64,
+            ..params.fp
+        };
+        let probe = m.sub(u as u64 ^ 0xbac, |c| {
+            let (x, y) = (points[u].x, points[u].y);
+            find_facet_inplace(c, &mut Shm::new(), points, &actives, x, y, &retry)
+        });
+        if let Some(f) = probe {
             let c = f.canonical();
             if facet_keys.insert(c) {
                 facets.push(c);
@@ -569,15 +525,14 @@ fn run_projection_step(m: &mut Machine, points: &[Point3], actives: &[usize], f:
                 }
             })
             .collect();
-        let mut child = m.child(0x2d00 + proj as u64);
-        let mut scratch = Shm::new();
-        let (out, _) = ipch_hull2d::parallel::unsorted::upper_hull_unsorted(
-            &mut child,
-            &mut scratch,
-            &pts2,
-            &ipch_hull2d::parallel::unsorted::UnsortedParams::default(),
-        );
-        m.metrics.absorb(&child.metrics);
+        let (out, _) = m.sub(0x2d00 + proj as u64, |c| {
+            ipch_hull2d::parallel::unsorted::upper_hull_unsorted(
+                c,
+                &mut Shm::new(),
+                &pts2,
+                &ipch_hull2d::parallel::unsorted::UnsortedParams::default(),
+            )
+        });
         edges += out.hull.num_edges();
     }
     edges

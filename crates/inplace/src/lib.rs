@@ -19,10 +19,12 @@
 //!   collision detection, ≤ d retry rounds.
 //! * [`vote`] — the random-vote procedure (Corollary 3.1): one uniformly
 //!   random element via a sample + leftmost-non-zero.
-//! * [`sweep`] — failure sweeping (§2.3): run a randomized solver for its
-//!   budget on every subproblem, compact the (rare) failures with Ragde's
-//!   algorithm, and re-solve each failure with super-linear processors via
-//!   a brute-force oracle.
+//! * [`sweep`] — failure sweeping (§2.3): given the subproblems whose
+//!   randomized attempt failed (the caller's
+//!   [`ipch_pram::Machine::fork_join`]), mark them, compact them with
+//!   Ragde's algorithm, and re-solve each with super-linear processors via
+//!   a brute-force oracle. The presorted, log*, unsorted 2-D and 3-D
+//!   algorithms all sweep through it.
 
 pub mod compact;
 pub mod ragde;

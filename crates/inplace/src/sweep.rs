@@ -7,111 +7,92 @@
 //! with Ragde's algorithm, then assign each failure a super-linear block of
 //! processors and re-solve it with a deterministic brute-force method.
 //!
-//! [`failure_sweep`] is the generic combinator: the caller supplies
+//! The first phase — every subproblem attempting in parallel — is the
+//! caller's [`ipch_pram::Machine::fork_join`]. [`failure_sweep`] takes the
+//! ids that failed and runs the rest: one step marks them, Ragde's
+//! compaction gathers them, and `brute(child_machine, shm, j)`, the
+//! super-linear-processor oracle, re-solves each one on its own child
+//! machine, all in parallel. The presorted (§2.2–2.3), log* (§2.5),
+//! unsorted 2-D (§3) and 3-D (§4.3) algorithms all sweep through it.
 //!
-//! * `attempt(child_machine, shm, j) -> bool` — run subproblem `j` within
-//!   its budget, reporting success; all `attempt`s are accounted as running
-//!   in parallel (time = max, work = sum, via
-//!   [`ipch_pram::Metrics::absorb_parallel`]);
-//! * `brute(child_machine, shm, j)` — the super-linear-processor oracle,
-//!   guaranteed to succeed; likewise accounted in parallel across failures.
-//!
-//! The combinator itself contributes the failure-marking step and the
-//! Ragde compaction, exactly as in the paper. If more than `bound`
-//! subproblems fail, the compaction *detects* it and the combinator falls
-//! back to brute-forcing every failure anyway (reporting
-//! `compaction_overflow = true`); the paper's analysis makes this an
-//! exponentially unlikely event (Lemma 2.5's 1 − 2^{−n^{1/16}}), which the
-//! T9 experiment measures.
+//! If more than `bound` subproblems fail, the compaction *detects* it and
+//! the combinator brute-forces every failure anyway (reporting
+//! [`Swept::overflow`]); the paper's analysis makes this an exponentially
+//! unlikely event (Lemma 2.5's 1 − 2^{−n^{1/16}}), which the T9 experiment
+//! measures.
 
-use ipch_pram::{Machine, Metrics, Shm, EMPTY};
+use std::convert::Infallible;
 
-use crate::ragde::ragde_compact_det;
+use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
+use ipch_pram::{Machine, Shm, WritePolicy, EMPTY};
 
-/// Report of one failure-sweeping pass.
-#[derive(Clone, Debug)]
-pub struct SweepReport {
-    /// Number of subproblems attempted.
-    pub total: usize,
-    /// Ids of subproblems whose randomized attempt failed.
-    pub failures: Vec<usize>,
-    /// Whether the number of failures exceeded `bound` (compaction would
-    /// have overflowed — the exponentially-rare event).
-    pub compaction_overflow: bool,
-    /// Number of failures re-solved by the brute-force oracle.
-    pub swept: usize,
+use crate::ragde::{ragde_compact_det, RAGDE_DET_CONTRACT};
+
+/// What one failure sweep did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Swept {
+    /// The failed ids the brute oracle re-solved, in compaction order.
+    pub list: Vec<usize>,
+    /// More than `bound` subproblems failed, so the compaction overflowed
+    /// (the exponentially rare event) and every failure was swept anyway.
+    pub overflow: bool,
 }
 
-/// Run `attempt` on every subproblem, then sweep the failures (see module
-/// docs). `bound` is the compaction capacity (the paper uses n^{1/16}
-/// failures compacted into an n^{1/4} area).
-pub fn failure_sweep<A, B>(
+/// Sweep the subproblems in `failed` (ascending ids below `n_sub`; see
+/// the module docs). `bound` is the compaction capacity (the paper uses
+/// n^{1/16} failures compacted into an n^{1/4} area). Failure `j`'s brute
+/// child runs on the seed tag `j ^ salt`. The marking array and Ragde's
+/// workspace are released before the brute step.
+pub fn failure_sweep(
     m: &mut Machine,
     shm: &mut Shm,
     n_sub: usize,
+    failed: &[usize],
     bound: usize,
-    mut attempt: A,
-    mut brute: B,
-) -> SweepReport
-where
-    A: FnMut(&mut Machine, &mut Shm, usize) -> bool,
-    B: FnMut(&mut Machine, &mut Shm, usize),
-{
-    // Phase 1: all subproblems attempt in parallel.
-    let mut children: Vec<Metrics> = Vec::with_capacity(n_sub);
-    let mut failed: Vec<usize> = Vec::new();
-    for j in 0..n_sub {
-        let mut child = m.child(j as u64 ^ 0x5eed);
-        if !attempt(&mut child, shm, j) {
-            failed.push(j);
-        }
-        children.push(child.metrics);
-    }
-    m.metrics.absorb_parallel(&children);
-
-    // Phase 2: each failed subproblem's representative processor marks its
-    // id (one step over the subproblem ids).
-    let flags = shm.alloc("sweep.flags", n_sub.max(1), EMPTY);
-    let failed_for_step = failed.clone();
-    m.step(shm, 0..n_sub, move |ctx| {
-        let j = ctx.pid;
-        if failed_for_step.binary_search(&j).is_ok() {
-            ctx.write(flags, j, j as i64);
+    salt: u64,
+    mut brute: impl FnMut(&mut Machine, &mut Shm, usize),
+) -> Swept {
+    let (list, overflow) = shm.scope(|shm| {
+        // each failed subproblem's representative processor marks its id
+        let flags = shm.alloc("sweep.fail", n_sub.max(1), EMPTY);
+        m.kernel_scatter(shm, 0..n_sub, |_, j| {
+            failed
+                .binary_search(&j)
+                .is_ok()
+                .then_some((flags, j, j as i64))
+        });
+        match ragde_compact_det(m, shm, flags, bound) {
+            Some(c) => {
+                let list = shm.slice(c.dst).iter().filter(|&&x| x != EMPTY);
+                (list.map(|&x| x as usize).collect(), false)
+            }
+            None => (failed.to_vec(), true),
         }
     });
+    let Ok(_) = m.fork_join(
+        list.iter().copied(),
+        |&j| j as u64 ^ salt,
+        |child, j| {
+            brute(child, shm, j);
+            Ok::<_, Infallible>(())
+        },
+    );
+    Swept { list, overflow }
+}
 
-    // Phase 3: Ragde-compact the failure ids.
-    let compaction = ragde_compact_det(m, shm, flags, bound);
-    let compaction_overflow = compaction.is_none();
-
-    // Phase 4: brute-force each failure with its super-linear processor
-    // block, in parallel across failures.
-    let sweep_list: Vec<usize> = match &compaction {
-        Some(c) => shm
-            .slice(c.dst)
-            .iter()
-            .copied()
-            .filter(|&x| x != EMPTY)
-            .map(|x| x as usize)
-            .collect(),
-        // overflow: the paper's guarantee was missed; resolve everything
-        // anyway so the algorithm stays correct, and report the event.
-        None => failed.clone(),
-    };
-    let mut brute_children: Vec<Metrics> = Vec::with_capacity(sweep_list.len());
-    for &j in &sweep_list {
-        let mut child = m.child(j as u64 ^ 0xb007);
-        brute(&mut child, shm, j);
-        brute_children.push(child.metrics);
-    }
-    m.metrics.absorb_parallel(&brute_children);
-
-    SweepReport {
-        total: n_sub,
-        failures: failed,
-        compaction_overflow,
-        swept: sweep_list.len(),
-    }
+/// Symbolic structure of the marking step for the static checker
+/// ([`ipch_pram::verify`]): one processor per subproblem writes its own
+/// flag. Callers splice it into their plans with
+/// [`AlgorithmPlan::include`]; the compaction it feeds carries its own
+/// plan ([`crate::ragde::det_verify_plan`]).
+pub fn verify_plan() -> AlgorithmPlan {
+    let mut p = AlgorithmPlan::new(RAGDE_DET_CONTRACT);
+    let fail = p.array("sweep.fail", Affine::n());
+    p.step(
+        StepPlan::new("fail-mark", Affine::n(), WritePolicy::Arbitrary)
+            .write(fail, IndexSet::Exact(Affine::pid())),
+    );
+    p
 }
 
 #[cfg(test)]
@@ -122,17 +103,16 @@ mod tests {
     fn no_failures_no_sweep() {
         let mut m = Machine::new(1);
         let mut shm = Shm::new();
-        let r = failure_sweep(
-            &mut m,
-            &mut shm,
-            20,
-            4,
-            |_, _, _| true,
-            |_, _, _| panic!("no brute expected"),
+        let r = failure_sweep(&mut m, &mut shm, 20, &[], 4, 0, |_, _, _| {
+            panic!("no brute expected")
+        });
+        assert_eq!(
+            r,
+            Swept {
+                list: vec![],
+                overflow: false
+            }
         );
-        assert!(r.failures.is_empty());
-        assert_eq!(r.swept, 0);
-        assert!(!r.compaction_overflow);
     }
 
     #[test]
@@ -140,37 +120,30 @@ mod tests {
         let mut m = Machine::new(2);
         let mut shm = Shm::new();
         let mut brute_calls: Vec<usize> = Vec::new();
-        let r = failure_sweep(
-            &mut m,
-            &mut shm,
-            50,
-            4,
-            |_, _, j| j % 17 != 0, // 0, 17, 34 fail
-            |_, _, j| brute_calls.push(j),
-        );
-        assert_eq!(r.failures, vec![0, 17, 34]);
+        let r = failure_sweep(&mut m, &mut shm, 50, &[0, 17, 34], 4, 0, |_, _, j| {
+            brute_calls.push(j)
+        });
         brute_calls.sort_unstable();
         assert_eq!(brute_calls, vec![0, 17, 34]);
-        assert!(!r.compaction_overflow);
+        let mut list = r.list.clone();
+        list.sort_unstable();
+        assert_eq!(list, brute_calls);
+        assert!(!r.overflow);
     }
 
     #[test]
     fn overflow_detected_and_still_resolved() {
         let mut m = Machine::new(3);
         let mut shm = Shm::new();
+        let failed: Vec<usize> = (0..30).filter(|j| j % 3 == 0).collect();
         let mut brute_calls = 0usize;
-        let r = failure_sweep(
-            &mut m,
-            &mut shm,
-            30,
-            2,                    // capacity 2, but 10 failures
-            |_, _, j| j % 3 != 0, // 10 failures
-            |_, _, _| brute_calls += 1,
-        );
-        assert!(r.compaction_overflow);
-        assert_eq!(r.failures.len(), 10);
+        // capacity 2, but 10 failures
+        let r = failure_sweep(&mut m, &mut shm, 30, &failed, 2, 0, |_, _, _| {
+            brute_calls += 1
+        });
+        assert!(r.overflow);
+        assert_eq!(r.list, failed);
         assert_eq!(brute_calls, 10);
-        assert_eq!(r.swept, 10);
     }
 
     /// The overflow path, end to end through the *real* machinery rather
@@ -199,26 +172,25 @@ mod tests {
         let n_sub = 24;
         let k = 8;
         let active: Vec<usize> = (0..64).collect();
-        let mut solved: Vec<usize> = Vec::new();
-        let r = failure_sweep(
-            &mut m,
-            &mut shm,
-            n_sub,
-            4, // capacity far under the injected failure mass
-            |child, shm, _j| {
-                shm.scope(|shm| {
-                    let out = random_sample(child, shm, &active, 64, k, 3);
-                    out.size_in_bounds(k)
-                })
+        let Ok(ok) = m.fork_join(
+            0..n_sub,
+            |&j| j as u64,
+            |child, _| {
+                let out = shm.scope(|shm| random_sample(child, shm, &active, 64, k, 3));
+                Ok::<_, Infallible>(out.size_in_bounds(k))
             },
-            |_, _, j| solved.push(j),
         );
-        assert_eq!(r.failures.len(), n_sub, "bias must starve every attempt");
+        let failed: Vec<usize> = (0..n_sub).filter(|&j| !ok[j]).collect();
+        assert_eq!(failed.len(), n_sub, "bias must starve every attempt");
+        let mut solved: Vec<usize> = Vec::new();
+        // capacity far under the injected failure mass
+        let r = failure_sweep(&mut m, &mut shm, n_sub, &failed, 4, 0, |_, _, j| {
+            solved.push(j)
+        });
         assert!(
-            r.compaction_overflow,
+            r.overflow,
             "real Ragde compaction must detect more than `bound` failures"
         );
-        assert_eq!(r.swept, n_sub);
         solved.sort_unstable();
         assert_eq!(solved, (0..n_sub).collect::<Vec<_>>());
         // the parent's metrics saw the injected bias from inside the children
@@ -227,41 +199,65 @@ mod tests {
 
     #[test]
     fn parallel_time_accounting() {
-        // 8 attempts, each costing 5 child steps: parallel time adds 5, not 40.
+        // 3 failures of 8, each brute costing 5 child steps: parallel time
+        // adds 5, not 15.
         let mut m = Machine::new(4);
         let mut shm = Shm::new();
         let probe = shm.alloc("probe", 8, 0);
-        let r = failure_sweep(
-            &mut m,
-            &mut shm,
-            8,
-            2,
-            |child, shm, j| {
-                for _ in 0..5 {
-                    child.step(shm, j..j + 1, |ctx| {
-                        let i = ctx.pid;
-                        let v = ctx.read(probe, i);
-                        ctx.write(probe, i, v + 1);
-                    });
-                }
-                true
-            },
-            |_, _, _| {},
-        );
-        assert!(r.failures.is_empty());
-        // 5 (parallel attempts) + 1 (mark) + ragde's executed 2 + brute 0
-        assert_eq!(m.metrics.steps, 5 + 1 + 2);
-        // work: 8 subproblems × 5 steps × 1 proc + mark 8 + ragde 2×8
-        assert_eq!(m.metrics.work, 40 + 8 + 16);
-        assert_eq!(shm.slice(probe), &[5i64; 8] as &[i64]);
+        let r = failure_sweep(&mut m, &mut shm, 8, &[1, 4, 6], 4, 0, |child, shm, j| {
+            for _ in 0..5 {
+                child.step(shm, j..j + 1, |ctx| {
+                    let i = ctx.pid;
+                    let v = ctx.read(probe, i);
+                    ctx.write(probe, i, v + 1);
+                });
+            }
+        });
+        assert_eq!(r.list.len(), 3);
+        // 1 (mark) + ragde's executed 2 + 5 (parallel brutes)
+        assert_eq!(m.metrics.steps, 1 + 2 + 5);
+        // work: mark 8 + ragde 2×8 + 3 failures × 5 steps × 1 proc
+        assert_eq!(m.metrics.work, 8 + 16 + 15);
+        assert_eq!(shm.slice(probe), &[0, 5, 0, 0, 5, 0, 5, 0]);
+    }
+
+    #[test]
+    fn brute_children_are_seeded_by_id_and_salt() {
+        let mut seeds = Vec::new();
+        let mut m = Machine::new(6);
+        let mut shm = Shm::new();
+        failure_sweep(&mut m, &mut shm, 8, &[2, 5], 4, 0xfa11, |child, _, j| {
+            seeds.push((j, child.seed()))
+        });
+        seeds.sort_unstable();
+        for (j, seed) in seeds {
+            let mut want = 0;
+            m.sub(j as u64 ^ 0xfa11, |c| want = c.seed());
+            assert_eq!(seed, want, "failure {j}");
+        }
     }
 
     #[test]
     fn zero_subproblems() {
         let mut m = Machine::new(5);
         let mut shm = Shm::new();
-        let r = failure_sweep(&mut m, &mut shm, 0, 2, |_, _, _| true, |_, _, _| {});
-        assert_eq!(r.total, 0);
-        assert!(!r.compaction_overflow);
+        let r = failure_sweep(&mut m, &mut shm, 0, &[], 2, 0, |_, _, _| {});
+        assert!(r.list.is_empty());
+        assert!(!r.overflow);
+    }
+
+    #[test]
+    fn marking_workspace_is_released() {
+        let mut m = Machine::new(7);
+        let mut shm = Shm::new();
+        let before = shm.live_cells();
+        failure_sweep(&mut m, &mut shm, 64, &[3, 9], 4, 0, |_, shm, _| {
+            assert_eq!(
+                shm.live_cells(),
+                before,
+                "flags freed before the brute step"
+            );
+        });
+        assert_eq!(shm.live_cells(), before);
     }
 }

@@ -116,13 +116,12 @@ mod tests {
 
     #[test]
     fn vote_returns_active_element() {
-        let m = Machine::new(1);
+        let mut m = Machine::new(1);
         let mut shm = Shm::new();
         let active: Vec<usize> = (0..1000).filter(|i| i % 3 == 0).collect();
         for tag in 0..20 {
-            let mut child = m.child(tag);
-            let v = random_vote(&mut child, &mut shm, &active, 1000, 8, 4).unwrap();
-            assert_eq!(v % 3, 0);
+            let v = m.sub(tag, |c| random_vote(c, &mut shm, &active, 1000, 8, 4));
+            assert_eq!(v.unwrap() % 3, 0);
         }
     }
 

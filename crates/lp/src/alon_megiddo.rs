@@ -182,9 +182,9 @@ pub fn solve_lp2_am(
 
         // Solve the base by brute force on a child machine.
         let base_cs: Vec<Halfplane> = base.iter().map(|&i| *cs_at(i)).collect();
-        let mut child = m.child(round as u64 ^ 0xa11);
-        let out = solve_lp2_brute(&mut child, shm, &base_cs, obj);
-        m.metrics.absorb(&child.metrics);
+        let out = m.sub(round as u64 ^ 0xa11, |c| {
+            solve_lp2_brute(c, shm, &base_cs, obj)
+        });
         let sol = match out {
             Lp2Outcome::Optimal(s) => Lp2Solution {
                 x: s.x,

@@ -108,6 +108,36 @@ pub fn find_bridge_inplace(
     }
 }
 
+/// Largest failed problem, in ids, that [`sweep_bridge`] re-solves with
+/// the Θ(m³)-work brute oracle. The paper gives each swept failure n^{3/4}
+/// processors, which is enough because whp only problems of size ≤ n^{1/4}
+/// fail; this fixed cutoff is not yet derived from that budget (the
+/// ROADMAP item "Failure sweeping within the paper's processor budget").
+pub const SWEEP_BRUTE_MAX_IDS: usize = 512;
+
+/// The failure-sweep oracle for a bridge over `x0` (paper §2.3): the brute
+/// force up to [`SWEEP_BRUTE_MAX_IDS`] ids, else [`find_bridge_inplace`]
+/// re-run with `base` raised to 64 rounds. A simulation must stay correct
+/// even off the paper's whp event, and a large failure pays a generous
+/// round budget instead of |ids|³ brute work.
+pub fn sweep_bridge(
+    m: &mut Machine,
+    shm: &mut Shm,
+    points: &[Point2],
+    ids: &[usize],
+    x0: f64,
+    base: &IbConfig,
+) -> Option<Bridge> {
+    if ids.len() <= SWEEP_BRUTE_MAX_IDS {
+        return bridge_brute(m, shm, points, ids, x0);
+    }
+    let retry = IbConfig {
+        max_rounds: 64,
+        ..*base
+    };
+    find_bridge_inplace(m, shm, points, ids, x0, &retry).map(|(b, _)| b)
+}
+
 /// Concurrency contract: Arbitrary-CRCW in the paper; the sample-claim
 /// contest and the bridge elections resolve by Priority, so every race is
 /// a deterministic function of the coin flips.
@@ -256,9 +286,9 @@ pub fn find_bridge_inplace_traced(
 
         // Step 2: deterministic base solve (child machine, sequential
         // composition — rounds are genuinely iterative).
-        let mut child = m.child(round as u64 ^ 0xb41d);
-        let sol = bridge_brute(&mut child, shm, points, &base, x0);
-        m.metrics.absorb(&child.metrics);
+        let sol = m.sub(round as u64 ^ 0xb41d, |c| {
+            bridge_brute(c, shm, points, &base, x0)
+        });
         let Some(bridge) = sol else { continue };
         best = Some(bridge);
         trace.base_size = trace.base_size.max(base.len());

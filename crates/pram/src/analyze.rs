@@ -64,7 +64,7 @@
 //!
 //! The analyzer is threaded through both the generic [`Machine::step`]
 //! pipeline and the fused [`crate::kernel`] paths, and its report is part
-//! of [`crate::Metrics`] (merged by `absorb`/`absorb_parallel`), so child
+//! of [`crate::Metrics`] (merged when a child machine is folded back), so child
 //! machines' traces roll up to the parent. Reports are deterministic: the
 //! gathered access trace is canonicalised by sorting (cell, pid[, seq]), so
 //! the same program produces an identical report regardless of chunking,
@@ -441,7 +441,7 @@ impl Analysis {
 
     /// A fresh analyzer for a child machine: same config and contract,
     /// empty buffers (the child's report merges into the parent's through
-    /// [`crate::Metrics::absorb`] / [`crate::Metrics::absorb_parallel`]).
+    /// the child-machine fold).
     pub(crate) fn child(&self) -> Self {
         Self {
             cfg: self.cfg,
@@ -752,9 +752,9 @@ impl Machine {
     /// Attach the concurrency analyzer to this machine: subsequent steps
     /// (generic and fused-kernel alike) trace their reads and writes, and
     /// [`Machine::analysis_report`] / [`crate::Metrics::analysis`] accumulate the
-    /// classification. Child machines created by [`Machine::child`] inherit
-    /// the analyzer (their reports merge into the parent's on
-    /// [`crate::Metrics::absorb`] / [`crate::Metrics::absorb_parallel`]).
+    /// classification. Child machines created by [`Machine::fork_join`] and
+    /// [`Machine::sub`] inherit the analyzer, and their reports merge into
+    /// the parent's when they are folded back.
     ///
     /// For uninitialized-read detection also attach
     /// [`Shm::enable_shadow`] to the memory the machine steps against.

@@ -192,8 +192,8 @@ impl FaultPlan {
 }
 
 /// Counters for every injected fault, kept in [`crate::Metrics::faults`].
-/// Host observability: both [`crate::Metrics::absorb`] and
-/// [`crate::Metrics::absorb_parallel`] sum them, so a parent machine sees
+/// Host observability: every fold of one [`crate::Metrics`] into another
+/// sums them, so a parent machine sees
 /// every fault injected anywhere in its tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {

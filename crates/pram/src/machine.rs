@@ -533,13 +533,53 @@ impl Machine {
         SplitMix64::new(mix64(self.seed ^ mix64(tag ^ 0xD1B5_4A32_D192_ED03)))
     }
 
-    /// Spawn a child machine for a subcomputation that conceptually runs
-    /// *in parallel* with siblings (its own processor group). The child
-    /// gets a derived seed and fresh metrics; after all siblings finish,
-    /// fold their costs into the parent with
-    /// [`Metrics::absorb_parallel`] (time = max, work = sum) or
-    /// [`Metrics::absorb`] (sequential composition).
-    pub fn child(&self, tag: u64) -> Machine {
+    /// Parallel composition: run `run` on one child machine per item, each
+    /// on its own processor group, and fold the children into this
+    /// machine — time = max, work = sum, peaks = sum. `tag` derives each
+    /// child's seed from its item, exactly as [`Machine::sub`]'s tag does
+    /// (equal tags give equal child seeds). Results come back in
+    /// item order. The first `Err` stops the loop; the children that ran,
+    /// the failing one included, are still absorbed, each exactly once.
+    pub fn fork_join<I, T, E>(
+        &mut self,
+        items: impl IntoIterator<Item = I>,
+        tag: impl Fn(&I) -> u64,
+        mut run: impl FnMut(&mut Machine, I) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let mut children = Vec::new();
+        let mut out = Vec::new();
+        let mut failure = None;
+        for item in items {
+            let mut child = self.child(tag(&item));
+            let r = run(&mut child, item);
+            children.push(child.metrics);
+            match r {
+                Ok(v) => out.push(v),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+        }
+        self.metrics.absorb_parallel(&children);
+        failure.map_or(Ok(out), Err)
+    }
+
+    /// Sequential composition: run `run` on one child machine seeded by
+    /// `tag` and fold its costs into this machine ([`Metrics::absorb`]:
+    /// time and work add) whatever it returns.
+    pub fn sub<T>(&mut self, tag: u64, run: impl FnOnce(&mut Machine) -> T) -> T {
+        let mut child = self.child(tag);
+        let out = run(&mut child);
+        self.metrics.absorb(&child.metrics);
+        out
+    }
+
+    /// A child machine for a subcomputation: derived seed, fresh metrics,
+    /// the parent's fault plan, analysis mode and cancel token. Outside
+    /// this crate children come only from [`Machine::fork_join`] and
+    /// [`Machine::sub`], which also fold the child's costs back.
+    pub(crate) fn child(&self, tag: u64) -> Machine {
         let mut metrics = Metrics::new();
         if self.analysis.is_some() {
             metrics.analysis = Some(Box::default());
@@ -636,7 +676,8 @@ impl Machine {
     /// predicate noise context from this pair; the seed mixes the machine
     /// seed, the plan salt, and the noise domain constant, so the schedule
     /// reseeds with the machine exactly like every other fault family and
-    /// child machines ([`Machine::child`]) draw decorrelated schedules.
+    /// child machines ([`Machine::fork_join`], [`Machine::sub`]) draw
+    /// decorrelated schedules.
     #[inline]
     pub fn noise_spec(&self) -> Option<(crate::faults::NoisePlan, u64)> {
         let f = self.faults.as_deref()?;
@@ -1247,6 +1288,7 @@ fn merge_into(a: &[WriteEntry], b: &[WriteEntry], out: &mut [WriteEntry]) {
 mod tests {
     use super::*;
     use crate::EMPTY;
+    use std::convert::Infallible;
 
     #[test]
     fn single_step_writes_commit() {
@@ -1646,6 +1688,86 @@ mod tests {
         assert!(flips.iter().all(|&b| b), "inherited bias must apply");
         m.metrics.absorb(&child.metrics);
         assert_eq!(m.metrics.faults.biased_streams, 8);
+    }
+
+    /// `steps` one-processor steps on `m`.
+    fn spend(m: &mut Machine, shm: &mut Shm, steps: usize) {
+        for _ in 0..steps {
+            m.step(shm, 0..1, |_| {});
+        }
+    }
+
+    #[test]
+    fn sub_folds_the_child_on_every_outcome() {
+        let mut shm = Shm::new();
+        let mut m = Machine::new(40);
+        let none: Option<u32> = m.sub(1, |c| {
+            spend(c, &mut shm, 3);
+            None
+        });
+        assert_eq!(none, None);
+        assert_eq!((m.metrics.steps, m.metrics.work), (3, 3));
+        let err: Result<(), &str> = m.sub(2, |c| {
+            spend(c, &mut shm, 2);
+            Err("failed")
+        });
+        assert!(err.is_err());
+        assert_eq!((m.metrics.steps, m.metrics.work), (5, 5));
+        assert_eq!(m.sub(3, |c| c.seed()), m.child(3).seed());
+    }
+
+    #[test]
+    fn fork_join_time_is_max_and_work_is_sum() {
+        let mut shm = Shm::new();
+        let mut m = Machine::new(41);
+        let Ok(out) = m.fork_join(
+            [2usize, 5, 3],
+            |&s| s as u64,
+            |c, s| {
+                spend(c, &mut shm, s);
+                Ok::<_, Infallible>(s * 10)
+            },
+        );
+        assert_eq!(out, vec![20, 50, 30]);
+        assert_eq!(m.metrics.steps, 5);
+        assert_eq!(m.metrics.work, 10);
+        assert_eq!(m.metrics.host_steps, 10);
+        // three one-processor groups run side by side
+        assert_eq!(m.metrics.peak_processors, 3);
+    }
+
+    #[test]
+    fn fork_join_absorbs_every_child_that_ran_exactly_once_on_early_err() {
+        let mut shm = Shm::new();
+        let mut m = Machine::new(42);
+        let mut ran = Vec::new();
+        let r = m.fork_join(
+            0..5usize,
+            |&i| i as u64,
+            |c, i| {
+                ran.push(i);
+                spend(c, &mut shm, i + 1);
+                if i == 2 {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            },
+        );
+        assert_eq!(r, Err(2));
+        assert_eq!(ran, vec![0, 1, 2], "nothing runs after the first Err");
+        assert_eq!(m.metrics.steps, 3);
+        assert_eq!(m.metrics.work, 1 + 2 + 3);
+        assert_eq!(m.metrics.host_steps, 1 + 2 + 3);
+    }
+
+    #[test]
+    fn fork_join_children_use_the_child_seeds_of_their_tags() {
+        let mut m = Machine::new(43);
+        let tags = [7u64, 0x5eed, 1 << 32 | 3];
+        let Ok(seeds) = m.fork_join(tags, |&t| t, |c, _| Ok::<_, Infallible>(c.seed()));
+        let expected: Vec<u64> = tags.iter().map(|&t| m.child(t).seed()).collect();
+        assert_eq!(seeds, expected);
     }
 
     #[test]

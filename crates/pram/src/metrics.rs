@@ -56,7 +56,7 @@ pub struct Metrics {
     /// Per-phase breakdown, in the order phases were opened.
     pub phases: Vec<PhaseRecord>,
     /// Steps the host actually executed (differs from `steps` after
-    /// [`Metrics::absorb_parallel`], which maxes simulated time across
+    /// [`crate::Machine::fork_join`], which maxes simulated time across
     /// children but sums what the host really ran).
     pub host_steps: u64,
     /// Host wall-clock nanoseconds spent in compute phases (running the
@@ -90,7 +90,7 @@ pub struct Metrics {
     /// Dynamic-analysis report ([`crate::AnalysisReport`]), populated only
     /// when [`crate::Machine::enable_analysis`] is on. Boxed so the common
     /// disabled case costs one pointer. Child-machine reports fold into the
-    /// parent's on [`Metrics::absorb`]/[`Metrics::absorb_parallel`].
+    /// parent's when the child is folded back.
     pub analysis: Option<Box<crate::AnalysisReport>>,
     /// Injected-fault event counts ([`crate::faults`]). All zero unless a
     /// [`crate::faults::FaultPlan`] is installed. Host observability: both
@@ -329,8 +329,9 @@ impl Metrics {
     /// own processor group): time advances by the **maximum** child time,
     /// work by the **sum** of child works. This is how the paper's
     /// simultaneous subproblems (one bridge-finding instance per tree node,
-    /// one solver per subproblem, …) are accounted.
-    pub fn absorb_parallel(&mut self, children: &[Metrics]) {
+    /// one solver per subproblem, …) are accounted. Algorithm crates reach
+    /// it only through [`crate::Machine::fork_join`].
+    pub(crate) fn absorb_parallel(&mut self, children: &[Metrics]) {
         if children.is_empty() {
             return;
         }
@@ -344,22 +345,8 @@ impl Metrics {
         // same shape as the processor peak above.
         let concurrent_cells: u64 = children.iter().map(|c| c.peak_live_cells).sum();
         self.peak_live_cells = self.peak_live_cells.max(concurrent_cells);
-        // Host-side observability counters reflect what the host actually
-        // did, so they always add up (even though *simulated* time is max'd).
         for c in children {
-            self.host_steps += c.host_steps;
-            self.host_compute_ns += c.host_compute_ns;
-            self.host_commit_ns += c.host_commit_ns;
-            self.writes_buffered += c.writes_buffered;
-            self.writes_committed += c.writes_committed;
-            self.write_conflicts += c.write_conflicts;
-            self.fastpath_steps += c.fastpath_steps;
-            self.kernel_steps += c.kernel_steps;
-            self.threads = self.threads.max(c.threads);
-            self.faults.absorb(&c.faults);
-            self.supervisor.absorb(&c.supervisor);
-            self.service.absorb(&c.service);
-            self.absorb_analysis(c);
+            self.absorb_host(c);
         }
         if let Some(i) = self.current_phase {
             let p = &mut self.phases[i];
@@ -372,8 +359,9 @@ impl Metrics {
 
     /// Merge another metrics object into this one (phases appended by name).
     ///
-    /// Used when an algorithm runs a sub-algorithm on a child machine, e.g.
-    /// the 3-D algorithm's recursive 2-D calls (paper §4.3 step 3).
+    /// Sequential composition: [`crate::Machine::sub`] folds a child
+    /// machine with it, and the serving runtime aggregates request
+    /// machines with it.
     pub fn absorb(&mut self, other: &Metrics) {
         self.steps += other.steps;
         self.work += other.work;
@@ -381,6 +369,24 @@ impl Metrics {
         self.peak_live_cells = self.peak_live_cells.max(other.peak_live_cells);
         self.charged_steps += other.charged_steps;
         self.charged_work += other.charged_work;
+        self.absorb_host(other);
+        for p in &other.phases {
+            if let Some(mine) = self.phases.iter_mut().find(|q| q.name == p.name) {
+                mine.steps += p.steps;
+                mine.work += p.work;
+                mine.charged_steps += p.charged_steps;
+                mine.charged_work += p.charged_work;
+                mine.host_ns += p.host_ns;
+            } else {
+                self.phases.push(p.clone());
+            }
+        }
+    }
+
+    /// Fold `other`'s host-side counters into this one's. They reflect
+    /// what the host actually did, so both absorbs add them (even where
+    /// *simulated* time is max'd).
+    fn absorb_host(&mut self, other: &Metrics) {
         self.host_steps += other.host_steps;
         self.host_compute_ns += other.host_compute_ns;
         self.host_commit_ns += other.host_commit_ns;
@@ -394,17 +400,6 @@ impl Metrics {
         self.supervisor.absorb(&other.supervisor);
         self.service.absorb(&other.service);
         self.absorb_analysis(other);
-        for p in &other.phases {
-            if let Some(mine) = self.phases.iter_mut().find(|q| q.name == p.name) {
-                mine.steps += p.steps;
-                mine.work += p.work;
-                mine.charged_steps += p.charged_steps;
-                mine.charged_work += p.charged_work;
-                mine.host_ns += p.host_ns;
-            } else {
-                self.phases.push(p.clone());
-            }
-        }
     }
 
     /// Fold a child's analysis report (if any) into this one's.

@@ -292,8 +292,8 @@ pub struct Supervised<T> {
 }
 
 /// Supervisor counters, kept in [`crate::Metrics::supervisor`]. Host
-/// observability: both [`crate::Metrics::absorb`] and
-/// [`crate::Metrics::absorb_parallel`] sum them.
+/// observability: every fold of one [`crate::Metrics`] into another sums
+/// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
     /// Supervised runs started.
