@@ -175,14 +175,14 @@ proptest! {
     ) {
         let budget = [None, Some(6u64), Some(16u64)][budget_sel];
         let base = observe(
-            Tuning { kernel_par_threshold: usize::MAX, ..Tuning::default() },
+            Tuning { par_threshold: usize::MAX, ..Tuning::default() },
             &pts, scratch, budget, seed,
         );
         prop_assert_eq!(&base.0, &UpperHull::of(&pts), "fused backend wrong");
         for lanes in [Some(1), Some(2), None] {
             let par = observe(
                 Tuning {
-                    kernel_par_threshold: 1,
+                    par_threshold: 1,
                     num_threads: lanes,
                     ..Tuning::default()
                 },

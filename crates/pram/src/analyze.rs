@@ -1069,11 +1069,11 @@ mod tests {
             m.metrics.analysis.as_ref().unwrap().as_ref().clone()
         };
         let seq = run(crate::Tuning {
-            force_sequential: true,
+            num_threads: Some(1),
             ..crate::Tuning::default()
         });
         let par = run(crate::Tuning {
-            force_parallel: true,
+            par_threshold: 0,
             ..crate::Tuning::default()
         });
         assert_eq!(seq, par);

@@ -352,7 +352,7 @@ mod tests {
         // never a crash or a mangled machine.
         let token = CancelToken::new();
         let mut m = Machine::new(44);
-        m.tuning.force_sequential = true; // chunk-granular poll path
+        m.tuning.num_threads = Some(1); // chunk-granular poll path
         m.set_cancel_token(token.clone());
         let n = 1 << 18;
         let mut shm = Shm::new();

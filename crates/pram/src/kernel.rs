@@ -34,18 +34,25 @@
 //! same step: one step, `|pids|` work, the same `writes_buffered`,
 //! `writes_committed` and `write_conflicts`. The only observable differences
 //! are host-side (`host_*_ns`, `fastpath_steps`, and the [`crate::Metrics::kernel_steps`]
-//! counter). [`crate::Tuning::disable_kernels`] routes every kernel through
-//! the generic step path — the equivalence suite runs both and asserts
-//! memory and metrics are bit-identical, under every write policy and both
-//! sequential and parallel execution.
+//! counter). Each kernel body is only its chunk loop and how it lands its
+//! writes (a buffered log committed by the machine, a direct store, or a
+//! reduce fold); opening, running and charging the step go through the same
+//! step frame as the generic path (`Machine::open_step`, `run_chunks`,
+//! `close_step` in [`crate::machine`]), so the shared costs are charged by
+//! one piece of code. [`crate::Tuning::disable_kernels`] routes every
+//! kernel through the generic step path — the equivalence suite runs both
+//! and asserts memory and metrics are bit-identical, under every write
+//! policy and both sequential and parallel execution.
 //!
 //! # The data-parallel ("metal") backend
 //!
-//! A kernel whose processor count reaches
-//! [`crate::Tuning::kernel_par_threshold`] executes its chunk loop across
-//! the [`crate::pool`] instead of on the calling thread; smaller kernels
-//! stay on the sequential fused loops, so the small-n latency profile is
-//! that of plain host loops.
+//! A kernel whose processor count reaches [`crate::Tuning::par_threshold`]
+//! (2^15 by default, `IPCH_PAR_THRESHOLD=<n>` to override) executes its
+//! chunk loop across the [`crate::pool`] instead of on the calling thread;
+//! smaller kernels stay on the sequential fused loops, so the small-n
+//! latency profile is that of plain host loops. It is the one fan-out
+//! threshold: generic compute uses it too, and the commit phase fans out
+//! at twice as many buffered writes.
 //! The fan-out is *proven* bit-identical — memory, [`crate::Metrics`]
 //! accounting and [`crate::AnalysisReport`]s — at every worker count,
 //! because nothing observable depends on lane assignment:
@@ -91,10 +98,9 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::time::Instant;
 
 use crate::analyze::{ReadEntry, ReadTrace, READ_ALL};
-use crate::machine::{run_chunks_cancellable, ChunkCell, Ctx, Machine, Pids, WriteEntry, CHUNK};
+use crate::machine::{Body, ChunkCell, Ctx, Machine, Pids, WriteEntry, CHUNK};
 use crate::memory::{ArrayId, Shm, ShmError};
 use crate::policy::WritePolicy;
 use crate::Word;
@@ -305,52 +311,13 @@ impl Partial {
 }
 
 impl Machine {
-    /// True when a fused kernel over `count` processors should fan out over
-    /// the pool: only once the kernel is large enough
-    /// ([`crate::Tuning::kernel_par_threshold`]) that the fan-out pays for
-    /// its synchronisation — smaller kernels stay on the sequential fused
-    /// loops.
+    /// True when kernel entry points run their fused loops. Otherwise
+    /// ([`crate::Tuning::disable_kernels`], or a fault plan installed —
+    /// fault hooks live only there) they route through the generic step,
+    /// the reference path the equivalence suites compare against.
     #[inline]
-    pub(crate) fn parallel_kernel(&self, count: usize) -> bool {
-        !self.tuning.force_sequential
-            && (self.tuning.force_parallel || count >= self.tuning.kernel_par_threshold)
-    }
-
-    /// Execute a fused kernel's chunk loop: fanned out over the pool (lane
-    /// cap [`crate::Tuning::num_threads`], cancellation polled at every
-    /// chunk entry) when [`Machine::parallel_kernel`] says so, otherwise
-    /// sequentially with the same poll granularity. Returns the cause if a
-    /// poll observed expiry mid-kernel; the chunks that ran are the caller's
-    /// to discard.
-    fn run_kernel_chunks(
-        &self,
-        count: usize,
-        nchunks: usize,
-        run_chunk: &(dyn Fn(usize) + Sync),
-    ) -> Option<crate::cancel::CancelCause> {
-        if self.parallel_kernel(count) {
-            run_chunks_cancellable(self.max_lanes(), nchunks, self.cancel.as_ref(), run_chunk)
-        } else {
-            for c in 0..nchunks {
-                if c > 0 {
-                    if let Some(cause) = self.cancel.as_ref().and_then(|t| t.check().err()) {
-                        return Some(cause);
-                    }
-                }
-                run_chunk(c);
-            }
-            None
-        }
-    }
-
-    /// Record the lane count a fused kernel over `count` processors runs at.
-    fn record_kernel_threads(&mut self, count: usize) {
-        let lanes = if self.parallel_kernel(count) {
-            self.effective_lanes()
-        } else {
-            1
-        };
-        self.metrics.record_threads(lanes);
+    fn fused(&self) -> bool {
+        !self.tuning.disable_kernels && self.faults.is_none()
     }
 
     /// One synchronous step in which processor `pid` writes `f(pid)` to
@@ -373,7 +340,7 @@ impl Machine {
         F: Fn(&KCtx, usize) -> Word + Sync,
     {
         let pids = pids.into();
-        if self.tuning.disable_kernels || self.faults.is_some() {
+        if !self.fused() {
             let forbidden = out.slot();
             self.step(shm, pids, |ctx| {
                 let t = KCtx::for_ctx(ctx, forbidden);
@@ -400,29 +367,10 @@ impl Machine {
     where
         F: Fn(&KCtx, usize) -> Word + Sync,
     {
-        self.poll_cancel();
         let count = hi.saturating_sub(lo);
-        let step_no = self.step_counter;
-        self.step_counter += 1;
-        self.metrics.record_step(count as u64);
-        if count == 0 {
+        let Some(frame) = self.open_step(count, Body::KernelStore) else {
             return;
-        }
-        let t_start = Instant::now();
-
-        let nchunks = count.div_ceil(CHUNK);
-        let mut analysis = self.analysis.take();
-        // Analyzer attached ⇒ also record the write log the generic path
-        // would produce (same entries, same chunk buffers).
-        let mut arena = analysis.as_ref().map(|_| std::mem::take(&mut self.arena));
-        if let Some(an) = &mut analysis {
-            an.prepare(nchunks);
-        }
-        if let Some(ar) = &mut arena {
-            ar.prepare(nchunks);
-        }
-
-        self.record_kernel_threads(count);
+        };
         let mut buf = shm.take_array(out);
         if hi > buf.len() {
             // The error the generic path raises at its first offending pid.
@@ -434,86 +382,58 @@ impl Machine {
             shm.put_back(out, buf);
             panic!("{e}");
         }
-        let mid_abort;
-        {
-            let base = SendWordPtr(buf.as_mut_ptr());
-            let shm_ref: &Shm = shm;
-            let forbidden = out.slot();
-            let trace_bufs = analysis.as_deref().map(|a| &a.read_bufs[..nchunks]);
-            let write_bufs = arena.as_ref().map(|ar| &ar.chunk_bufs[..nchunks]);
-            let run_chunk = |c: usize| {
-                let clo = lo + c * CHUNK;
-                let chi = (clo + CHUNK).min(hi);
-                // SAFETY: chunks own disjoint subranges `clo..chi` of the
-                // detached buffer, all inside `0..buf.len()` (checked above).
-                let slots =
-                    unsafe { std::slice::from_raw_parts_mut(base.get().add(clo), chi - clo) };
-                let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
-                let t = KCtx::for_chunk(shm_ref, forbidden, trace);
-                // SAFETY: chunk `c` exclusively owns `chunk_bufs[c]`; no
-                // other lane touches it while this chunk runs.
-                match write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() }) {
-                    Some(w) => {
-                        for (off, slot) in slots.iter_mut().enumerate() {
-                            let pid = clo + off;
-                            t.set_pid(pid);
-                            let v = f(&t, pid);
-                            *slot = v;
-                            w.push(WriteEntry {
-                                key: ((out.slot() as u64) << 32) | pid as u64,
-                                pidseq: (pid as u64) << 32,
-                                val: v,
-                            });
-                        }
-                    }
-                    // The hot case: no analyzer, no side bookkeeping — a
-                    // contiguous read-compute-store loop.
-                    None => {
-                        for (off, slot) in slots.iter_mut().enumerate() {
-                            *slot = f(&t, clo + off);
-                        }
+        let base = SendWordPtr(buf.as_mut_ptr());
+        let shm_ref: &Shm = shm;
+        let forbidden = out.slot();
+        let trace_bufs = frame.reads();
+        // Analyzer attached ⇒ also record the write log the generic path
+        // would produce (same entries, same chunk buffers).
+        let write_bufs = frame.analyzer_log();
+        let run_chunk = |c: usize| {
+            let clo = lo + c * CHUNK;
+            let chi = (clo + CHUNK).min(hi);
+            // SAFETY: chunks own disjoint subranges `clo..chi` of the
+            // detached buffer, all inside `0..buf.len()` (checked above).
+            let slots = unsafe { std::slice::from_raw_parts_mut(base.get().add(clo), chi - clo) };
+            let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
+            let t = KCtx::for_chunk(shm_ref, forbidden, trace);
+            // SAFETY: chunk `c` exclusively owns `chunk_bufs[c]`; no
+            // other lane touches it while this chunk runs.
+            match write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() }) {
+                Some(w) => {
+                    for (off, slot) in slots.iter_mut().enumerate() {
+                        let pid = clo + off;
+                        t.set_pid(pid);
+                        let v = f(&t, pid);
+                        *slot = v;
+                        w.push(WriteEntry {
+                            key: ((out.slot() as u64) << 32) | pid as u64,
+                            pidseq: (pid as u64) << 32,
+                            val: v,
+                        });
                     }
                 }
-            };
-            mid_abort = self.run_kernel_chunks(count, nchunks, &run_chunk);
-        }
+                // The hot case: no analyzer, no side bookkeeping — a
+                // contiguous read-compute-store loop.
+                None => {
+                    for (off, slot) in slots.iter_mut().enumerate() {
+                        *slot = f(&t, clo + off);
+                    }
+                }
+            }
+        };
+        let aborted = self.run_chunks(&frame, &run_chunk);
         shm.put_back(out, buf);
-        if let Some(cause) = mid_abort {
+        if let Some(cause) = aborted {
             // Same contract as `fused_write`: the buffer is re-attached, a
             // prefix of this step's stores may be present, and a cancelled
             // run's memory is never a result.
-            self.analysis = analysis;
-            if let Some(ar) = arena {
-                self.arena = ar;
-            }
-            crate::cancel::unwind(cause);
+            self.abort_step(frame, cause);
         }
-
         self.metrics.writes_buffered += count as u64;
         self.metrics.writes_committed += count as u64;
-        self.metrics.kernel_steps += 1;
-        self.note_workspace(shm);
-        self.metrics
-            .record_host_ns(t_start.elapsed().as_nanos() as u64, 0);
-        if let (Some(an), Some(ar)) = (&mut analysis, &mut arena) {
-            let seed = self.seed();
-            let report = self.metrics.analysis.get_or_insert_with(Box::default);
-            crate::analyze::finish_step(
-                an,
-                report,
-                shm,
-                seed,
-                step_no,
-                self.policy,
-                nchunks,
-                &mut ar.chunk_bufs[..nchunks],
-                None, // faults installed ⇒ kernels already routed generic
-            );
-        }
-        if let Some(ar) = arena {
-            self.arena = ar;
-        }
-        self.analysis = analysis;
+        let policy = self.policy;
+        self.close_step(shm, frame, policy);
     }
 
     /// One synchronous step in which processor `pid` writes one value to a
@@ -530,7 +450,7 @@ impl Machine {
         F: Fn(&KCtx, usize) -> (usize, Word) + Sync,
     {
         let pids = pids.into();
-        if self.tuning.disable_kernels || self.faults.is_some() {
+        if !self.fused() {
             let forbidden = out.slot();
             self.step(shm, pids, |ctx| {
                 let t = KCtx::for_ctx(ctx, forbidden);
@@ -549,131 +469,82 @@ impl Machine {
     where
         F: Fn(&KCtx, usize) -> (usize, Word) + Sync,
     {
-        // Cancellation poll at the step boundary (same contract as the
-        // generic path: an expired machine records no further steps).
-        self.poll_cancel();
-        let count = pids.count();
-        let step_no = self.step_counter;
-        self.step_counter += 1;
-        self.metrics.record_step(count as u64);
-        if count == 0 {
+        let Some(frame) = self.open_step(pids.count(), Body::KernelStore) else {
             return;
-        }
-        let t_start = Instant::now();
-
-        let nchunks = count.div_ceil(CHUNK);
-        let mut analysis = self.analysis.take();
+        };
+        let count = frame.count;
+        let mut buf = shm.take_array(out);
+        // SAFETY: AtomicI64 has the same size and bit validity as i64,
+        // so the cast view is valid. Distinct destinations mean distinct
+        // cells; the atomic relaxed store keeps a contract violation a
+        // value race, never UB.
+        let cells: &[AtomicI64] =
+            unsafe { std::slice::from_raw_parts(buf.as_mut_ptr().cast::<AtomicI64>(), buf.len()) };
+        #[cfg(debug_assertions)]
+        let seen: Vec<std::sync::atomic::AtomicBool> =
+            (0..cells.len()).map(|_| Default::default()).collect();
+        let shm_ref: &Shm = shm;
+        let forbidden = out.slot();
+        let pids_ref = &pids;
+        let trace_bufs = frame.reads();
         // With the analyzer attached, the fused loop also records its writes
         // (into the pooled arena buffers, exactly the generic log format) so
         // classification sees the same trace either way.
-        let mut arena = analysis.as_ref().map(|_| std::mem::take(&mut self.arena));
-        if let Some(an) = &mut analysis {
-            an.prepare(nchunks);
-        }
-        if let Some(ar) = &mut arena {
-            ar.prepare(nchunks);
-        }
-
-        self.record_kernel_threads(count);
-        let mid_abort;
-        let mut buf = shm.take_array(out);
-        {
-            // SAFETY: AtomicI64 has the same size and bit validity as i64,
-            // so the cast view is valid. Distinct destinations mean distinct
-            // cells; the atomic relaxed store keeps a contract violation a
-            // value race, never UB.
-            let cells: &[AtomicI64] = unsafe {
-                std::slice::from_raw_parts(buf.as_mut_ptr().cast::<AtomicI64>(), buf.len())
-            };
-            #[cfg(debug_assertions)]
-            let seen: Vec<std::sync::atomic::AtomicBool> =
-                (0..cells.len()).map(|_| Default::default()).collect();
-            let shm_ref: &Shm = shm;
-            let forbidden = out.slot();
-            let pids_ref = &pids;
-            let trace_bufs = analysis.as_deref().map(|a| &a.read_bufs[..nchunks]);
-            let write_bufs = arena.as_ref().map(|ar| &ar.chunk_bufs[..nchunks]);
-            let run_chunk = |c: usize| {
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(count);
-                // SAFETY: chunk-exclusive buffers (chunk c touches cell c only).
-                let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
-                let mut writes = write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() });
-                let t = KCtx::for_chunk(shm_ref, forbidden, trace);
-                for i in lo..hi {
-                    let pid = pids_ref.get(i);
-                    t.set_pid(pid);
-                    let (d, v) = f(&t, pid);
-                    if d >= cells.len() {
-                        panic!(
-                            "{}",
-                            ShmError::OutOfBounds {
-                                name: shm_ref.slot_name(out.slot()).to_string(),
-                                index: d,
-                                len: cells.len(),
-                            }
-                        );
-                    }
-                    #[cfg(debug_assertions)]
-                    assert!(
-                        !seen[d].swap(true, Ordering::Relaxed),
-                        "kernel wrote out[{d}] twice: map/permute destinations must be \
-                         distinct (conflicting writes need kernel_scatter)"
+        let write_bufs = frame.analyzer_log();
+        let run_chunk = |c: usize| {
+            let lo = c * CHUNK;
+            let hi = ((c + 1) * CHUNK).min(count);
+            // SAFETY: chunk-exclusive buffers (chunk c touches cell c only).
+            let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
+            let mut writes = write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() });
+            let t = KCtx::for_chunk(shm_ref, forbidden, trace);
+            for i in lo..hi {
+                let pid = pids_ref.get(i);
+                t.set_pid(pid);
+                let (d, v) = f(&t, pid);
+                if d >= cells.len() {
+                    panic!(
+                        "{}",
+                        ShmError::OutOfBounds {
+                            name: shm_ref.slot_name(out.slot()).to_string(),
+                            index: d,
+                            len: cells.len(),
+                        }
                     );
-                    cells[d].store(v, Ordering::Relaxed);
-                    if let Some(w) = writes.as_mut() {
-                        w.push(WriteEntry {
-                            key: ((out.slot() as u64) << 32) | d as u64,
-                            pidseq: (pid as u64) << 32,
-                            val: v,
-                        });
-                    }
                 }
-            };
-            mid_abort = self.run_kernel_chunks(count, nchunks, &run_chunk);
-        }
+                #[cfg(debug_assertions)]
+                assert!(
+                    !seen[d].swap(true, Ordering::Relaxed),
+                    "kernel wrote out[{d}] twice: map/permute destinations must be \
+                     distinct (conflicting writes need kernel_scatter)"
+                );
+                cells[d].store(v, Ordering::Relaxed);
+                if let Some(w) = writes.as_mut() {
+                    w.push(WriteEntry {
+                        key: ((out.slot() as u64) << 32) | d as u64,
+                        pidseq: (pid as u64) << 32,
+                        val: v,
+                    });
+                }
+            }
+        };
+        let aborted = self.run_chunks(&frame, &run_chunk);
         shm.put_back(out, buf);
-        if let Some(cause) = mid_abort {
+        if let Some(cause) = aborted {
             // Mid-kernel abort: the output buffer is re-attached (Shm stays
             // structurally intact and the machine reusable), but — unlike
             // the generic path, which discards its buffered log whole — the
             // fused loop stores directly, so a prefix of this step's writes
             // may already be in `out`. A cancelled run's memory is never a
             // result, so that is within the cancellation contract.
-            self.analysis = analysis;
-            if let Some(ar) = arena {
-                self.arena = ar;
-            }
-            crate::cancel::unwind(cause);
+            self.abort_step(frame, cause);
         }
-
         // Metrics-identity with the generic path on this conflict-free
         // shape: every processor buffers one write, every write commits.
         self.metrics.writes_buffered += count as u64;
         self.metrics.writes_committed += count as u64;
-        self.metrics.kernel_steps += 1;
-        self.note_workspace(shm);
-        self.metrics
-            .record_host_ns(t_start.elapsed().as_nanos() as u64, 0);
-        if let (Some(an), Some(ar)) = (&mut analysis, &mut arena) {
-            let seed = self.seed();
-            let report = self.metrics.analysis.get_or_insert_with(Box::default);
-            crate::analyze::finish_step(
-                an,
-                report,
-                shm,
-                seed,
-                step_no,
-                self.policy,
-                nchunks,
-                &mut ar.chunk_bufs[..nchunks],
-                None, // faults installed ⇒ kernels already routed generic
-            );
-        }
-        if let Some(ar) = arena {
-            self.arena = ar;
-        }
-        self.analysis = analysis;
+        let policy = self.policy;
+        self.close_step(shm, frame, policy);
     }
 
     /// One synchronous step in which each processor makes at most one
@@ -705,7 +576,7 @@ impl Machine {
         F: Fn(&KCtx, usize) -> Option<(ArrayId, usize, Word)> + Sync,
     {
         let pids = pids.into();
-        if self.tuning.disable_kernels || self.faults.is_some() {
+        if !self.fused() {
             self.step_with_policy(shm, pids, policy, |ctx| {
                 let t = KCtx::for_ctx(ctx, NO_FORBIDDEN);
                 if let Some((a, i, v)) = f(&t, ctx.pid) {
@@ -714,91 +585,44 @@ impl Machine {
             });
             return;
         }
-
-        self.poll_cancel();
-        let count = pids.count();
-        let step_no = self.step_counter;
-        self.step_counter += 1;
-        self.metrics.record_step(count as u64);
-        if count == 0 {
+        let Some(frame) = self.open_step(pids.count(), Body::KernelLog) else {
             return;
-        }
-        let t_start = Instant::now();
-
-        self.record_kernel_threads(count);
-        let mid_abort;
-        let mut arena = std::mem::take(&mut self.arena);
-        let nchunks = count.div_ceil(CHUNK);
-        arena.prepare(nchunks);
-        let mut analysis = self.analysis.take();
-        if let Some(an) = &mut analysis {
-            an.prepare(nchunks);
-        }
-        {
-            let shm_ref: &Shm = shm;
-            let pids_ref = &pids;
-            let bufs = &arena.chunk_bufs[..nchunks];
-            let trace_bufs = analysis.as_deref().map(|a| &a.read_bufs[..nchunks]);
-            let run_chunk = |c: usize| {
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(count);
-                // SAFETY: chunk c is executed exactly once; buffer c is ours.
-                let writes = unsafe { bufs[c].get_mut_unchecked() };
-                // SAFETY: same chunk-exclusive discipline for the read trace.
-                let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
-                let t = KCtx::for_chunk(shm_ref, NO_FORBIDDEN, trace);
-                for i in lo..hi {
-                    let pid = pids_ref.get(i);
-                    t.set_pid(pid);
-                    if let Some((a, idx, v)) = f(&t, pid) {
-                        if let Err(e) = shm_ref.check_access(a, idx) {
-                            panic!("{e}");
-                        }
-                        assert!(pid <= u32::MAX as usize, "pid {pid} exceeds u32 range");
-                        writes.push(WriteEntry {
-                            key: ((a.slot() as u64) << 32) | idx as u64,
-                            pidseq: (pid as u64) << 32,
-                            val: v,
-                        });
+        };
+        let count = frame.count;
+        let shm_ref: &Shm = shm;
+        let pids_ref = &pids;
+        let bufs = frame.log();
+        let trace_bufs = frame.reads();
+        let run_chunk = |c: usize| {
+            let lo = c * CHUNK;
+            let hi = ((c + 1) * CHUNK).min(count);
+            // SAFETY: chunk c is executed exactly once; buffer c is ours.
+            let writes = unsafe { bufs[c].get_mut_unchecked() };
+            // SAFETY: same chunk-exclusive discipline for the read trace.
+            let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
+            let t = KCtx::for_chunk(shm_ref, NO_FORBIDDEN, trace);
+            for i in lo..hi {
+                let pid = pids_ref.get(i);
+                t.set_pid(pid);
+                if let Some((a, idx, v)) = f(&t, pid) {
+                    if let Err(e) = shm_ref.check_access(a, idx) {
+                        panic!("{e}");
                     }
+                    assert!(pid <= u32::MAX as usize, "pid {pid} exceeds u32 range");
+                    writes.push(WriteEntry {
+                        key: ((a.slot() as u64) << 32) | idx as u64,
+                        pidseq: (pid as u64) << 32,
+                        val: v,
+                    });
                 }
-            };
-            mid_abort = self.run_kernel_chunks(count, nchunks, &run_chunk);
+            }
+        };
+        if let Some(cause) = self.run_chunks(&frame, &run_chunk) {
+            // Buffered writes are discarded whole: this path shares the
+            // generic commit pipeline, so nothing has touched shared memory.
+            self.abort_step(frame, cause);
         }
-        if let Some(cause) = mid_abort {
-            // Mid-kernel abort: buffered writes are discarded whole (this
-            // path shares the generic commit pipeline, so nothing has
-            // touched shared memory); pooled state goes back for reuse.
-            self.arena = arena;
-            self.analysis = analysis;
-            crate::cancel::unwind(cause);
-        }
-        let t_computed = Instant::now();
-        self.commit(shm, policy, step_no, &mut arena, nchunks);
-        let t_committed = Instant::now();
-        self.metrics.kernel_steps += 1;
-        self.note_workspace(shm);
-        self.metrics.record_host_ns(
-            t_computed.duration_since(t_start).as_nanos() as u64,
-            t_committed.duration_since(t_computed).as_nanos() as u64,
-        );
-        if let Some(an) = &mut analysis {
-            let seed = self.seed();
-            let report = self.metrics.analysis.get_or_insert_with(Box::default);
-            crate::analyze::finish_step(
-                an,
-                report,
-                shm,
-                seed,
-                step_no,
-                policy,
-                nchunks,
-                &mut arena.chunk_bufs[..nchunks],
-                None, // faults installed ⇒ kernels already routed generic
-            );
-        }
-        self.arena = arena;
-        self.analysis = analysis;
+        self.close_step(shm, frame, policy);
     }
 
     /// One synchronous combining-CRCW step: every processor contributes at
@@ -823,7 +647,7 @@ impl Machine {
         F: Fn(&KCtx, usize) -> Option<Word> + Sync,
     {
         let pids = pids.into();
-        if self.tuning.disable_kernels || self.faults.is_some() {
+        if !self.fused() {
             self.step_with_policy(shm, pids, op.policy(), |ctx| {
                 let t = KCtx::for_ctx(ctx, NO_FORBIDDEN);
                 if let Some(v) = f(&t, ctx.pid) {
@@ -832,80 +656,55 @@ impl Machine {
             });
             return;
         }
-
-        self.poll_cancel();
-        let count = pids.count();
-        let step_no = self.step_counter;
-        self.step_counter += 1;
-        self.metrics.record_step(count as u64);
-        if count == 0 {
+        let Some(frame) = self.open_step(pids.count(), Body::KernelStore) else {
             return;
-        }
-        let t_start = Instant::now();
-
-        self.record_kernel_threads(count);
-        let mid_abort;
-        let nchunks = count.div_ceil(CHUNK);
-        let mut analysis = self.analysis.take();
-        // With the analyzer attached, record one write entry per contributor
-        // (what the generic path would buffer) so the race census is
-        // identical either way.
-        let mut arena = analysis.as_ref().map(|_| std::mem::take(&mut self.arena));
-        if let Some(an) = &mut analysis {
-            an.prepare(nchunks);
-        }
-        if let Some(ar) = &mut arena {
-            ar.prepare(nchunks);
-        }
+        };
+        let (count, nchunks) = (frame.count, frame.nchunks);
         let partials: Vec<ChunkCell<Partial>> = (0..nchunks)
             .map(|_| ChunkCell::new(Partial::empty(op)))
             .collect();
-        {
-            let shm_ref: &Shm = shm;
-            let pids_ref = &pids;
-            let partials_ref = &partials;
-            let trace_bufs = analysis.as_deref().map(|a| &a.read_bufs[..nchunks]);
-            let write_bufs = arena.as_ref().map(|ar| &ar.chunk_bufs[..nchunks]);
-            let target_key = ((target.slot() as u64) << 32) | tidx as u64;
-            let run_chunk = |c: usize| {
-                let lo = c * CHUNK;
-                let hi = ((c + 1) * CHUNK).min(count);
-                // SAFETY: chunk c is executed exactly once; partial c and the
-                // trace/write buffers c are ours.
-                let p = unsafe { partials_ref[c].get_mut_unchecked() };
-                let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
-                let mut writes = write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() });
-                let t = KCtx::for_chunk(shm_ref, NO_FORBIDDEN, trace);
-                for i in lo..hi {
-                    let pid = pids_ref.get(i);
-                    t.set_pid(pid);
-                    if let Some(v) = f(&t, pid) {
-                        p.k += 1;
-                        p.acc = op.combine(p.acc, v);
-                        if (pid as u64) < p.min_pid {
-                            p.min_pid = pid as u64;
-                            p.min_pid_val = v;
-                        }
-                        if let Some(w) = writes.as_mut() {
-                            w.push(WriteEntry {
-                                key: target_key,
-                                pidseq: (pid as u64) << 32,
-                                val: v,
-                            });
-                        }
+        let shm_ref: &Shm = shm;
+        let pids_ref = &pids;
+        let partials_ref = &partials;
+        let trace_bufs = frame.reads();
+        // With the analyzer attached, record one write entry per contributor
+        // (what the generic path would buffer) so the race census is
+        // identical either way.
+        let write_bufs = frame.analyzer_log();
+        let target_key = ((target.slot() as u64) << 32) | tidx as u64;
+        let run_chunk = |c: usize| {
+            let lo = c * CHUNK;
+            let hi = ((c + 1) * CHUNK).min(count);
+            // SAFETY: chunk c is executed exactly once; partial c and the
+            // trace/write buffers c are ours.
+            let p = unsafe { partials_ref[c].get_mut_unchecked() };
+            let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
+            let mut writes = write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() });
+            let t = KCtx::for_chunk(shm_ref, NO_FORBIDDEN, trace);
+            for i in lo..hi {
+                let pid = pids_ref.get(i);
+                t.set_pid(pid);
+                if let Some(v) = f(&t, pid) {
+                    p.k += 1;
+                    p.acc = op.combine(p.acc, v);
+                    if (pid as u64) < p.min_pid {
+                        p.min_pid = pid as u64;
+                        p.min_pid_val = v;
+                    }
+                    if let Some(w) = writes.as_mut() {
+                        w.push(WriteEntry {
+                            key: target_key,
+                            pidseq: (pid as u64) << 32,
+                            val: v,
+                        });
                     }
                 }
-            };
-            mid_abort = self.run_kernel_chunks(count, nchunks, &run_chunk);
-        }
-        if let Some(cause) = mid_abort {
-            // Mid-kernel abort: partials are host-local and simply dropped;
-            // the target cell was never touched.
-            self.analysis = analysis;
-            if let Some(ar) = arena {
-                self.arena = ar;
             }
-            crate::cancel::unwind(cause);
+        };
+        if let Some(cause) = self.run_chunks(&frame, &run_chunk) {
+            // Partials are host-local and simply dropped; the target cell
+            // was never touched.
+            self.abort_step(frame, cause);
         }
 
         let mut total_k = 0u64;
@@ -936,29 +735,7 @@ impl Machine {
                 self.metrics.write_conflicts += 1;
             }
         }
-        self.metrics.kernel_steps += 1;
-        self.note_workspace(shm);
-        self.metrics
-            .record_host_ns(t_start.elapsed().as_nanos() as u64, 0);
-        if let (Some(an), Some(ar)) = (&mut analysis, &mut arena) {
-            let seed = self.seed();
-            let report = self.metrics.analysis.get_or_insert_with(Box::default);
-            crate::analyze::finish_step(
-                an,
-                report,
-                shm,
-                seed,
-                step_no,
-                op.policy(),
-                nchunks,
-                &mut ar.chunk_bufs[..nchunks],
-                None, // faults installed ⇒ kernels already routed generic
-            );
-        }
-        if let Some(ar) = arena {
-            self.arena = ar;
-        }
-        self.analysis = analysis;
+        self.close_step(shm, frame, op.policy());
     }
 }
 
@@ -1154,10 +931,13 @@ mod tests {
     #[test]
     fn parallel_fused_loops_match_sequential() {
         let n = (1 << 15) + 17; // over the fan-out threshold
-        let run = |force_parallel: bool| {
+        let run = |parallel: bool| {
             let mut m = Machine::new(5);
-            m.tuning.force_parallel = force_parallel;
-            m.tuning.force_sequential = !force_parallel;
+            if parallel {
+                m.tuning.par_threshold = 0;
+            } else {
+                m.tuning.num_threads = Some(1);
+            }
             let mut shm = Shm::new();
             let out = shm.alloc("out", n, 0);
             let acc = shm.alloc("acc", 1, 0);

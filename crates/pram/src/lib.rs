@@ -46,7 +46,6 @@
 //!   every use site documents which rule it assumes.
 
 pub mod analyze;
-pub mod batch;
 pub mod cancel;
 pub mod faults;
 pub mod kernel;

@@ -5,12 +5,27 @@
 //! 1. **Compute phase** — every active processor runs the step closure
 //!    against an immutable snapshot of shared memory, buffering its writes
 //!    and (optionally) producing a private result. Processors are evaluated
-//!    in chunks over the persistent [`crate::pool`] when the active set is
-//!    large; since each processor only reads the pre-step snapshot,
-//!    evaluation order is unobservable.
+//!    in chunks over the persistent [`crate::pool`] once the active set
+//!    reaches [`Tuning::par_threshold`] (2^15 by default,
+//!    `IPCH_PAR_THRESHOLD=<n>` to override); since each processor only
+//!    reads the pre-step snapshot, evaluation order is unobservable.
 //! 2. **Commit phase** — buffered writes are resolved per cell under the
-//!    machine's [`WritePolicy`] and the winners are committed. Metrics
-//!    record one step and `|active|` work.
+//!    machine's [`WritePolicy`] and the winners are committed, over the
+//!    pool once there are twice `par_threshold` of them. Metrics record
+//!    one step and `|active|` work.
+//!
+//! # The step frame
+//!
+//! Every simulated step — this generic one and each fused
+//! [`crate::kernel`] — goes through one frame: `Machine::open_step`
+//! (cancel poll, step number, [`Metrics`] step and work, fault budget,
+//! pooled arena and analyzer state, clock), `Machine::run_chunks` (the
+//! sequential-or-pool decision, cancel polls at every chunk entry, lanes
+//! used), then `Machine::close_step` (commit of a buffered log, host time,
+//! analyzer classification, cell corruption, workspace peak) or
+//! `Machine::abort_step` on cancellation. A body supplies only its chunk
+//! loop and how it lands its writes, so each per-step charge is made in
+//! one place.
 //!
 //! This gives exactly the textbook semantics: concurrent reads are free,
 //! concurrent writes are resolved by the model rule, and *nothing a
@@ -41,6 +56,7 @@
 //!   independent of chunking, thread count, or which commit path ran.
 
 use std::cell::UnsafeCell;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::analyze::{Analysis, ReadEntry, ReadTrace, READ_ALL};
@@ -322,18 +338,23 @@ impl<'a, 'b> Ctx<'a, 'b> {
 }
 
 /// Performance knobs. Defaults are right for production use; tests force
-/// specific paths to prove they are all equivalent.
+/// specific paths to prove they are all equivalent. None of them changes
+/// memory, [`Metrics`] or [`crate::AnalysisReport`]s: the determinism
+/// suites assert bit-identical results at every setting.
 #[derive(Clone, Copy, Debug)]
 pub struct Tuning {
-    /// Active-set size at which the compute phase fans out over the pool.
-    pub par_compute_threshold: usize,
-    /// Write-log length at which the commit sort/resolve parallelizes.
-    pub par_commit_threshold: usize,
-    /// Run everything on the calling thread regardless of thresholds.
-    pub force_sequential: bool,
-    /// Take the parallel code paths regardless of thresholds (they still
-    /// run inline when the host has one core).
-    pub force_parallel: bool,
+    /// Active-processor count at which a step's chunk loop — generic
+    /// compute and every fused kernel alike — fans out over the
+    /// [`crate::pool`]; below it the chunks run on the calling thread (the
+    /// small-n fast path). The commit phase fans out at twice this many
+    /// buffered writes. `0` fans every step out, `usize::MAX` none.
+    /// Overridable via `IPCH_PAR_THRESHOLD=<n>`.
+    pub par_threshold: usize,
+    /// Cap on execution lanes (calling thread + pool workers) any parallel
+    /// phase of this machine may use. `None` = all pool lanes; `Some(1)`
+    /// runs everything on the calling thread. This knob exists for
+    /// capacity control and for the worker-count-independence suites.
+    pub num_threads: Option<usize>,
     /// Disable the conflict-free fast path (always gather + sort).
     pub disable_fast_path: bool,
     /// Route every [`crate::kernel`] entry point through the generic
@@ -342,41 +363,25 @@ pub struct Tuning {
     /// steps/work/conflict metrics); this switch exists so the equivalence
     /// tests can prove it.
     pub disable_kernels: bool,
-    /// Processor count at which fused kernels fan out over the
-    /// [`crate::pool`]; below it they run the sequential fused loops (the
-    /// small-n fast path), and `usize::MAX` keeps every kernel on them.
-    /// Memory, [`Metrics`] and [`crate::AnalysisReport`]s are bit-identical
-    /// at every threshold and worker count — the determinism suites assert
-    /// exactly that. Overridable via `IPCH_KERNEL_PAR_THRESHOLD=<n>`.
-    pub kernel_par_threshold: usize,
-    /// Cap on execution lanes (calling thread + pool workers) any parallel
-    /// phase of this machine may use. `None` = all pool lanes. The result
-    /// is bit-identical at every cap — this knob exists for capacity
-    /// control and for the worker-count-independence suites.
-    pub num_threads: Option<usize>,
 }
 
 impl Default for Tuning {
     fn default() -> Self {
         Self {
-            par_compute_threshold: 1 << 15,
-            par_commit_threshold: 1 << 16,
-            force_sequential: false,
-            force_parallel: false,
+            par_threshold: env_par_threshold().unwrap_or(1 << 15),
+            num_threads: None,
             disable_fast_path: false,
             disable_kernels: false,
-            kernel_par_threshold: env_kernel_par_threshold().unwrap_or(1 << 15),
-            num_threads: None,
         }
     }
 }
 
-/// Process-wide `IPCH_KERNEL_PAR_THRESHOLD=<n>` override, parsed once.
+/// Process-wide `IPCH_PAR_THRESHOLD=<n>` override, parsed once.
 /// Unset or unparseable values leave the compiled default.
-fn env_kernel_par_threshold() -> Option<usize> {
-    static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+fn env_par_threshold() -> Option<usize> {
+    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
     *OVERRIDE.get_or_init(|| {
-        std::env::var("IPCH_KERNEL_PAR_THRESHOLD")
+        std::env::var("IPCH_PAR_THRESHOLD")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
@@ -392,45 +397,54 @@ fn env_kernel_par_threshold() -> Option<usize> {
 /// shared).
 pub(crate) const CHUNK: usize = 8192;
 
-/// Dispatch `job` over `0..nchunks` on the global pool with at most
-/// `max_lanes` execution lanes, polling `cancel` at every chunk entry.
-/// Once a poll observes expiry the remaining chunks are skipped (chunks
-/// already claimed run to completion, so the wave drains within one chunk
-/// per lane) and the first observed cause is returned *after* the join —
-/// the caller unwinds only once no pool worker still references its state.
-/// With no token this is a plain bounded dispatch with zero overhead.
-pub(crate) fn run_chunks_cancellable(
-    max_lanes: usize,
-    nchunks: usize,
-    cancel: Option<&CancelToken>,
-    job: &(dyn Fn(usize) + Sync),
-) -> Option<CancelCause> {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    let Some(tok) = cancel else {
-        pool::global().run_bounded(max_lanes, nchunks, job);
-        return None;
-    };
-    // 0 = live, 1 = cancelled, 2 = deadline. The flag short-circuits the
-    // per-chunk token poll once expiry has been observed by any lane.
-    let flag = AtomicU8::new(0);
-    pool::global().run_bounded(max_lanes, nchunks, &|c| {
-        if flag.load(Ordering::Relaxed) != 0 {
-            return;
-        }
-        if let Err(cause) = tok.check() {
-            let code = match cause {
-                CancelCause::Cancelled => 1,
-                CancelCause::DeadlineExceeded => 2,
-            };
-            flag.store(code, Ordering::Relaxed);
-            return;
-        }
-        job(c);
-    });
-    match flag.load(Ordering::Relaxed) {
-        1 => Some(CancelCause::Cancelled),
-        2 => Some(CancelCause::DeadlineExceeded),
-        _ => None,
+/// How a step body lands its writes, which decides what closing the step
+/// does with the pooled write log.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Body {
+    /// [`Machine::step`]: per-processor [`Ctx`]s buffer writes into the
+    /// log, committed at close.
+    Generic,
+    /// A fused kernel that buffers into the log, committed at close
+    /// ([`Machine::kernel_scatter`]).
+    KernelLog,
+    /// A fused kernel that stores its own result: a direct store
+    /// ([`Machine::kernel_map`], [`Machine::kernel_permute`]) or a reduce
+    /// fold ([`Machine::kernel_reduce`]). It keeps a log only for the
+    /// analyzer, holding what the generic path would have buffered.
+    KernelStore,
+}
+
+/// One open simulated step: its number and size, plus the pooled write
+/// arena and analyzer state, taken out of the machine between
+/// [`Machine::open_step`] and [`Machine::close_step`] (or
+/// [`Machine::abort_step`]), and the step's clock.
+pub(crate) struct StepFrame {
+    pub(crate) step_no: u64,
+    /// Active processors (never 0: an empty step opens no frame).
+    pub(crate) count: usize,
+    pub(crate) nchunks: usize,
+    body: Body,
+    arena: WriteArena,
+    analysis: Option<Box<Analysis>>,
+    t_start: Instant,
+}
+
+impl StepFrame {
+    /// The per-chunk write logs, cleared for this step.
+    pub(crate) fn log(&self) -> &[ChunkCell<Vec<WriteEntry>>] {
+        &self.arena.chunk_bufs[..self.nchunks]
+    }
+
+    /// The log a [`Body::KernelStore`] keeps when the analyzer is attached.
+    pub(crate) fn analyzer_log(&self) -> Option<&[ChunkCell<Vec<WriteEntry>>]> {
+        self.analysis.as_ref().map(|_| self.log())
+    }
+
+    /// The analyzer's per-chunk read traces, when it is attached.
+    pub(crate) fn reads(&self) -> Option<&[ChunkCell<ReadTrace>]> {
+        self.analysis
+            .as_deref()
+            .map(|a| &a.read_bufs[..self.nchunks])
     }
 }
 
@@ -626,7 +640,7 @@ impl Machine {
 
     /// Poll the installed cancel token (no-op without one), unwinding with
     /// a typed [`crate::cancel::CancelUnwind`] on expiry. Crate-internal:
-    /// called at step entry and between sequential kernel chunks.
+    /// called at step entry ([`Machine::open_step`]).
     #[inline]
     pub(crate) fn poll_cancel(&self) {
         if let Some(tok) = &self.cancel {
@@ -691,8 +705,8 @@ impl Machine {
     }
 
     /// Fold `shm`'s live-cell high-water mark into
-    /// [`Metrics::peak_live_cells`]. Called by every step and kernel entry
-    /// point, so a machine that stepped against a memory has seen its peak;
+    /// [`Metrics::peak_live_cells`]. Called as every non-empty step closes,
+    /// so a machine that stepped against a memory has seen its peak;
     /// idempotent (max-fold), so explicit calls — e.g. by a bounded-
     /// workspace wrapper after host-side allocations past the last step —
     /// are always safe.
@@ -708,11 +722,157 @@ impl Machine {
         self.tuning.num_threads.unwrap_or(usize::MAX).max(1)
     }
 
-    /// Lanes a parallel phase of this machine actually uses: the tuning cap
-    /// clamped to the configured pool width. Does not spawn the pool.
-    #[inline]
-    pub(crate) fn effective_lanes(&self) -> usize {
-        self.max_lanes().min(pool::configured_lanes()).max(1)
+    /// Open one synchronous step over `count` processors: the single place
+    /// a step is polled for cancellation, numbered, charged
+    /// ([`Metrics::record_step`]) and metered against the fault budget. An
+    /// empty pid set costs a step and ends there (`None`); otherwise the
+    /// pooled write arena and analyzer state move into the returned frame,
+    /// prepared for the body's chunks, and the step's clock starts.
+    pub(crate) fn open_step(&mut self, count: usize, body: Body) -> Option<StepFrame> {
+        // Cancellation poll at the step boundary, *before* the step is
+        // recorded: a machine past its deadline executes zero further
+        // steps, so `metrics.steps` counts completed steps exactly.
+        self.poll_cancel();
+        let step_no = self.step_counter;
+        self.step_counter += 1;
+        self.metrics.record_step(count as u64);
+        // Fault plane: budget meters tick on every executed step (including
+        // empty ones) and trip at most once per machine. Execution is never
+        // cut short — the supervisor interprets the tripped latch.
+        if let Some(fs) = self.faults.as_deref_mut() {
+            if !fs.budget_tripped {
+                if let Some(b) = fs.plan.budget {
+                    if self.metrics.steps > b.max_steps || self.metrics.work > b.max_work {
+                        fs.budget_tripped = true;
+                        self.metrics.faults.budget_exhaustions += 1;
+                    }
+                }
+            }
+        }
+        if count == 0 {
+            return None;
+        }
+        let nchunks = count.div_ceil(CHUNK);
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.prepare(nchunks);
+        let mut analysis = self.analysis.take();
+        if let Some(an) = &mut analysis {
+            an.prepare(nchunks);
+        }
+        Some(StepFrame {
+            step_no,
+            count,
+            nchunks,
+            body,
+            arena,
+            analysis,
+            t_start: Instant::now(),
+        })
+    }
+
+    /// Run an open step's chunks `0..nchunks`: over the pool (lane cap
+    /// [`Tuning::num_threads`]) once the step has [`Tuning::par_threshold`]
+    /// processors, otherwise on the calling thread. Both ways poll the
+    /// cancel token at every chunk entry; once a poll observes expiry the
+    /// remaining chunks are skipped (chunks already claimed run to
+    /// completion, so a pooled wave drains within one chunk per lane) and
+    /// the first observed cause is returned after the join, so the caller
+    /// unwinds ([`Machine::abort_step`]) only once no lane still references
+    /// its state. Records the lanes the chunks actually ran on.
+    pub(crate) fn run_chunks(
+        &mut self,
+        frame: &StepFrame,
+        run_chunk: &(dyn Fn(usize) + Sync),
+    ) -> Option<CancelCause> {
+        let expired = OnceLock::new();
+        let cancel = self.cancel.as_ref();
+        let guarded = |c: usize| {
+            if expired.get().is_some() {
+                return;
+            }
+            if let Some(Err(cause)) = cancel.map(CancelToken::check) {
+                let _ = expired.set(cause);
+                return;
+            }
+            run_chunk(c);
+        };
+        let lanes = if frame.count >= self.tuning.par_threshold {
+            pool::global().run_bounded(self.max_lanes(), frame.nchunks, &guarded)
+        } else {
+            (0..frame.nchunks).for_each(guarded);
+            1
+        };
+        self.metrics.record_threads(lanes);
+        expired.into_inner()
+    }
+
+    /// Abort an open step whose chunk loop observed expiry: put the pooled
+    /// arena and analyzer state back so the machine stays reusable (both
+    /// are cleared by `prepare` at the next step), then unwind with the
+    /// typed payload. The step was already recorded; a buffered log is
+    /// dropped whole, never partially committed.
+    pub(crate) fn abort_step(&mut self, frame: StepFrame, cause: CancelCause) -> ! {
+        self.arena = frame.arena;
+        self.analysis = frame.analysis;
+        crate::cancel::unwind(cause)
+    }
+
+    /// Close an open step: commit the buffered log under `policy` if the
+    /// body buffers, then the single place a step's host time
+    /// ([`Metrics::record_host_ns`]), analyzer classification, cell
+    /// corruption and workspace peak ([`Machine::note_workspace`]) are
+    /// charged. Puts the pooled state back.
+    pub(crate) fn close_step(&mut self, shm: &mut Shm, frame: StepFrame, policy: WritePolicy) {
+        let StepFrame {
+            step_no,
+            nchunks,
+            body,
+            mut arena,
+            mut analysis,
+            t_start,
+            ..
+        } = frame;
+        let t_computed = Instant::now();
+        let commit_ns = if body == Body::KernelStore {
+            0
+        } else {
+            self.commit(shm, policy, step_no, &mut arena, nchunks);
+            t_computed.elapsed().as_nanos() as u64
+        };
+        if body != Body::Generic {
+            self.metrics.kernel_steps += 1;
+        }
+        let compute_ns = t_computed.duration_since(t_start).as_nanos() as u64;
+        self.metrics.record_host_ns(compute_ns, commit_ns);
+        if let Some(an) = &mut analysis {
+            let adversary = self.adversary_seed();
+            let report = self.metrics.analysis.get_or_insert_with(Box::default);
+            crate::analyze::finish_step(
+                an,
+                report,
+                shm,
+                self.seed,
+                step_no,
+                policy,
+                nchunks,
+                &mut arena.chunk_bufs[..nchunks],
+                adversary,
+            );
+        }
+        // Fault plane: transient cell corruption, applied *after* the
+        // analyzer observed the honestly committed step so the corruption
+        // reads as what it models — memory decay between steps, not a
+        // different write resolution.
+        if let Some(fs) = self.faults.as_deref() {
+            if let Some(h) = crate::faults::corruption_draw(fs, step_no) {
+                if shm.corrupt_cell(h).is_some() {
+                    self.metrics.faults.corrupted_cells += 1;
+                }
+            }
+        }
+        self.note_workspace(shm);
+        self.arena = arena;
+        self.analysis = analysis;
     }
 
     /// Execute one synchronous step over `pids` with the machine policy.
@@ -761,31 +921,11 @@ impl Machine {
         R: Send,
         F: Fn(&mut Ctx) -> R + Sync,
     {
-        // Cancellation poll at the step boundary, *before* the step is
-        // recorded: a machine past its deadline executes zero further
-        // steps, so `metrics.steps` counts completed steps exactly.
-        self.poll_cancel();
         let pids = pids.into();
-        let count = pids.count();
-        let step_no = self.step_counter;
-        self.step_counter += 1;
-        self.metrics.record_step(count as u64);
-        // Fault plane: budget meters tick on every executed step (including
-        // empty ones) and trip at most once per machine. Execution is never
-        // cut short — the supervisor interprets the tripped latch.
-        if let Some(fs) = self.faults.as_deref_mut() {
-            if !fs.budget_tripped {
-                if let Some(b) = fs.plan.budget {
-                    if self.metrics.steps > b.max_steps || self.metrics.work > b.max_work {
-                        fs.budget_tripped = true;
-                        self.metrics.faults.budget_exhaustions += 1;
-                    }
-                }
-            }
-        }
-        if count == 0 {
+        let Some(frame) = self.open_step(pids.count(), Body::Generic) else {
             return Vec::new();
-        }
+        };
+        let (step_no, count, nchunks) = (frame.step_no, frame.count, frame.nchunks);
         // Per-pid fault decisions for this step, if any are live (pure
         // hashes of (fault seed, step, pid): identical across chunking and
         // thread count).
@@ -794,20 +934,11 @@ impl Machine {
             sf.any_per_pid().then_some(sf)
         });
 
-        let t_start = Instant::now();
-        let mut arena = std::mem::take(&mut self.arena);
-        let mut analysis = self.analysis.take();
-        let nchunks = count.div_ceil(CHUNK);
-        arena.prepare(nchunks);
-        if let Some(an) = &mut analysis {
-            an.prepare(nchunks);
-        }
-
         let seed = self.seed;
         let shm_ref: &Shm = shm;
         let pids_ref = &pids;
-        let bufs = &arena.chunk_bufs[..nchunks];
-        let trace_bufs = analysis.as_deref().map(|a| &a.read_bufs[..nchunks]);
+        let bufs = frame.log();
+        let trace_bufs = frame.reads();
         let outs: Vec<ChunkCell<Vec<R>>> =
             (0..nchunks).map(|_| ChunkCell::new(Vec::new())).collect();
 
@@ -846,39 +977,8 @@ impl Machine {
                 results.push(f(&mut ctx));
             }
         };
-
-        let parallel = !self.tuning.force_sequential
-            && (self.tuning.force_parallel || count >= self.tuning.par_compute_threshold);
-        self.metrics
-            .record_threads(if parallel { self.effective_lanes() } else { 1 });
-        let mut mid_abort: Option<CancelCause> = None;
-        if parallel {
-            // Parallel waves poll the token at every chunk entry, same
-            // granularity as the sequential loop below (see `crate::cancel`).
-            mid_abort =
-                run_chunks_cancellable(self.max_lanes(), nchunks, self.cancel.as_ref(), &run_chunk);
-        } else {
-            for c in 0..nchunks {
-                if c > 0 {
-                    if let Some(cause) = self.cancel.as_ref().and_then(|t| t.check().err()) {
-                        mid_abort = Some(cause);
-                        break;
-                    }
-                }
-                run_chunk(c);
-            }
-        }
-        if let Some(cause) = mid_abort {
-            // Mid-compute abort: discard the buffered writes (nothing is
-            // committed), put the pooled arena and analyzer state back so
-            // the machine stays reusable (both are cleared by `prepare` at
-            // the next step), then unwind with the typed payload. The step
-            // was already recorded; its memory effects are dropped whole —
-            // never a partially committed step.
-            drop(outs);
-            self.arena = arena;
-            self.analysis = analysis;
-            crate::cancel::unwind(cause);
+        if let Some(cause) = self.run_chunks(&frame, &run_chunk) {
+            self.abort_step(frame, cause);
         }
 
         let mut results: Vec<R> = Vec::with_capacity(count);
@@ -899,44 +999,7 @@ impl Machine {
             self.metrics.faults.dropped_processors += dropped;
         }
 
-        let t_computed = Instant::now();
-        self.commit(shm, policy, step_no, &mut arena, nchunks);
-        let t_committed = Instant::now();
-
-        self.arena = arena;
-        self.metrics.record_host_ns(
-            t_computed.duration_since(t_start).as_nanos() as u64,
-            t_committed.duration_since(t_computed).as_nanos() as u64,
-        );
-        if let Some(an) = &mut analysis {
-            let adversary = self.adversary_seed();
-            let report = self.metrics.analysis.get_or_insert_with(Box::default);
-            crate::analyze::finish_step(
-                an,
-                report,
-                shm,
-                seed,
-                step_no,
-                policy,
-                nchunks,
-                &mut self.arena.chunk_bufs[..nchunks],
-                adversary,
-            );
-        }
-        self.analysis = analysis;
-
-        // Fault plane: transient cell corruption, applied *after* the
-        // analyzer observed the honestly committed step so the corruption
-        // reads as what it models — memory decay between steps, not a
-        // different write resolution.
-        if let Some(fs) = self.faults.as_deref() {
-            if let Some(h) = crate::faults::corruption_draw(fs, step_no) {
-                if shm.corrupt_cell(h).is_some() {
-                    self.metrics.faults.corrupted_cells += 1;
-                }
-            }
-        }
-        self.note_workspace(shm);
+        self.close_step(shm, frame, policy);
         results
     }
 
@@ -957,16 +1020,12 @@ impl Machine {
         self.metrics.writes_buffered += total as u64;
 
         let max_lanes = self.max_lanes();
-        let parallel_commit = !self.tuning.force_sequential
-            && (self.tuning.force_parallel || total >= self.tuning.par_commit_threshold)
+        let parallel_commit = total >= self.tuning.par_threshold.saturating_mul(2)
             && max_lanes > 1
             && pool::num_threads() > 1;
         // Lanes used for commit partitioning (run boundaries, sort segments):
         // partition-independent results, so any cap yields identical memory.
         let lanes = max_lanes.min(pool::num_threads()).max(1);
-        if parallel_commit {
-            self.metrics.record_threads(lanes);
-        }
 
         // Fast path: if the concatenated log is strictly increasing by cell
         // key, every cell receives exactly one write — commit it verbatim.
@@ -976,7 +1035,7 @@ impl Machine {
             let writer = ShmWriter::new(shm);
             if parallel_commit {
                 let bufs_ref = &bufs[..];
-                pool::global().run_bounded(max_lanes, nchunks, &|c| {
+                let used = pool::global().run_bounded(max_lanes, nchunks, &|c| {
                     // SAFETY: strict monotonicity ⇒ all cells distinct, so
                     // chunks write disjoint cells; chunk c reads buffer c only.
                     let buf = unsafe { &*bufs_ref[c].0.get() };
@@ -984,6 +1043,7 @@ impl Machine {
                         unsafe { writer.commit(e.array(), e.idx(), e.val) };
                     }
                 });
+                self.metrics.record_threads(used);
             } else {
                 for buf in bufs.iter_mut() {
                     for e in buf.0.get_mut().iter() {
@@ -1005,7 +1065,8 @@ impl Machine {
         }
 
         if parallel_commit {
-            par_sort(&mut arena.flat, &mut arena.scratch, lanes);
+            let used = par_sort(&mut arena.flat, &mut arena.scratch, lanes);
+            self.metrics.record_threads(used);
         } else {
             arena.flat.sort_unstable_by_key(|e| e.sort_key());
         }
@@ -1013,7 +1074,10 @@ impl Machine {
         let seed = self.seed;
         let adversary = self.adversary_seed();
         let (committed, conflicts, adversarial) = if parallel_commit {
-            resolve_runs_parallel(shm, &arena.flat, policy, seed, step_no, adversary, lanes)
+            let (tally, used) =
+                resolve_runs_parallel(shm, &arena.flat, policy, seed, step_no, adversary, lanes);
+            self.metrics.record_threads(used);
+            tally
         } else {
             let writer = ShmWriter::new(shm);
             // SAFETY: single-threaded resolution; runs target distinct cells.
@@ -1145,7 +1209,8 @@ unsafe fn resolve_runs(
 
 /// Parallel run resolution: partition the sorted log at run boundaries and
 /// resolve each range on the pool (ranges cover disjoint cells, so commits
-/// through the shared `ShmWriter` never race).
+/// through the shared `ShmWriter` never race). Returns the tally and the
+/// lanes the ranges ran on.
 #[allow(clippy::too_many_arguments)]
 fn resolve_runs_parallel(
     shm: &mut Shm,
@@ -1155,7 +1220,7 @@ fn resolve_runs_parallel(
     step_no: u64,
     adversary: Option<u64>,
     lanes: usize,
-) -> (u64, u64, u64) {
+) -> ((u64, u64, u64), usize) {
     let n = flat.len();
     let mut bounds: Vec<usize> = Vec::with_capacity(lanes + 1);
     bounds.push(0);
@@ -1177,7 +1242,7 @@ fn resolve_runs_parallel(
         (0..nranges).map(|_| ChunkCell::new((0, 0, 0))).collect();
     let bounds_ref = &bounds;
     let tallies_ref = &tallies;
-    pool::global().run_bounded(lanes, nranges, &|r| {
+    let used = pool::global().run_bounded(lanes, nranges, &|r| {
         let range = &flat[bounds_ref[r]..bounds_ref[r + 1]];
         // SAFETY: ranges are run-aligned ⇒ cell-disjoint; tally r is ours.
         let out = unsafe { resolve_runs(&writer, range, policy, seed, step_no, adversary) };
@@ -1192,31 +1257,30 @@ fn resolve_runs_parallel(
         conflicts += k;
         adversarial += a;
     }
-    (committed, conflicts, adversarial)
+    ((committed, conflicts, adversarial), used)
 }
 
 /// Parallel merge sort by the unique packed key: segments are sorted on the
 /// pool, then merged pairwise in parallel rounds, ping-ponging between the
-/// log and the pooled scratch buffer.
-fn par_sort(flat: &mut Vec<WriteEntry>, scratch: &mut Vec<WriteEntry>, lanes: usize) {
+/// log and the pooled scratch buffer. Returns the most lanes any round ran
+/// on.
+fn par_sort(flat: &mut Vec<WriteEntry>, scratch: &mut Vec<WriteEntry>, lanes: usize) -> usize {
     let n = flat.len();
     if lanes == 1 || n < 2 * CHUNK {
         flat.sort_unstable_by_key(|e| e.sort_key());
-        return;
+        return 1;
     }
     let nseg = lanes.next_power_of_two();
     let seg = n.div_ceil(nseg);
 
-    {
-        let flat_ptr = SendMutPtr(flat.as_mut_ptr());
-        pool::global().run_bounded(lanes, nseg, &|s| {
-            let lo = (s * seg).min(n);
-            let hi = ((s + 1) * seg).min(n);
-            // SAFETY: segments are disjoint subslices of `flat`.
-            let part = unsafe { std::slice::from_raw_parts_mut(flat_ptr.get().add(lo), hi - lo) };
-            part.sort_unstable_by_key(|e| e.sort_key());
-        });
-    }
+    let flat_ptr = SendMutPtr(flat.as_mut_ptr());
+    let mut used = pool::global().run_bounded(lanes, nseg, &|s| {
+        let lo = (s * seg).min(n);
+        let hi = ((s + 1) * seg).min(n);
+        // SAFETY: segments are disjoint subslices of `flat`.
+        let part = unsafe { std::slice::from_raw_parts_mut(flat_ptr.get().add(lo), hi - lo) };
+        part.sort_unstable_by_key(|e| e.sort_key());
+    });
 
     scratch.clear();
     scratch.resize(
@@ -1238,20 +1302,21 @@ fn par_sort(flat: &mut Vec<WriteEntry>, scratch: &mut Vec<WriteEntry>, lanes: us
         };
         let npairs = n.div_ceil(2 * width);
         let dst_ptr = SendMutPtr(dst.as_mut_ptr());
-        pool::global().run_bounded(lanes, npairs, &|p| {
+        used = used.max(pool::global().run_bounded(lanes, npairs, &|p| {
             let lo = p * 2 * width;
             let mid = (lo + width).min(n);
             let hi = (lo + 2 * width).min(n);
             // SAFETY: pair p owns dst[lo..hi]; pairs are disjoint.
             let out = unsafe { std::slice::from_raw_parts_mut(dst_ptr.get().add(lo), hi - lo) };
             merge_into(&src[lo..mid], &src[mid..hi], out);
-        });
+        }));
         in_flat = !in_flat;
         width *= 2;
     }
     if !in_flat {
         flat.copy_from_slice(scratch);
     }
+    used
 }
 
 struct SendMutPtr(*mut WriteEntry);
@@ -1498,11 +1563,11 @@ mod tests {
             )
         };
         let base = run(Tuning {
-            force_sequential: true,
+            num_threads: Some(1),
             ..Tuning::default()
         });
         let par = run(Tuning {
-            force_parallel: true,
+            par_threshold: 0,
             ..Tuning::default()
         });
         let noslow = run(Tuning {
@@ -1510,13 +1575,80 @@ mod tests {
             ..Tuning::default()
         });
         let par_noslow = run(Tuning {
-            force_parallel: true,
+            par_threshold: 0,
             disable_fast_path: true,
             ..Tuning::default()
         });
         assert_eq!(base, par);
         assert_eq!(base, noslow);
         assert_eq!(base, par_noslow);
+    }
+
+    #[test]
+    fn one_chunk_step_records_the_one_lane_it_ran_on() {
+        // The pool runs a one-chunk job inline, so a forced fan-out of one
+        // chunk — compute, kernel or commit — uses one lane.
+        let mut m = Machine::new(1);
+        m.tuning.par_threshold = 0;
+        let mut shm = Shm::new();
+        let a = shm.alloc("a", 64, 0);
+        m.step(&mut shm, 0..64, |ctx| ctx.write(a, ctx.pid, 1));
+        m.kernel_map(&mut shm, 0..64, a, |_, pid| pid as i64);
+        assert_eq!(m.metrics.threads, 1);
+    }
+
+    #[test]
+    fn steps_kernels_and_commits_fan_out_at_the_one_threshold() {
+        // Two chunks at the threshold, so a fan-out has two lanes to use.
+        let thr = 2 * CHUNK;
+        let want = pool::num_threads().min(2) as u64;
+        // Lanes one step shape ran on, from a fresh machine.
+        let lanes = |shape: &dyn Fn(&mut Machine, &mut Shm)| {
+            let mut m = Machine::new(2);
+            m.tuning = Tuning {
+                par_threshold: thr,
+                num_threads: Some(2),
+                ..Tuning::default()
+            };
+            let mut shm = Shm::new();
+            shape(&mut m, &mut shm);
+            m.metrics.threads
+        };
+        // A pool busy with another test's job runs its caller inline, so
+        // a fan-out is retried until it meets an idle pool.
+        let fans_out =
+            |shape: &dyn Fn(&mut Machine, &mut Shm)| (0..1000).any(|_| lanes(shape) == want);
+        // `n` processors, one write each: the commit stays below 2 * thr.
+        let generic = |n: usize| {
+            move |m: &mut Machine, shm: &mut Shm| {
+                let a = shm.alloc("a", n, 0);
+                m.step(shm, 0..n, |ctx| ctx.write(a, ctx.pid, 1));
+            }
+        };
+        let kernel = |n: usize| {
+            move |m: &mut Machine, shm: &mut Shm| {
+                let a = shm.alloc("a", n, 0);
+                m.kernel_map(shm, 0..n, a, |_, pid| pid as i64);
+            }
+        };
+        // `thr - 1` processors (compute below the threshold) buffering
+        // `2 * (thr - 1) + extra` writes in increasing cell order.
+        let commit = |extra: usize| {
+            move |m: &mut Machine, shm: &mut Shm| {
+                let a = shm.alloc("a", 3 * thr, 0);
+                m.step(shm, 0..thr - 1, |ctx| {
+                    let p = ctx.pid;
+                    let k = if p < extra { 3 } else { 2 };
+                    (0..k).for_each(|j| ctx.write(a, 3 * p + j, 1));
+                });
+            }
+        };
+        assert_eq!(lanes(&generic(thr - 1)), 1, "generic step below");
+        assert_eq!(lanes(&kernel(thr - 1)), 1, "kernel below");
+        assert_eq!(lanes(&commit(1)), 1, "commit below");
+        assert!(fans_out(&generic(thr)), "generic step at the threshold");
+        assert!(fans_out(&kernel(thr)), "kernel at the threshold");
+        assert!(fans_out(&commit(2)), "commit at twice the threshold");
     }
 
     #[test]

@@ -137,9 +137,13 @@ impl ThreadPool {
     /// is scheduling-dependent either way; callers must keep chunks
     /// data-independent, which is also what makes the observable result
     /// independent of `max_lanes`.
-    pub fn run_bounded(&self, max_lanes: usize, nchunks: usize, job: Job<'_>) {
+    ///
+    /// Returns the lanes the job was dispatched to: 1 when it ran inline
+    /// (zero workers, one chunk, a one-lane cap, or a busy pool), otherwise
+    /// `max_lanes` capped by the pool width and by `nchunks`.
+    pub fn run_bounded(&self, max_lanes: usize, nchunks: usize, job: Job<'_>) -> usize {
         if nchunks == 0 {
-            return;
+            return 1;
         }
         let shared = self.shared;
         // Trivial dispatches (no workers, one chunk, one lane) run inline, and
@@ -160,7 +164,7 @@ impl ThreadPool {
             for c in 0..nchunks {
                 job(c);
             }
-            return;
+            return 1;
         };
         shared.poisoned.store(false, Ordering::Relaxed);
         {
@@ -203,6 +207,7 @@ impl ThreadPool {
         if shared.poisoned.load(Ordering::Relaxed) {
             resume_unwind(Box::new("a simulator step chunk panicked in the pool"));
         }
+        max_lanes.min(self.workers + 1).min(nchunks)
     }
 }
 

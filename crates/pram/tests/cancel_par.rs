@@ -22,7 +22,7 @@ const CHUNK: usize = 8192;
 
 fn parallel_tuning(lanes: usize) -> Tuning {
     Tuning {
-        kernel_par_threshold: 1,
+        par_threshold: 1,
         num_threads: Some(lanes),
         ..Tuning::default()
     }

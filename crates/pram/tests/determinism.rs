@@ -129,13 +129,13 @@ proptest! {
         program in vec(step_spec(), 1..6),
     ) {
         let base = run_program(
-            Tuning { force_sequential: true, ..Tuning::default() },
+            Tuning { num_threads: Some(1), ..Tuning::default() },
             &lens,
             &program,
         );
         let auto = run_program(Tuning::default(), &lens, &program);
         let parallel = run_program(
-            Tuning { force_parallel: true, ..Tuning::default() },
+            Tuning { par_threshold: 0, ..Tuning::default() },
             &lens,
             &program,
         );
@@ -145,7 +145,7 @@ proptest! {
             &program,
         );
         let parallel_slow = run_program(
-            Tuning { force_parallel: true, disable_fast_path: true, ..Tuning::default() },
+            Tuning { par_threshold: 0, disable_fast_path: true, ..Tuning::default() },
             &lens,
             &program,
         );
@@ -289,24 +289,24 @@ proptest! {
         program in vec(kernel_spec(), 1..6),
     ) {
         let fused = run_kernel_program(
-            Tuning { force_sequential: true, ..Tuning::default() },
+            Tuning { num_threads: Some(1), ..Tuning::default() },
             &lens,
             &program,
         );
         let generic = run_kernel_program(
-            Tuning { force_sequential: true, disable_kernels: true, ..Tuning::default() },
+            Tuning { num_threads: Some(1), disable_kernels: true, ..Tuning::default() },
             &lens,
             &program,
         );
         prop_assert_eq!(&fused, &generic, "fused kernels diverged from generic steps");
 
         let fused_par = run_kernel_program(
-            Tuning { force_parallel: true, ..Tuning::default() },
+            Tuning { par_threshold: 0, ..Tuning::default() },
             &lens,
             &program,
         );
         let generic_par = run_kernel_program(
-            Tuning { force_parallel: true, disable_kernels: true, ..Tuning::default() },
+            Tuning { par_threshold: 0, disable_kernels: true, ..Tuning::default() },
             &lens,
             &program,
         );
@@ -353,14 +353,14 @@ proptest! {
         program in vec(kernel_spec_large(), 1..5),
     ) {
         let fused = run_kernel_program(
-            Tuning { kernel_par_threshold: usize::MAX, ..Tuning::default() },
+            Tuning { par_threshold: usize::MAX, ..Tuning::default() },
             &lens,
             &program,
         );
         for lanes in [Some(1), Some(2), None] {
             let par = run_kernel_program(
                 Tuning {
-                    kernel_par_threshold: 1,
+                    par_threshold: 1,
                     num_threads: lanes,
                     ..Tuning::default()
                 },
@@ -418,8 +418,7 @@ fn concurrent_machines_match_sequential_runs() {
         })
         .collect();
     let tuning = Tuning {
-        force_parallel: true,
-        kernel_par_threshold: 1,
+        par_threshold: 0,
         ..Tuning::default()
     };
     let run = |(lens, steps, kernels): &(Vec<usize>, Vec<StepSpec>, Vec<KernelSpec>)| {

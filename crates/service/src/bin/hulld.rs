@@ -131,9 +131,9 @@ fn main() {
         ..ServiceConfig::default()
     };
     println!(
-        "hulld: kernel par threshold {}, {} simulator lane(s) \
-         [IPCH_KERNEL_PAR_THRESHOLD / IPCH_THREADS]",
-        cfg.tuning.kernel_par_threshold,
+        "hulld: par threshold {}, {} simulator lane(s) \
+         [IPCH_PAR_THRESHOLD / IPCH_THREADS]",
+        cfg.tuning.par_threshold,
         ipch_pram::pool::configured_lanes(),
     );
     println!(

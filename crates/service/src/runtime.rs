@@ -117,7 +117,7 @@ use ipch_hull3d::parallel::unsorted3d::Unsorted3Params;
 use ipch_hull3d::seq::giftwrap::upper_hull3_giftwrap;
 use ipch_hull3d::seq::Seq3Stats;
 use ipch_hull3d::verify_upper_hull3;
-use ipch_pram::batch::batch_machine;
+use ipch_pram::rng::mix64;
 use ipch_pram::{
     silence_cancel_unwinds, CancelCause, CancelToken, CancelUnwind, FaultCounters, FaultPlan,
     Machine, Metrics, NoisePlan, Outcome, RunError, ServiceStats, Shm, SuperviseConfig, Tuning,
@@ -144,10 +144,10 @@ pub struct ServiceConfig {
     pub default_deadline: Option<Duration>,
     /// Circuit-breaker thresholds (shared by every algorithm's breaker).
     pub breaker: BreakerConfig,
-    /// Simulator tuning installed on every request's machine (kernel
-    /// dispatch threshold, lane cap). The default picks up the
-    /// `IPCH_KERNEL_PAR_THRESHOLD` env override, and the pool itself
-    /// honors `IPCH_THREADS`.
+    /// Simulator tuning installed on every request's machine (the one
+    /// fan-out threshold `par_threshold`, lane cap). The default picks up
+    /// the `IPCH_PAR_THRESHOLD` env override, and the pool itself honors
+    /// `IPCH_THREADS`.
     pub tuning: Tuning,
     /// Shard count: per-shard queues with tenant→shard affinity hashing.
     /// `queue_capacity` is **per shard**. The default `1` reproduces the
@@ -773,6 +773,21 @@ type Ran = (
     std::thread::Result<Result<Response, RunError>>,
 );
 
+/// The seed of a fused batch run: a pure function of the member seeds, so
+/// a replay of the same batch simulates identically, and order-sensitive,
+/// so distinct batchings of the same requests stay distinguishable. Each
+/// member seed goes through the SplitMix64 finalizer with a
+/// position-dependent rotation. Correctness never depends on it: members
+/// are certificate-verified one by one, and the hull a certificate admits
+/// is unique.
+fn combined_seed(seeds: impl IntoIterator<Item = u64>) -> u64 {
+    let mut acc = 0xBA7C_4ED0_5EED_0001u64;
+    for (i, s) in seeds.into_iter().enumerate() {
+        acc = mix64(acc ^ mix64(s.wrapping_add(i as u64).rotate_left((i % 63) as u32)));
+    }
+    acc
+}
+
 /// Resolve one popped unit of work — a lone job or a coalesced batch of
 /// small same-algorithm 2-D requests; a lone job is a batch of one — with
 /// every member resolved individually and exactly once. `runner` executes
@@ -783,7 +798,7 @@ type Ran = (
 /// queued, then plan each survivor's tier and charge its [`Admission`].
 /// **B** (no lock): when at least two members are planned at `Full` (not
 /// probes, not pressure-demoted), they run fused — [`upper_hulls_batch`]
-/// on a [`batch_machine`] seeded from the member seeds. Every other
+/// on one machine seeded by [`combined_seed`] over the member seeds. Every other
 /// member, plus any member whose fused certificate failed (or all of them,
 /// if the shared machine panicked), runs its own panic-isolated machine
 /// through `runner` at its execution tier. **C** (lock): absorb the shared
@@ -881,7 +896,11 @@ fn resolve(
                 })
                 .collect();
             let cat = ConcatPoints2::from_members(&slices);
-            let mut bm = batch_machine(fused.iter().map(|a| a.job.req.seed), cfg.tuning);
+            // No fault plan and no cancel token: per-member chaos
+            // disqualifies a request from fusion, and per-member deadlines
+            // are checked at the batch boundary below.
+            let mut bm = Machine::new(combined_seed(fused.iter().map(|a| a.job.req.seed)));
+            bm.tuning = cfg.tuning;
             let mut shm = Shm::new();
             let results = upper_hulls_batch(&mut bm, &mut shm, &cat);
             (bm.metrics, results)
@@ -1236,6 +1255,17 @@ mod tests {
     use super::*;
     use ipch_geom::Point2;
     use ipch_pram::FaultPlan;
+
+    #[test]
+    fn combined_seed_is_deterministic_and_order_sensitive() {
+        let a = combined_seed([1, 2, 3]);
+        let b = combined_seed([1, 2, 3]);
+        let c = combined_seed([3, 2, 1]);
+        assert_eq!(a, b, "replayable");
+        assert_ne!(a, c, "order-sensitive");
+        assert_ne!(combined_seed([0, 0]), combined_seed([0, 0, 0]));
+        assert_ne!(combined_seed(std::iter::empty()), 0);
+    }
 
     fn pts(n: usize) -> Vec<Point2> {
         // A strict parabola: distinct x, no duplicates, every point on the

@@ -567,7 +567,7 @@ fn chaos_metrics_count_what_happened() {
 #[test]
 fn chaos_fault_counters_identical_under_parallel_backend() {
     // Fault injection must be execution-mode-blind: the same seeded run
-    // on the sequential fused loops (kernel threshold `usize::MAX`) and
+    // on the sequential chunk loops (par threshold `usize::MAX`) and
     // fanned out over the pool (threshold 1, at a 2-lane cap and
     // uncapped) injects the *same* faults —
     // identical `FaultCounters`, supervisor stats, and PRAM accounting —
@@ -577,7 +577,7 @@ fn chaos_fault_counters_identical_under_parallel_backend() {
     let run = |threshold: usize, lanes: Option<usize>| {
         let mut m = rig(23, &corrupt_plan(0.003));
         m.tuning = Tuning {
-            kernel_par_threshold: threshold,
+            par_threshold: threshold,
             num_threads: lanes,
             ..Tuning::default()
         };

@@ -146,13 +146,13 @@ fn noise_counters_identical_across_kernel_backends() {
     // Flip decisions are pure hashes of (noise seed, op, operands, trial)
     // and the counters are order-independent sums, so the same seeded run
     // must inject and vote identically on the sequential fused loops
-    // (kernel threshold `usize::MAX`) and fanned out over the pool
+    // (par threshold `usize::MAX`) and fanned out over the pool
     // (threshold 1) at a 2-lane cap and uncapped.
     let pts = uniform_disk(36, 55);
     let run = |threshold: usize, lanes: Option<usize>| {
         let mut m = rig(23, &noise_plan(0.05, NoiseMode::Fresh));
         m.tuning = Tuning {
-            kernel_par_threshold: threshold,
+            par_threshold: threshold,
             num_threads: lanes,
             ..Tuning::default()
         };
@@ -226,14 +226,12 @@ proptest! {
         let pts = uniform_disk(n, seed ^ 0xBEEF);
         let mut runs = Vec::new();
         for disable_kernels in [false, true] {
-            for (force_sequential, force_parallel) in [(true, false), (false, true)] {
+            for par_threshold in [usize::MAX, 0] {
                 for lanes in [Some(1), Some(2), None] {
                     let mut m = rig(seed, &noise_plan(0.05, NoiseMode::Fresh));
                     m.tuning = Tuning {
                         disable_kernels,
-                        force_sequential,
-                        force_parallel,
-                        kernel_par_threshold: 1,
+                        par_threshold,
                         num_threads: lanes,
                         ..Tuning::default()
                     };

@@ -311,7 +311,7 @@ fn fault_free_two_worker_soak_never_strains() {
         // Every step of both workers' machines goes through the shared
         // pool, however small.
         tuning: Tuning {
-            force_parallel: true,
+            par_threshold: 0,
             ..Tuning::default()
         },
         ..ServiceConfig::default()
