@@ -10,7 +10,7 @@
 //!   hold seeded simulated costs only, so the CSVs are byte-identical at
 //!   any thread count and CI diffs them against the committed files.
 //! * `cargo bench` runs the criterion benches (experiment F6, plus the
-//!   analyzer, static-checker and voting costs). They print and write
+//!   analyzer and voting costs). They print and write
 //!   nothing; wall-clock claims belong to `perfbench/`.
 
 pub mod experiments;

@@ -39,6 +39,20 @@ pub mod seq;
 
 pub use ipch_geom::hull_chain::{verify_upper_hull, UpperHull};
 
+/// Every 2-D hull entry point's concurrency contract, in the crate's
+/// canonical order. The analyzer suite runs one row per contract.
+pub const CONTRACTS: &[ipch_pram::ModelContract] = &[
+    parallel::brute::BRUTE_CONTRACT,
+    parallel::folklore::FOLKLORE_CONTRACT,
+    parallel::presorted::PRESORTED_CONTRACT,
+    parallel::logstar::LOGSTAR_CONTRACT,
+    parallel::unsorted::UNSORTED_CONTRACT,
+    parallel::dac::DAC_CONTRACT,
+    parallel::batch::BATCH_CONTRACT,
+    parallel::noisy::NOISY_CONTRACT,
+    parallel::frugal::FRUGAL_CONTRACT,
+];
+
 /// Output convention of the paper's 2-D algorithms: the upper hull, plus a
 /// per-point pointer to the covering hull edge.
 #[derive(Clone, Debug)]

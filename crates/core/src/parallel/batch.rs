@@ -62,40 +62,6 @@ struct ActiveMember {
     n: usize,
 }
 
-/// Symbolic step structure of [`upper_hulls_batch`] for the static
-/// checker ([`ipch_pram::verify`]): three fused election rounds over the
-/// pair space plus member tails (≤ n² + n processors against `n` total
-/// batch points), writing best-slope / farthest-x / successor cells
-/// through host-side member offset tables — data-dependent targets
-/// declared by their bounds, resolved by Combine and Priority rules
-/// inside the Deterministic envelope.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(BATCH_CONTRACT);
-    let slope = p.array("batch.slope", Affine::n());
-    let bestx = p.array("batch.x", Affine::n());
-    let succ = p.array("batch.succ", Affine::n());
-    let negminx = p.array("batch.negminx", Affine::n());
-    let start = p.array("batch.start", Affine::n());
-    let pts = IndexSet::Within {
-        lo: Affine::k(0),
-        hi: Affine::n().minus(1),
-    };
-    let pairs_and_tails = Affine::n2().add(Affine::n());
-    p.step(
-        StepPlan::new("bid-slope", pairs_and_tails, WritePolicy::CombineMax)
-            .write(slope, pts)
-            .write(negminx, pts),
-    );
-    p.step(StepPlan::new("bid-x", pairs_and_tails, WritePolicy::CombineMax).write(bestx, pts));
-    p.step(
-        StepPlan::new("elect-succ", pairs_and_tails, WritePolicy::PriorityMin)
-            .write(succ, pts)
-            .write(start, pts),
-    );
-    p
-}
-
 /// Upper hulls of every batch member in O(1) fused steps plus a charged
 /// chain extraction, Σ nᵍ² work.
 ///

@@ -24,29 +24,6 @@ pub const BRUTE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::SameValue,
 };
 
-/// Symbolic step structure of [`upper_hull_brute`] for the static checker
-/// ([`ipch_pram::verify`]): one CombineOr marking step over all
-/// (pair, witness) triples — n³ processors each ORing a constant 1 into
-/// the n²-cell pair table. Which cell a triple kills is data-dependent
-/// (`pid / n`, a runtime divisor), so the write is declared by its bounds;
-/// the contract already admits Common-CRCW, so bounded same-value
-/// contention verifies statically.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(BRUTE_CONTRACT);
-    let bad = p.array("pbrute.bad", Affine::n2());
-    p.step(
-        StepPlan::new("mark", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            bad,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n2().minus(1),
-            },
-        ),
-    );
-    p
-}
-
 /// Upper hull of the subset `ids` of `points` in O(1) steps and Θ(|ids|³)
 /// work. Vertex ids refer to the original array.
 pub fn upper_hull_brute(

@@ -37,40 +37,6 @@ pub const DAC_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Forbidden,
 };
 
-/// Symbolic step structure of [`upper_hull_dac`] for the static checker
-/// ([`ipch_pram::verify`]), at the default charged-Cole sort mode (the
-/// sort contributes charged cost, no shared-memory accesses). Steps are
-/// authored as their *effective* access sets: the pairwise (g = 2)
-/// survival step has exactly one candidate writer per slot once the
-/// `j < k` pair guard fires, and the edge-pointer refinement writes each
-/// point's own `lo`/`hi` cell — all injective pid maps, which is what
-/// makes the EREW contract provable rather than merely plausible.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(DAC_CONTRACT);
-    let tops = p.array("hull2d.tops", Affine::n());
-    let dead = p.array("merge.dead", Affine::n());
-    let lo = p.array("hull2d.lo", Affine::n());
-    let hi = p.array("hull2d.hi", Affine::n());
-    p.step(
-        StepPlan::new("column-tops", Affine::n(), WritePolicy::Arbitrary)
-            .write(tops, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("merge-survive", Affine::n(), WritePolicy::CombineOr)
-            .write_uniform(dead, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("edge-refine", Affine::n(), WritePolicy::Arbitrary)
-            .read(lo, IndexSet::Exact(Affine::pid()))
-            .read(hi, IndexSet::Exact(Affine::pid()))
-            .write(lo, IndexSet::Exact(Affine::pid()))
-            .write(hi, IndexSet::Exact(Affine::pid())),
-    );
-    p
-}
-
 /// Upper hull by pairwise-merge divide and conquer. If `presorted` is
 /// false the input is sorted per `sort` (see [`SortMode`]).
 pub fn upper_hull_dac_with(

@@ -24,35 +24,6 @@ pub const FOLKLORE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::SameValue,
 };
 
-/// Symbolic step structure of [`upper_hull_folklore`] for the static
-/// checker ([`ipch_pram::verify`]): the column-top dedup scatter, then the
-/// merge-tree survival template — (Σ vertices)·g² processors per level,
-/// each CombineOr-ing a constant kill mark into the ≤ n slot table
-/// (`pid / g²` with runtime `g`, so the write is declared by its bounds).
-/// Verified at the maximal level size; smaller levels share the shape.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(FOLKLORE_CONTRACT);
-    let tops = p.array("hull2d.tops", Affine::n());
-    let dead = p.array("merge.dead", Affine::n());
-    p.step(
-        StepPlan::new("column-tops", Affine::n(), WritePolicy::Arbitrary)
-            .write(tops, IndexSet::Exact(Affine::pid())),
-    );
-    // survival level: ≤ n slots × g² pairs of group hulls, g ≤ n
-    p.step(
-        StepPlan::new("merge-survive", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            dead,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n().minus(1),
-            },
-        ),
-    );
-    p
-}
-
 /// Upper hull of the contiguous presorted slice `ids` (indices into
 /// `points`, which must be x-sorted along `ids`). Runs in O(k) executed +
 /// charged steps with ≤ |ids|^{1+1/k} work per step.

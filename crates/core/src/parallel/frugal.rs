@@ -3,9 +3,8 @@
 //! Work-space", PAPERS.md) grafted onto the simulator.
 //!
 //! The input array is **immutable**: it never enters shared memory at all,
-//! so the read-only discipline holds by construction — the
-//! [`AlgorithmPlan`](ipch_pram::verify::AlgorithmPlan) has exactly one
-//! workspace array and its write-set is trivially input-disjoint. The
+//! so the read-only discipline holds by construction: no step can write
+//! an input cell. The
 //! algorithm is gift wrapping with a blocked argmax: each of the `h` hull
 //! edges is found by `s` processors striding over the `n` points, so the
 //! whole run touches `s + O(1)` workspace cells — the O(s) scratch bound
@@ -42,24 +41,6 @@ pub const FRUGAL_CONTRACT: ModelContract = ModelContract {
     class: ModelClass::Erew,
     races: RaceExpectation::Forbidden,
 };
-
-/// Symbolic step structure for the static checker: one workspace array and
-/// one injective step shape, repeated per hull edge. The scratch parameter
-/// `s` is a runtime knob clamped to `s ≤ n`, so the plan bounds the array
-/// and the processor set by `n` — a sound over-approximation the affine
-/// DSL can express. The input points never appear as a plan array: the
-/// write-set is input-disjoint statically, not just by convention.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(FRUGAL_CONTRACT);
-    let best = p.array("pfrugal.best", Affine::n());
-    p.step(
-        StepPlan::new("block-scan", Affine::n(), WritePolicy::Arbitrary)
-            .write(best, IndexSet::Exact(Affine::pid())),
-    );
-    p
-}
 
 /// `a` is a better chain start than `b`: smaller x, then higher y, then —
 /// for exact duplicates — the larger id (matching the monotone-chain
@@ -156,7 +137,7 @@ pub fn upper_hull_frugal(
     shm.scope(|shm| {
         let best = shm.alloc("pfrugal.best", s, EMPTY);
         let start = blocked_argmax(m, shm, best, n, s, |_| true, |a, b| leads(points, a, b))
-            // xlint: allow(unwrap): n ≥ 1 and every id is a candidate
+            // n ≥ 1 and every id is a candidate, so there is a winner
             .unwrap();
         let mut verts = vec![start];
         let mut u = start;
@@ -319,6 +300,8 @@ mod tests {
             let want = s.clamp(1, pts.len()) as u64;
             assert_eq!(shm.peak_live_cells(), want, "scratch {s}");
             assert_eq!(m.metrics.peak_live_cells, want, "scratch {s}");
+            // the scratch lives in a scope: none of it outlives the call
+            assert_eq!(shm.live_cells(), 0, "scratch {s} leaked");
         }
     }
 

@@ -107,8 +107,8 @@ pub fn bridge_over_hulls(
         // test is the charged hull primitive
         let (u, v) = (points[bridge.left], points[bridge.right]);
         let groups_ref = groups;
-        // xlint: allow(arbitrary-policy): each processor writes only
-        // surv[pid] — exclusive cells, the policy never resolves a collision.
+        // Arbitrary never resolves a collision here: each processor writes
+        // only surv[pid], an exclusive cell.
         m.step_with_policy(shm, 0..g, WritePolicy::Arbitrary, |ctx| {
             let i = ctx.pid;
             let above = hull_above_line(points, &groups_ref[i], u, v);

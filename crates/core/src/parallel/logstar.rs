@@ -81,37 +81,6 @@ pub const LOGSTAR_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::SameValue,
 };
 
-/// Symbolic step structure of [`upper_hull_logstar`] for the static
-/// checker ([`ipch_pram::verify`]): the column-top dedup, the per-level
-/// group failure marking, and the hull-of-hulls (node, ancestor) coverage
-/// OR — all either injective pid maps or constant-mark CombineOr writes,
-/// which is exactly the Common-CRCW envelope the contract declares. The
-/// brute oracle sweeps and deterministic compaction it invokes carry
-/// their own contracts and plans.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(LOGSTAR_CONTRACT);
-    let tops = p.array("hull2d.tops", Affine::n());
-    let cov = p.array("hoh.cov", Affine::n());
-    p.step(
-        StepPlan::new("column-tops", Affine::n(), WritePolicy::Arbitrary)
-            .write(tops, IndexSet::Exact(Affine::pid())),
-    );
-    p.include(ipch_inplace::sweep::verify_plan());
-    // hull-of-hulls coverage: (node, ancestor) pairs ≤ n² processors
-    p.step(
-        StepPlan::new("hoh-cover", Affine::n2(), WritePolicy::CombineOr).write_uniform(
-            cov,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n().minus(1),
-            },
-        ),
-    );
-    p
-}
-
 /// The O(log* n) algorithm. `points` must be sorted by [`Point2::cmp_xy`].
 ///
 /// Fails with a typed [`RunError`] when a group is still unsolved after the

@@ -47,26 +47,6 @@ pub const NOISY_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::SameValue,
 };
 
-/// Symbolic step structure for the static checker: identical shape to the
-/// brute oracle (one CombineOr marking step, n³ processors over an n²-cell
-/// pair table) — voting multiplies the *host work per processor*, not the
-/// step structure, so the plan is noise-invariant.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(NOISY_CONTRACT);
-    let bad = p.array("pnoisy.bad", Affine::n2());
-    p.step(
-        StepPlan::new("mark", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            bad,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n2().minus(1),
-            },
-        ),
-    );
-    p
-}
-
 /// The noise context this machine's fault plane prescribes: live when a
 /// non-empty [`ipch_pram::NoisePlan`] is installed, the never-lying
 /// [`NoiseCtx::noiseless`] otherwise (whose counters provably never move,
@@ -162,7 +142,7 @@ fn hull_noisy_impl(
         // the topmost point — a wrong answer here fails the certificate
         let top = (0..n)
             .max_by(|&a, &b| points[a].cmp_xy(&points[b]))
-            // xlint: allow(unwrap): n >= 2 above, the range is non-empty
+            // n >= 2 above, so the range is non-empty
             .unwrap();
         return UpperHull::new(vec![top]);
     }

@@ -115,42 +115,6 @@ pub const PRESORTED_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`upper_hull_presorted`] for the static
-/// checker ([`ipch_pram::verify`]): failure marking over node ids, the
-/// (node, ancestor-level) coverage OR, the per-column lowest-qualifying-
-/// ancestor CombineMax election, and the edge read-off. Ancestor indices
-/// come off host-side path tables (`pid / depth` with runtime depth), so
-/// those writes are declared by their bounds; all contention resolves by
-/// Combine rules or agrees on the value, inside the Deterministic
-/// envelope. The sub-log³n folklore nodes and the failure-sweep
-/// compaction run under their own contracts and plans.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(PRESORTED_CONTRACT);
-    let cov = p.array("pres.cov", Affine::n());
-    let lvl = p.array("pres.lvl", Affine::n());
-    let above = p.array("pres.above", Affine::n());
-    let node_span = IndexSet::Within {
-        lo: Affine::k(0),
-        hi: Affine::n().minus(1),
-    };
-    p.include(ipch_inplace::sweep::verify_plan());
-    // (node, ancestor-level) pairs: ≤ n·depth ≤ n² processors
-    p.step(
-        StepPlan::new("cover", Affine::n2(), WritePolicy::CombineOr).write_uniform(cov, node_span),
-    );
-    p.step(
-        StepPlan::new("choose-level", Affine::n2(), WritePolicy::CombineMax).write(lvl, node_span),
-    );
-    p.step(
-        StepPlan::new("edge-read-off", Affine::n(), WritePolicy::Arbitrary)
-            .read(lvl, IndexSet::Exact(Affine::pid()))
-            .write(above, IndexSet::Exact(Affine::pid())),
-    );
-    p
-}
-
 /// The presorted O(1)-time algorithm. `points` must be sorted by
 /// [`Point2::cmp_xy`]. Returns the hull output and a diagnostics report.
 pub fn upper_hull_presorted(

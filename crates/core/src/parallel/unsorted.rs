@@ -122,39 +122,6 @@ pub const UNSORTED_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`upper_hull_unsorted`] for the static
-/// checker ([`ipch_pram::verify`]): per-point problem-number relabelling
-/// (each point reads and rewrites its own `uns.prob` cell), failure-flag
-/// marking over problem ids, and the Combine extreme-x reductions into
-/// single cells. Every write is either an injective pid map or a
-/// single-cell Combine election — provably inside the declared
-/// Deterministic Arbitrary-CRCW envelope. The bridge oracle and the
-/// failure-sweep compaction run under their own contracts and plans.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(UNSORTED_CONTRACT);
-    let prob = p.array("uns.prob", Affine::n());
-    let above = p.array("uns.above", Affine::n());
-    let fail = p.array("uns.fail", Affine::n());
-    let maxx = p.array("uns.maxx", Affine::k(1));
-    p.step(
-        StepPlan::new("relabel", Affine::n(), WritePolicy::Arbitrary)
-            .read(prob, IndexSet::Exact(Affine::pid()))
-            .write(prob, IndexSet::Exact(Affine::pid()))
-            .write(above, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("fail-mark", Affine::n(), WritePolicy::Arbitrary)
-            .write(fail, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("extreme-x", Affine::n(), WritePolicy::CombineMax)
-            .write(maxx, IndexSet::Exact(Affine::k(0))),
-    );
-    p
-}
-
 /// Run the unsorted 2-D algorithm. Returns the hull output and the trace.
 ///
 /// # Examples
@@ -283,8 +250,8 @@ pub fn upper_hull_unsorted(
         }
         let sols_ref = &sols;
         let active: Vec<usize> = problems.iter().flatten().copied().collect();
-        // xlint: allow(arbitrary-policy): each processor writes only its own
-        // slot — exclusive cells, the policy never resolves a collision.
+        // Arbitrary never resolves a collision here: each processor writes
+        // only its own slot, an exclusive cell.
         m.step_with_policy(shm, &active, WritePolicy::Arbitrary, |ctx| {
             let i = ctx.pid;
             let j = ctx.read(prob, i) as usize;

@@ -22,17 +22,24 @@ pub mod seq;
 
 pub use facet::{verify_upper_hull3, Facet};
 
-/// Every paper entry-point plan in the workspace — the 2-D hull, 3-D
-/// hull, LP and in-place registries, in that order. This crate is the one
-/// algorithm crate that depends on the other three, so it owns the
-/// aggregate: the serving runtime's admission precheck, the verify suite
-/// and the verify bench all draw from it. Each plan's `contract` is the
-/// entry point's `ModelContract` const, so the contracts *are* the
-/// registry of names.
-pub fn paper_plans() -> Vec<ipch_pram::verify::AlgorithmPlan> {
-    let mut plans = ipch_hull2d::parallel::verify_plans();
-    plans.extend(parallel::verify_plans());
-    plans.extend(ipch_lp::verify_plans());
-    plans.extend(ipch_inplace::verify_plans());
-    plans
+/// Every 3-D hull entry point's concurrency contract, in the crate's
+/// canonical order. The analyzer suite runs one row per contract.
+pub const CONTRACTS: &[ipch_pram::ModelContract] = &[
+    parallel::unsorted3d::UNSORTED3_CONTRACT,
+    parallel::probe::FIND_FACET_CONTRACT,
+    parallel::noisy::NOISY3_CONTRACT,
+];
+
+/// Every paper entry point's contract in the workspace: the 2-D hull,
+/// 3-D hull, LP and in-place registries, in that order. This crate is the
+/// one algorithm crate that depends on the other three, so it owns the
+/// aggregate. Each entry point's name is spelled once, in its contract.
+pub fn paper_contracts() -> Vec<ipch_pram::ModelContract> {
+    [
+        ipch_hull2d::CONTRACTS,
+        CONTRACTS,
+        ipch_lp::CONTRACTS,
+        ipch_inplace::CONTRACTS,
+    ]
+    .concat()
 }

@@ -45,26 +45,6 @@ pub const NOISY3_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::SameValue,
 };
 
-/// Symbolic step structure for the static checker: one CombineOr marking
-/// step, n³ processors (one per vertex triple) over the n³-cell triple
-/// table. The per-processor witness scan multiplies host work, not the
-/// step structure, so the plan is noise- and repetition-invariant.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(NOISY3_CONTRACT);
-    let good = p.array("pnoisy3.good", Affine::n3());
-    p.step(
-        StepPlan::new("mark", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            good,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n3().minus(1),
-            },
-        ),
-    );
-    p
-}
-
 /// The noise context the machine's fault plane prescribes (the 3-D twin of
 /// the 2-D entry's translation; noiseless when no plan is installed).
 fn ctx_for(m: &Machine) -> NoiseCtx {

@@ -51,35 +51,6 @@ pub const FIND_FACET_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`find_facet_inplace`] for the static
-/// checker ([`ipch_pram::verify`]): the survivor-flag initialisation, the
-/// compaction feed, and the per-round survivor re-marking are all
-/// injective per-point pid maps over the id universe. The contract's
-/// CRCW allowance is consumed by the brute base solver, whose plan is
-/// included, and by the random-sample claim protocol and the in-place
-/// compaction, whose data-dependent shapes the dynamic analyzer checks.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(FIND_FACET_CONTRACT);
-    let surv = p.array("fp.surv", Affine::n());
-    let sarr = p.array("fp.sarr", Affine::n());
-    p.step(
-        StepPlan::new("survivor-init", Affine::n(), WritePolicy::Arbitrary)
-            .write_uniform(surv, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("compaction-feed", Affine::n(), WritePolicy::Arbitrary)
-            .write(sarr, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("survivor-mark", Affine::n(), WritePolicy::Arbitrary)
-            .write(surv, IndexSet::Exact(Affine::pid())),
-    );
-    p.include(ipch_lp::bridge::facet_verify_plan());
-    p
-}
-
 /// Find the upper-hull facet of the scattered subset `active` pierced by
 /// the vertical line through `(x0, y0)`, in place. `None` = outside the
 /// subset's xy-hull or round cap exceeded (the failure the caller sweeps).

@@ -124,37 +124,6 @@ pub const UNSORTED3_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`upper_hull3_unsorted`] for the static
-/// checker ([`ipch_pram::verify`]): the (active point, new facet) facet
-/// assignment election — targets come through a host-side active-id
-/// table, so the write is declared by its bounds and resolved by Priority
-/// — plus the injective kill and failure-mark steps. The facet probe and
-/// the failure-sweep compaction carry their own contracts and plans.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(UNSORTED3_CONTRACT);
-    let alive = p.array("u3.alive", Affine::n());
-    let face = p.array("u3.face", Affine::n());
-    // (active, facet) pairs: ≤ n · #new-facets ≤ n² processors
-    p.step(
-        StepPlan::new("facet-assign", Affine::n2(), WritePolicy::PriorityMin).write(
-            face,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n().minus(1),
-            },
-        ),
-    );
-    p.step(
-        StepPlan::new("kill-under", Affine::n(), WritePolicy::Arbitrary)
-            .read(alive, IndexSet::Exact(Affine::pid()))
-            .write_uniform(alive, IndexSet::Exact(Affine::pid())),
-    );
-    p.include(ipch_inplace::sweep::verify_plan());
-    p
-}
-
 /// The §4.3 algorithm.
 ///
 /// # Examples
@@ -559,21 +528,52 @@ mod tests {
     /// Regression for the kill-step fix: the Priority kill writes (and the
     /// facet elections below them) must leave every race deterministic —
     /// the analyzer's salted replays must never flip a committed value.
+    /// The octagonal pyramid puts points exactly below the edges its
+    /// facets share, so two facets of one level contest their `face`
+    /// cells; random inputs almost never do.
     #[test]
     fn analyzer_pins_contract() {
         use ipch_pram::AnalyzeConfig;
-        let pts = in_ball(200, 11);
-        let mut m = Machine::new(5);
-        m.enable_analysis(AnalyzeConfig::default());
-        let mut shm = Shm::new();
-        shm.enable_shadow(true);
-        upper_hull3_unsorted(&mut m, &mut shm, &pts, &Unsorted3Params::default());
-        let r = m.analysis_report().unwrap();
-        assert_eq!(r.contract.unwrap().algorithm, "hull3d/unsorted3d");
-        assert!(r.is_clean(), "{}", r.render());
-        assert_eq!(r.seed_dependent_races, 0);
-        assert_eq!(r.unconfirmed_arbitrary_races, 0);
-        assert!(r.deterministic_races > 0, "kill step should be exercised");
+        let mut pyramid = vec![Point3::new(0.0, 0.0, 1.0)];
+        let corners = [
+            (2, 1),
+            (1, 2),
+            (-1, 2),
+            (-2, 1),
+            (-2, -1),
+            (-1, -2),
+            (1, -2),
+            (2, -1),
+        ];
+        for (x, y) in corners {
+            pyramid.push(Point3::new(x as f64, y as f64, 0.0));
+        }
+        for (x, y) in corners {
+            for j in 1..=8 {
+                // scaling by ±1 or ±2 is exact, so the point lies exactly
+                // under the edge from the apex to corner (x, y)
+                let t = j as f64 / 9.0;
+                pyramid.push(Point3::new(x as f64 * t, y as f64 * t, -1.0 - t));
+            }
+        }
+        let runs = [(in_ball(200, 11), 5)]
+            .into_iter()
+            .chain((0..4).map(|seed| (pyramid.clone(), seed)));
+        for (pts, seed) in runs {
+            let mut m = Machine::new(seed);
+            m.enable_analysis(AnalyzeConfig::default());
+            let mut shm = Shm::new();
+            shm.enable_shadow(true);
+            let (out, _) =
+                upper_hull3_unsorted(&mut m, &mut shm, &pts, &Unsorted3Params::default());
+            verify_upper_hull3(&pts, &out.facets, false).unwrap();
+            let r = m.analysis_report().unwrap();
+            assert_eq!(r.contract.unwrap().algorithm, "hull3d/unsorted3d");
+            assert!(r.is_clean(), "n={} seed {seed}:\n{}", pts.len(), r.render());
+            assert_eq!(r.seed_dependent_races, 0);
+            assert_eq!(r.unconfirmed_arbitrary_races, 0);
+            assert!(r.deterministic_races > 0, "kill step should be exercised");
+        }
     }
 
     #[test]

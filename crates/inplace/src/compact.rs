@@ -55,47 +55,6 @@ pub struct InplaceCompaction {
     pub workspace_cells: usize,
 }
 
-/// Symbolic step structure of [`inplace_compact`] for the static checker
-/// ([`ipch_pram::verify`]). The group-mark and final-scatter indices are
-/// the element's current group id — data held in registers, outside the
-/// symbolic index language — so the plan declares them opaque and the
-/// verdict is honestly `NeedsDynamic`: the group-refinement exclusivity
-/// argument is confirmed by the dynamic analyzer.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(COMPACT_CONTRACT);
-    let src = p.array("ipc.src", Affine::n());
-    let seg = p.array("ipc.seg", Affine::n());
-    let marks = p.array("ipc.marks", Affine::n());
-    let slots = p.array("ipc.slots", Affine::n());
-    p.step(
-        StepPlan::new("segment-init", Affine::n(), WritePolicy::Arbitrary)
-            .read(src, IndexSet::Exact(Affine::pid()))
-            .write(seg, IndexSet::Exact(Affine::pid())),
-    );
-    // marks[g] = g (or the singleton position): every writer that hits a
-    // cell writes the same payload — a per-cell-uniform opaque scatter.
-    p.step(
-        StepPlan::new("group-mark", Affine::n(), WritePolicy::Arbitrary)
-            .read(src, IndexSet::Exact(Affine::pid()))
-            .read(seg, IndexSet::Exact(Affine::pid()))
-            .write_uniform(marks, IndexSet::Opaque),
-    );
-    p.step(
-        StepPlan::new("renumber", Affine::n(), WritePolicy::Arbitrary)
-            .read(seg, IndexSet::Exact(Affine::pid()))
-            .write(seg, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("final-scatter", Affine::n(), WritePolicy::Arbitrary)
-            .read(src, IndexSet::Exact(Affine::pid()))
-            .read(seg, IndexSet::Exact(Affine::pid()))
-            .write(slots, IndexSet::Opaque),
-    );
-    p
-}
-
 /// In-place approximate compaction of the occupied (non-`EMPTY`) cells of
 /// `src`. `bound` plays the role of m^ε: if more than `bound` cells are
 /// occupied this is detected and `None` is returned. `delta` sets the

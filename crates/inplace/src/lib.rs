@@ -33,19 +33,12 @@ pub mod supervised;
 pub mod sweep;
 pub mod vote;
 
-/// All in-place-technique plans for the static checker
-/// ([`ipch_pram::verify`]), in the crate's canonical order.
-///
-/// Four of the five are expected to yield `NeedsDynamic`: their
-/// exclusivity rests on number-theoretic (mod-prime) or randomized
-/// (dart-throwing) arguments outside the symbolic index language, and the
-/// plans say so rather than overclaim.
-pub fn verify_plans() -> Vec<ipch_pram::verify::AlgorithmPlan> {
-    vec![
-        ragde::det_verify_plan(),
-        ragde::rand_verify_plan(),
-        compact::verify_plan(),
-        sample::verify_plan(),
-        vote::verify_plan(),
-    ]
-}
+/// Every in-place-technique entry point's concurrency contract, in the
+/// crate's canonical order. The analyzer suite runs one row per contract.
+pub const CONTRACTS: &[ipch_pram::ModelContract] = &[
+    ragde::RAGDE_DET_CONTRACT,
+    ragde::RAGDE_RAND_CONTRACT,
+    compact::COMPACT_CONTRACT,
+    sample::SAMPLE_CONTRACT,
+    vote::VOTE_CONTRACT,
+];

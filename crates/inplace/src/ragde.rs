@@ -121,92 +121,6 @@ pub const RAGDE_RAND_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`ragde_compact_det`] for the static
-/// checker ([`ipch_pram::verify`]). The mod-prime scatter's destination
-/// index (`i mod p` for the run-time injective prime `p`) is outside the
-/// symbolic index language, so the plan declares it opaque: the verdict is
-/// honestly `NeedsDynamic` — exclusivity rests on the number-theoretic
-/// injectivity argument, which only the dynamic analyzer confirms.
-pub fn det_verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(RAGDE_DET_CONTRACT);
-    let src = p.array("ragde.src", Affine::n());
-    let count = p.array("ragde.count", Affine::k(1));
-    let dst = p.array("ragde.dst", Affine::n());
-    p.step(
-        StepPlan::new("count", Affine::n(), WritePolicy::CombineSum)
-            .read(src, IndexSet::Exact(Affine::pid()))
-            .write_uniform(
-                count,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p.step(
-        StepPlan::new("mod-prime-scatter", Affine::n(), WritePolicy::Arbitrary)
-            .read(src, IndexSet::Exact(Affine::pid()))
-            .write(dst, IndexSet::Opaque),
-    );
-    p
-}
-
-/// Symbolic step structure of [`ragde_compact_rand`]. The dart throws
-/// target coin-chosen slots, and the claim step writes only where the
-/// thrower won the Priority contest — both outside the symbolic index
-/// language, so the plan is honestly `NeedsDynamic`.
-pub fn rand_verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(RAGDE_RAND_CONTRACT);
-    let src = p.array("ragde.src", Affine::n());
-    let count = p.array("ragde.count", Affine::k(1));
-    let dst = p.array("ragde.rdst", Affine::n());
-    let placed = p.array("ragde.placed", Affine::n());
-    let try_slot = p.array("ragde.try", Affine::n());
-    let unplaced = p.array("ragde.unplaced", Affine::k(1));
-    p.step(
-        StepPlan::new("count", Affine::n(), WritePolicy::CombineSum)
-            .read(src, IndexSet::Exact(Affine::pid()))
-            .write_uniform(
-                count,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p.step(
-        StepPlan::new("throw-pick", Affine::n(), WritePolicy::Arbitrary)
-            .read(src, IndexSet::Exact(Affine::pid()))
-            .read(placed, IndexSet::Exact(Affine::pid()))
-            .write(try_slot, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("throw-contest", Affine::n(), WritePolicy::PriorityMin)
-            .read(try_slot, IndexSet::Exact(Affine::pid()))
-            .write(dst, IndexSet::Opaque),
-    );
-    p.step(
-        StepPlan::new("winner-claim", Affine::n(), WritePolicy::Arbitrary)
-            .read(try_slot, IndexSet::Exact(Affine::pid()))
-            .write(dst, IndexSet::Opaque)
-            .write(placed, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("unplaced-or", Affine::n(), WritePolicy::CombineOr)
-            .read(placed, IndexSet::Exact(Affine::pid()))
-            .write_uniform(
-                unplaced,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p
-}
-
 /// Deterministic approximate compaction (Lemma 2.1 interface).
 ///
 /// Fails (returns `None`) iff more than `bound` cells are occupied — the

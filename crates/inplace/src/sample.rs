@@ -91,56 +91,6 @@ pub fn random_sample(
     random_sample_with_p(m, shm, active, universe, k, attempts, None)
 }
 
-/// [`random_sample`] with an explicit attempt probability, as required by
-/// the survivor schedule of the in-place bridge-finding procedure (§3.3
-/// step 3: `p_j = min{1, 2k·p_{j−1}}`, independent of the current survivor
-/// count). `None` uses the default 2k/m.
-/// Symbolic step structure of [`random_sample`] for the static checker
-/// ([`ipch_pram::verify`]). The dart targets are coin-chosen workspace
-/// slots and the claim step writes only where the thrower won the
-/// Priority contest — outside the symbolic index language — so the plan
-/// declares those accesses opaque and the verdict is honestly
-/// `NeedsDynamic`: the collision-protocol exclusivity is confirmed by the
-/// dynamic analyzer.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(SAMPLE_CONTRACT);
-    let claim = p.array("sample.claim", Affine::n());
-    let attempt = p.array("sample.attempt", Affine::n());
-    let placed = p.array("sample.placed", Affine::n());
-    let try_slot = p.array("sample.try", Affine::n());
-    let first = p.array("sample.first", Affine::n());
-    let second = p.array("sample.second", Affine::n());
-    p.step(
-        StepPlan::new("coin-flip", Affine::n(), WritePolicy::Arbitrary)
-            .write_uniform(attempt, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("slot-pick", Affine::n(), WritePolicy::Arbitrary)
-            .read(attempt, IndexSet::Exact(Affine::pid()))
-            .read(placed, IndexSet::Exact(Affine::pid()))
-            .write(try_slot, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("claim-contest", Affine::n(), WritePolicy::PriorityMin)
-            .read(try_slot, IndexSet::Exact(Affine::pid()))
-            .write(first, IndexSet::Opaque),
-    );
-    // losers poison contested cells with a constant — per-cell uniform
-    p.step(
-        StepPlan::new("poison", Affine::n(), WritePolicy::Arbitrary)
-            .read(try_slot, IndexSet::Exact(Affine::pid()))
-            .write_uniform(second, IndexSet::Opaque),
-    );
-    p.step(
-        StepPlan::new("winner-claim", Affine::n(), WritePolicy::Arbitrary)
-            .read(try_slot, IndexSet::Exact(Affine::pid()))
-            .write(claim, IndexSet::Opaque)
-            .write(placed, IndexSet::Exact(Affine::pid())),
-    );
-    p
-}
-
 pub fn random_sample_with_p(
     m: &mut Machine,
     shm: &mut Shm,

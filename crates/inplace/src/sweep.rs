@@ -23,10 +23,9 @@
 
 use std::convert::Infallible;
 
-use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-use ipch_pram::{Machine, Shm, WritePolicy, EMPTY};
+use ipch_pram::{Machine, Shm, EMPTY};
 
-use crate::ragde::{ragde_compact_det, RAGDE_DET_CONTRACT};
+use crate::ragde::ragde_compact_det;
 
 /// What one failure sweep did.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,21 +77,6 @@ pub fn failure_sweep(
         },
     );
     Swept { list, overflow }
-}
-
-/// Symbolic structure of the marking step for the static checker
-/// ([`ipch_pram::verify`]): one processor per subproblem writes its own
-/// flag. Callers splice it into their plans with
-/// [`AlgorithmPlan::include`]; the compaction it feeds carries its own
-/// plan ([`crate::ragde::det_verify_plan`]).
-pub fn verify_plan() -> AlgorithmPlan {
-    let mut p = AlgorithmPlan::new(RAGDE_DET_CONTRACT);
-    let fail = p.array("sweep.fail", Affine::n());
-    p.step(
-        StepPlan::new("fail-mark", Affine::n(), WritePolicy::Arbitrary)
-            .write(fail, IndexSet::Exact(Affine::pid())),
-    );
-    p
 }
 
 #[cfg(test)]

@@ -25,53 +25,6 @@ pub const VOTE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`random_vote`] for the static checker
-/// ([`ipch_pram::verify`]): the 0/1 view scatter is one-to-one, the
-/// block-OR writes agree (mark 1), and the knockout leaves exactly one
-/// announcing winner (the effective access set of the final step is a
-/// single processor). The sampling itself carries its own contract and
-/// plan ([`crate::sample::verify_plan`]).
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(VOTE_CONTRACT);
-    let view = p.array("vote.view", Affine::n());
-    let flagged = p.array("lmz.flagged", Affine::n());
-    let loser = p.array("lmz.loser", Affine::n());
-    let winner = p.array("lmz.winner", Affine::k(1));
-    p.step(
-        StepPlan::new("slot-view", Affine::n(), WritePolicy::Arbitrary)
-            .write_uniform(view, IndexSet::Exact(Affine::pid())),
-    );
-    // pid/b for the run-time block size b: bounded by the flag array
-    p.step(
-        StepPlan::new("block-or", Affine::n(), WritePolicy::Arbitrary)
-            .read(view, IndexSet::Exact(Affine::pid()))
-            .write_uniform(
-                flagged,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::n().plus(-1),
-                },
-            ),
-    );
-    p.step(
-        StepPlan::new("block-knockout", Affine::n2(), WritePolicy::Arbitrary).write_uniform(
-            loser,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n().plus(-1),
-            },
-        ),
-    );
-    // the knockout's unique survivor announces itself: one effective writer
-    p.step(
-        StepPlan::new("winner-announce", Affine::k(1), WritePolicy::Arbitrary)
-            .write(winner, IndexSet::Exact(Affine::k(0))),
-    );
-    p
-}
-
 /// Choose one element of `active` uniformly at random, in place.
 ///
 /// Returns `None` when the (constant-time) procedure produced an empty

@@ -73,27 +73,6 @@ pub const LP2_AM_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`solve_lp2_am`] for the static checker
-/// ([`ipch_pram::verify`]): per-round coin flips read the survivor flags
-/// and the violation test rewrites them, both one-to-one over the
-/// constraint ids; the CRCW allowance is consumed by the brute base
-/// solver, whose plan is included.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(LP2_AM_CONTRACT);
-    let surv = p.array("am.surv", Affine::n());
-    p.step(
-        StepPlan::new("coin-flip", Affine::n(), WritePolicy::Arbitrary)
-            .read(surv, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("survivor-test", Affine::n(), WritePolicy::Arbitrary)
-            .write(surv, IndexSet::Exact(Affine::pid())),
-    );
-    p.include(crate::brute::verify_plan());
-    p
-}
-
 /// Solve `minimize obj` over `constraints` by the Alon–Megiddo scheme.
 pub fn solve_lp2_am(
     m: &mut Machine,
@@ -200,8 +179,8 @@ pub fn solve_lp2_am(
         // Survivor step: every constraint tests the new solution (one
         // concurrent step with n processors).
         let (sx, sy) = (sol.x, sol.y);
-        // xlint: allow(arbitrary-policy): each processor writes only
-        // surv[pid] — exclusive cells, the policy never resolves a collision.
+        // Arbitrary never resolves a collision here: each processor writes
+        // only surv[pid], an exclusive cell.
         m.step_with_policy(shm, 0..n, WritePolicy::Arbitrary, |ctx| {
             let i = ctx.pid;
             let c = &constraints[i];

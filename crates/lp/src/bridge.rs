@@ -44,117 +44,6 @@ pub const FACET_BRUTE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`bridge_brute`] for the static checker
-/// ([`ipch_pram::verify`]): an n³-processor uniform knock-out scatter into
-/// the n² pair array, then guarded single-cell elections (Priority winner,
-/// Combine contact keys, Priority contact ids).
-pub fn bridge_verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(BRIDGE_BRUTE_CONTRACT);
-    let bad = p.array("bridge.bad", Affine::n2());
-    let win = p.array("bridge.win", Affine::k(1));
-    let lmax = p.array("bridge.lmax", Affine::k(1));
-    let rmin = p.array("bridge.rmin", Affine::k(1));
-    let lwin = p.array("bridge.lwin", Affine::k(1));
-    let rwin = p.array("bridge.rwin", Affine::k(1));
-    // pid/n over n³ processors covers pairs [0, n²): every writer that hits
-    // a pair writes the same mark (1).
-    p.step(
-        StepPlan::new("mark", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            bad,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n2().plus(-1),
-            },
-        ),
-    );
-    p.step(
-        StepPlan::new("elect", Affine::n2(), WritePolicy::PriorityMin)
-            .read(bad, IndexSet::Exact(Affine::pid()))
-            .write(
-                win,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p.step(
-        StepPlan::new("contact-keys", Affine::n(), WritePolicy::CombineMax).write(
-            lmax,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::k(0),
-            },
-        ),
-    );
-    p.step(
-        StepPlan::new("contact-keys-min", Affine::n(), WritePolicy::CombineMin).write(
-            rmin,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::k(0),
-            },
-        ),
-    );
-    p.step(
-        StepPlan::new("contact-elect", Affine::n(), WritePolicy::PriorityMin)
-            .write(
-                lwin,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            )
-            .write(
-                rwin,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p
-}
-
-/// Symbolic step structure of [`facet_brute`]. The candidate count is
-/// host-enumerated (C(n,3) triples, then the survivors); the plan bounds
-/// both by n³, and the supporting-test scatter — nc·n processors at run
-/// time — by its write footprint into the candidate array, which is what
-/// the bounds proof needs.
-pub fn facet_verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(FACET_BRUTE_CONTRACT);
-    let bad = p.array("facet.bad", Affine::n3());
-    let bad2 = p.array("facet.bad2", Affine::n3());
-    let win = p.array("facet.win", Affine::k(1));
-    p.step(
-        StepPlan::new("triple-mark", Affine::n3(), WritePolicy::CombineOr)
-            .write_uniform(bad, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("support-mark", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            bad2,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n3().plus(-1),
-            },
-        ),
-    );
-    p.step(
-        StepPlan::new("facet-elect", Affine::n3(), WritePolicy::PriorityMin)
-            .read(bad2, IndexSet::Exact(Affine::pid()))
-            .write(
-                win,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p
-}
-
 /// A bridge: the two endpoint *ids* (into the caller's point array) of the
 /// upper-hull edge straddling the splitter, `points[left].x ≤ x₀ <
 /// points[right].x`.

@@ -41,50 +41,6 @@ pub const LP2_BRUTE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`solve_lp2_brute`] for the static checker
-/// ([`ipch_pram::verify`]): the n³-processor uniform knock-out scatter
-/// into the n² candidate array, then two guarded single-cell reductions
-/// (Combine(min) objective key, First-priority winner).
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(LP2_BRUTE_CONTRACT);
-    let bad = p.array("lp2.bad", Affine::n2());
-    let best = p.array("lp2.best", Affine::k(1));
-    let win = p.array("lp2.win", Affine::k(1));
-    p.step(
-        StepPlan::new("mark", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            bad,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n2().plus(-1),
-            },
-        ),
-    );
-    p.step(
-        StepPlan::new("best-key", Affine::n2(), WritePolicy::CombineMin)
-            .read(bad, IndexSet::Exact(Affine::pid()))
-            .write(
-                best,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p.step(
-        StepPlan::new("elect", Affine::n2(), WritePolicy::PriorityMin)
-            .read(bad, IndexSet::Exact(Affine::pid()))
-            .write(
-                win,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p
-}
-
 /// Solve `minimize obj` over `constraints` by the Observation 2.2 method.
 ///
 /// Costs O(1) executed steps and Θ(n³) work for n constraints (d = 2).

@@ -46,23 +46,6 @@ pub const FRUGAL_BRIDGE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Forbidden,
 };
 
-/// Symbolic step structure: one workspace array, one injective step shape
-/// per wrap probe. The scratch parameter `s` is clamped to the active-set
-/// size, so the affine DSL's `n` bounds both the array and the processor
-/// set; the input points never appear as a plan array — the write-set is
-/// input-disjoint statically.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(FRUGAL_BRIDGE_CONTRACT);
-    let best = p.array("pfrugal.bridge.best", Affine::n());
-    p.step(
-        StepPlan::new("wrap-scan", Affine::n(), WritePolicy::Arbitrary)
-            .write(best, IndexSet::Exact(Affine::pid())),
-    );
-    p
-}
-
 /// One blocked argmax over the active positions: `s` processors stride
 /// over the `p` entries, each writing its block winner (an active
 /// *position*, or [`EMPTY`]) into its own cell; block winners combine by
@@ -313,6 +296,8 @@ mod tests {
             let want = s.clamp(1, pts.len()) as u64;
             assert_eq!(shm.peak_live_cells(), want, "scratch {s}");
             assert_eq!(m.metrics.peak_live_cells, want, "scratch {s}");
+            // the scratch lives in a scope: none of it outlives the call
+            assert_eq!(shm.live_cells(), 0, "scratch {s} leaked");
         }
     }
 

@@ -147,35 +147,6 @@ pub const INPLACE_BRIDGE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`find_bridge_inplace`] for the static
-/// checker ([`ipch_pram::verify`]): survivor-flag initialisation, the
-/// compaction feed, and the per-round survivor check are all one-to-one
-/// pid maps over the id universe. The contract's CRCW allowance is
-/// consumed by the brute base solver, whose plan is included, and by the
-/// random-sample claim protocol and the in-place compaction, whose
-/// data-dependent shapes the dynamic analyzer checks.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    use ipch_pram::WritePolicy;
-    let mut p = AlgorithmPlan::new(INPLACE_BRIDGE_CONTRACT);
-    let surv = p.array("ib.surv", Affine::n());
-    let sarr = p.array("ib.sarr", Affine::n());
-    p.step(
-        StepPlan::new("survivor-init", Affine::n(), WritePolicy::Arbitrary)
-            .write_uniform(surv, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("compaction-feed", Affine::n(), WritePolicy::Arbitrary)
-            .write(sarr, IndexSet::Exact(Affine::pid())),
-    );
-    p.step(
-        StepPlan::new("survivor-check", Affine::n(), WritePolicy::Arbitrary)
-            .write(surv, IndexSet::Exact(Affine::pid())),
-    );
-    p.include(crate::bridge::bridge_verify_plan());
-    p
-}
-
 /// As [`find_bridge_inplace`], but always returns the trace.
 pub fn find_bridge_inplace_traced(
     m: &mut Machine,
@@ -295,8 +266,8 @@ pub fn find_bridge_inplace_traced(
 
         // Step 3: global survivor check — one concurrent step.
         let (u, v) = (points[bridge.left], points[bridge.right]);
-        // xlint: allow(arbitrary-policy): each processor writes only
-        // surv[pid] — exclusive cells, the policy never resolves a collision.
+        // Arbitrary never resolves a collision here: each processor writes
+        // only surv[pid], an exclusive cell.
         m.step_with_policy(shm, active, WritePolicy::Arbitrary, |ctx| {
             let i = ctx.pid;
             let above = orient2d_sign(u, v, points[i]) > 0;

@@ -36,16 +36,14 @@ pub mod seidel;
 pub mod seidel3;
 pub mod supervised;
 
-/// All LP entry-point plans for the static checker
-/// ([`ipch_pram::verify`]), in the crate's canonical order.
-pub fn verify_plans() -> Vec<ipch_pram::verify::AlgorithmPlan> {
-    vec![
-        brute::verify_plan(),
-        lp3d::verify_plan(),
-        alon_megiddo::verify_plan(),
-        bridge::bridge_verify_plan(),
-        bridge::facet_verify_plan(),
-        inplace_bridge::verify_plan(),
-        frugal_bridge::verify_plan(),
-    ]
-}
+/// Every LP entry point's concurrency contract, in the crate's canonical
+/// order. The analyzer suite runs one row per contract.
+pub const CONTRACTS: &[ipch_pram::ModelContract] = &[
+    brute::LP2_BRUTE_CONTRACT,
+    lp3d::LP3_BRUTE_CONTRACT,
+    alon_megiddo::LP2_AM_CONTRACT,
+    bridge::BRIDGE_BRUTE_CONTRACT,
+    bridge::FACET_BRUTE_CONTRACT,
+    inplace_bridge::INPLACE_BRIDGE_CONTRACT,
+    frugal_bridge::FRUGAL_BRIDGE_CONTRACT,
+];

@@ -101,51 +101,6 @@ pub const LP3_BRUTE_CONTRACT: ModelContract = ModelContract {
     races: RaceExpectation::Deterministic,
 };
 
-/// Symbolic step structure of [`solve_lp3_brute`] for the static checker
-/// ([`ipch_pram::verify`]). The C(n,3) candidate triples are
-/// host-enumerated; the plan bounds them by n³ and the (triple,
-/// constraint) marking scatter — nt·n processors at run time — by its
-/// write footprint into the candidate array.
-pub fn verify_plan() -> ipch_pram::verify::AlgorithmPlan {
-    use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-    let mut p = AlgorithmPlan::new(LP3_BRUTE_CONTRACT);
-    let bad = p.array("lp3.bad", Affine::n3());
-    let best = p.array("lp3.best", Affine::k(1));
-    let win = p.array("lp3.win", Affine::k(1));
-    p.step(
-        StepPlan::new("mark", Affine::n3(), WritePolicy::CombineOr).write_uniform(
-            bad,
-            IndexSet::Within {
-                lo: Affine::k(0),
-                hi: Affine::n3().plus(-1),
-            },
-        ),
-    );
-    p.step(
-        StepPlan::new("best-key", Affine::n3(), WritePolicy::CombineMin)
-            .read(bad, IndexSet::Exact(Affine::pid()))
-            .write(
-                best,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p.step(
-        StepPlan::new("elect", Affine::n3(), WritePolicy::PriorityMin)
-            .read(bad, IndexSet::Exact(Affine::pid()))
-            .write(
-                win,
-                IndexSet::Within {
-                    lo: Affine::k(0),
-                    hi: Affine::k(0),
-                },
-            ),
-    );
-    p
-}
-
 /// Solve `minimize obj` over `constraints` by Observation 2.2 (d = 3).
 ///
 /// Costs O(1) executed steps and Θ(n⁴)-scale work. Like the 2-D solver,
@@ -289,6 +244,42 @@ mod tests {
             o => panic!("{o:?}"),
         }
         assert_eq!(m.metrics.steps, 3, "O(1) time");
+    }
+
+    /// A fourth plane through the optimal vertex makes three triples tie
+    /// at the optimum, so the step-3 election is contested; Priority keeps
+    /// the winner, and the reported tight triple, independent of the
+    /// tiebreak seed.
+    #[test]
+    fn analyzer_pins_vertex_election() {
+        use ipch_pram::AnalyzeConfig;
+        let cs = vec![
+            hs(1.0, 0.0, 0.0, 1.0),
+            hs(0.0, 1.0, 0.0, 2.0),
+            hs(0.0, 0.0, 1.0, 3.0),
+            hs(-1.0, 0.0, 0.0, -10.0),
+            hs(0.0, -1.0, 0.0, -10.0),
+            hs(0.0, 0.0, -1.0, -10.0),
+            hs(1.0, 1.0, 0.0, 3.0),
+        ];
+        let obj = Objective3 {
+            cx: 1.0,
+            cy: 1.0,
+            cz: 1.0,
+        };
+        let mut m = Machine::new(3);
+        m.enable_analysis(AnalyzeConfig::default());
+        let mut shm = Shm::new();
+        shm.enable_shadow(true);
+        match solve_lp3_brute(&mut m, &mut shm, &cs, &obj) {
+            Lp3Outcome::Optimal(s) => assert_eq!(s.tight, (0, 1, 2)),
+            o => panic!("{o:?}"),
+        }
+        let r = m.analysis_report().unwrap();
+        assert_eq!(r.contract, Some(LP3_BRUTE_CONTRACT));
+        assert!(r.is_clean(), "{}", r.render());
+        assert_eq!(r.seed_dependent_races, 0);
+        assert_eq!(r.unconfirmed_arbitrary_races, 0);
     }
 
     #[test]

@@ -357,6 +357,10 @@ pub(crate) fn corruption_draw(state: &FaultState, step_no: u64) -> Option<u64> {
 /// conflicted run, max or min by a per-cell fault coin. Deterministic in
 /// (fault seed, step, cell) and independent of the standard tiebreak.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "commit runs are non-empty by construction"
+)]
 pub(crate) fn adversarial_pick(
     fault_seed: u64,
     step_no: u64,
@@ -365,10 +369,8 @@ pub(crate) fn adversarial_pick(
 ) -> crate::Word {
     let take_max = event(fault_seed, KIND_ADVERSARY, step_no, key) & 1 == 0;
     if take_max {
-        // xlint: allow(unwrap): commit runs are non-empty by construction
         run_vals.max().expect("non-empty run")
     } else {
-        // xlint: allow(unwrap): commit runs are non-empty by construction
         run_vals.min().expect("non-empty run")
     }
 }

@@ -395,6 +395,8 @@ impl Machine {
             // SAFETY: chunks own disjoint subranges `clo..chi` of the
             // detached buffer, all inside `0..buf.len()` (checked above).
             let slots = unsafe { std::slice::from_raw_parts_mut(base.get().add(clo), chi - clo) };
+            // SAFETY: chunk `c` is dispatched exactly once, so it is the
+            // only accessor of read trace `c`.
             let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
             let t = KCtx::for_chunk(shm_ref, forbidden, trace);
             // SAFETY: chunk `c` exclusively owns `chunk_bufs[c]`; no
@@ -496,6 +498,7 @@ impl Machine {
             let hi = ((c + 1) * CHUNK).min(count);
             // SAFETY: chunk-exclusive buffers (chunk c touches cell c only).
             let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
+            // SAFETY: as above, write log `c` belongs to chunk `c` alone.
             let mut writes = write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() });
             let t = KCtx::for_chunk(shm_ref, forbidden, trace);
             for i in lo..hi {
@@ -678,7 +681,9 @@ impl Machine {
             // SAFETY: chunk c is executed exactly once; partial c and the
             // trace/write buffers c are ours.
             let p = unsafe { partials_ref[c].get_mut_unchecked() };
+            // SAFETY: chunk c is the only accessor of read trace c.
             let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
+            // SAFETY: chunk c is the only accessor of write log c.
             let mut writes = write_bufs.map(|b| unsafe { b[c].get_mut_unchecked() });
             let t = KCtx::for_chunk(shm_ref, NO_FORBIDDEN, trace);
             for i in lo..hi {

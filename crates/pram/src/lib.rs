@@ -45,6 +45,8 @@
 //!   available for primitives that are usually stated on stronger variants;
 //!   every use site documents which rule it assumes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod analyze;
 pub mod cancel;
 pub mod faults;
@@ -60,7 +62,6 @@ pub mod rng;
 pub mod schedule;
 pub mod sort;
 pub mod supervise;
-pub mod verify;
 
 pub use analyze::{
     AnalysisReport, AnalyzeConfig, ModelClass, ModelContract, RaceExpectation, Violation,
@@ -77,7 +78,6 @@ pub use supervise::{
     attempt_machine, supervise, Fallback, Outcome, RunError, SuperviseConfig, Supervised,
     SupervisorStats,
 };
-pub use verify::{AlgorithmPlan, StaticReport, StepPlan, Verdict, VerifyConfig, VerifyError};
 
 /// The word type of simulated shared memory.
 ///

@@ -949,6 +949,7 @@ impl Machine {
             let hi = ((c + 1) * CHUNK).min(count);
             // SAFETY: chunk c is executed exactly once; cells c are ours.
             let writes = unsafe { bufs[c].get_mut_unchecked() };
+            // SAFETY: likewise, result slot c belongs to chunk c alone.
             let results = unsafe { outs[c].get_mut_unchecked() };
             // SAFETY: same chunk-exclusive discipline for the read trace.
             let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
@@ -1040,6 +1041,8 @@ impl Machine {
                     // chunks write disjoint cells; chunk c reads buffer c only.
                     let buf = unsafe { &*bufs_ref[c].0.get() };
                     for e in buf {
+                        // SAFETY: `e` was bounds-checked when the step
+                        // buffered it, and no other chunk holds its cell.
                         unsafe { writer.commit(e.array(), e.idx(), e.val) };
                     }
                 });
@@ -1246,6 +1249,8 @@ fn resolve_runs_parallel(
         let range = &flat[bounds_ref[r]..bounds_ref[r + 1]];
         // SAFETY: ranges are run-aligned ⇒ cell-disjoint; tally r is ours.
         let out = unsafe { resolve_runs(&writer, range, policy, seed, step_no, adversary) };
+        // SAFETY: range r is dispatched exactly once, so tally r has one
+        // writer.
         unsafe { *tallies_ref[r].get_mut_unchecked() = out };
     });
     let mut committed = 0;

@@ -136,6 +136,8 @@ struct RawCache(Vec<(*mut Word, usize)>);
 // an exclusive borrow of the memory — and upholds cell-disjointness across
 // its own threads. The cache itself is plain data.
 unsafe impl Send for RawCache {}
+// SAFETY: as for `Send`: shared access only copies the cached pointers,
+// and every dereference goes through the exclusive `raw_parts` borrow.
 unsafe impl Sync for RawCache {}
 
 /// Optional per-cell initialisation shadow (see module docs).
@@ -315,11 +317,13 @@ impl Shm {
     /// # Panics
     /// If no scope is open.
     pub fn pop_scope(&mut self) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: popping without a matching push is a caller bug, not a recoverable state"
+        )]
         let slots = self
             .scopes
             .pop()
-            // xlint: allow(unwrap): documented panic — popping without a
-            // matching push is a caller bug, not a recoverable state.
             .expect("Shm::pop_scope without push_scope");
         for slot in slots {
             let buf = &mut self.arrays[slot as usize];

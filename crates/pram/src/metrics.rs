@@ -116,9 +116,8 @@ pub struct Metrics {
 ///
 /// Invariant maintained by the runtime: every submitted request resolves
 /// exactly once, so `submitted == completed + rejected_queue_full +
-/// rejected_tenant_limit + shed_expired + static_rejects + cancelled +
-/// deadline_exceeded + invalid_inputs + run_errors + panics_isolated` once
-/// the service drains.
+/// rejected_tenant_limit + shed_expired + cancelled + deadline_exceeded +
+/// invalid_inputs + run_errors + panics_isolated` once the service drains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests presented to the admission controller.
@@ -140,11 +139,6 @@ pub struct ServiceStats {
     pub deadline_exceeded: u64,
     /// Requests rejected by input validation (typed `InputError`).
     pub invalid_inputs: u64,
-    /// Requests rejected at admission by the static plan verifier
-    /// ([`crate::verify`]): the workload's symbolic step plan failed its
-    /// bounds or contract check at the request's input size, so the
-    /// request consumed no queue slot and no supervisor attempt.
-    pub static_rejects: u64,
     /// Requests that ended in a typed algorithm error
     /// ([`crate::RunError`], e.g. attempts exhausted under faults).
     pub run_errors: u64,
@@ -200,7 +194,6 @@ impl ServiceStats {
         self.cancelled += other.cancelled;
         self.deadline_exceeded += other.deadline_exceeded;
         self.invalid_inputs += other.invalid_inputs;
-        self.static_rejects += other.static_rejects;
         self.run_errors += other.run_errors;
         self.panics_isolated += other.panics_isolated;
         self.breaker_trips += other.breaker_trips;
@@ -228,7 +221,6 @@ impl ServiceStats {
             + self.cancelled
             + self.deadline_exceeded
             + self.invalid_inputs
-            + self.static_rejects
             + self.run_errors
             + self.panics_isolated
     }

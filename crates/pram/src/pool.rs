@@ -109,10 +109,12 @@ impl ThreadPool {
             done_cv: Condvar::new(),
         }));
         for _ in 0..workers {
+            #[expect(
+                clippy::expect_used,
+                reason = "fail-fast at pool construction: a host that cannot spawn threads cannot run at all"
+            )]
             thread::Builder::new()
                 .name("pram-pool".into())
-                // xlint: allow(unwrap): fail-fast at pool construction —
-                // a host that cannot spawn threads cannot run at all.
                 .spawn(move || worker_loop(shared))
                 .expect("spawn pool worker");
         }

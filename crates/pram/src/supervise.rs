@@ -122,16 +122,6 @@ pub enum RunError {
         /// What the validator rejected.
         detail: String,
     },
-    /// The algorithm's symbolic step plan failed static verification
-    /// ([`crate::verify`]) before any step executed — an out-of-bounds
-    /// index map, a provable contract violation, or an undecidable shape
-    /// with the dynamic fallback disabled. Terminal like `InvalidInput`:
-    /// the plan is a property of the (algorithm, input size), not of the
-    /// attempt.
-    PlanRejected {
-        /// The typed static-verification failure.
-        verify: crate::verify::VerifyError,
-    },
 }
 
 impl RunError {
@@ -147,7 +137,6 @@ impl RunError {
             | RunError::Cancelled { algorithm }
             | RunError::DeadlineExceeded { algorithm }
             | RunError::InvalidInput { algorithm, .. } => algorithm,
-            RunError::PlanRejected { verify } => verify.algorithm(),
         }
     }
 
@@ -165,9 +154,6 @@ impl RunError {
             RunError::Cancelled { .. } => "cancelled",
             RunError::DeadlineExceeded { .. } => "deadline_exceeded",
             RunError::InvalidInput { .. } => "invalid_input",
-            // the static-verification plane's codes: one per
-            // `VerifyError` variant, stable like every other entry
-            RunError::PlanRejected { verify } => verify.code(),
         }
     }
 
@@ -197,7 +183,6 @@ impl RunError {
             RunError::Cancelled { .. }
                 | RunError::DeadlineExceeded { .. }
                 | RunError::InvalidInput { .. }
-                | RunError::PlanRejected { .. }
         )
     }
 }
@@ -241,9 +226,6 @@ impl std::fmt::Display for RunError {
             }
             RunError::InvalidInput { algorithm, detail } => {
                 write!(f, "{algorithm}: invalid input: {detail}")
-            }
-            RunError::PlanRejected { verify } => {
-                write!(f, "static plan check rejected the run: {verify}")
             }
         }
     }
@@ -888,37 +870,6 @@ mod tests {
                     detail: String::new(),
                 },
                 "invalid_input",
-            ),
-            (
-                RunError::PlanRejected {
-                    verify: crate::verify::VerifyError::OutOfBoundsPlan {
-                        algorithm: "a",
-                        step: "s",
-                        array: "arr",
-                        detail: String::new(),
-                    },
-                },
-                "plan_out_of_bounds",
-            ),
-            (
-                RunError::PlanRejected {
-                    verify: crate::verify::VerifyError::ContractViolation {
-                        algorithm: "a",
-                        step: "s",
-                        detail: String::new(),
-                    },
-                },
-                "plan_contract_violation",
-            ),
-            (
-                RunError::PlanRejected {
-                    verify: crate::verify::VerifyError::UnknownShape {
-                        algorithm: "a",
-                        step: "s",
-                        detail: String::new(),
-                    },
-                },
-                "plan_unknown_shape",
             ),
         ];
         for (e, code) in &cases {

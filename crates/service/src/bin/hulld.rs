@@ -19,14 +19,15 @@
 //! `--memory-budget C` (0 = off) sets the service-wide workspace budget in
 //! simulator cells: requests admitted past the in-flight aggregate execute
 //! at the read-only bounded-workspace tier, and each frugal run is
-//! hard-capped at C cells. Every request passes the static plan check at
-//! admission. An unknown flag, a missing or malformed value, or more than
-//! three positionals prints the usage line and exits 2 before any request
-//! runs. Otherwise exits non-zero if any request is lost (the resolution
-//! invariant fails), the noise ledger disagrees with the absorbed fault
-//! counters, or the workspace-trip ledger disagrees with the absorbed
-//! supervisor book — the same guarantees the chaos and noise suites
-//! enforce, here as an executable smoke test.
+//! hard-capped at C cells. An unknown flag, a missing or malformed
+//! value, or more than three positionals prints the usage line and exits
+//! 2 before any request runs. Otherwise exits non-zero if any request is
+//! lost (the resolution invariant fails), the noise ledger disagrees with
+//! the absorbed fault counters, or the workspace-trip ledger disagrees
+//! with the absorbed supervisor book — the same guarantees the chaos and
+//! noise suites enforce, here as an executable smoke test.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::time::Duration;
 

@@ -4,16 +4,14 @@
 //! # Request lifecycle
 //!
 //! [`Service::submit`] is the synchronous admission decision. Under the
-//! service lock it first checks the request's algorithm plan statically
-//! at the request's size ([`ipch_pram::verify`]; a failed proof is a
-//! typed [`RunError::PlanRejected`] that never queues), then either
-//! rejects the request with a typed [`ServiceError::Rejected`] (queue at
-//! capacity, tenant over its in-flight limit — with an exponential-backoff
-//! `retry_after` hint that starts at 10 ms, doubles per consecutive
-//! rejection of the same tenant and caps at 1 s) or enqueues it and
-//! returns a [`Ticket`]. Admitted requests are never silently dropped:
-//! every ticket resolves exactly once, to a certified [`Response`] or a
-//! typed [`ServiceError`]. The [`ServiceStats`] resolution invariant
+//! service lock it either rejects the request with a typed
+//! [`ServiceError::Rejected`] (queue at capacity, tenant over its
+//! in-flight limit — with an exponential-backoff `retry_after` hint that
+//! starts at 10 ms, doubles per consecutive rejection of the same tenant
+//! and caps at 1 s) or enqueues it and returns a [`Ticket`]. Admitted
+//! requests are never silently dropped: every ticket resolves exactly
+//! once, to a certified [`Response`] or a typed [`ServiceError`]. The
+//! [`ServiceStats`] resolution invariant
 //! (`submitted == completed + sheds + cancelled + … + panics_isolated`)
 //! is checked by the chaos suite.
 //!
@@ -208,27 +206,6 @@ const RETRY_AFTER_BASE: Duration = Duration::from_millis(10);
 /// Ceiling for the `retry_after` hint.
 const RETRY_AFTER_CAP: Duration = Duration::from_secs(1);
 
-/// The symbolic plan registered for a served algorithm, if any. Plans are
-/// pure data; one copy per process serves every admission precheck.
-fn plan_for(algorithm: &str) -> Option<&'static ipch_pram::verify::AlgorithmPlan> {
-    use std::sync::OnceLock;
-    static PLANS: OnceLock<Vec<ipch_pram::verify::AlgorithmPlan>> = OnceLock::new();
-    PLANS
-        .get_or_init(ipch_hull3d::paper_plans)
-        .iter()
-        .find(|p| p.contract.algorithm == algorithm)
-}
-
-/// Statically check one plan at the request's size. `Ok` covers both the
-/// full static proof and the honest dynamic fallback — only a failed
-/// proof (out-of-bounds plan, contract violation, unprovable shape with
-/// fallback disabled) rejects.
-fn precheck_plan(plan: &ipch_pram::verify::AlgorithmPlan, n: usize) -> Result<(), RunError> {
-    ipch_pram::verify::verify(plan, n, &ipch_pram::verify::VerifyConfig::default())
-        .map(|_| ())
-        .map_err(|verify| RunError::PlanRejected { verify })
-}
-
 /// Tenant→shard affinity: FNV-1a over the tenant name, modulo the shard
 /// count. Stable across restarts, so a tenant's traffic always lands on
 /// the same lane.
@@ -395,14 +372,13 @@ impl Health {
         let st = &self.stats;
         let _ = writeln!(
             s,
-            "submitted={} admitted={} completed={} shed={} static_rejects={} \
-             cancelled={} deadline_exceeded={} invalid_inputs={} run_errors={} \
+            "submitted={} admitted={} completed={} shed={} cancelled={} \
+             deadline_exceeded={} invalid_inputs={} run_errors={} \
              panics_isolated={}",
             st.submitted,
             st.admitted,
             st.completed,
             st.total_shed(),
-            st.static_rejects,
             st.cancelled,
             st.deadline_exceeded,
             st.invalid_inputs,
@@ -501,13 +477,15 @@ impl Service {
             cv: Condvar::new(),
             cfg,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "fail-fast at service start: a host that cannot spawn workers cannot serve at all"
+        )]
         let workers = (0..shared.cfg.workers)
             .map(|i| {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("hulld-worker-{i}"))
-                    // xlint: allow(unwrap): fail-fast at service start — a
-                    // host that cannot spawn workers cannot serve at all.
                     .spawn(move || worker_loop(&sh))
                     .expect("spawn service worker")
             })
@@ -525,18 +503,6 @@ impl Service {
             return Err(ServiceError::ShuttingDown);
         }
         inner.metrics.service.submitted += 1;
-        // Static admission precheck: the symbolic plan checker
-        // (`ipch_pram::verify`) runs on the workload's algorithm plan, and
-        // a request whose plan fails its static proof (a `plan_*`
-        // `RunError` code) never reaches the queue — the failure is a
-        // terminal plan defect, not load, so no backoff hint is issued.
-        // Plans that merely fall back to dynamic analysis still admit.
-        if let Some(plan) = plan_for(req.workload.algorithm()) {
-            if let Err(e) = precheck_plan(plan, req.workload.len()) {
-                inner.metrics.service.static_rejects += 1;
-                return Err(ServiceError::Run(e));
-            }
-        }
         // Capacity is per shard: a tenant is shed when *its* lane is full,
         // not when some other tenant's lane is.
         let shard = shard_of(&req.tenant, inner.queues.len());
@@ -721,7 +687,7 @@ fn pop_work(cfg: &ServiceConfig, inner: &mut Inner) -> Option<Vec<Job>> {
         scanned += 1;
         let r = &q[idx].req;
         if r.workload.algorithm() == key && batch_eligible(cfg, r) {
-            // xlint: allow(unwrap): `idx < q.len()` is the loop guard
+            #[expect(clippy::expect_used, reason = "`idx < q.len()` is the loop guard")]
             batch.push(q.remove(idx).expect("index in bounds"));
         } else {
             idx += 1;
@@ -1302,61 +1268,6 @@ mod tests {
             stats.total_resolved(),
             "resolution invariant violated: {stats:?}"
         );
-    }
-
-    #[test]
-    fn precheck_admits_all_served_algorithms() {
-        // every served algorithm has a registered plan, and the canonical
-        // plans prove out — the precheck must be invisible to clean traffic
-        let served = [
-            Workload::Hull2d {
-                points: Vec::new(),
-                algo: Hull2dAlgo::Unsorted,
-            },
-            Workload::Hull2d {
-                points: Vec::new(),
-                algo: Hull2dAlgo::Dac,
-            },
-            Workload::Hull3d { points: Vec::new() },
-        ];
-        for alg in served.iter().map(Workload::algorithm) {
-            let plan = plan_for(alg).unwrap_or_else(|| panic!("{alg} has no plan"));
-            for n in [0usize, 1, 16, 4096] {
-                precheck_plan(plan, n).unwrap_or_else(|e| panic!("{alg} at n={n}: {e}"));
-            }
-        }
-        let svc = manual(ServiceConfig::default());
-        let t = svc.submit(req2("acme", 3, 32)).unwrap();
-        svc.drain();
-        assert!(t.wait().is_ok());
-        let st = svc.health().stats;
-        assert_eq!(st.static_rejects, 0);
-        assert_resolved(&st);
-    }
-
-    #[test]
-    fn precheck_rejects_defective_plan_as_typed_run_error() {
-        use ipch_pram::verify::{Affine, AlgorithmPlan, IndexSet, StepPlan};
-        // an off-by-one scatter: writes [0, n] into an n-cell array
-        let mut plan = AlgorithmPlan::new(ipch_pram::ModelContract {
-            algorithm: "test/defective",
-            class: ipch_pram::ModelClass::Crcw,
-            races: ipch_pram::RaceExpectation::Deterministic,
-        });
-        let a = plan.array("t.a", Affine::n());
-        plan.step(
-            StepPlan::new(
-                "scatter",
-                Affine::n().plus(1),
-                ipch_pram::WritePolicy::Arbitrary,
-            )
-            .write(a, IndexSet::Exact(Affine::pid())),
-        );
-        let err = precheck_plan(&plan, 64).unwrap_err();
-        assert_eq!(err.code(), "plan_out_of_bounds");
-        assert!(err.is_terminal());
-        let wrapped = ServiceError::Run(err);
-        assert_eq!(wrapped.code(), "plan_out_of_bounds");
     }
 
     #[test]
