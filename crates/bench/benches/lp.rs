@@ -3,10 +3,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipch_geom::generators::uniform_disk;
 use ipch_geom::UpperHull;
-use ipch_lp::alon_megiddo::{solve_lp2_am, AmConfig};
+use ipch_lp::alon_megiddo::solve_lp2_am;
 use ipch_lp::brute::solve_lp2_brute;
 use ipch_lp::constraint::{Halfplane, Objective2};
-use ipch_lp::inplace_bridge::{find_bridge_inplace, IbConfig};
+use ipch_lp::inplace_bridge::find_bridge_inplace;
 use ipch_lp::seidel::solve_lp2_seidel;
 use ipch_pram::rng::SplitMix64;
 use ipch_pram::{Machine, Shm};
@@ -43,7 +43,7 @@ fn bench_lp(c: &mut Criterion) {
         b.iter(|| {
             let mut m = Machine::new(2);
             let mut shm = Shm::new();
-            solve_lp2_am(&mut m, &mut shm, &cs_big, &obj2, &AmConfig::default())
+            solve_lp2_am(&mut m, &mut shm, &cs_big, &obj2)
         })
     });
     group.bench_function("seidel_m8192", |b| {
@@ -59,7 +59,7 @@ fn bench_lp(c: &mut Criterion) {
         b.iter(|| {
             let mut m = Machine::new(4);
             let mut shm = Shm::new();
-            find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, &IbConfig::default())
+            find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, 16)
         })
     });
     group.finish();

@@ -13,16 +13,16 @@ use ipch_geom::point::sorted_by_x;
 use ipch_geom::{Point2, UpperHull};
 use ipch_hull2d::parallel::dac::upper_hull_dac;
 use ipch_hull2d::parallel::folklore::upper_hull_folklore_full;
-use ipch_hull2d::parallel::invariant::{hull_of_hulls, HbConfig};
+use ipch_hull2d::parallel::invariant::hull_of_hulls;
 use ipch_hull2d::parallel::logstar::{upper_hull_logstar, LogstarParams};
 use ipch_hull2d::parallel::presorted::{upper_hull_presorted, PresortedParams};
 use ipch_hull2d::parallel::unsorted::{upper_hull_unsorted, UnsortedParams};
 use ipch_hull2d::seq::{self, SeqStats};
 use ipch_hull3d::parallel::unsorted3d::{upper_hull3_unsorted, Unsorted3Params};
 use ipch_hull3d::seq::Seq3Stats;
-use ipch_lp::alon_megiddo::{solve_lp2_am, AmConfig};
+use ipch_lp::alon_megiddo::solve_lp2_am;
 use ipch_lp::constraint::{Halfplane, Objective2};
-use ipch_lp::inplace_bridge::{find_bridge_inplace_traced, IbConfig};
+use ipch_lp::inplace_bridge::find_bridge_inplace_traced;
 use ipch_pram::rng::SplitMix64;
 use ipch_pram::{schedule, Machine, Shm, EMPTY};
 
@@ -303,7 +303,7 @@ pub fn t6() -> Table {
                 .collect();
             let obj = Objective2 { cx: 0.3, cy: 0.95 };
             let (mut m, mut shm) = machine(seed);
-            match solve_lp2_am(&mut m, &mut shm, &cs, &obj, &AmConfig::default()) {
+            match solve_lp2_am(&mut m, &mut shm, &cs, &obj) {
                 Some((_, tr)) => am_rounds.push(tr.rounds as f64),
                 None => am_fail += 1,
             }
@@ -314,14 +314,7 @@ pub fn t6() -> Table {
             let x0 = (pts[hull.vertices[mid - 1]].x + pts[hull.vertices[mid]].x) / 2.0;
             let active: Vec<usize> = (0..mm).collect();
             let (mut m2, mut shm2) = machine(seed + 50);
-            let (b, tr) = find_bridge_inplace_traced(
-                &mut m2,
-                &mut shm2,
-                &pts,
-                &active,
-                x0,
-                &IbConfig::default(),
-            );
+            let (b, tr) = find_bridge_inplace_traced(&mut m2, &mut shm2, &pts, &active, x0, 16);
             if b.is_some() {
                 ib_rounds.push(tr.rounds as f64);
                 ib_base.push(tr.base_size as f64);
@@ -499,10 +492,7 @@ pub fn t9() -> Table {
         let pts = sorted_by_x(&g2::uniform_disk(n, seed + 40));
         let params = PresortedParams {
             small_threshold: Some(48),
-            ib: IbConfig {
-                max_rounds: 0,
-                ..IbConfig::default()
-            },
+            bridge_rounds: 0,
             sweep_bound: Some(4096),
             ..PresortedParams::default()
         };
@@ -522,10 +512,7 @@ pub fn t9() -> Table {
     for &sweeping in &[true, false] {
         let pts = g2::uniform_disk(n, 77);
         let params = UnsortedParams {
-            ib: IbConfig {
-                max_rounds: 0,
-                ..IbConfig::default()
-            },
+            bridge_rounds: 0,
             disable_sweeping: !sweeping,
             ..UnsortedParams::default()
         };
@@ -577,7 +564,7 @@ pub fn t10() -> Table {
             })
             .collect();
         let (mut m, mut shm) = machine(13);
-        let (h, _) = hull_of_hulls(&mut m, &mut shm, &pts, &groups, &HbConfig::default()).unwrap();
+        let (h, _) = hull_of_hulls(&mut m, &mut shm, &pts, &groups).unwrap();
         t.row(vec![
             gm.to_string(),
             gq.to_string(),

@@ -30,25 +30,12 @@ use ipch_geom::predicates::orient2d_sign;
 use ipch_geom::{Point2, UpperHull};
 use ipch_inplace::sample::random_sample_with_p;
 use ipch_lp::bridge::Bridge;
+use ipch_lp::inplace_bridge::SAMPLE_ATTEMPTS;
 use ipch_pram::{Machine, RunError, Shm, WritePolicy};
 
-/// Tuning for the hull-element bridge finder.
-#[derive(Clone, Copy, Debug)]
-pub struct HbConfig {
-    /// Base size parameter k; `None` = ⌈g^{1/3}⌉ clamped ≥ 2.
-    pub k: Option<usize>,
-    /// Round cap before failure.
-    pub max_rounds: usize,
-}
-
-impl Default for HbConfig {
-    fn default() -> Self {
-        Self {
-            k: None,
-            max_rounds: 12,
-        }
-    }
-}
+/// Round cap of [`bridge_over_hulls`] before it reports failure and
+/// [`hull_of_hulls`] sweeps the node by brute force.
+pub const HULL_BRIDGE_MAX_ROUNDS: usize = 12;
 
 /// Find the bridge of the union of the x-disjoint `groups` straddling
 /// `x = x0` (which must separate two groups), treating each hull as one
@@ -59,14 +46,14 @@ pub fn bridge_over_hulls(
     points: &[Point2],
     groups: &[UpperHull],
     x0: f64,
-    cfg: &HbConfig,
 ) -> Option<Bridge> {
     let g = groups.len();
     if g < 2 {
         return None;
     }
     let qmax = groups.iter().map(|h| h.len()).max().unwrap_or(1);
-    let k = cfg.k.unwrap_or(((g as f64).cbrt().ceil() as usize).max(2));
+    // base parameter k = g^{1/3} over the g hulls, clamped ≥ 2
+    let k = ((g as f64).cbrt().ceil() as usize).max(2);
 
     // Small case: all hulls form the base.
     if g <= 16 * k {
@@ -78,9 +65,9 @@ pub fn bridge_over_hulls(
     let surv = shm.alloc("hb.surv", g, 1);
     let mut p_j = 2.0 * k as f64 / g as f64;
     let mut best: Option<Bridge> = None;
-    for round in 0..cfg.max_rounds {
+    for round in 0..HULL_BRIDGE_MAX_ROUNDS {
         let survivors: Vec<usize> = (0..g).filter(|&i| shm.get(surv, i) != 0).collect();
-        let out = random_sample_with_p(m, shm, &survivors, g, k, 4, Some(p_j));
+        let out = random_sample_with_p(m, shm, &survivors, g, k, SAMPLE_ATTEMPTS, Some(p_j));
         let mut base = out.sample;
         if let Some(b) = best {
             // keep the groups of the current contacts for monotonicity
@@ -203,7 +190,6 @@ pub fn hull_of_hulls(
     shm: &mut Shm,
     points: &[Point2],
     groups: &[UpperHull],
-    cfg: &HbConfig,
 ) -> Result<(UpperHull, HohReport), RunError> {
     let mut report = HohReport::default();
     let nonempty: Vec<&UpperHull> = groups.iter().filter(|h| !h.is_empty()).collect();
@@ -238,8 +224,7 @@ pub fn hull_of_hulls(
                 + points[groups[mid].vertices[0]].x)
                 / 2.0;
             let mut scratch = Shm::new();
-            let mut bridge =
-                bridge_over_hulls(child, &mut scratch, points, &groups[lo..hi], x0, cfg);
+            let mut bridge = bridge_over_hulls(child, &mut scratch, points, &groups[lo..hi], x0);
             if bridge.is_none() {
                 // sweep: direct brute over all pairs of the node's groups
                 report.failures += 1;
@@ -410,8 +395,7 @@ mod tests {
             / 2.0;
         let mut m = Machine::new(1);
         let mut shm = Shm::new();
-        let b = bridge_over_hulls(&mut m, &mut shm, &pts, &groups, x0, &HbConfig::default())
-            .expect("bridge");
+        let b = bridge_over_hulls(&mut m, &mut shm, &pts, &groups, x0).expect("bridge");
         // exact check against the point-level bridge
         let ids: Vec<usize> = (0..pts.len()).collect();
         let mut m2 = Machine::new(2);
@@ -430,8 +414,7 @@ mod tests {
             / 2.0;
         let mut m = Machine::new(3);
         let mut shm = Shm::new();
-        let b = bridge_over_hulls(&mut m, &mut shm, &pts, &groups, x0, &HbConfig::default())
-            .expect("bridge");
+        let b = bridge_over_hulls(&mut m, &mut shm, &pts, &groups, x0).expect("bridge");
         // oracle: the hull edge over x0
         let hull = UpperHull::of(&pts);
         let (u, v) = hull.edge_above(&pts, Point2::new(x0, 0.0)).unwrap();
@@ -446,8 +429,7 @@ mod tests {
                 let groups = make_groups(&pts, q);
                 let mut m = Machine::new(seed);
                 let mut shm = Shm::new();
-                let (h, _) =
-                    hull_of_hulls(&mut m, &mut shm, &pts, &groups, &HbConfig::default()).unwrap();
+                let (h, _) = hull_of_hulls(&mut m, &mut shm, &pts, &groups).unwrap();
                 verify_upper_hull(&pts, &h).unwrap_or_else(|e| panic!("seed {seed} q {q}: {e}"));
                 assert_eq!(h, UpperHull::of(&pts), "seed {seed} q {q}");
             }
@@ -472,7 +454,7 @@ mod tests {
         ];
         let mut m = Machine::new(7);
         let mut shm = Shm::new();
-        let (h, _) = hull_of_hulls(&mut m, &mut shm, &pts, &groups, &HbConfig::default()).unwrap();
+        let (h, _) = hull_of_hulls(&mut m, &mut shm, &pts, &groups).unwrap();
         assert_eq!(h.vertices, vec![0, 5]);
     }
 
@@ -482,10 +464,10 @@ mod tests {
         let groups = make_groups(&pts, 30); // single group
         let mut m = Machine::new(8);
         let mut shm = Shm::new();
-        let (h, _) = hull_of_hulls(&mut m, &mut shm, &pts, &groups, &HbConfig::default()).unwrap();
+        let (h, _) = hull_of_hulls(&mut m, &mut shm, &pts, &groups).unwrap();
         assert_eq!(h, UpperHull::of(&pts));
         // empty
-        let (h0, _) = hull_of_hulls(&mut m, &mut shm, &pts, &[], &HbConfig::default()).unwrap();
+        let (h0, _) = hull_of_hulls(&mut m, &mut shm, &pts, &[]).unwrap();
         assert!(h0.is_empty());
     }
 
@@ -498,7 +480,7 @@ mod tests {
             let groups = make_groups(&pts, n / 10);
             let mut m = Machine::new(5);
             let mut shm = Shm::new();
-            hull_of_hulls(&mut m, &mut shm, &pts, &groups, &HbConfig::default()).unwrap();
+            hull_of_hulls(&mut m, &mut shm, &pts, &groups).unwrap();
             steps.push(m.metrics.total_steps());
         }
         let (min, max) = (steps.iter().min().unwrap(), steps.iter().max().unwrap());

@@ -32,34 +32,23 @@ use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, RunError, S
 
 use super::brute::upper_hull_brute;
 use super::folklore::upper_hull_folklore;
-use super::invariant::{hull_of_hulls, HbConfig};
+use super::invariant::hull_of_hulls;
 use crate::HullOutput;
 
-/// Tuning of the log* recursion.
-#[derive(Clone, Copy, Debug)]
-pub struct LogstarParams {
-    /// Group-size exponent b (groups of ⌈(log₂ m)^b⌉). The paper's
-    /// confidence analysis wants large b; the recursion works for any
-    /// b ≥ 2. Default 2.
-    pub b: u32,
-    /// Below this size, solve deterministically (Lemma 2.4, k = 2).
-    pub cutoff: usize,
-    /// Combine tuning.
-    pub hb: HbConfig,
-    /// Probability of *injected* group failure (experiment T9's ablation
-    /// knob; 0.0 for normal runs).
-    pub inject_failure: f64,
-}
+/// Group-size exponent b: groups of ⌈(log₂ m)^b⌉ points. The paper's
+/// confidence analysis wants large b; the recursion works for any b ≥ 2.
+pub const GROUP_EXPONENT: i32 = 2;
 
-impl Default for LogstarParams {
-    fn default() -> Self {
-        Self {
-            b: 2,
-            cutoff: 32,
-            hb: HbConfig::default(),
-            inject_failure: 0.0,
-        }
-    }
+/// Below this size a node is solved deterministically (Lemma 2.4, k = 2).
+pub const CUTOFF: usize = 32;
+
+/// Options of the log* recursion.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LogstarParams {
+    /// Probability of an *injected* group failure, the only way a test
+    /// reaches the failure sweep: honest groups never fail. 0.0 for normal
+    /// runs.
+    pub inject_failure: f64,
 }
 
 /// Diagnostics for experiment T2/T9.
@@ -150,11 +139,10 @@ fn recurse(
 ) -> Result<UpperHull, RunError> {
     report.depth = report.depth.max(depth);
     let n = ids.len();
-    if n <= params.cutoff.max(4) {
+    if n <= CUTOFF {
         return Ok(upper_hull_folklore(m, shm, points, ids, 2));
     }
-    let q = ((n.max(2) as f64).log2().powi(params.b as i32).ceil() as usize)
-        .clamp(params.cutoff.max(4), n);
+    let q = ((n.max(2) as f64).log2().powi(GROUP_EXPONENT).ceil() as usize).clamp(CUTOFF, n);
 
     // 1. recursive group solves, in parallel, with failure injection; an
     // Err stops the groups, keeping the accounting of every group that ran
@@ -205,7 +193,7 @@ fn recurse(
             })
         })
         .collect::<Result<_, _>>()?;
-    let (hull, hrep) = hull_of_hulls(m, shm, points, &groups, &params.hb)?;
+    let (hull, hrep) = hull_of_hulls(m, shm, points, &groups)?;
     report.combine_failures += hrep.failures;
     Ok(hull)
 }
@@ -288,7 +276,6 @@ mod tests {
         let pts = sorted_by_x(&uniform_disk(2000, 11));
         let params = LogstarParams {
             inject_failure: 0.3,
-            ..LogstarParams::default()
         };
         let (out, rep, _) = run(&pts, 3, &params);
         assert!(rep.swept > 0, "injection should cause sweeps");

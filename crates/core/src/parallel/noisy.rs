@@ -50,8 +50,9 @@ pub const NOISY_CONTRACT: ModelContract = ModelContract {
 /// The noise context this machine's fault plane prescribes: live when a
 /// non-empty [`ipch_pram::NoisePlan`] is installed, the never-lying
 /// [`NoiseCtx::noiseless`] otherwise (whose counters provably never move,
-/// keeping the no-plan path byte-identical to the pre-noise crate).
-fn ctx_for(m: &Machine) -> NoiseCtx {
+/// keeping the no-plan path byte-identical to the pre-noise crate). The
+/// 3-D noisy hull uses the same translation.
+pub fn ctx_for(m: &Machine) -> NoiseCtx {
     match m.noise_spec() {
         Some((plan, seed)) => NoiseCtx::new(
             seed,
@@ -68,7 +69,7 @@ fn ctx_for(m: &Machine) -> NoiseCtx {
 /// Fold a finished context's observability counters into the machine and
 /// charge the repetitions as analytic work (each vote is one unit-cost
 /// primitive evaluation in the noisy-PRAM accounting).
-fn settle(m: &mut Machine, ctx: &NoiseCtx) {
+pub fn settle(m: &mut Machine, ctx: &NoiseCtx) {
     m.metrics.faults.predicate_flips += ctx.flips();
     m.metrics.faults.predicate_votes += ctx.votes();
     if ctx.votes() > 0 {

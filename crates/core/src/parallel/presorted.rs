@@ -30,7 +30,7 @@ use std::convert::Infallible;
 use ipch_geom::{Point2, UpperHull};
 use ipch_inplace::sweep::failure_sweep;
 use ipch_lp::bridge::Bridge;
-use ipch_lp::inplace_bridge::{find_bridge_inplace, sweep_bridge, IbConfig};
+use ipch_lp::inplace_bridge::{find_bridge_inplace, sweep_bridge};
 use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
 
 use super::folklore::upper_hull_folklore;
@@ -46,8 +46,8 @@ pub struct PresortedParams {
     pub folklore_k: usize,
     /// Failure-sweep compaction capacity. `None` = max(4, ⌈n^{1/4}⌉).
     pub sweep_bound: Option<usize>,
-    /// In-place bridge-finder tuning for big nodes.
-    pub ib: IbConfig,
+    /// Round cap of the in-place bridge finding on big nodes (default 8).
+    pub bridge_rounds: usize,
 }
 
 impl Default for PresortedParams {
@@ -56,10 +56,7 @@ impl Default for PresortedParams {
             small_threshold: None,
             folklore_k: 3,
             sweep_bound: None,
-            ib: IbConfig {
-                max_rounds: 8,
-                ..IbConfig::default()
-            },
+            bridge_rounds: 8,
         }
     }
 }
@@ -180,7 +177,7 @@ pub fn upper_hull_presorted(
                 return Ok::<_, Infallible>(hull_edge_over(points, &hull, x0s[vi]));
             }
             report.randomized_nodes += 1;
-            let b = find_bridge_inplace(child, shm, points, span, x0s[vi], &params.ib);
+            let b = find_bridge_inplace(child, shm, points, span, x0s[vi], params.bridge_rounds);
             if b.is_none() {
                 failed_big.push(vi);
             }
@@ -199,7 +196,7 @@ pub fn upper_hull_presorted(
             0x5eeb,
             |child, shm, vi| {
                 let span = &ids[nodes[vi].lo..nodes[vi].hi];
-                bridges[vi] = sweep_bridge(child, shm, points, span, x0s[vi], &IbConfig::default());
+                bridges[vi] = sweep_bridge(child, shm, points, span, x0s[vi]);
             },
         );
         report.swept_failures += swept.list.len();
@@ -516,10 +513,7 @@ mod tests {
         let pts = sorted_by_x(&uniform_disk(1500, 9));
         let params = PresortedParams {
             small_threshold: Some(32),
-            ib: IbConfig {
-                max_rounds: 0, // never succeeds
-                ..IbConfig::default()
-            },
+            bridge_rounds: 0, // never succeeds
             sweep_bound: Some(4096),
             ..PresortedParams::default()
         };

@@ -35,7 +35,7 @@ use std::convert::Infallible;
 use ipch_geom::soa::{f64_from_key, f64_key};
 use ipch_geom::{Point2, UpperHull};
 use ipch_inplace::sweep::failure_sweep;
-use ipch_lp::inplace_bridge::{find_bridge_inplace, sweep_bridge, IbConfig};
+use ipch_lp::inplace_bridge::{find_bridge_inplace, sweep_bridge, SAMPLE_ATTEMPTS};
 use ipch_pram::prefix::compact_indices;
 use ipch_pram::{
     Machine, ModelClass, ModelContract, RaceExpectation, ReduceOp, Shm, WritePolicy, EMPTY,
@@ -57,19 +57,14 @@ pub enum SplitterPolicy {
     MidExtent,
 }
 
-/// Tuning parameters; defaults follow the paper with laptop-scale
-/// constants (the paper's n^{1/32}-style exponents only separate regimes
-/// at astronomical n — see DESIGN.md §6).
+/// The knobs the ablations vary; the defaults are the paper's algorithm.
+/// The level schedule is fixed in [`upper_hull_unsorted`] with
+/// laptop-scale constants (the paper's n^{1/32}-style exponents only
+/// separate regimes at astronomical n — see DESIGN.md §6).
 #[derive(Clone, Debug)]
 pub struct UnsortedParams {
-    /// Levels per phase; `None` = max(2, ⌈log₂n / 8⌉) (paper: (log n)/32).
-    pub levels_per_phase: Option<usize>,
-    /// Fallback trigger on `l`; `None` = max(32, ⌈√n⌉) (paper: n^{1/32}).
-    pub fallback_threshold: Option<usize>,
-    /// Safety cap on total levels; `None` = 4·log₂n + 16.
-    pub max_levels: Option<usize>,
-    /// In-place bridge-finder tuning.
-    pub ib: IbConfig,
+    /// Round cap of each in-place bridge finding (default 10).
+    pub bridge_rounds: usize,
     /// Sample-size parameter for the random vote (workspace 16k).
     pub vote_k: usize,
     /// Disable step 2 (failure sweeping) — the T9 ablation knob. Failed
@@ -82,13 +77,7 @@ pub struct UnsortedParams {
 impl Default for UnsortedParams {
     fn default() -> Self {
         Self {
-            levels_per_phase: None,
-            fallback_threshold: None,
-            max_levels: None,
-            ib: IbConfig {
-                max_rounds: 10,
-                ..IbConfig::default()
-            },
+            bridge_rounds: 10,
             vote_k: 8,
             disable_sweeping: false,
             splitter: SplitterPolicy::default(),
@@ -165,13 +154,12 @@ pub fn upper_hull_unsorted(
     // and the winning key decodes back to the bit-identical coordinate.
     let xkeys = ipch_geom::soa::x_keys(points);
     let logn = (n.max(2) as f64).log2();
-    let levels_per_phase = params
-        .levels_per_phase
-        .unwrap_or(((logn / 8.0).ceil() as usize).max(2));
-    let fallback_threshold = params
-        .fallback_threshold
-        .unwrap_or(((n as f64).sqrt().ceil() as usize).max(32));
-    let max_levels = params.max_levels.unwrap_or((4.0 * logn) as usize + 16);
+    // levels per phase (paper: (log n)/32)
+    let levels_per_phase = ((logn / 8.0).ceil() as usize).max(2);
+    // fallback trigger on `l` (paper: n^{1/32})
+    let fallback_threshold = ((n as f64).sqrt().ceil() as usize).max(32);
+    // safety cap on total levels
+    let max_levels = (4.0 * logn) as usize + 16;
     let sweep_bound = ((n as f64).powf(0.25).ceil() as usize).max(4);
 
     // shared state: problem number per point (EMPTY = dead/retired),
@@ -230,8 +218,7 @@ pub fn upper_hull_unsorted(
                 |child, _, j| {
                     let mut scratch = Shm::new();
                     let ids = &problems[j];
-                    sols[j] =
-                        sweep_problem(child, &mut scratch, points, &xkeys, ids, params, &mut edges);
+                    sols[j] = sweep_problem(child, &mut scratch, points, &xkeys, ids, &mut edges);
                     if !matches!(sols[j], Sol::Pending) {
                         trace.swept += 1;
                     }
@@ -423,9 +410,14 @@ fn solve_problem(
     let mut x0 = match params.splitter {
         SplitterPolicy::RandomVote => {
             // random vote (Corollary 3.1)
-            let Some(s) =
-                ipch_inplace::vote::random_vote(child, scratch, ids, universe, params.vote_k, 4)
-            else {
+            let Some(s) = ipch_inplace::vote::random_vote(
+                child,
+                scratch,
+                ids,
+                universe,
+                params.vote_k,
+                SAMPLE_ATTEMPTS,
+            ) else {
                 return Sol::Pending;
             };
             points[s].x
@@ -443,7 +435,7 @@ fn solve_problem(
         };
         x0 = (second + maxx) / 2.0;
     }
-    match find_bridge_inplace(child, scratch, points, ids, x0, &params.ib) {
+    match find_bridge_inplace(child, scratch, points, ids, x0, params.bridge_rounds) {
         Some((b, _)) => {
             let edge = edges.len();
             edges.push((b.left, b.right));
@@ -468,7 +460,6 @@ fn sweep_problem(
     points: &[Point2],
     xkeys: &[i64],
     ids: &[usize],
-    params: &UnsortedParams,
     edges: &mut Vec<(usize, usize)>,
 ) -> Sol {
     if ids.len() <= 1 {
@@ -486,7 +477,7 @@ fn sweep_problem(
     } else {
         x0
     };
-    match sweep_bridge(child, scratch, points, ids, x0, &params.ib) {
+    match sweep_bridge(child, scratch, points, ids, x0) {
         Some(b) => {
             let edge = edges.len();
             edges.push((b.left, b.right));
@@ -777,10 +768,7 @@ mod tests {
     fn forced_failures_swept() {
         let pts = uniform_disk(3000, 19);
         let params = UnsortedParams {
-            ib: IbConfig {
-                max_rounds: 0,
-                ..IbConfig::default()
-            },
+            bridge_rounds: 0,
             ..UnsortedParams::default()
         };
         let (out, trace, _) = run(&pts, 8, &params);

@@ -23,9 +23,10 @@
 //! primitive. [`upper_hull3_noisy_naive`] is the single-shot negative
 //! control.
 
-use ipch_geom::noise::{vote_reps, NoiseCtx, NoiseMode};
+use ipch_geom::noise::{vote_reps, NoiseCtx};
 use ipch_geom::validate::validate_points3;
 use ipch_geom::Point3;
+use ipch_hull2d::parallel::noisy::{ctx_for, settle};
 use ipch_pram::{
     supervise, Machine, ModelClass, ModelContract, RaceExpectation, RunError, Shm, SuperviseConfig,
     Supervised, WritePolicy,
@@ -44,32 +45,6 @@ pub const NOISY3_CONTRACT: ModelContract = ModelContract {
     class: ModelClass::Crcw,
     races: RaceExpectation::SameValue,
 };
-
-/// The noise context the machine's fault plane prescribes (the 3-D twin of
-/// the 2-D entry's translation; noiseless when no plan is installed).
-fn ctx_for(m: &Machine) -> NoiseCtx {
-    match m.noise_spec() {
-        Some((plan, seed)) => NoiseCtx::new(
-            seed,
-            plan.p,
-            match plan.mode {
-                ipch_pram::NoiseMode::Fresh => NoiseMode::Fresh,
-                ipch_pram::NoiseMode::Persistent => NoiseMode::Persistent,
-            },
-        ),
-        None => NoiseCtx::noiseless(),
-    }
-}
-
-/// Fold the context's counters into the machine and charge the vote
-/// repetitions as analytic work (unit-cost primitives in the noisy model).
-fn settle(m: &mut Machine, ctx: &NoiseCtx) {
-    m.metrics.faults.predicate_flips += ctx.flips();
-    m.metrics.faults.predicate_votes += ctx.votes();
-    if ctx.votes() > 0 {
-        m.charge(0, ctx.votes());
-    }
-}
 
 /// Shared marking structure; `reps = None` is the naive single-shot mode.
 fn hull3_noisy_impl(

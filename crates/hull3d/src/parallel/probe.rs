@@ -13,34 +13,10 @@ use ipch_geom::Point3;
 use ipch_inplace::compact::inplace_compact;
 use ipch_inplace::sample::random_sample_with_p;
 use ipch_lp::bridge::facet_brute;
+use ipch_lp::inplace_bridge::{BETA, SAMPLE_ATTEMPTS};
 use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, EMPTY};
 
 use crate::facet::Facet;
-
-/// Tuning of the in-place facet finder.
-#[derive(Clone, Copy, Debug)]
-pub struct FpConfig {
-    /// Base parameter k; `None` = ⌈p^{1/4}⌉ clamped ≥ 4 (the paper's 3-D
-    /// choice).
-    pub k: Option<usize>,
-    /// Rounds before the compaction finish (paper's β).
-    pub beta: usize,
-    /// Dart-throwing retries per sample.
-    pub sample_attempts: usize,
-    /// Hard round cap before reporting failure.
-    pub max_rounds: usize,
-}
-
-impl Default for FpConfig {
-    fn default() -> Self {
-        Self {
-            k: None,
-            beta: 4,
-            sample_attempts: 4,
-            max_rounds: 16,
-        }
-    }
-}
 
 /// Concurrency contract: Arbitrary-CRCW in the paper; the sample-claim
 /// contest and the facet election resolve by Priority, so every race
@@ -52,8 +28,9 @@ pub const FIND_FACET_CONTRACT: ModelContract = ModelContract {
 };
 
 /// Find the upper-hull facet of the scattered subset `active` pierced by
-/// the vertical line through `(x0, y0)`, in place. `None` = outside the
-/// subset's xy-hull or round cap exceeded (the failure the caller sweeps).
+/// the vertical line through `(x0, y0)`, in place, within `max_rounds`
+/// base solves. `None` = outside the subset's xy-hull or round cap
+/// exceeded (the failure the caller sweeps).
 pub fn find_facet_inplace(
     m: &mut Machine,
     shm: &mut Shm,
@@ -61,7 +38,7 @@ pub fn find_facet_inplace(
     active: &[usize],
     x0: f64,
     y0: f64,
-    cfg: &FpConfig,
+    max_rounds: usize,
 ) -> Option<Facet> {
     m.declare_contract(&FIND_FACET_CONTRACT);
     let p = active.len();
@@ -69,9 +46,8 @@ pub fn find_facet_inplace(
         return None;
     }
     let universe = points.len();
-    let k = cfg
-        .k
-        .unwrap_or(((p as f64).powf(0.25).ceil() as usize).max(4));
+    // the paper's 3-D base parameter k = p^{1/4}, clamped ≥ 4
+    let k = ((p as f64).powf(0.25).ceil() as usize).max(4);
     let capacity = 24 * k;
 
     // tiny problems: direct brute (p⁴ stays within a constant of p·16k³)
@@ -87,7 +63,7 @@ pub fn find_facet_inplace(
 
         let mut p_j = 2.0 * k as f64 / p as f64;
         let mut best: Option<Facet> = None;
-        for round in 0..cfg.max_rounds {
+        for round in 0..max_rounds {
             let survivors: Vec<usize> = active
                 .iter()
                 .copied()
@@ -96,7 +72,7 @@ pub fn find_facet_inplace(
 
             // per-round scratch is recycled round to round
             let mut base: Vec<usize> = shm.scope(|shm| {
-                if round >= cfg.beta || survivors.len() <= 4 * k {
+                if round >= BETA || survivors.len() <= 4 * k {
                     let sarr = shm.alloc("fp.sarr", universe, EMPTY);
                     m.kernel_map(shm, &survivors, sarr, |_, i| i as i64);
                     if let Some(c) = inplace_compact(m, shm, sarr, capacity, 0.34) {
@@ -110,16 +86,8 @@ pub fn find_facet_inplace(
                         return b;
                     }
                 }
-                random_sample_with_p(
-                    m,
-                    shm,
-                    &survivors,
-                    universe,
-                    k,
-                    cfg.sample_attempts,
-                    Some(p_j),
-                )
-                .sample
+                random_sample_with_p(m, shm, &survivors, universe, k, SAMPLE_ATTEMPTS, Some(p_j))
+                    .sample
             });
             if let Some(f) = best {
                 for id in f.ids() {
@@ -179,16 +147,8 @@ mod tests {
             let mut m = Machine::new(seed);
             let mut shm = Shm::new();
             // the centroid is interior, so a facet must exist above it
-            let f = find_facet_inplace(
-                &mut m,
-                &mut shm,
-                &pts,
-                &active,
-                0.0,
-                0.0,
-                &FpConfig::default(),
-            )
-            .unwrap_or_else(|| panic!("seed {seed}: no facet"));
+            let f = find_facet_inplace(&mut m, &mut shm, &pts, &active, 0.0, 0.0, 16)
+                .unwrap_or_else(|| panic!("seed {seed}: no facet"));
             verify_facet(&pts, &active, 0.0, 0.0, f);
         }
     }
@@ -199,16 +159,8 @@ mod tests {
         let active: Vec<usize> = (0..pts.len()).collect();
         let mut m = Machine::new(7);
         let mut shm = Shm::new();
-        let f = find_facet_inplace(
-            &mut m,
-            &mut shm,
-            &pts,
-            &active,
-            0.05,
-            -0.03,
-            &FpConfig::default(),
-        )
-        .expect("facet");
+        let f =
+            find_facet_inplace(&mut m, &mut shm, &pts, &active, 0.05, -0.03, 16).expect("facet");
         verify_facet(&pts, &active, 0.05, -0.03, f);
         // all three vertices must be sphere (hull) points
         for v in f.ids() {
@@ -223,16 +175,7 @@ mod tests {
         let active: Vec<usize> = (0..pts.len()).collect();
         let mut m = Machine::new(8);
         let mut shm = Shm::new();
-        assert!(find_facet_inplace(
-            &mut m,
-            &mut shm,
-            &pts,
-            &active,
-            10.0,
-            10.0,
-            &FpConfig::default()
-        )
-        .is_none());
+        assert!(find_facet_inplace(&mut m, &mut shm, &pts, &active, 10.0, 10.0, 16).is_none());
     }
 
     #[test]
@@ -241,16 +184,7 @@ mod tests {
         let active: Vec<usize> = (0..pts.len()).filter(|i| i % 2 == 0).collect();
         let mut m = Machine::new(9);
         let mut shm = Shm::new();
-        let f = find_facet_inplace(
-            &mut m,
-            &mut shm,
-            &pts,
-            &active,
-            0.0,
-            0.0,
-            &FpConfig::default(),
-        )
-        .expect("facet");
+        let f = find_facet_inplace(&mut m, &mut shm, &pts, &active, 0.0, 0.0, 16).expect("facet");
         for v in f.ids() {
             assert_eq!(v % 2, 0, "facet vertex outside the active subset");
         }
@@ -264,16 +198,7 @@ mod tests {
         let active: Vec<usize> = (0..n).collect();
         let mut m = Machine::new(10);
         let mut shm = Shm::new();
-        find_facet_inplace(
-            &mut m,
-            &mut shm,
-            &pts,
-            &active,
-            0.0,
-            0.0,
-            &FpConfig::default(),
-        )
-        .unwrap();
+        find_facet_inplace(&mut m, &mut shm, &pts, &active, 0.0, 0.0, 16).unwrap();
         assert!(
             m.metrics.total_work() < 1000 * n as u64,
             "work {}",

@@ -23,9 +23,9 @@
 //! * The per-region 2-D projection runs of step 3 (project along the new
 //!   facet onto the xz/yz planes, run the 2-D algorithm, collect the
 //!   silhouette edges) are implemented behind
-//!   [`Unsorted3Params::run_projections`]; they are measured by the T5
-//!   cost experiment but are not needed for correctness here because the
-//!   division uses the splitter's coordinate quadrants directly.
+//!   [`Unsorted3Params::run_projections`], off by default. They are not
+//!   needed for correctness here because the division uses the splitter's
+//!   coordinate quadrants directly, and no experiment measures them yet.
 //! * The Reif–Sen fallback is realised by the host gift-wrapping oracle
 //!   charged at Reif–Sen's published cost (O(log n) steps, O(n log n)
 //!   work), like the other cited-substrate charges.
@@ -35,42 +35,26 @@ use std::convert::Infallible;
 use ipch_geom::predicates::orient3d_sign;
 use ipch_geom::{Point2, Point3};
 use ipch_inplace::sweep::failure_sweep;
+use ipch_lp::inplace_bridge::{SAMPLE_ATTEMPTS, SWEEP_ROUNDS};
 use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
 
-use super::probe::{find_facet_inplace, FpConfig};
+use super::probe::find_facet_inplace;
 use crate::facet::{xy_contains, Facet};
 use crate::seq::giftwrap::upper_hull3_giftwrap;
 use crate::seq::Seq3Stats;
 
-/// Tuning parameters.
-#[derive(Clone, Debug)]
-pub struct Unsorted3Params {
-    /// In-place facet-probe tuning.
-    pub fp: FpConfig,
-    /// Random-vote sample parameter.
-    pub vote_k: usize,
-    /// Fallback trigger on `l` = facets + regions; `None` = max(24, ⌈√n⌉).
-    pub fallback_threshold: Option<usize>,
-    /// Level cap; `None` = 2·log₂n + 8 (the paper's O(log n) depth).
-    pub max_levels: Option<usize>,
-    /// Run the paper's per-region 2-D projection step (costly; measured by
-    /// the projection-cost experiment).
-    pub run_projections: bool,
-}
+/// Round cap of each region's in-place facet probe.
+pub const PROBE_ROUNDS: usize = 10;
 
-impl Default for Unsorted3Params {
-    fn default() -> Self {
-        Self {
-            fp: FpConfig {
-                max_rounds: 10,
-                ..FpConfig::default()
-            },
-            vote_k: 8,
-            fallback_threshold: None,
-            max_levels: None,
-            run_projections: false,
-        }
-    }
+/// Sample-size parameter k of the random vote (workspace 16k).
+pub const VOTE_K: usize = 8;
+
+/// Options of the 3-D algorithm.
+#[derive(Clone, Debug, Default)]
+pub struct Unsorted3Params {
+    /// Run the paper's per-region 2-D projection step (costly, and not
+    /// needed for correctness here; only a unit test turns it on).
+    pub run_projections: bool,
 }
 
 /// Per-level trace record.
@@ -162,10 +146,10 @@ pub fn upper_hull3_unsorted(
     // streams the x/y columns instead of gathering 24-byte Point3 structs
     let soa = ipch_geom::soa::Points3SoA::from_points(points);
     let logn = (n.max(2) as f64).log2();
-    let fallback_threshold = params
-        .fallback_threshold
-        .unwrap_or(((n as f64).sqrt().ceil() as usize).max(24));
-    let max_levels = params.max_levels.unwrap_or((2.0 * logn) as usize + 8);
+    // fallback trigger on `l` = facets + regions
+    let fallback_threshold = ((n as f64).sqrt().ceil() as usize).max(24);
+    // level cap: the paper's O(log n) depth
+    let max_levels = (2.0 * logn) as usize + 8;
 
     // live flags + facet pointers (shared state)
     let alive = shm.alloc("u3.alive", n, 1);
@@ -201,12 +185,12 @@ pub fn upper_hull3_unsorted(
                     &mut scratch,
                     region,
                     n,
-                    params.vote_k,
-                    4,
+                    VOTE_K,
+                    SAMPLE_ATTEMPTS,
                 );
                 let f = s.and_then(|s| {
                     let (x, y) = (points[s].x, points[s].y);
-                    find_facet_inplace(child, &mut scratch, points, &actives, x, y, &params.fp)
+                    find_facet_inplace(child, &mut scratch, points, &actives, x, y, PROBE_ROUNDS)
                 });
                 Ok::<_, Infallible>((s, f))
             },
@@ -223,10 +207,6 @@ pub fn upper_hull3_unsorted(
         trace.levels[ri].failures = failed.len();
         if !failed.is_empty() {
             let bound = ((n as f64).powf(0.25).ceil() as usize).max(4);
-            let retry = FpConfig {
-                max_rounds: 64,
-                ..params.fp
-            };
             failure_sweep(
                 m,
                 shm,
@@ -239,7 +219,15 @@ pub fn upper_hull3_unsorted(
                     let s = splitters[j].or_else(|| regions[j].first().copied());
                     found[j] = s.and_then(|s| {
                         let (x, y) = (points[s].x, points[s].y);
-                        find_facet_inplace(child, &mut scratch, points, &actives, x, y, &retry)
+                        find_facet_inplace(
+                            child,
+                            &mut scratch,
+                            points,
+                            &actives,
+                            x,
+                            y,
+                            SWEEP_ROUNDS,
+                        )
                     });
                     if found[j].is_some() {
                         trace.swept += 1;
@@ -378,13 +366,9 @@ pub fn upper_hull3_unsorted(
         if guard > n {
             break;
         }
-        let retry = FpConfig {
-            max_rounds: 64,
-            ..params.fp
-        };
         let probe = m.sub(u as u64 ^ 0xbac, |c| {
             let (x, y) = (points[u].x, points[u].y);
-            find_facet_inplace(c, &mut Shm::new(), points, &actives, x, y, &retry)
+            find_facet_inplace(c, &mut Shm::new(), points, &actives, x, y, SWEEP_ROUNDS)
         });
         if let Some(f) = probe {
             let c = f.canonical();
@@ -657,7 +641,6 @@ mod tests {
         let pts = in_ball(300, 11);
         let params = Unsorted3Params {
             run_projections: true,
-            ..Unsorted3Params::default()
         };
         let (out, trace, _) = run(&pts, 4, &params);
         verify_upper_hull3(&pts, &out.facets, false).unwrap();

@@ -30,29 +30,12 @@ use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WriteP
 use crate::brute::{solve_lp2_brute, Lp2Outcome};
 use crate::constraint::{Halfplane, Lp2Solution, Objective2};
 
-/// Tuning of the Alon–Megiddo solver.
-#[derive(Clone, Copy, Debug)]
-pub struct AmConfig {
-    /// Base-problem size parameter k (the paper sets k = p^{1/3} for 2-D).
-    /// `None` derives it from the instance: k = ⌈n^{1/3}⌉, clamped ≥ 4.
-    pub k: Option<usize>,
-    /// Hard cap on rounds before declaring failure (the paper's β plus the
-    /// final compaction retry; default 12).
-    pub max_rounds: usize,
-    /// Base capacity in multiples of k (default 16 — the paper's 16k
-    /// workspace).
-    pub capacity_factor: usize,
-}
+/// Round cap before the solver reports failure (the paper's β plus the
+/// final compaction retry).
+pub const MAX_ROUNDS: usize = 12;
 
-impl Default for AmConfig {
-    fn default() -> Self {
-        Self {
-            k: None,
-            max_rounds: 12,
-            capacity_factor: 16,
-        }
-    }
-}
+/// Base capacity in multiples of k: the paper's 16k workspace.
+pub const CAPACITY_FACTOR: usize = 16;
 
 /// Per-run diagnostics (experiment T6 tabulates these).
 #[derive(Clone, Debug, Default)]
@@ -79,15 +62,15 @@ pub fn solve_lp2_am(
     shm: &mut Shm,
     constraints: &[Halfplane],
     obj: &Objective2,
-    cfg: &AmConfig,
 ) -> Option<(Lp2Solution, AmTrace)> {
     m.declare_contract(&LP2_AM_CONTRACT);
     let n = constraints.len();
     if n < 2 {
         return None;
     }
-    let k = cfg.k.unwrap_or(((n as f64).cbrt().ceil() as usize).max(4));
-    let capacity = cfg.capacity_factor * k;
+    // the paper's 2-D base parameter k = n^{1/3}, clamped ≥ 4
+    let k = ((n as f64).cbrt().ceil() as usize).max(4);
+    let capacity = CAPACITY_FACTOR * k;
     let mut trace = AmTrace::default();
 
     // Artificial bounding triangle (huge), always part of every base: a
@@ -129,7 +112,7 @@ pub fn solve_lp2_am(
     // solution tights in *extended* index space (0..3 artificial)
     let mut solution: Option<Lp2Solution> = None;
 
-    for round in 0..cfg.max_rounds {
+    for round in 0..MAX_ROUNDS {
         trace.rounds = round + 1;
         // Sampling step: every surviving constraint flips a p_j coin and
         // joins this round's base (one concurrent step; base membership is
@@ -240,8 +223,7 @@ mod tests {
             let (cs, obj) = tangent_instance(200, seed);
             let mut m = Machine::new(seed);
             let mut shm = Shm::new();
-            let (sol, trace) =
-                solve_lp2_am(&mut m, &mut shm, &cs, &obj, &AmConfig::default()).expect("am failed");
+            let (sol, trace) = solve_lp2_am(&mut m, &mut shm, &cs, &obj).expect("am failed");
             let mut m2 = Machine::new(seed);
             let mut shm2 = Shm::new();
             if let Lp2Outcome::Optimal(b) =
@@ -266,8 +248,7 @@ mod tests {
                 let (cs, obj) = tangent_instance(n, seed + 100);
                 let mut m = Machine::new(seed);
                 let mut shm = Shm::new();
-                let (_, trace) =
-                    solve_lp2_am(&mut m, &mut shm, &cs, &obj, &AmConfig::default()).unwrap();
+                let (_, trace) = solve_lp2_am(&mut m, &mut shm, &cs, &obj).unwrap();
                 worst = worst.max(trace.rounds);
             }
         }
@@ -279,7 +260,7 @@ mod tests {
         let (cs, obj) = tangent_instance(5000, 3);
         let mut m = Machine::new(3);
         let mut shm = Shm::new();
-        let (_, trace) = solve_lp2_am(&mut m, &mut shm, &cs, &obj, &AmConfig::default()).unwrap();
+        let (_, trace) = solve_lp2_am(&mut m, &mut shm, &cs, &obj).unwrap();
         // survivors must hit zero and shrink overall
         assert_eq!(*trace.survivors.last().unwrap(), 0);
         if trace.survivors.len() >= 2 {
@@ -294,7 +275,7 @@ mod tests {
         let (cs, obj) = tangent_instance(3000, 4);
         let mut m = Machine::new(4);
         let mut shm = Shm::new();
-        solve_lp2_am(&mut m, &mut shm, &cs, &obj, &AmConfig::default()).unwrap();
+        solve_lp2_am(&mut m, &mut shm, &cs, &obj).unwrap();
         let n = 3000u64;
         assert!(
             m.metrics.total_work() < 200 * n,
@@ -309,7 +290,7 @@ mod tests {
         let obj = Objective2 { cx: 1.0, cy: 1.0 };
         let mut m = Machine::new(5);
         let mut shm = Shm::new();
-        let (sol, _) = solve_lp2_am(&mut m, &mut shm, &cs, &obj, &AmConfig::default()).unwrap();
+        let (sol, _) = solve_lp2_am(&mut m, &mut shm, &cs, &obj).unwrap();
         assert!((sol.x - 0.0).abs() < 1e-9 && (sol.y - 0.0).abs() < 1e-9);
     }
 }

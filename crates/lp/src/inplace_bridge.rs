@@ -34,30 +34,18 @@ use ipch_inplace::sample::random_sample_with_p;
 
 use crate::bridge::{bridge_brute, Bridge};
 
-/// Tuning of the in-place bridge finder.
-#[derive(Clone, Copy, Debug)]
-pub struct IbConfig {
-    /// Base-size parameter k; `None` = ⌈p^{1/3}⌉ clamped ≥ 4 (paper's 2-D
-    /// choice; the 3-D algorithm passes p^{1/4}).
-    pub k: Option<usize>,
-    /// Rounds before the compaction finish is attempted (the paper's β).
-    pub beta: usize,
-    /// Dart-throwing retry rounds inside each random sample (paper's d).
-    pub sample_attempts: usize,
-    /// Hard cap on total rounds before declaring failure.
-    pub max_rounds: usize,
-}
+/// Rounds of sampling before the §3.3 step-4 compaction finish is tried
+/// (the paper's β). The 3-D facet finder uses the same β.
+pub const BETA: usize = 4;
 
-impl Default for IbConfig {
-    fn default() -> Self {
-        Self {
-            k: None,
-            beta: 4,
-            sample_attempts: 4,
-            max_rounds: 16,
-        }
-    }
-}
+/// Dart-throwing retry rounds inside each random sample (the paper's d,
+/// §3.1), shared by every sampling bridge and facet finder.
+pub const SAMPLE_ATTEMPTS: usize = 4;
+
+/// Round cap of a failure-sweep retry by the in-place finders (2-D
+/// [`sweep_bridge`] and the 3-D facet sweeps): a generous budget, so a
+/// large swept failure pays rounds instead of brute-force work.
+pub const SWEEP_ROUNDS: usize = 64;
 
 /// Diagnostics for experiment T6.
 #[derive(Clone, Debug, Default)]
@@ -73,16 +61,16 @@ pub struct IbTrace {
 }
 
 /// Find the upper-hull bridge of the scattered subset `active` straddling
-/// `x = x0`, in place. Returns `Some((bridge, trace))` on success, `None`
-/// either when the subset has no straddling pair or when the round cap was
-/// hit; callers that need to distinguish use
-/// [`find_bridge_inplace_traced`].
+/// `x = x0`, in place, within `max_rounds` base solves. Returns
+/// `Some((bridge, trace))` on success, `None` either when the subset has no
+/// straddling pair or when the round cap was hit; callers that need to
+/// distinguish use [`find_bridge_inplace_traced`].
 ///
 /// # Examples
 ///
 /// ```
 /// use ipch_geom::generators::uniform_disk;
-/// use ipch_lp::inplace_bridge::{find_bridge_inplace, IbConfig};
+/// use ipch_lp::inplace_bridge::find_bridge_inplace;
 /// use ipch_pram::{Machine, Shm};
 ///
 /// let points = uniform_disk(800, 5);
@@ -90,7 +78,7 @@ pub struct IbTrace {
 /// let mut m = Machine::new(1);
 /// let mut shm = Shm::new();
 /// let (bridge, _trace) =
-///     find_bridge_inplace(&mut m, &mut shm, &points, &active, 0.0, &IbConfig::default())
+///     find_bridge_inplace(&mut m, &mut shm, &points, &active, 0.0, 16)
 ///         .expect("a bridge straddles x = 0 inside the disk");
 /// assert!(points[bridge.left].x <= 0.0 && 0.0 < points[bridge.right].x);
 /// ```
@@ -100,9 +88,9 @@ pub fn find_bridge_inplace(
     points: &[Point2],
     active: &[usize],
     x0: f64,
-    cfg: &IbConfig,
+    max_rounds: usize,
 ) -> Option<(Bridge, IbTrace)> {
-    match find_bridge_inplace_traced(m, shm, points, active, x0, cfg) {
+    match find_bridge_inplace_traced(m, shm, points, active, x0, max_rounds) {
         (Some(b), t) => Some((b, t)),
         (None, _) => None,
     }
@@ -117,7 +105,7 @@ pub const SWEEP_BRUTE_MAX_IDS: usize = 512;
 
 /// The failure-sweep oracle for a bridge over `x0` (paper §2.3): the brute
 /// force up to [`SWEEP_BRUTE_MAX_IDS`] ids, else [`find_bridge_inplace`]
-/// re-run with `base` raised to 64 rounds. A simulation must stay correct
+/// re-run with [`SWEEP_ROUNDS`] rounds. A simulation must stay correct
 /// even off the paper's whp event, and a large failure pays a generous
 /// round budget instead of |ids|³ brute work.
 pub fn sweep_bridge(
@@ -126,16 +114,11 @@ pub fn sweep_bridge(
     points: &[Point2],
     ids: &[usize],
     x0: f64,
-    base: &IbConfig,
 ) -> Option<Bridge> {
     if ids.len() <= SWEEP_BRUTE_MAX_IDS {
         return bridge_brute(m, shm, points, ids, x0);
     }
-    let retry = IbConfig {
-        max_rounds: 64,
-        ..*base
-    };
-    find_bridge_inplace(m, shm, points, ids, x0, &retry).map(|(b, _)| b)
+    find_bridge_inplace(m, shm, points, ids, x0, SWEEP_ROUNDS).map(|(b, _)| b)
 }
 
 /// Concurrency contract: Arbitrary-CRCW in the paper; the sample-claim
@@ -154,7 +137,7 @@ pub fn find_bridge_inplace_traced(
     points: &[Point2],
     active: &[usize],
     x0: f64,
-    cfg: &IbConfig,
+    max_rounds: usize,
 ) -> (Option<Bridge>, IbTrace) {
     m.declare_contract(&INPLACE_BRIDGE_CONTRACT);
     let mut trace = IbTrace::default();
@@ -163,7 +146,8 @@ pub fn find_bridge_inplace_traced(
         return (None, trace);
     }
     let universe = points.len();
-    let k = cfg.k.unwrap_or(((p as f64).cbrt().ceil() as usize).max(4));
+    // the paper's 2-D base parameter k = p^{1/3}, clamped ≥ 4
+    let k = ((p as f64).cbrt().ceil() as usize).max(4);
     let capacity = 24 * k;
 
     // Tiny problems: the whole subset is the base. The threshold keeps the
@@ -188,7 +172,7 @@ pub fn find_bridge_inplace_traced(
     let mut p_j = 2.0 * k as f64 / p as f64;
     let mut best: Option<Bridge> = None;
 
-    for round in 0..cfg.max_rounds {
+    for round in 0..max_rounds {
         trace.rounds = round + 1;
         // survivors list (in-model: the flagged processors themselves)
         let survivors: Vec<usize> = active
@@ -201,7 +185,7 @@ pub fn find_bridge_inplace_traced(
         // cells): a sample of the survivors, plus the current bridge
         // endpoints so the candidate height at x₀ is monotone.
         let mut base: Vec<usize> = Vec::new();
-        if round >= cfg.beta || survivors.len() <= 4 * k {
+        if round >= BETA || survivors.len() <= 4 * k {
             // §3.3 step 4: compact ALL survivors into the base via the
             // in-place approximate compaction and solve.
             let sarr = shm.alloc("ib.sarr", universe, EMPTY);
@@ -225,21 +209,14 @@ pub fn find_bridge_inplace_traced(
                     &survivors,
                     universe,
                     k,
-                    cfg.sample_attempts,
+                    SAMPLE_ATTEMPTS,
                     Some(p_j),
                 );
                 base.extend_from_slice(&out.sample);
             }
         } else {
-            let out = random_sample_with_p(
-                m,
-                shm,
-                &survivors,
-                universe,
-                k,
-                cfg.sample_attempts,
-                Some(p_j),
-            );
+            let out =
+                random_sample_with_p(m, shm, &survivors, universe, k, SAMPLE_ATTEMPTS, Some(p_j));
             base.extend_from_slice(&out.sample);
         }
         if let Some(b) = best {
@@ -311,9 +288,8 @@ mod tests {
             let x0 = (pts[hull.vertices[mid - 1]].x + pts[hull.vertices[mid]].x) / 2.0;
             let mut m = Machine::new(seed);
             let mut shm = Shm::new();
-            let (b, trace) =
-                find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, &IbConfig::default())
-                    .unwrap_or_else(|| panic!("seed {seed}: no bridge"));
+            let (b, trace) = find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, 16)
+                .unwrap_or_else(|| panic!("seed {seed}: no bridge"));
             verify_bridge(&pts, &active, x0, b);
             assert_eq!(
                 (b.left, b.right),
@@ -334,8 +310,7 @@ mod tests {
         let x0 = (sub[sub_hull.vertices[mid - 1]].x + sub[sub_hull.vertices[mid]].x) / 2.0;
         let mut m = Machine::new(1);
         let mut shm = Shm::new();
-        let (b, _) = find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, &IbConfig::default())
-            .expect("bridge");
+        let (b, _) = find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, 16).expect("bridge");
         verify_bridge(&pts, &active, x0, b);
     }
 
@@ -347,8 +322,7 @@ mod tests {
         let x0 = (pts[hull.vertices[0]].x + pts[hull.vertices[1]].x) / 2.0;
         let mut m = Machine::new(2);
         let mut shm = Shm::new();
-        let (b, trace) =
-            find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, &IbConfig::default()).unwrap();
+        let (b, trace) = find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, 16).unwrap();
         verify_bridge(&pts, &active, x0, b);
         assert_eq!(trace.rounds, 1);
     }
@@ -360,15 +334,7 @@ mod tests {
         let xmax = pts.iter().map(|p| p.x).fold(f64::MIN, f64::max);
         let mut m = Machine::new(5);
         let mut shm = Shm::new();
-        assert!(find_bridge_inplace(
-            &mut m,
-            &mut shm,
-            &pts,
-            &active,
-            xmax + 1.0,
-            &IbConfig::default()
-        )
-        .is_none());
+        assert!(find_bridge_inplace(&mut m, &mut shm, &pts, &active, xmax + 1.0, 16).is_none());
     }
 
     #[test]
@@ -384,13 +350,43 @@ mod tests {
                 let mut m = Machine::new(seed + 50);
                 let mut shm = Shm::new();
                 let (b, trace) =
-                    find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, &IbConfig::default())
-                        .unwrap();
+                    find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, 16).unwrap();
                 verify_bridge(&pts, &active, x0, b);
                 worst = worst.max(trace.rounds);
             }
         }
         assert!(worst <= 10, "round count grew to {worst}");
+    }
+
+    #[test]
+    fn sweep_bridge_is_brute_when_small_and_the_round_capped_finder_when_large() {
+        // up to the cutoff the sweep is exactly the brute oracle, cost
+        // included (a small instance: brute work is cubic)
+        let pts = uniform_disk(SWEEP_BRUTE_MAX_IDS / 4, 11);
+        let ids: Vec<usize> = (0..pts.len()).collect();
+        let (mut m, mut shm) = (Machine::new(3), Shm::new());
+        let swept = sweep_bridge(&mut m, &mut shm, &pts, &ids, 0.0).expect("bridge");
+        let (mut mb, mut shmb) = (Machine::new(3), Shm::new());
+        let brute = bridge_brute(&mut mb, &mut shmb, &pts, &ids, 0.0).expect("bridge");
+        assert_eq!((swept.left, swept.right), (brute.left, brute.right));
+        assert_eq!(m.metrics.total_work(), mb.metrics.total_work());
+
+        // above it the sweep runs the in-place finder at SWEEP_ROUNDS
+        let pts = uniform_disk(600, 12);
+        let ids: Vec<usize> = (0..pts.len()).collect();
+        let hull = UpperHull::of(&pts);
+        let mid = hull.vertices.len() / 2;
+        let x0 = (pts[hull.vertices[mid - 1]].x + pts[hull.vertices[mid]].x) / 2.0;
+        let (mut m, mut shm) = (Machine::new(4), Shm::new());
+        let swept = sweep_bridge(&mut m, &mut shm, &pts, &ids, x0).expect("bridge");
+        assert_eq!(
+            (swept.left, swept.right),
+            (hull.vertices[mid - 1], hull.vertices[mid])
+        );
+        let (mut mi, mut shmi) = (Machine::new(4), Shm::new());
+        find_bridge_inplace(&mut mi, &mut shmi, &pts, &ids, x0, SWEEP_ROUNDS).expect("bridge");
+        assert_eq!(m.metrics.total_work(), mi.metrics.total_work());
+        assert_eq!(m.metrics.total_steps(), mi.metrics.total_steps());
     }
 
     #[test]
@@ -403,7 +399,7 @@ mod tests {
         let x0 = (pts[hull.vertices[mid - 1]].x + pts[hull.vertices[mid]].x) / 2.0;
         let mut m = Machine::new(10);
         let mut shm = Shm::new();
-        find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, &IbConfig::default()).unwrap();
+        find_bridge_inplace(&mut m, &mut shm, &pts, &active, x0, 16).unwrap();
         assert!(
             m.metrics.total_work() < 300 * n as u64,
             "work {} not near-linear in {n}",

@@ -21,7 +21,7 @@ use ipch_geom::{Point2, Point3};
 use ipch_pram::{supervise, Machine, RunError, Shm, SuperviseConfig, Supervised};
 
 use crate::bridge::{bridge_brute, facet_brute, Bridge};
-use crate::inplace_bridge::{find_bridge_inplace, IbConfig, IbTrace};
+use crate::inplace_bridge::{find_bridge_inplace, IbTrace};
 
 /// Entry validation shared by the LP wrappers: finite coordinates, finite
 /// query abscissa(s), and in-bounds active indices. Duplicate *points* are
@@ -85,8 +85,9 @@ pub(crate) fn certify_bridge(
     Ok(())
 }
 
-/// Supervised §3.3 in-place bridge finder. `None` from an attempt (dart
-/// rounds exhausted) is a typed invariant failure and retries; exhaustion
+/// Supervised §3.3 in-place bridge finder, each attempt capped at
+/// `max_rounds` base solves. `None` from an attempt (dart rounds
+/// exhausted) is a typed invariant failure and retries; exhaustion
 /// falls back to [`bridge_brute`]. Returns the brute fallback's result
 /// with a default trace.
 pub fn find_bridge_inplace_supervised(
@@ -94,7 +95,7 @@ pub fn find_bridge_inplace_supervised(
     points: &[Point2],
     active: &[usize],
     x0: f64,
-    ib: &IbConfig,
+    max_rounds: usize,
     cfg: &SuperviseConfig,
 ) -> Result<Supervised<(Bridge, IbTrace)>, RunError> {
     const ALG: &str = crate::inplace_bridge::INPLACE_BRIDGE_CONTRACT.algorithm;
@@ -116,12 +117,10 @@ pub fn find_bridge_inplace_supervised(
         cfg,
         |am: &mut Machine| {
             let mut shm = Shm::new();
-            let (b, trace) =
-                find_bridge_inplace(am, &mut shm, points, active, x0, ib).ok_or_else(|| {
-                    RunError::Invariant {
-                        algorithm: ALG,
-                        detail: "no bridge after the configured sample/dart rounds".into(),
-                    }
+            let (b, trace) = find_bridge_inplace(am, &mut shm, points, active, x0, max_rounds)
+                .ok_or_else(|| RunError::Invariant {
+                    algorithm: ALG,
+                    detail: "no bridge after the configured sample/dart rounds".into(),
                 })?;
             certify_bridge(ALG, points, active, x0, &b)?;
             Ok((b, trace))
@@ -236,7 +235,7 @@ mod tests {
             &pts,
             &active,
             0.0,
-            &IbConfig::default(),
+            16,
             &SuperviseConfig::default(),
         )
         .expect("a bridge straddles x = 0 inside the disk");
@@ -262,9 +261,7 @@ mod tests {
         let mut nan = disk(32, 7);
         nan[3].x = f64::NAN;
         let full: Vec<usize> = (0..32).collect();
-        let e =
-            find_bridge_inplace_supervised(&mut m, &nan, &full, 0.0, &IbConfig::default(), &cfg)
-                .unwrap_err();
+        let e = find_bridge_inplace_supervised(&mut m, &nan, &full, 0.0, 16, &cfg).unwrap_err();
         assert!(matches!(e, RunError::InvalidInput { .. }), "got {e}");
 
         let good = disk(32, 8);

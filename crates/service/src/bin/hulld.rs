@@ -32,37 +32,19 @@
 use std::time::Duration;
 
 use ipch_geom::{Point2, Point3};
+use ipch_pram::rng::SplitMix64;
 use ipch_pram::{FaultPlan, NoiseMode, NoisePlan};
 use ipch_service::{Hull2dAlgo, Request, Service, ServiceConfig, ServiceError, Workload};
 
-/// SplitMix64 step — the driver's own tiny deterministic stream, so the
-/// demo replays identically for a given seed.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn points2(rng: &mut u64, n: usize) -> Vec<Point2> {
+fn points2(rng: &mut SplitMix64, n: usize) -> Vec<Point2> {
     (0..n)
-        .map(|_| {
-            let x = (mix(rng) >> 11) as f64 / (1u64 << 53) as f64;
-            let y = (mix(rng) >> 11) as f64 / (1u64 << 53) as f64;
-            Point2 { x, y }
-        })
+        .map(|_| Point2::new(rng.next_f64(), rng.next_f64()))
         .collect()
 }
 
-fn points3(rng: &mut u64, n: usize) -> Vec<Point3> {
+fn points3(rng: &mut SplitMix64, n: usize) -> Vec<Point3> {
     (0..n)
-        .map(|_| {
-            let x = (mix(rng) >> 11) as f64 / (1u64 << 53) as f64;
-            let y = (mix(rng) >> 11) as f64 / (1u64 << 53) as f64;
-            let z = (mix(rng) >> 11) as f64 / (1u64 << 53) as f64;
-            Point3 { x, y, z }
-        })
+        .map(|_| Point3::new(rng.next_f64(), rng.next_f64(), rng.next_f64()))
         .collect()
 }
 
@@ -156,14 +138,16 @@ fn main() {
     let noisy_mode = cfg.noise.is_some();
     let svc = Service::new(cfg);
 
-    let mut rng = seed;
+    // the driver's own deterministic stream: the demo replays identically
+    // for a given seed
+    let mut rng = SplitMix64::new(seed);
     let tenants = ["alpha", "beta", "gamma"];
     let mut tickets = Vec::new();
     let (mut shed_at_admission, mut completed, mut failed, mut shed_later) =
         (0u64, 0u64, 0u64, 0u64);
 
     for i in 0..requests {
-        let r = mix(&mut rng);
+        let r = rng.next_u64();
         // Voted noisy runs pay Θ(n³ log n) (2-D) / Θ(n⁴ log n) (3-D)
         // predicate evaluations per attempt; keep the demo snappy.
         let n = if noisy_mode {

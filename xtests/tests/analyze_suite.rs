@@ -175,8 +175,7 @@ rows! {
     |m, shm, seed, n| {
         let pts = gen3d::in_ball(n, seed);
         let active: Vec<usize> = (0..n).collect();
-        let cfg = probe::FpConfig::default();
-        probe::find_facet_inplace(m, shm, &pts, &active, 0.01, 0.02, &cfg);
+        probe::find_facet_inplace(m, shm, &pts, &active, 0.01, 0.02, 16);
     };
     // The full 3-D algorithm probes Θ(hull-size) facets; 4096 points under
     // full tracing is minutes of host time, so the large size is 1024.
@@ -221,7 +220,7 @@ rows! {
         let active: Vec<usize> = (0..n).collect();
         let cons = bridge::bridge_lp_constraints(&pts, &active);
         let obj = bridge::bridge_lp_objective(0.0);
-        alon_megiddo::solve_lp2_am(m, shm, &cons, &obj, &Default::default());
+        alon_megiddo::solve_lp2_am(m, shm, &cons, &obj);
     };
     // Θ(n³) work: scaled sizes.
     lp_bridge_brute_clean: bridge::BRIDGE_BRUTE_CONTRACT, [(52, 32), (53, 128)],
@@ -241,7 +240,7 @@ rows! {
     |m, shm, seed, n| {
         let pts = g2::uniform_disk(n, seed);
         let active: Vec<usize> = (0..n).collect();
-        inplace_bridge::find_bridge_inplace_traced(m, shm, &pts, &active, 0.0, &Default::default());
+        inplace_bridge::find_bridge_inplace_traced(m, shm, &pts, &active, 0.0, 16);
     };
     // Θ(p·rounds) ascent in 16 cells: scaled sizes.
     lp_frugal_bridge_clean: frugal_bridge::FRUGAL_BRIDGE_CONTRACT, [(56, 256), (57, 1024)],

@@ -33,7 +33,6 @@ use ipch_hull3d::parallel::unsorted3d::Unsorted3Params;
 use ipch_hull3d::verify_upper_hull3;
 use ipch_inplace::supervised::{ragde_compact_supervised, random_sample_supervised};
 use ipch_lp::frugal_bridge::frugal_bridge_supervised;
-use ipch_lp::inplace_bridge::IbConfig;
 use ipch_lp::supervised::{bridge_brute_supervised, find_bridge_inplace_supervised};
 use ipch_pram::{
     Budget, FaultPlan, Machine, Outcome, RngBias, RunError, Shm, SuperviseConfig, Tuning, EMPTY,
@@ -244,14 +243,7 @@ fn bridge_run(
     pts: &[ipch_geom::Point2],
     active: &[usize],
 ) -> Result<Outcome, RunError> {
-    let s = find_bridge_inplace_supervised(
-        m,
-        pts,
-        active,
-        0.0,
-        &IbConfig::default(),
-        &SuperviseConfig::default(),
-    )?;
+    let s = find_bridge_inplace_supervised(m, pts, active, 0.0, 16, &SuperviseConfig::default())?;
     // oracle: the supervised certificate is necessary AND sufficient for a
     // bridge; cross-check against the hull edge over x0 = 0.
     let hull = UpperHull::of(pts);

@@ -146,7 +146,7 @@ proptest! {
 
     #[test]
     fn am_lp_matches_brute(nc in 4usize..40, seed in 0u64..200) {
-        use ipch_lp::alon_megiddo::{solve_lp2_am, AmConfig};
+        use ipch_lp::alon_megiddo::solve_lp2_am;
         use ipch_lp::brute::{solve_lp2_brute, Lp2Outcome};
         use ipch_lp::constraint::{Halfplane, Objective2};
         use ipch_pram::rng::SplitMix64;
@@ -165,7 +165,7 @@ proptest! {
         let obj = Objective2 { cx: th.cos(), cy: th.sin() };
         let mut m = Machine::new(seed);
         let mut shm = Shm::new();
-        let am = solve_lp2_am(&mut m, &mut shm, &cs, &obj, &AmConfig::default());
+        let am = solve_lp2_am(&mut m, &mut shm, &cs, &obj);
         let mut m2 = Machine::new(seed + 1);
         let mut shm2 = Shm::new();
         if let (Some((s, _)), Lp2Outcome::Optimal(b)) =
