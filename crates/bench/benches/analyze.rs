@@ -6,8 +6,8 @@
 //!   the analyzer's worst relative case, since the step itself is cheap.
 //! * `combine` — every processor piles onto 64 cells under `CombineSum`:
 //!   races on every cell, so the analyzer also classifies contests.
-//! * `kscatter` — the fused scatter kernel, checking that tracing doesn't
-//!   destroy the fused path's advantage.
+//! * `kscatter` — a `kernel_scatter` whose processors also read a source
+//!   array, so the analyzer traces a read as well as a write per processor.
 //!
 //! The disabled runs exist to pin the "zero cost when off" claim: they run
 //! the *same binary* with the analyzer simply not enabled, so comparing

@@ -11,7 +11,7 @@
 //!    budget is installed.
 //! 2. **Backend invariance** — `Metrics::peak_live_cells` (and the
 //!    workspace-abort count, and the hull itself) is bit-identical across
-//!    sequential fused kernels (threshold `usize::MAX`) and pooled ones
+//!    sequential chunk loops (threshold `usize::MAX`) and pooled ones
 //!    (threshold 1) at every worker cap {1, 2, ∞}: workspace accounting
 //!    is part of the deterministic observable surface, same discipline as
 //!    steps/work.
@@ -178,7 +178,7 @@ proptest! {
             Tuning { par_threshold: usize::MAX, ..Tuning::default() },
             &pts, scratch, budget, seed,
         );
-        prop_assert_eq!(&base.0, &UpperHull::of(&pts), "fused backend wrong");
+        prop_assert_eq!(&base.0, &UpperHull::of(&pts), "sequential run wrong");
         for lanes in [Some(1), Some(2), None] {
             let par = observe(
                 Tuning {

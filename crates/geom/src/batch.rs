@@ -1,7 +1,7 @@
 //! Concatenated multi-instance point layout for batched (fused) runs.
 //!
 //! The serving runtime coalesces many small hull requests into one machine
-//! run. The fused kernels want one contiguous input, while certificates,
+//! run. That run wants one contiguous input, while certificates,
 //! result slicing and ledger resolution stay per member. [`ConcatPoints2`]
 //! is that bridge: every member's points concatenated into one buffer, an
 //! offset table delimiting the members, and a [`crate::soa::PointsSoA`]

@@ -23,8 +23,8 @@
 //!   (Atallah–Goodrich two-polygon operations): line ∩ upper hull, common
 //!   tangent of two upper hulls, hull–hull intersection.
 //! * [`soa`] — structure-of-arrays point columns and the canonical
-//!   order-isomorphic f64 ↔ i64 key mapping, feeding the data-parallel
-//!   kernel backend contiguous, vectorizable inner loops.
+//!   order-isomorphic f64 ↔ i64 key mapping, feeding step closures
+//!   contiguous, vectorizable inner loops.
 //! * [`generators`] / [`gen3d`] — workload generators with controlled hull
 //!   size `h` (the knob every output-sensitivity experiment sweeps).
 //! * [`validate`] — typed input validation ([`InputError`]) shared by the

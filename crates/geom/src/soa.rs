@@ -1,7 +1,7 @@
-//! Structure-of-arrays point layout for the data-parallel kernel hot paths.
+//! Structure-of-arrays point layout for the simulator's hot step closures.
 //!
-//! The simulator's fused kernels (`ipch_pram::kernel`) execute their inner
-//! loops over contiguous chunks; whether those loops actually vectorize
+//! The simulator runs a step's processors in contiguous chunks
+//! (`ipch_pram::machine`); whether those loops actually vectorize
 //! depends on what the per-element closure touches. Indexing an
 //! array-of-structs `&[Point2]` loads 16-byte structs at stride 2 and then
 //! throws half of each load away, and recomputing an order-isomorphic

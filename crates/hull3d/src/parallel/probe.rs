@@ -13,7 +13,7 @@ use ipch_geom::Point3;
 use ipch_inplace::compact::inplace_compact;
 use ipch_inplace::sample::random_sample_with_p;
 use ipch_lp::bridge::facet_brute;
-use ipch_lp::inplace_bridge::{BETA, SAMPLE_ATTEMPTS};
+use ipch_lp::inplace_bridge::{BASE_CAPACITY_FACTOR, BETA, SAMPLE_ATTEMPTS};
 use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, EMPTY};
 
 use crate::facet::Facet;
@@ -48,7 +48,7 @@ pub fn find_facet_inplace(
     let universe = points.len();
     // the paper's 3-D base parameter k = p^{1/4}, clamped ≥ 4
     let k = ((p as f64).powf(0.25).ceil() as usize).max(4);
-    let capacity = 24 * k;
+    let capacity = BASE_CAPACITY_FACTOR * k;
 
     // tiny problems: direct brute (p⁴ stays within a constant of p·16k³)
     if p <= 24 {

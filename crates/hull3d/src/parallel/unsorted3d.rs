@@ -159,7 +159,7 @@ pub fn upper_hull3_unsorted(
     let mut facets: Vec<Facet> = Vec::new();
     let mut facet_keys: std::collections::HashSet<Facet> = std::collections::HashSet::new();
 
-    for level in 0..max_levels {
+    for _ in 0..max_levels {
         if regions.is_empty() {
             break;
         }
@@ -172,7 +172,6 @@ pub fn upper_hull3_unsorted(
             facets: 0,
         });
         let ri = trace.levels.len() - 1;
-        let _ = level;
 
         // --- probe each region in parallel ------------------------------
         let Ok(probes) = m.fork_join(

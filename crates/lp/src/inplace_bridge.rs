@@ -7,7 +7,8 @@
 //! while matching the time/work/confidence bounds):
 //!
 //! 1. Apply the random-sample procedure to draw a base problem of Θ(k)
-//!    constraints into a 16k workspace (k = p^{1/3} in 2-D).
+//!    constraints (k = p^{1/3} in 2-D) into a workspace of at most
+//!    [`BASE_CAPACITY_FACTOR`]·k = 24k cells.
 //! 2. Solve the base problem deterministically in constant time
 //!    ([`crate::bridge::bridge_brute`] — the exact n³ brute force).
 //! 3. Every point checks whether it violates the solution (lies strictly
@@ -37,6 +38,12 @@ use crate::bridge::{bridge_brute, Bridge};
 /// Rounds of sampling before the §3.3 step-4 compaction finish is tried
 /// (the paper's β). The 3-D facet finder uses the same β.
 pub const BETA: usize = 4;
+
+/// Cells of each round's base workspace, in units of k: the cap on a base
+/// problem and the slot count of the §3.3 step-4 compaction. The paper
+/// uses 16k; 24k leaves room for a full 16k sample plus the carried bridge
+/// endpoints (DESIGN §6). The 3-D facet finder uses the same factor.
+pub const BASE_CAPACITY_FACTOR: usize = 24;
 
 /// Dart-throwing retry rounds inside each random sample (the paper's d,
 /// §3.1), shared by every sampling bridge and facet finder.
@@ -148,7 +155,7 @@ pub fn find_bridge_inplace_traced(
     let universe = points.len();
     // the paper's 2-D base parameter k = p^{1/3}, clamped ≥ 4
     let k = ((p as f64).cbrt().ceil() as usize).max(4);
-    let capacity = 24 * k;
+    let capacity = BASE_CAPACITY_FACTOR * k;
 
     // Tiny problems: the whole subset is the base. The threshold keeps the
     // brute cost p³ within a constant factor of p processors ("k is
@@ -181,8 +188,8 @@ pub fn find_bridge_inplace_traced(
             .filter(|&i| shm.get(surv, i) != 0)
             .collect();
 
-        // Each round's base is a *fresh* Θ(k) workspace (the paper's 16k
-        // cells): a sample of the survivors, plus the current bridge
+        // Each round's base is a *fresh* Θ(k) workspace (24k cells,
+        // `capacity`): a sample of the survivors, plus the current bridge
         // endpoints so the candidate height at x₀ is monotone.
         let mut base: Vec<usize> = Vec::new();
         if round >= BETA || survivors.len() <= 4 * k {
@@ -256,7 +263,6 @@ pub fn find_bridge_inplace_traced(
             return (Some(bridge), trace);
         }
     }
-    let _ = best;
     (None, trace)
 }
 

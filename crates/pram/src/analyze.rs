@@ -32,12 +32,10 @@
 //!   [`crate::Ctx::slice`] reads are exempt: they are bulk snapshot views
 //!   and routinely cover cells the reader then ignores.
 //!
-//! Out-of-bounds indices, use of an [`crate::ArrayId`] after its scope
-//! exits, and reads of a kernel's own output array are *enforced*, not
-//! reported: they fail immediately with the uniform typed
-//! [`crate::memory::ShmError`] (or the kernel's own-output panic) whether or
-//! not the analyzer is attached, because execution cannot meaningfully
-//! continue past them.
+//! Out-of-bounds indices and use of an [`crate::ArrayId`] after its scope
+//! exits are *enforced*, not reported: they fail immediately with the
+//! uniform typed [`crate::memory::ShmError`] whether or not the analyzer is
+//! attached, because execution cannot meaningfully continue past them.
 //!
 //! # Usage
 //!
@@ -62,14 +60,13 @@
 //! assert!(report.violations.is_empty()); // no contract declared
 //! ```
 //!
-//! The analyzer is threaded through both the generic [`Machine::step`]
-//! pipeline and the fused [`crate::kernel`] paths, and its report is part
+//! The analyzer is threaded through the one [`Machine::step`] pipeline
+//! (which every [`crate::kernel`] shape runs on), and its report is part
 //! of [`crate::Metrics`] (merged when a child machine is folded back), so child
 //! machines' traces roll up to the parent. Reports are deterministic: the
 //! gathered access trace is canonicalised by sorting (cell, pid[, seq]), so
-//! the same program produces an identical report regardless of chunking,
-//! thread count, or whether fused kernels are enabled —
-//! the determinism suite asserts exactly this.
+//! the same program produces an identical report regardless of chunking
+//! or thread count — the determinism suite asserts exactly this.
 
 use crate::machine::{cell_tiebreak, ChunkCell, Machine, WriteEntry};
 use crate::memory::Shm;
@@ -96,7 +93,7 @@ pub(crate) struct ReadEntry {
 }
 
 /// A chunk's read-trace buffer. `RefCell` because reads are recorded through
-/// shared [`crate::Ctx`] / [`crate::KCtx`] borrows; each buffer is only ever
+/// shared [`crate::Ctx`] borrows; each buffer is only ever
 /// touched by the chunk that owns it (the write-arena discipline).
 pub(crate) type ReadTrace = std::cell::RefCell<Vec<ReadEntry>>;
 
@@ -454,8 +451,7 @@ impl Analysis {
 }
 
 /// Classify one traced step and fold it into the report. `write_bufs` holds
-/// the step's write log in chunk order (the generic arena, or the fused
-/// kernels' recorded equivalents); read traces were gathered into
+/// the step's write log in chunk order; read traces were gathered into
 /// `analysis.read_bufs` by the compute phase. Called after commit, so shadow
 /// init marking of this step's writes lands after this step's read checks
 /// (reads see the pre-step snapshot).
@@ -750,7 +746,7 @@ enum RaceSeverity {
 
 impl Machine {
     /// Attach the concurrency analyzer to this machine: subsequent steps
-    /// (generic and fused-kernel alike) trace their reads and writes, and
+    /// trace their reads and writes, and
     /// [`Machine::analysis_report`] / [`crate::Metrics::analysis`] accumulate the
     /// classification. Child machines created by [`Machine::fork_join`] and
     /// [`Machine::sub`] inherit the analyzer, and their reports merge into

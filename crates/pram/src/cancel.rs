@@ -7,11 +7,11 @@
 //! natural preemption point: the step boundary. A [`CancelToken`] installed
 //! on a [`crate::Machine`] ([`crate::Machine::set_cancel_token`]) is polled
 //!
-//! * at the **entry of every synchronous step** (generic
-//!   [`crate::Machine::step`] dispatch and every fused [`crate::kernel`]
-//!   entry point), *before* the step is recorded, and
-//! * at **every chunk boundary** of the fused kernel loops and the generic
-//!   compute phase (a chunk is `machine::CHUNK` = 8192 virtual processors),
+//! * at the **entry of every synchronous step** ([`crate::Machine::step`]
+//!   and every named [`crate::kernel`] shape built on it), *before* the
+//!   step is recorded, and
+//! * at **every chunk boundary** of the compute phase (a chunk is
+//!   `machine::CHUNK` = 8192 virtual processors),
 //!   on both the sequential loops and the parallel backend's pool waves —
 //!   each lane polls the token as it claims a chunk, and once any lane
 //!   observes expiry the remaining chunks are skipped, so even a single
@@ -33,10 +33,10 @@
 //!   aborted mid-compute, whose buffered writes are discarded un-committed),
 //!   and they merge into a parent via [`crate::Metrics::absorb`] exactly
 //!   like any child's. Shared memory handed to a cancelled run is left
-//!   memory-safe and structurally intact (fused kernels re-attach their
-//!   detached output buffer before unwinding), but its *contents* are
-//!   whatever the last committed step left — a cancelled run's memory must
-//!   not be interpreted as a result.
+//!   memory-safe and structurally intact, and its *contents* are exactly
+//!   what the last committed step left: an aborted step writes nothing.
+//!   Still, a cancelled run's memory must not be interpreted as a result —
+//!   the run stopped part-way.
 //!
 //! A machine with no token installed pays one branch per step — the
 //! determinism suites assert the no-token path is byte-identical to the
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn mid_kernel_cancellation_from_another_thread_is_typed_and_safe() {
         silence_cancel_unwinds();
-        // Timing-dependent by nature: a worker cancels while a large fused
+        // Timing-dependent by nature: a worker cancels while a large
         // kernel runs chunk-by-chunk. Whichever way the race lands, the
         // outcome must be "completed" or "typed cancel with intact Shm" —
         // never a crash or a mangled machine.

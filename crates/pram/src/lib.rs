@@ -16,18 +16,16 @@
 //!   processor computes against a snapshot of shared memory (all reads see
 //!   the pre-step state), writes are collected, conflicts are resolved under
 //!   the machine's [`WritePolicy`], and the step is committed atomically.
-//! * [`kernel`] executes the four step shapes that dominate the algorithms
-//!   (map, permute, scatter, reduce) as fused bulk host loops that charge
-//!   metrics identical to the generic step path — see that module's
-//!   metrics-identity invariant.
+//! * [`kernel`] names the three step shapes that dominate the algorithms
+//!   (map, scatter, reduce); each is one [`Machine::step`] whose closure
+//!   returns its write.
 //! * [`Metrics`] accumulates time, work and peak processor count, with a
 //!   named per-phase breakdown, plus a separate "charged" bucket for costs
 //!   accounted analytically (documented wherever used).
-//! * [`primitives`] implements the O(1)-time CRCW folklore the paper leans
-//!   on — concurrent OR, leftmost non-zero (Eppstein–Galil, Observation
-//!   2.1), pairwise-knockout minimum — and the O(log n) prefix sum used in
-//!   Section 4.1 step 3, all as genuine sequences of [`Machine::step`]s so
-//!   the accounting is honest.
+//! * [`primitives`] implements the O(1)-time leftmost non-zero
+//!   (Eppstein–Galil, Observation 2.1) and [`prefix`] the O(log n) prefix
+//!   sum used in Section 4.1 step 3, both as genuine sequences of
+//!   [`Machine::step`]s so the accounting is honest.
 //! * [`schedule`] implements the Matias–Vishkin processor-allocation
 //!   accounting of the paper's Lemma 7.
 //!
@@ -69,7 +67,7 @@ pub use analyze::{
 };
 pub use cancel::{silence_cancel_unwinds, CancelCause, CancelToken, CancelUnwind};
 pub use faults::{Budget, DropWindow, FaultCounters, FaultPlan, NoiseMode, NoisePlan, RngBias};
-pub use kernel::{KCtx, ReduceOp};
+pub use kernel::ReduceOp;
 pub use machine::{Ctx, Machine, Tuning};
 pub use memory::{ArrayId, Shm, ShmError};
 pub use metrics::{Metrics, PhaseRecord, ServiceStats};

@@ -16,16 +16,15 @@
 //!
 //! # The step frame
 //!
-//! Every simulated step — this generic one and each fused
-//! [`crate::kernel`] — goes through one frame: `Machine::open_step`
+//! Every simulated step — including each named [`crate::kernel`] shape,
+//! which is this generic step — goes through one frame: `Machine::open_step`
 //! (cancel poll, step number, [`Metrics`] step and work, fault budget,
 //! pooled arena and analyzer state, clock), `Machine::run_chunks` (the
 //! sequential-or-pool decision, cancel polls at every chunk entry, lanes
 //! used), then `Machine::close_step` (commit of a buffered log, host time,
 //! analyzer classification, cell corruption, workspace peak) or
-//! `Machine::abort_step` on cancellation. A body supplies only its chunk
-//! loop and how it lands its writes, so each per-step charge is made in
-//! one place.
+//! `Machine::abort_step` on cancellation, so each per-step charge is made
+//! in one place.
 //!
 //! This gives exactly the textbook semantics: concurrent reads are free,
 //! concurrent writes are resolved by the model rule, and *nothing a
@@ -277,20 +276,6 @@ impl<'a, 'b> Ctx<'a, 'b> {
         self.shm.len(a)
     }
 
-    /// The pre-step memory snapshot (crate-internal: the kernel layer's
-    /// generic fallback builds its read-only view from it).
-    #[inline]
-    pub(crate) fn snapshot(&self) -> &'a Shm {
-        self.shm
-    }
-
-    /// This chunk's read-trace buffer, if the analyzer is attached
-    /// (crate-internal: the kernel fallback paths thread it into [`crate::KCtx`]).
-    #[inline]
-    pub(crate) fn read_trace(&self) -> Option<&'b ReadTrace> {
-        self.trace
-    }
-
     /// Buffer a write to be committed at the end of the step.
     ///
     /// # Panics
@@ -343,8 +328,7 @@ impl<'a, 'b> Ctx<'a, 'b> {
 /// suites assert bit-identical results at every setting.
 #[derive(Clone, Copy, Debug)]
 pub struct Tuning {
-    /// Active-processor count at which a step's chunk loop — generic
-    /// compute and every fused kernel alike — fans out over the
+    /// Active-processor count at which a step's chunk loop fans out over the
     /// [`crate::pool`]; below it the chunks run on the calling thread (the
     /// small-n fast path). The commit phase fans out at twice this many
     /// buffered writes. `0` fans every step out, `usize::MAX` none.
@@ -357,12 +341,6 @@ pub struct Tuning {
     pub num_threads: Option<usize>,
     /// Disable the conflict-free fast path (always gather + sort).
     pub disable_fast_path: bool,
-    /// Route every [`crate::kernel`] entry point through the generic
-    /// [`Machine::step`] path instead of the fused bulk loops. The two paths
-    /// are required to be observably identical (memory contents and
-    /// steps/work/conflict metrics); this switch exists so the equivalence
-    /// tests can prove it.
-    pub disable_kernels: bool,
 }
 
 impl Default for Tuning {
@@ -371,7 +349,6 @@ impl Default for Tuning {
             par_threshold: env_par_threshold().unwrap_or(1 << 15),
             num_threads: None,
             disable_fast_path: false,
-            disable_kernels: false,
         }
     }
 }
@@ -397,23 +374,6 @@ fn env_par_threshold() -> Option<usize> {
 /// shared).
 pub(crate) const CHUNK: usize = 8192;
 
-/// How a step body lands its writes, which decides what closing the step
-/// does with the pooled write log.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Body {
-    /// [`Machine::step`]: per-processor [`Ctx`]s buffer writes into the
-    /// log, committed at close.
-    Generic,
-    /// A fused kernel that buffers into the log, committed at close
-    /// ([`Machine::kernel_scatter`]).
-    KernelLog,
-    /// A fused kernel that stores its own result: a direct store
-    /// ([`Machine::kernel_map`], [`Machine::kernel_permute`]) or a reduce
-    /// fold ([`Machine::kernel_reduce`]). It keeps a log only for the
-    /// analyzer, holding what the generic path would have buffered.
-    KernelStore,
-}
-
 /// One open simulated step: its number and size, plus the pooled write
 /// arena and analyzer state, taken out of the machine between
 /// [`Machine::open_step`] and [`Machine::close_step`] (or
@@ -423,7 +383,6 @@ pub(crate) struct StepFrame {
     /// Active processors (never 0: an empty step opens no frame).
     pub(crate) count: usize,
     pub(crate) nchunks: usize,
-    body: Body,
     arena: WriteArena,
     analysis: Option<Box<Analysis>>,
     t_start: Instant,
@@ -433,11 +392,6 @@ impl StepFrame {
     /// The per-chunk write logs, cleared for this step.
     pub(crate) fn log(&self) -> &[ChunkCell<Vec<WriteEntry>>] {
         &self.arena.chunk_bufs[..self.nchunks]
-    }
-
-    /// The log a [`Body::KernelStore`] keeps when the analyzer is attached.
-    pub(crate) fn analyzer_log(&self) -> Option<&[ChunkCell<Vec<WriteEntry>>]> {
-        self.analysis.as_ref().map(|_| self.log())
     }
 
     /// The analyzer's per-chunk read traces, when it is attached.
@@ -654,11 +608,6 @@ impl Machine {
     /// are perturbed per the plan, deterministically in (machine seed,
     /// [`FaultPlan::salt`]). Replaces any previously installed plan. Child
     /// machines created after this call inherit the plan.
-    ///
-    /// While any plan is installed, [`crate::kernel`] entry points route
-    /// through the generic step path (fault hooks live there), so the
-    /// kernel/generic metrics-identity invariant is only claimed with faults
-    /// disabled.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(Box::new(FaultState::new(plan, self.seed)));
     }
@@ -728,7 +677,7 @@ impl Machine {
     /// empty pid set costs a step and ends there (`None`); otherwise the
     /// pooled write arena and analyzer state move into the returned frame,
     /// prepared for the body's chunks, and the step's clock starts.
-    pub(crate) fn open_step(&mut self, count: usize, body: Body) -> Option<StepFrame> {
+    pub(crate) fn open_step(&mut self, count: usize) -> Option<StepFrame> {
         // Cancellation poll at the step boundary, *before* the step is
         // recorded: a machine past its deadline executes zero further
         // steps, so `metrics.steps` counts completed steps exactly.
@@ -763,7 +712,6 @@ impl Machine {
             step_no,
             count,
             nchunks,
-            body,
             arena,
             analysis,
             t_start: Instant::now(),
@@ -817,8 +765,8 @@ impl Machine {
         crate::cancel::unwind(cause)
     }
 
-    /// Close an open step: commit the buffered log under `policy` if the
-    /// body buffers, then the single place a step's host time
+    /// Close an open step: commit the buffered log under `policy`, then the
+    /// single place a step's host time
     /// ([`Metrics::record_host_ns`]), analyzer classification, cell
     /// corruption and workspace peak ([`Machine::note_workspace`]) are
     /// charged. Puts the pooled state back.
@@ -826,22 +774,14 @@ impl Machine {
         let StepFrame {
             step_no,
             nchunks,
-            body,
             mut arena,
             mut analysis,
             t_start,
             ..
         } = frame;
         let t_computed = Instant::now();
-        let commit_ns = if body == Body::KernelStore {
-            0
-        } else {
-            self.commit(shm, policy, step_no, &mut arena, nchunks);
-            t_computed.elapsed().as_nanos() as u64
-        };
-        if body != Body::Generic {
-            self.metrics.kernel_steps += 1;
-        }
+        self.commit(shm, policy, step_no, &mut arena, nchunks);
+        let commit_ns = t_computed.elapsed().as_nanos() as u64;
         let compute_ns = t_computed.duration_since(t_start).as_nanos() as u64;
         self.metrics.record_host_ns(compute_ns, commit_ns);
         if let Some(an) = &mut analysis {
@@ -922,7 +862,7 @@ impl Machine {
         F: Fn(&mut Ctx) -> R + Sync,
     {
         let pids = pids.into();
-        let Some(frame) = self.open_step(pids.count(), Body::Generic) else {
+        let Some(frame) = self.open_step(pids.count()) else {
             return Vec::new();
         };
         let (step_no, count, nchunks) = (frame.step_no, frame.count, frame.nchunks);
@@ -1116,7 +1056,7 @@ fn log_is_strictly_monotone(bufs: &mut [ChunkCell<Vec<WriteEntry>>]) -> bool {
 /// constructing one is O(1) in the steady state instead of O(#arrays ever
 /// allocated).
 struct ShmWriter<'a> {
-    arrays: &'a [(*mut Word, usize)],
+    arrays: &'a [*mut Word],
 }
 
 // SAFETY: every use site guarantees the set of (array, idx) cells written
@@ -1137,11 +1077,11 @@ impl<'a> ShmWriter<'a> {
     /// other thread.
     #[inline]
     unsafe fn commit(&self, a: u32, idx: u32, v: Word) {
-        let (base, len) = self.arrays[a as usize];
-        debug_assert!((idx as usize) < len, "commit out of bounds");
-        let _ = len;
+        // No bounds check here: `Ctx::write` checked every log entry with
+        // `Shm::check_access` when it was buffered.
+        let base = self.arrays[a as usize];
         // SAFETY: bounds and exclusivity forwarded from this function's
-        // contract; `base` points at a live array of `len` cells.
+        // contract; `base` points at the live array `a`.
         unsafe { *base.add(idx as usize) = v };
     }
 }
@@ -1340,7 +1280,7 @@ impl SendMutPtr {
 
 /// Two-way merge of sorted `a` and `b` into `out` (`out.len() == a.len() + b.len()`).
 fn merge_into(a: &[WriteEntry], b: &[WriteEntry], out: &mut [WriteEntry]) {
-    debug_assert_eq!(a.len() + b.len(), out.len());
+    assert_eq!(a.len() + b.len(), out.len(), "merge lengths disagree");
     let (mut i, mut j) = (0, 0);
     for slot in out.iter_mut() {
         let take_a = j >= b.len() || (i < a.len() && a[i].sort_key() <= b[j].sort_key());

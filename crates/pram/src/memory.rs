@@ -71,8 +71,8 @@ pub struct ArrayId {
 }
 
 impl ArrayId {
-    /// The raw slot index (machine-internal: write-log keys and kernel
-    /// forbidden-array checks are keyed by slot).
+    /// The raw slot index (machine-internal: write-log and read-trace keys
+    /// are keyed by slot).
     #[inline]
     pub(crate) fn slot(self) -> u32 {
         self.slot
@@ -84,7 +84,7 @@ impl ArrayId {
 /// All panicking `Shm` accessors panic with the `Display` rendering of one
 /// of these variants, so "index out of bounds" and "use after scope exit"
 /// are diagnosable uniformly wherever they surface (host code, step
-/// closures, kernel closures, or the commit pipeline's write validation).
+/// closures, or the commit pipeline's write validation).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShmError {
     /// Index past the end of a live array.
@@ -126,10 +126,10 @@ impl std::fmt::Display for ShmError {
 
 impl std::error::Error for ShmError {}
 
-/// Cached `(base pointer, len)` of every array slot, rebuilt only when an
+/// Cached base pointer of every array slot, rebuilt only when an
 /// allocation changes the layout (see [`Shm::raw_parts`]).
 #[derive(Default)]
-struct RawCache(Vec<(*mut Word, usize)>);
+struct RawCache(Vec<*mut Word>);
 
 // SAFETY: the cached pointers are only ever dereferenced by the machine's
 // commit phase, which obtains them through `Shm::raw_parts(&mut self)` —
@@ -620,7 +620,7 @@ impl Shm {
         )
     }
 
-    /// Base pointer and length of every array slot, for the machine's commit
+    /// Base pointer of every array slot, for the machine's commit
     /// phase (machine-internal). Taking `&mut self` guarantees the caller
     /// holds exclusive access to the memory for the pointers' lifetime.
     ///
@@ -629,12 +629,12 @@ impl Shm {
     /// length), so in the steady state — scoped workspace recycling, no
     /// fresh allocations between steps — a commit pays nothing here, and
     /// commit cost no longer scales with the lifetime allocation count.
-    pub(crate) fn raw_parts(&mut self) -> &[(*mut Word, usize)] {
+    pub(crate) fn raw_parts(&mut self) -> &[*mut Word] {
         if self.raw_dirty {
             self.raw.0.clear();
             self.raw
                 .0
-                .extend(self.arrays.iter_mut().map(|a| (a.as_mut_ptr(), a.len())));
+                .extend(self.arrays.iter_mut().map(|a| a.as_mut_ptr()));
             self.raw_dirty = false;
         }
         &self.raw.0
@@ -661,25 +661,6 @@ impl Shm {
         let idx = (crate::rng::mix64(h) % buf.len() as u64) as usize;
         buf[idx] ^= 1;
         Some((slot as u32, idx))
-    }
-
-    /// Detach array `a`'s buffer for a kernel's exclusive writes (the slot
-    /// reads as empty until [`Shm::put_back`] restores it, so a kernel
-    /// closure that illegally reads its own output trips a bounds check).
-    ///
-    /// # Panics
-    /// With a [`ShmError::StaleArrayId`] message if `a`'s scope has exited.
-    pub(crate) fn take_array(&mut self, a: ArrayId) -> Vec<Word> {
-        if let Err(e) = self.check_live(a) {
-            panic!("{e}");
-        }
-        std::mem::take(&mut self.arrays[a.slot as usize])
-    }
-
-    /// Restore a buffer detached by [`Shm::take_array`]. The heap buffer is
-    /// unchanged, so the raw-parts cache stays valid.
-    pub(crate) fn put_back(&mut self, a: ArrayId, buf: Vec<Word>) {
-        self.arrays[a.slot as usize] = buf;
     }
 }
 

@@ -46,7 +46,7 @@ pub struct Metrics {
     /// accounting: allocations minus scope releases, input arrays exempt)
     /// across every memory this machine tree stepped against. Host
     /// observability only — allocation is deterministic host bookkeeping,
-    /// so the value is bit-identical across kernel backends and worker
+    /// so the value is bit-identical across execution modes and worker
     /// counts, and identical whether or not a workspace budget is set.
     pub peak_live_cells: u64,
     /// Steps charged analytically (see module docs).
@@ -75,10 +75,9 @@ pub struct Metrics {
     /// Steps whose commit took the conflict-free fast path (in-order
     /// scatter: no sort, no policy resolution).
     pub fastpath_steps: u64,
-    /// Steps executed as fused bulk kernels ([`crate::kernel`]): no per-pid
-    /// `Ctx`, and (except for conflicted scatters) no write log at all.
-    /// Kernel steps charge the same steps/work/write/conflict metrics as the
-    /// generic path; this counter is host observability only.
+    /// Non-empty steps issued through a named kernel shape
+    /// ([`crate::kernel`]). Each is one generic step and charges exactly
+    /// what that step charges; this counter is host observability only.
     pub kernel_steps: u64,
     /// Largest number of host execution lanes (calling thread + pool
     /// workers) any phase of this run used: 1 while everything ran

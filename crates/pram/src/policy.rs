@@ -44,7 +44,7 @@ impl WritePolicy {
     /// cell, already sorted by `pid` ascending. `tiebreak` is a seeded hash
     /// supplied by the machine for the `Arbitrary` rule.
     pub fn resolve(&self, writes: &[(usize, i64)], tiebreak: u64) -> i64 {
-        debug_assert!(!writes.is_empty());
+        assert!(!writes.is_empty(), "resolve needs at least one write");
         match self {
             WritePolicy::Arbitrary => {
                 let i = (tiebreak % writes.len() as u64) as usize;
@@ -63,10 +63,11 @@ impl WritePolicy {
     ///
     /// Same rules as [`WritePolicy::resolve`] but operating directly on the
     /// packed log entries so the hot commit loop never materialises a
-    /// per-cell `(pid, value)` vector.
+    /// per-cell `(pid, value)` vector. The commit calls it only for runs of
+    /// two or more entries (singleton runs commit directly), so `run` is
+    /// never empty.
     #[inline]
     pub(crate) fn resolve_run(&self, run: &[crate::machine::WriteEntry], tiebreak: u64) -> i64 {
-        debug_assert!(!run.is_empty());
         match self {
             WritePolicy::Arbitrary => {
                 let i = (tiebreak % run.len() as u64) as usize;

@@ -75,7 +75,7 @@ impl SplitMix64 {
     /// uniform — important for the sample-uniformity experiment (T7).
     #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
+        assert!(bound > 0, "next_below needs a nonzero bound");
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(bound as u128);

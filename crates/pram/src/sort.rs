@@ -57,9 +57,10 @@ pub fn bitonic_sort(m: &mut Machine, shm: &mut Shm, keys: ArrayId, payload: Opti
                     let c = ctx.pid;
                     let low = c & (j - 1);
                     let high = (c & !(j - 1)) << 1;
+                    // c < np/2 and bit log2(j) of i is clear, so
+                    // i < l = i | j < np
                     let i = high | low;
                     let l = i | j;
-                    debug_assert!(i < l && l < np);
                     let ascending = (i & k) == 0;
                     let (a, b) = (ctx.read(wk, i), ctx.read(wk, l));
                     let out_of_order = if ascending { a > b } else { a < b };
@@ -84,12 +85,6 @@ pub fn bitonic_sort(m: &mut Machine, shm: &mut Shm, keys: ArrayId, payload: Opti
             }
         });
     });
-}
-
-/// Host-checkable helper: is the array sorted ascending?
-pub fn is_sorted(shm: &Shm, keys: ArrayId) -> bool {
-    let s = shm.slice(keys);
-    s.windows(2).all(|w| w[0] <= w[1])
 }
 
 /// Sort a host vector of `(key, payload)` pairs on the machine and return

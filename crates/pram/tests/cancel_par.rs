@@ -1,11 +1,11 @@
-//! Chunk-boundary cancellation under the data-parallel kernel backend.
+//! Chunk-boundary cancellation of a step whose chunks run on the pool.
 //!
 //! Pinned-seed regression tests: a cancel tripped *inside* a running
 //! multi-chunk kernel must abort at a chunk boundary with the typed
 //! [`CancelUnwind`] payload (or [`RunError::Cancelled`] /
 //! [`RunError::DeadlineExceeded`] through the supervisor), leave `Metrics`
-//! intact (the aborted step is never recorded), and leave the machine and
-//! shared memory serviceable.
+//! intact (the aborted step is never recorded), leave shared memory exactly
+//! as the last committed step left it, and leave the machine serviceable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,7 +43,8 @@ fn caught_cause<T>(r: std::thread::Result<T>) -> CancelCause {
 /// A closure running under the parallel backend trips the token while the
 /// kernel is mid-flight (first element of chunk 1 of 32). Later chunk
 /// claims observe the flag, the wave drains, and the kernel unwinds typed —
-/// with the aborted step never recorded and the machine reusable.
+/// with the aborted step never recorded, none of its writes in memory, and
+/// the machine reusable.
 #[test]
 fn cancel_mid_parallel_kernel_aborts_typed_with_intact_metrics() {
     silence_cancel_unwinds();
@@ -76,6 +77,12 @@ fn cancel_mid_parallel_kernel_aborts_typed_with_intact_metrics() {
     assert_eq!(m.metrics.writes_buffered, 0);
     assert_eq!(m.metrics.writes_committed, 0);
     assert!(m.metrics.threads >= 1, "parallel dispatch records lane use");
+    // Memory unchanged: the aborted step's log is discarded whole, so not
+    // even the chunks that finished before the cancel reach `out`.
+    assert!(
+        shm.slice(out).iter().all(|&v| v == 0),
+        "a cancelled step must leave memory untouched"
+    );
 
     // The machine and memory stay serviceable after the unwind.
     m.clear_cancel_token();

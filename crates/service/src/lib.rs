@@ -13,7 +13,7 @@
 //! - **Cooperative cancellation**: every request carries a
 //!   [`CancelToken`](ipch_pram::CancelToken) (deadline-armed when the
 //!   request or service config sets one) that the PRAM machine polls at
-//!   every step boundary and between kernel chunks, so a cancelled or
+//!   every step boundary and between step chunks, so a cancelled or
 //!   expired request aborts within one simulated step with a typed error
 //!   and its partial metrics intact.
 //! - **Tiered graceful degradation** ([`Breaker`]): per-algorithm circuit

@@ -14,7 +14,7 @@
 //! * the *naive* single-shot variants demonstrably fail certification
 //!   under the same plans (voting, not luck, buys correctness);
 //! * the flip/vote `FaultCounters` are execution-mode-blind: identical
-//!   on sequential and pooled kernels at any lane cap;
+//!   on sequential and pooled chunk loops at any lane cap;
 //! * an all-zero `NoisePlan` is byte-identical to no plan at all.
 //!
 //! Seeds are pinned; everything here is reproducible byte-for-byte.
@@ -145,7 +145,7 @@ fn noisy_naive_variants_fail_certification() {
 fn noise_counters_identical_across_kernel_backends() {
     // Flip decisions are pure hashes of (noise seed, op, operands, trial)
     // and the counters are order-independent sums, so the same seeded run
-    // must inject and vote identically on the sequential fused loops
+    // must inject and vote identically on the sequential chunk loops
     // (par threshold `usize::MAX`) and fanned out over the pool
     // (threshold 1) at a 2-lane cap and uncapped.
     let pts = uniform_disk(36, 55);
@@ -210,14 +210,14 @@ fn noise_empty_plan_is_the_clean_machine() {
 
 proptest! {
     // Voted runs are expensive (Θ(n³ log n) per attempt); a handful of
-    // random inputs across the full 12-point execution-mode matrix is the
+    // random inputs across the full 6-point execution-mode matrix is the
     // budget-conscious sweet spot.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// PR 6's execution-mode matrix, replayed for the voting layer: the
     /// majority-vote primitive must be bit-identical across
-    /// `disable_kernels` × sequential/parallel stepping × lane caps
-    /// {1, 2, ∞} — same hull, same flip/vote counters, same accounting.
+    /// sequential/parallel stepping × lane caps {1, 2, ∞} — same hull,
+    /// same flip/vote counters, same accounting.
     #[test]
     fn vote_kernel_bit_identical_across_execution_modes(
         seed in 0u64..1000,
@@ -225,26 +225,23 @@ proptest! {
     ) {
         let pts = uniform_disk(n, seed ^ 0xBEEF);
         let mut runs = Vec::new();
-        for disable_kernels in [false, true] {
-            for par_threshold in [usize::MAX, 0] {
-                for lanes in [Some(1), Some(2), None] {
-                    let mut m = rig(seed, &noise_plan(0.05, NoiseMode::Fresh));
-                    m.tuning = Tuning {
-                        disable_kernels,
-                        par_threshold,
-                        num_threads: lanes,
-                        ..Tuning::default()
-                    };
-                    let r = upper_hull_noisy_supervised(&mut m, &pts, &SuperviseConfig::default())
-                        .map(|s| (s.outcome, s.value.hull.vertices.clone()))
-                        .map_err(|e| e.code());
-                    runs.push((
-                        r,
-                        m.metrics.faults,
-                        m.metrics.steps,
-                        m.metrics.work,
-                    ));
-                }
+        for par_threshold in [usize::MAX, 0] {
+            for lanes in [Some(1), Some(2), None] {
+                let mut m = rig(seed, &noise_plan(0.05, NoiseMode::Fresh));
+                m.tuning = Tuning {
+                    par_threshold,
+                    num_threads: lanes,
+                    ..Tuning::default()
+                };
+                let r = upper_hull_noisy_supervised(&mut m, &pts, &SuperviseConfig::default())
+                    .map(|s| (s.outcome, s.value.hull.vertices.clone()))
+                    .map_err(|e| e.code());
+                runs.push((
+                    r,
+                    m.metrics.faults,
+                    m.metrics.steps,
+                    m.metrics.work,
+                ));
             }
         }
         for r in &runs[1..] {
