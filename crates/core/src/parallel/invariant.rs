@@ -216,7 +216,8 @@ pub fn hull_of_hulls(
     }
 
     // per-node bridge, all nodes in parallel
-    let bridges: Vec<Bridge> = m.fork_join(
+    // (a node whose bridge took the brute-force sweep reports `swept`)
+    let found: Vec<(Bridge, bool)> = m.fork_join(
         nodes.iter().enumerate(),
         |&(vi, _)| vi as u64 ^ 0x40b,
         |child, (vi, &(lo, hi, mid))| {
@@ -225,22 +226,25 @@ pub fn hull_of_hulls(
                 / 2.0;
             let mut scratch = Shm::new();
             let mut bridge = bridge_over_hulls(child, &mut scratch, points, &groups[lo..hi], x0);
-            if bridge.is_none() {
+            let swept = bridge.is_none();
+            if swept {
                 // sweep: direct brute over all pairs of the node's groups
-                report.failures += 1;
                 let all: Vec<usize> = (0..hi - lo).collect();
                 let qmax = groups[lo..hi].iter().map(|h| h.len()).max().unwrap_or(1);
                 bridge = brute_bridge_hulls(child, points, &groups[lo..hi], &all, x0, qmax);
             }
-            bridge.ok_or_else(|| RunError::Invariant {
+            let bridge = bridge.ok_or_else(|| RunError::Invariant {
                 algorithm: "hull2d/hull_of_hulls",
                 detail: format!(
                     "no straddling bridge at boundary node {vi} (groups {lo}..{hi}, x0={x0}) \
                      even after the brute-force sweep"
                 ),
-            })
+            })?;
+            Ok((bridge, swept))
         },
     )?;
+    report.failures += found.iter().filter(|&&(_, swept)| swept).count();
+    let bridges: Vec<Bridge> = found.into_iter().map(|(b, _)| b).collect();
 
     // cover step (executed): node vi covered iff an ancestor's bridge spans
     // its boundary abscissa

@@ -147,7 +147,7 @@ fn recurse(
     // 1. recursive group solves, in parallel, with failure injection; an
     // Err stops the groups, keeping the accounting of every group that ran
     let mut rng = m.host_rng(depth as u64 ^ 0x105);
-    let mut hulls: Vec<Option<UpperHull>> = m.fork_join(
+    let mut hulls: Vec<Option<UpperHull>> = m.fork_join_seq(
         ids.chunks(q).enumerate(),
         |&(gi, _)| (depth as u64) << 32 | gi as u64,
         |child, (_, chunk)| {

@@ -32,7 +32,7 @@ use ipch_pram::{Machine, Shm, WritePolicy};
 ///
 /// The groups merge **in parallel** — each on its own processor block —
 /// so the level costs the *maximum* group time and the *sum* of group
-/// work ([`ipch_pram::Machine::fork_join`]).
+/// work ([`ipch_pram::Machine::fork_join_seq`]: the groups share `shm`).
 pub fn merge_groups(
     m: &mut Machine,
     shm: &mut Shm,
@@ -41,7 +41,7 @@ pub fn merge_groups(
     g: usize,
 ) -> Vec<Vec<usize>> {
     assert!(g >= 2);
-    let Ok(out) = m.fork_join(
+    let Ok(out) = m.fork_join_seq(
         hulls.chunks(g).enumerate(),
         |&(gi, _)| gi as u64 ^ 0x6e6,
         |child, (_, group)| Ok::<_, Infallible>(merge_one_group(child, shm, points, group)),

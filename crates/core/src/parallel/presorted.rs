@@ -164,7 +164,7 @@ pub fn upper_hull_presorted(
 
     // --- bridge finding, all nodes in parallel --------------------------
     let mut failed_big: Vec<usize> = Vec::new();
-    let Ok(mut bridges) = m.fork_join(
+    let Ok(mut bridges) = m.fork_join_seq(
         nodes.iter().enumerate(),
         |&(vi, _)| vi as u64 ^ 0x9e5,
         |child, (vi, v)| {

@@ -195,11 +195,14 @@ pub fn upper_hull_unsorted(
             |&(j, _)| (level as u64) << 32 | j as u64,
             |child, (_, ids)| {
                 let mut scratch = Shm::new();
-                let sol =
-                    solve_problem(child, &mut scratch, points, &xkeys, ids, params, &mut edges);
+                let sol = solve_problem(child, &mut scratch, points, &xkeys, ids, params);
                 Ok::<_, Infallible>(sol)
             },
         );
+        // number the found edges in problem order
+        for sol in &mut sols {
+            number_edge(sol, &mut edges);
+        }
         let failed: Vec<usize> = (0..sols.len())
             .filter(|&j| matches!(sols[j], Sol::Pending))
             .collect();
@@ -218,7 +221,8 @@ pub fn upper_hull_unsorted(
                 |child, _, j| {
                     let mut scratch = Shm::new();
                     let ids = &problems[j];
-                    sols[j] = sweep_problem(child, &mut scratch, points, &xkeys, ids, &mut edges);
+                    sols[j] = sweep_problem(child, &mut scratch, points, &xkeys, ids);
+                    number_edge(&mut sols[j], &mut edges);
                     if !matches!(sols[j], Sol::Pending) {
                         trace.swept += 1;
                     }
@@ -391,8 +395,27 @@ pub fn upper_hull_unsorted(
     (HullOutput { hull, edge_above }, trace)
 }
 
+/// Append a found bridge to `edges` and record its edge number.
+fn number_edge(sol: &mut Sol, edges: &mut Vec<(usize, usize)>) {
+    if let Sol::Bridge { a, b, edge, .. } = sol {
+        *edge = edges.len();
+        edges.push((*a, *b));
+    }
+}
+
+/// A found bridge, numbered later by [`number_edge`].
+fn bridge(a: usize, b: usize) -> Sol {
+    Sol::Bridge {
+        a,
+        b,
+        edge: 0,
+        lchild: 0,
+        rchild: 0,
+    }
+}
+
 /// Solve one subproblem: random vote for the splitter, then in-place
-/// bridge finding. Emits the edge into `edges` on success.
+/// bridge finding.
 fn solve_problem(
     child: &mut Machine,
     scratch: &mut Shm,
@@ -400,7 +423,6 @@ fn solve_problem(
     xkeys: &[i64],
     ids: &[usize],
     params: &UnsortedParams,
-    edges: &mut Vec<(usize, usize)>,
 ) -> Sol {
     if ids.len() <= 1 {
         return Sol::Retire;
@@ -436,17 +458,7 @@ fn solve_problem(
         x0 = (second + maxx) / 2.0;
     }
     match find_bridge_inplace(child, scratch, points, ids, x0, params.bridge_rounds) {
-        Some((b, _)) => {
-            let edge = edges.len();
-            edges.push((b.left, b.right));
-            Sol::Bridge {
-                a: b.left,
-                b: b.right,
-                edge,
-                lchild: 0,
-                rchild: 0,
-            }
-        }
+        Some((b, _)) => bridge(b.left, b.right),
         None => Sol::Pending,
     }
 }
@@ -460,7 +472,6 @@ fn sweep_problem(
     points: &[Point2],
     xkeys: &[i64],
     ids: &[usize],
-    edges: &mut Vec<(usize, usize)>,
 ) -> Sol {
     if ids.len() <= 1 {
         return Sol::Retire;
@@ -478,17 +489,7 @@ fn sweep_problem(
         x0
     };
     match sweep_bridge(child, scratch, points, ids, x0) {
-        Some(b) => {
-            let edge = edges.len();
-            edges.push((b.left, b.right));
-            Sol::Bridge {
-                a: b.left,
-                b: b.right,
-                edge,
-                lchild: 0,
-                rchild: 0,
-            }
-        }
+        Some(b) => bridge(b.left, b.right),
         None => Sol::Pending,
     }
 }

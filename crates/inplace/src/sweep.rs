@@ -12,7 +12,10 @@
 //! ids that failed and runs the rest: one step marks them, Ragde's
 //! compaction gathers them, and `brute(child_machine, shm, j)`, the
 //! super-linear-processor oracle, re-solves each one on its own child
-//! machine, all in parallel. The presorted (§2.2–2.3), log* (§2.5),
+//! machine, all in parallel. (`brute` borrows the caller's `shm`, so the
+//! host runs those children one after another through
+//! [`ipch_pram::Machine::fork_join_seq`]; the charged costs are the same
+//! fold.) The presorted (§2.2–2.3), log* (§2.5),
 //! unsorted 2-D (§3) and 3-D (§4.3) algorithms all sweep through it.
 //!
 //! If more than `bound` subproblems fail, the compaction *detects* it and
@@ -68,7 +71,7 @@ pub fn failure_sweep(
             None => (failed.to_vec(), true),
         }
     });
-    let Ok(_) = m.fork_join(
+    let Ok(_) = m.fork_join_seq(
         list.iter().copied(),
         |&j| j as u64 ^ salt,
         |child, j| {
@@ -156,7 +159,7 @@ mod tests {
         let n_sub = 24;
         let k = 8;
         let active: Vec<usize> = (0..64).collect();
-        let Ok(ok) = m.fork_join(
+        let Ok(ok) = m.fork_join_seq(
             0..n_sub,
             |&j| j as u64,
             |child, _| {

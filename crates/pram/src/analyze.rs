@@ -748,9 +748,10 @@ impl Machine {
     /// Attach the concurrency analyzer to this machine: subsequent steps
     /// trace their reads and writes, and
     /// [`Machine::analysis_report`] / [`crate::Metrics::analysis`] accumulate the
-    /// classification. Child machines created by [`Machine::fork_join`] and
-    /// [`Machine::sub`] inherit the analyzer, and their reports merge into
-    /// the parent's when they are folded back.
+    /// classification. Child machines created by [`Machine::fork_join`],
+    /// [`Machine::fork_join_seq`] and [`Machine::sub`] inherit the analyzer,
+    /// and their reports merge into the parent's when they are folded back
+    /// (fork children in item order).
     ///
     /// For uninitialized-read detection also attach
     /// [`Shm::enable_shadow`] to the memory the machine steps against.

@@ -30,6 +30,16 @@
 //! concurrent writes are resolved by the model rule, and *nothing a
 //! processor writes is visible to any processor until the next step*.
 //!
+//! # Fork children
+//!
+//! The paper's simultaneous subproblems are child machines:
+//! [`Machine::fork_join`] runs one child per item at the same time on the
+//! pool and folds them back in item order, so every simulated counter,
+//! memory image and analyzer report is the same at any lane count.
+//! Children that borrow the parent's memory mutably use
+//! [`Machine::fork_join_seq`], which runs them one after another and
+//! shares the same fold.
+//!
 //! # The commit pipeline
 //!
 //! The commit phase is the simulator's hot path and is engineered to cost
@@ -55,7 +65,9 @@
 //!   independent of chunking, thread count, or which commit path ran.
 
 use std::cell::UnsafeCell;
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::analyze::{Analysis, ReadEntry, ReadTrace, READ_ALL};
@@ -402,6 +414,35 @@ impl StepFrame {
     }
 }
 
+/// One finished fork child: its costs, and its result or panic payload.
+struct Joined<T, E> {
+    metrics: Metrics,
+    out: std::thread::Result<Result<T, E>>,
+}
+
+impl<T, E> Joined<T, E> {
+    /// Run one child under its own `catch_unwind` and keep its metrics
+    /// whatever it returned.
+    fn run(child: &mut Machine, f: impl FnOnce(&mut Machine) -> Result<T, E>) -> Self {
+        let out = catch_unwind(AssertUnwindSafe(|| f(child)));
+        Self {
+            metrics: std::mem::take(&mut child.metrics),
+            out,
+        }
+    }
+
+    fn failed(&self) -> bool {
+        !matches!(self.out, Ok(Ok(_)))
+    }
+}
+
+/// Lock a fork slot. A slot's critical sections only move a value in or
+/// out (the child itself runs under `catch_unwind`), so a poisoned lock
+/// holds nothing broken.
+fn lock<V>(m: &Mutex<V>) -> std::sync::MutexGuard<'_, V> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A randomized CRCW PRAM.
 ///
 /// # Examples
@@ -505,32 +546,126 @@ impl Machine {
     /// on its own processor group, and fold the children into this
     /// machine — time = max, work = sum, peaks = sum. `tag` derives each
     /// child's seed from its item, exactly as [`Machine::sub`]'s tag does
-    /// (equal tags give equal child seeds). Results come back in
-    /// item order. The first `Err` stops the loop; the children that ran,
-    /// the failing one included, are still absorbed, each exactly once.
+    /// (equal tags give equal child seeds).
+    ///
+    /// The children are built up front in item order and run at the same
+    /// time on the [`crate::pool`], one chunk per item, within this
+    /// machine's lane cap ([`Tuning::num_threads`]; `Some(1)` runs them
+    /// inline, in item order). A child's own pooled steps find the pool
+    /// busy and run inline, so nesting cannot deadlock.
+    ///
+    /// The fold is in item order whatever order the children ran in: it
+    /// absorbs every child up to and including the first `Err` or panic
+    /// in *item* order. Later children may have run, but their metrics
+    /// and results are dropped (items past a known failure are skipped),
+    /// so the counters equal those of [`Machine::fork_join_seq`], which
+    /// runs nothing after the first failure. Results come back in item
+    /// order. Each child runs under its own `catch_unwind`, and a caught
+    /// panic is re-raised with its own payload after the fold — so a
+    /// deadline that expires inside a child still unwinds as a typed
+    /// [`crate::cancel::CancelUnwind`]. Memory images, [`Metrics`] and
+    /// analyzer reports are therefore bit-identical at every lane count;
+    /// only the host-time counters differ, and the fork adds its wall
+    /// time to them, not the children's summed time.
     pub fn fork_join<I, T, E>(
+        &mut self,
+        items: impl IntoIterator<Item = I>,
+        tag: impl Fn(&I) -> u64,
+        run: impl Fn(&mut Machine, I) -> Result<T, E> + Sync,
+    ) -> Result<Vec<T>, E>
+    where
+        I: Send,
+        T: Send,
+        E: Send,
+    {
+        let t0 = Instant::now();
+        let todo: Vec<Mutex<Option<(Machine, I)>>> = items
+            .into_iter()
+            .map(|item| Mutex::new(Some((self.child(tag(&item)), item))))
+            .collect();
+        let done: Vec<Mutex<Option<Joined<T, E>>>> =
+            todo.iter().map(|_| Mutex::new(None)).collect();
+        // Lowest failed item so far: only a hint to skip items the fold
+        // will drop. Children and results travel through the slot mutexes
+        // and the pool's join, so `Relaxed` publishes nothing else.
+        let first_failure = AtomicUsize::new(usize::MAX);
+        let lanes = pool::global().run_bounded(self.max_lanes(), todo.len(), &|k| {
+            if k > first_failure.load(Ordering::Relaxed) {
+                return;
+            }
+            let Some((mut child, item)) = lock(&todo[k]).take() else {
+                return;
+            };
+            let joined = Joined::run(&mut child, |c| run(c, item));
+            if joined.failed() {
+                first_failure.fetch_min(k, Ordering::Relaxed);
+            }
+            *lock(&done[k]) = Some(joined);
+        });
+        self.metrics.record_threads(lanes);
+        let done = done
+            .into_iter()
+            .map(|d| d.into_inner().unwrap_or_else(PoisonError::into_inner));
+        self.fold_children(done, t0)
+    }
+
+    /// [`Machine::fork_join`] for children that borrow shared state
+    /// mutably (typically the parent's [`Shm`]): they run one after
+    /// another in item order, and nothing runs after the first `Err` or
+    /// panic. The fold is the same item-order fold, so both entry points
+    /// charge identical counters for the same children.
+    pub fn fork_join_seq<I, T, E>(
         &mut self,
         items: impl IntoIterator<Item = I>,
         tag: impl Fn(&I) -> u64,
         mut run: impl FnMut(&mut Machine, I) -> Result<T, E>,
     ) -> Result<Vec<T>, E> {
-        let mut children = Vec::new();
-        let mut out = Vec::new();
-        let mut failure = None;
+        let t0 = Instant::now();
+        let mut done = Vec::new();
         for item in items {
-            let mut child = self.child(tag(&item));
-            let r = run(&mut child, item);
-            children.push(child.metrics);
-            match r {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    failure = Some(e);
+            let joined = Joined::run(&mut self.child(tag(&item)), |c| run(c, item));
+            let failed = joined.failed();
+            done.push(Some(joined));
+            if failed {
+                break;
+            }
+        }
+        self.fold_children(done, t0)
+    }
+
+    /// The one fork fold: absorb the children in item order up to and
+    /// including the first failure ([`Metrics::absorb_parallel`], with the
+    /// fork's wall time since `t0`), then return the results, the first
+    /// `Err`, or re-raise the first panic with its own payload.
+    fn fold_children<T, E>(
+        &mut self,
+        done: impl IntoIterator<Item = Option<Joined<T, E>>>,
+        t0: Instant,
+    ) -> Result<Vec<T>, E> {
+        let (mut metrics, mut out) = (Vec::new(), Vec::new());
+        let (mut err, mut panic) = (None, None);
+        // A missing child was skipped after an earlier failure, which
+        // ends the fold first.
+        for joined in done.into_iter().map_while(|d| d) {
+            metrics.push(joined.metrics);
+            match joined.out {
+                Ok(Ok(v)) => out.push(v),
+                Ok(Err(e)) => {
+                    err = Some(e);
+                    break;
+                }
+                Err(payload) => {
+                    panic = Some(payload);
                     break;
                 }
             }
         }
-        self.metrics.absorb_parallel(&children);
-        failure.map_or(Ok(out), Err)
+        self.metrics
+            .absorb_parallel(&metrics, t0.elapsed().as_nanos() as u64);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        err.map_or(Ok(out), Err)
     }
 
     /// Sequential composition: run `run` on one child machine seeded by
@@ -545,8 +680,9 @@ impl Machine {
 
     /// A child machine for a subcomputation: derived seed, fresh metrics,
     /// the parent's fault plan, analysis mode and cancel token. Outside
-    /// this crate children come only from [`Machine::fork_join`] and
-    /// [`Machine::sub`], which also fold the child's costs back.
+    /// this crate children come only from [`Machine::fork_join`],
+    /// [`Machine::fork_join_seq`] and [`Machine::sub`], which also fold the
+    /// child's costs back.
     pub(crate) fn child(&self, tag: u64) -> Machine {
         let mut metrics = Metrics::new();
         if self.analysis.is_some() {
@@ -1795,13 +1931,12 @@ mod tests {
 
     #[test]
     fn fork_join_time_is_max_and_work_is_sum() {
-        let mut shm = Shm::new();
         let mut m = Machine::new(41);
         let Ok(out) = m.fork_join(
             [2usize, 5, 3],
             |&s| s as u64,
             |c, s| {
-                spend(c, &mut shm, s);
+                spend(c, &mut Shm::new(), s);
                 Ok::<_, Infallible>(s * 10)
             },
         );
@@ -1818,7 +1953,7 @@ mod tests {
         let mut shm = Shm::new();
         let mut m = Machine::new(42);
         let mut ran = Vec::new();
-        let r = m.fork_join(
+        let r = m.fork_join_seq(
             0..5usize,
             |&i| i as u64,
             |c, i| {
@@ -1836,6 +1971,143 @@ mod tests {
         assert_eq!(m.metrics.steps, 3);
         assert_eq!(m.metrics.work, 1 + 2 + 3);
         assert_eq!(m.metrics.host_steps, 1 + 2 + 3);
+    }
+
+    /// The simulated counters of a metrics record (host time and lanes
+    /// excluded).
+    fn sim_counters(m: &Metrics) -> [u64; 9] {
+        [
+            m.steps,
+            m.work,
+            m.peak_processors,
+            m.peak_live_cells,
+            m.host_steps,
+            m.writes_buffered,
+            m.writes_committed,
+            m.write_conflicts,
+            m.fastpath_steps,
+        ]
+    }
+
+    /// A child that writes `i + 1` cells over `i + 1` steps and fails at
+    /// item 1 of 4.
+    fn err_at_item_1(c: &mut Machine, i: usize) -> Result<usize, usize> {
+        let mut shm = Shm::new();
+        let a = shm.alloc("a", 8, 0);
+        for _ in 0..=i {
+            c.step(&mut shm, 0..i + 1, |ctx| ctx.write(a, ctx.pid, 1));
+        }
+        if i == 1 {
+            Err(i)
+        } else {
+            Ok(i)
+        }
+    }
+
+    #[test]
+    fn fork_join_err_in_item_1_of_4_absorbs_what_the_sequential_fold_absorbs() {
+        let mut seq = Machine::new(44);
+        let r = seq.fork_join_seq(0..4usize, |&i| i as u64, err_at_item_1);
+        assert_eq!(r, Err(1));
+        assert_eq!((seq.metrics.steps, seq.metrics.work), (2, 1 + 4));
+        for lanes in [Some(1), Some(2), None] {
+            let mut m = Machine::new(44);
+            m.tuning.num_threads = lanes;
+            let r = m.fork_join(0..4usize, |&i| i as u64, err_at_item_1);
+            assert_eq!(r, Err(1), "lanes {lanes:?}");
+            assert_eq!(
+                sim_counters(&m.metrics),
+                sim_counters(&seq.metrics),
+                "lanes {lanes:?}: children after the failing item are dropped"
+            );
+        }
+    }
+
+    #[test]
+    fn fork_join_reraises_the_first_panic_in_item_order_with_its_payload() {
+        for lanes in [Some(1), Some(2), None] {
+            let mut m = Machine::new(45);
+            m.tuning.num_threads = lanes;
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                m.fork_join(
+                    0..4usize,
+                    |&i| i as u64,
+                    |c, i| {
+                        spend(c, &mut Shm::new(), i + 1);
+                        match i {
+                            1 => panic!("child one"),
+                            3 => panic!("child three"),
+                            _ => Ok::<_, Infallible>(i),
+                        }
+                    },
+                )
+            }));
+            let payload = caught.expect_err("the fork re-raises a child panic");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"child one"));
+            // items 0 and 1 are absorbed before the panic is re-raised
+            assert_eq!(
+                (m.metrics.steps, m.metrics.work),
+                (2, 1 + 2),
+                "lanes {lanes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fork_join_adds_at_most_its_wall_time_to_host_time() {
+        // Retried until the children were dispatched to two lanes: a pool
+        // busy with another test runs them inline, one after another.
+        for _ in 0..1000 {
+            let mut m = Machine::new(46);
+            let t0 = Instant::now();
+            let Ok(_) = m.fork_join(
+                0..2u64,
+                |&i| i,
+                |c, _| {
+                    let mut shm = Shm::new();
+                    let a = shm.alloc("a", 4096, 0);
+                    for _ in 0..20 {
+                        c.step(&mut shm, 0..4096, |ctx| {
+                            ctx.write(a, ctx.pid, ctx.pid as i64)
+                        });
+                    }
+                    Ok::<_, Infallible>(())
+                },
+            );
+            let wall = t0.elapsed().as_nanos() as u64;
+            assert!(m.metrics.host_total_ns() <= wall);
+            assert_eq!(m.metrics.host_steps, 40, "host steps still sum");
+            if m.metrics.threads >= 2 || pool::num_threads() == 1 {
+                return;
+            }
+        }
+        panic!("the pool never ran the two children on two lanes");
+    }
+
+    #[test]
+    fn a_bad_write_panics_with_the_same_message_pooled_and_inline() {
+        let message = |par_threshold: usize| {
+            let mut m = Machine::new(47);
+            m.tuning.par_threshold = par_threshold;
+            let mut shm = Shm::new();
+            let a = shm.alloc("a", 3 * CHUNK, 0);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                m.step(&mut shm, 0..3 * CHUNK, |ctx| {
+                    // out of range from the second chunk on
+                    ctx.write(a, ctx.pid * 2, 1);
+                });
+            }));
+            let payload = caught.expect_err("an out-of-range write panics");
+            payload.downcast_ref::<String>().cloned()
+        };
+        let inline = message(usize::MAX);
+        assert!(
+            inline
+                .as_deref()
+                .is_some_and(|s| s.contains("out of bounds")),
+            "{inline:?}"
+        );
+        assert_eq!(message(0), inline);
     }
 
     #[test]

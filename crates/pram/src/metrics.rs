@@ -61,6 +61,8 @@ pub struct Metrics {
     pub host_steps: u64,
     /// Host wall-clock nanoseconds spent in compute phases (running the
     /// step closures). Host observability only — never a simulated cost.
+    /// Children that ran at once add their fork's wall time, not their
+    /// summed time (see [`crate::Machine::fork_join`]).
     pub host_compute_ns: u64,
     /// Host wall-clock nanoseconds spent in commit phases (write
     /// resolution). Host observability only.
@@ -321,8 +323,17 @@ impl Metrics {
     /// work by the **sum** of child works. This is how the paper's
     /// simultaneous subproblems (one bridge-finding instance per tree node,
     /// one solver per subproblem, …) are accounted. Algorithm crates reach
-    /// it only through [`crate::Machine::fork_join`].
-    pub(crate) fn absorb_parallel(&mut self, children: &[Metrics]) {
+    /// it only through the fold of [`crate::Machine::fork_join`] and
+    /// [`crate::Machine::fork_join_seq`], which passes the children in item
+    /// order, so every simulated counter and the merged
+    /// analyzer report are the same whatever order the children ran in.
+    ///
+    /// Host time is wall time: `host_compute_ns + host_commit_ns` grows by
+    /// the children's summed host time capped at `wall_ns`, the fork's
+    /// wall-clock time (children that ran at once spent more CPU time than
+    /// wall time; the cap keeps the split between compute and commit).
+    /// `host_steps` still sums: it counts what the host ran.
+    pub(crate) fn absorb_parallel(&mut self, children: &[Metrics], wall_ns: u64) {
         if children.is_empty() {
             return;
         }
@@ -336,8 +347,17 @@ impl Metrics {
         // same shape as the processor peak above.
         let concurrent_cells: u64 = children.iter().map(|c| c.peak_live_cells).sum();
         self.peak_live_cells = self.peak_live_cells.max(concurrent_cells);
+        let (compute, commit) = (self.host_compute_ns, self.host_commit_ns);
         for c in children {
             self.absorb_host(c);
+        }
+        let add_compute = self.host_compute_ns - compute;
+        let add_commit = self.host_commit_ns - commit;
+        let add = add_compute + add_commit;
+        if add > wall_ns {
+            let kept_compute = (add_compute as u128 * wall_ns as u128 / add as u128) as u64;
+            self.host_compute_ns = compute + kept_compute;
+            self.host_commit_ns = commit + (wall_ns - kept_compute);
         }
         if let Some(i) = self.current_phase {
             let p = &mut self.phases[i];

@@ -38,34 +38,11 @@ pub enum WritePolicy {
 }
 
 impl WritePolicy {
-    /// Resolve a group of contending writes.
-    ///
-    /// `writes` is the non-empty slice of `(pid, value)` pairs targeting one
-    /// cell, already sorted by `pid` ascending. `tiebreak` is a seeded hash
-    /// supplied by the machine for the `Arbitrary` rule.
-    pub fn resolve(&self, writes: &[(usize, i64)], tiebreak: u64) -> i64 {
-        assert!(!writes.is_empty(), "resolve needs at least one write");
-        match self {
-            WritePolicy::Arbitrary => {
-                let i = (tiebreak % writes.len() as u64) as usize;
-                writes[i].1
-            }
-            WritePolicy::PriorityMin => writes[0].1,
-            WritePolicy::CombineMin => writes.iter().fold(i64::MAX, |a, &(_, v)| a.min(v)),
-            WritePolicy::CombineMax => writes.iter().fold(i64::MIN, |a, &(_, v)| a.max(v)),
-            WritePolicy::CombineSum => writes.iter().fold(0i64, |a, &(_, v)| a.wrapping_add(v)),
-            WritePolicy::CombineOr => writes.iter().fold(0i64, |a, &(_, v)| a | v),
-        }
-    }
-
-    /// Resolve one run of the machine's sorted write log (all entries target
-    /// the same cell; already sorted by writer pid, then buffering order).
-    ///
-    /// Same rules as [`WritePolicy::resolve`] but operating directly on the
-    /// packed log entries so the hot commit loop never materialises a
-    /// per-cell `(pid, value)` vector. The commit calls it only for runs of
-    /// two or more entries (singleton runs commit directly), so `run` is
-    /// never empty.
+    /// Resolve one run of the machine's sorted write log: the contending
+    /// writes to one cell, sorted by writer pid, then buffering order.
+    /// `tiebreak` is a seeded hash supplied by the machine for the
+    /// `Arbitrary` rule. The commit calls it only for runs of two or more
+    /// entries (singleton runs commit directly), so `run` is never empty.
     #[inline]
     pub(crate) fn resolve_run(&self, run: &[crate::machine::WriteEntry], tiebreak: u64) -> i64 {
         match self {
@@ -85,30 +62,48 @@ impl WritePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::WriteEntry;
 
-    const W: &[(usize, i64)] = &[(2, 10), (5, -3), (9, 7)];
+    /// One cell's run of contending writes, as the commit hands it over.
+    fn run(writes: &[(u64, i64)]) -> Vec<WriteEntry> {
+        writes
+            .iter()
+            .map(|&(pid, val)| WriteEntry {
+                key: 0,
+                pidseq: pid << 32,
+                val,
+            })
+            .collect()
+    }
+
+    const W: &[(u64, i64)] = &[(2, 10), (5, -3), (9, 7)];
 
     #[test]
     fn priority_min_takes_lowest_pid() {
-        assert_eq!(WritePolicy::PriorityMin.resolve(W, 0), 10);
+        assert_eq!(WritePolicy::PriorityMin.resolve_run(&run(W), 0), 10);
     }
 
     #[test]
     fn combine_rules() {
-        assert_eq!(WritePolicy::CombineMin.resolve(W, 0), -3);
-        assert_eq!(WritePolicy::CombineMax.resolve(W, 0), 10);
-        assert_eq!(WritePolicy::CombineSum.resolve(W, 0), 14);
-        assert_eq!(WritePolicy::CombineOr.resolve(&[(0, 1), (1, 4)], 0), 5);
+        let w = run(W);
+        assert_eq!(WritePolicy::CombineMin.resolve_run(&w, 0), -3);
+        assert_eq!(WritePolicy::CombineMax.resolve_run(&w, 0), 10);
+        assert_eq!(WritePolicy::CombineSum.resolve_run(&w, 0), 14);
+        assert_eq!(
+            WritePolicy::CombineOr.resolve_run(&run(&[(0, 1), (1, 4)]), 0),
+            5
+        );
     }
 
     #[test]
     fn arbitrary_picks_some_contender_and_is_seed_stable() {
-        let v0 = WritePolicy::Arbitrary.resolve(W, 17);
+        let w = run(W);
+        let v0 = WritePolicy::Arbitrary.resolve_run(&w, 17);
         assert!(W.iter().any(|&(_, v)| v == v0));
-        assert_eq!(v0, WritePolicy::Arbitrary.resolve(W, 17));
+        assert_eq!(v0, WritePolicy::Arbitrary.resolve_run(&w, 17));
         // different tiebreaks should be able to pick different winners
         let distinct: std::collections::HashSet<i64> = (0..30)
-            .map(|t| WritePolicy::Arbitrary.resolve(W, t))
+            .map(|t| WritePolicy::Arbitrary.resolve_run(&w, t))
             .collect();
         assert!(distinct.len() > 1);
     }
@@ -123,13 +118,13 @@ mod tests {
             WritePolicy::CombineSum,
             WritePolicy::CombineOr,
         ] {
-            assert_eq!(p.resolve(&[(3, 42)], 99), 42);
+            assert_eq!(p.resolve_run(&run(&[(3, 42)]), 99), 42);
         }
     }
 
     #[test]
     fn combine_sum_wraps_instead_of_panicking() {
-        let w = &[(0, i64::MAX), (1, 1)];
-        assert_eq!(WritePolicy::CombineSum.resolve(w, 0), i64::MIN);
+        let w = run(&[(0, i64::MAX), (1, 1)]);
+        assert_eq!(WritePolicy::CombineSum.resolve_run(&w, 0), i64::MIN);
     }
 }

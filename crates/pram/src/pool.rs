@@ -24,8 +24,9 @@
 //! its own write buffer), so the simulator's observable state never depends
 //! on the assignment.
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock, TryLockError};
 use std::thread;
 
@@ -62,8 +63,9 @@ struct Shared {
     slot: Mutex<Slot>,
     /// Next chunk index to claim for the current epoch.
     cursor: AtomicUsize,
-    /// Set if any chunk panicked during the current epoch.
-    poisoned: AtomicBool,
+    /// The lowest-index chunk that panicked during the current epoch, with
+    /// its payload, re-raised by the dispatcher once the epoch drains.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
     work_cv: Condvar,
     done_cv: Condvar,
 }
@@ -104,7 +106,7 @@ impl ThreadPool {
                 shutdown: false,
             }),
             cursor: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         }));
@@ -168,11 +170,10 @@ impl ThreadPool {
             }
             return 1;
         };
-        shared.poisoned.store(false, Ordering::Relaxed);
         {
             // Lock poisoning carries no invariant here (critical sections
             // only assign plain fields), so recover the guard and continue;
-            // job panics are reported via the separate `poisoned` flag.
+            // job panics are reported via the separate `panic` slot.
             let mut slot = lock_slot(shared);
             // Lifetime erasure, argued for one dispatcher at a time: this
             // caller holds `dispatch` for the whole epoch, so no other caller
@@ -206,8 +207,11 @@ impl ThreadPool {
         slot.job = None;
         drop(slot);
 
-        if shared.poisoned.load(Ordering::Relaxed) {
-            resume_unwind(Box::new("a simulator step chunk panicked in the pool"));
+        // A chunk panic surfaces as it would inline: the lowest-index
+        // panicking chunk's own payload.
+        let panic = lock_panic(shared).take();
+        if let Some((_, payload)) = panic {
+            resume_unwind(payload);
         }
         max_lanes.min(self.workers + 1).min(nchunks)
     }
@@ -219,15 +223,27 @@ fn execute_chunks(shared: &Shared, nchunks: usize, job: Job<'_>) {
         if c >= nchunks {
             return;
         }
-        if catch_unwind(AssertUnwindSafe(|| job(c))).is_err() {
-            shared.poisoned.store(true, Ordering::Relaxed);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(c))) {
+            let mut first = lock_panic(shared);
+            if first.as_ref().is_none_or(|(at, _)| c < *at) {
+                *first = Some((c, payload));
+            }
         }
     }
 }
 
+/// Lock the epoch's panic slot, recovering from poison (its critical
+/// sections only assign the slot).
+fn lock_panic(shared: &Shared) -> std::sync::MutexGuard<'_, Option<(usize, Box<dyn Any + Send>)>> {
+    shared
+        .panic
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Lock the job slot, recovering from poison: the slot's critical
 /// sections only assign plain fields, so a panicking lane cannot leave a
-/// broken invariant behind (job panics surface via `Shared::poisoned`).
+/// broken invariant behind (job panics surface via `Shared::panic`).
 fn lock_slot(shared: &Shared) -> std::sync::MutexGuard<'_, Slot> {
     shared
         .slot
@@ -373,6 +389,31 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 2 * (1..=20).sum::<usize>());
+    }
+
+    #[test]
+    fn a_chunk_panic_reraises_the_lowest_panicking_chunks_payload() {
+        for lanes in [1usize, 2, usize::MAX] {
+            let caught = catch_unwind(|| {
+                global().run_bounded(lanes, 16, &|c| {
+                    if c == 3 || c == 11 {
+                        panic!("chunk {c}");
+                    }
+                });
+            });
+            let payload = caught.expect_err("a chunk panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("chunk 3"),
+                "lanes {lanes}"
+            );
+        }
+        // the pool stays usable after a panicking epoch
+        let total = AtomicUsize::new(0);
+        global().run(8, &|_| {
+            total.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 8);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Chunk-boundary cancellation of a step whose chunks run on the pool.
+//! Chunk-boundary cancellation of a step whose chunks run on the pool, and
+//! of a fork whose children run on the pool.
 //!
 //! Pinned-seed regression tests: a cancel tripped *inside* a running
 //! multi-chunk kernel must abort at a chunk boundary with the typed
@@ -170,5 +171,71 @@ fn supervisor_converts_mid_parallel_kernel_cancel_to_typed_run_error() {
         attempts.load(Ordering::Relaxed),
         1,
         "cancellation is terminal: no retry, no fallback"
+    );
+}
+
+/// A deadline that expires inside one child of a concurrent
+/// `Machine::fork_join`: the child's next step entry unwinds, the fork
+/// catches the unwind, folds the children up to it in item order and
+/// re-raises the same typed payload — and through the supervisor it is the
+/// typed terminal [`RunError::DeadlineExceeded`].
+#[test]
+fn deadline_expiry_inside_a_concurrent_fork_child_is_typed() {
+    silence_cancel_unwinds();
+    let fork = |m: &mut Machine, token: &CancelToken| {
+        m.fork_join(
+            0..4usize,
+            |&i| i as u64,
+            |child, i| {
+                let mut shm = Shm::new();
+                let a = shm.alloc("a", 64, 0);
+                if i == 1 {
+                    while token.check().is_ok() {
+                        std::hint::spin_loop();
+                    }
+                }
+                for _ in 0..3 {
+                    child.step(&mut shm, 0..64, |ctx| ctx.write(a, ctx.pid, i as i64));
+                }
+                Ok::<_, RunError>(i)
+            },
+        )
+    };
+
+    let token = CancelToken::with_deadline(Duration::from_millis(20));
+    let mut m = Machine::new(0xF0F0);
+    m.tuning.num_threads = Some(2);
+    m.set_cancel_token(token.clone());
+    let r = catch_unwind(AssertUnwindSafe(|| fork(&mut m, &token)));
+    assert_eq!(caught_cause(r), CancelCause::DeadlineExceeded);
+    // the machine stays serviceable after the unwind
+    m.clear_cancel_token();
+    let mut shm = Shm::new();
+    m.step(&mut shm, 0..1, |_| {});
+
+    let token = CancelToken::with_deadline(Duration::from_millis(20));
+    let mut m = Machine::new(0xF0F1);
+    m.tuning.num_threads = Some(2);
+    m.set_cancel_token(token.clone());
+    let attempts = AtomicUsize::new(0);
+    let err = supervise(
+        &mut m,
+        "cancel-fork-test",
+        &SuperviseConfig::default(),
+        |child| {
+            attempts.fetch_add(1, Ordering::Relaxed);
+            fork(child, &token)
+        },
+        None,
+    )
+    .expect_err("a run past its deadline must not produce a value");
+    assert!(
+        matches!(err, RunError::DeadlineExceeded { .. }),
+        "expected RunError::DeadlineExceeded, got {err:?}"
+    );
+    assert_eq!(
+        attempts.load(Ordering::Relaxed),
+        1,
+        "no retry after a deadline"
     );
 }
