@@ -86,7 +86,10 @@ impl ConcatPoints2 {
     /// arithmetic per virtual processor, like the div/mod decoding of the
     /// brute oracle's pair space).
     pub fn member_of(&self, concat_index: usize) -> usize {
-        debug_assert!(concat_index < self.points.len());
+        assert!(
+            concat_index < self.points.len(),
+            "member_of: index {concat_index} past the concatenation"
+        );
         match self.offsets.binary_search(&concat_index) {
             // offsets may repeat at empty members: land on the run's last
             // boundary, which is the (only) non-empty owner's start

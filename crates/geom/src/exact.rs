@@ -9,9 +9,14 @@
 //!
 //! This module provides just enough machinery for exact 2×2 and 3×3
 //! determinants of coordinate differences, i.e. exact `orient2d` /
-//! `orient3d` fallbacks. Components are kept in `Vec`s; the exact path only
-//! runs when the floating-point filter in [`crate::predicates`] cannot
-//! decide, which is rare on random inputs and bounded on adversarial ones.
+//! `orient3d` fallbacks. Components are kept in `Vec`s, so one fallback
+//! costs hundreds of nanoseconds against a few for the filter. The exact
+//! path runs when the floating-point filter in [`crate::predicates`]
+//! cannot decide, which is whenever the true determinant is zero or tiny:
+//! collinear or coplanar inputs, and a point tested against a line or
+//! plane through itself. That last, coincident-vertex case is not rare —
+//! the brute-force oracles make it for two or three of every `n`
+//! processors — so the filters decide it without coming here.
 
 /// Exact sum: returns `(x, y)` with `x + y = a + b` exactly and `x = fl(a+b)`.
 #[inline]

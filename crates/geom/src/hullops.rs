@@ -61,7 +61,7 @@ pub fn hull_above_line(pts: &[Point2], hull: &UpperHull, a: Point2, b: Point2) -
     if hull.is_empty() {
         return false;
     }
-    debug_assert!(a.x < b.x);
+    assert!(a.x < b.x, "hull_above_line needs a.x < b.x");
     // upward normal of the line a→b
     let n = (-(b.y - a.y), b.x - a.x);
     let i = extreme_vertex(pts, hull, n);
@@ -125,7 +125,7 @@ pub fn tangent_from_point(pts: &[Point2], hull: &UpperHull, q: Point2) -> usize 
     }
     let v = |i: usize| pts[hull.vertices[i]];
     let left_of_hull = q.x < v(0).x;
-    debug_assert!(
+    assert!(
         left_of_hull || q.x > v(n - 1).x,
         "tangent_from_point requires q outside the hull x-span"
     );
@@ -185,7 +185,7 @@ pub fn common_upper_tangent(
     assert!(!a.is_empty() && !b.is_empty());
     let va = |i: usize| pts_a[a.vertices[i]];
     let vb = |i: usize| pts_b[b.vertices[i]];
-    debug_assert!(
+    assert!(
         va(a.vertices.len() - 1).x < vb(0).x,
         "hulls must be x-disjoint (a left of b)"
     );
@@ -228,7 +228,10 @@ pub fn common_upper_tangent_fast(
     assert!(!a.is_empty() && !b.is_empty());
     let va = |i: usize| pts_a[a.vertices[i]];
     let vb = |j: usize| pts_b[b.vertices[j]];
-    debug_assert!(va(a.vertices.len() - 1).x < vb(0).x);
+    assert!(
+        va(a.vertices.len() - 1).x < vb(0).x,
+        "hulls must be x-disjoint (a left of b)"
+    );
     let n = a.vertices.len();
 
     // contact on b for a given left endpoint (a is entirely left of b)

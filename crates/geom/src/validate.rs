@@ -1,8 +1,9 @@
 //! Typed input validation for the public hull/LP entry points.
 //!
 //! The robust predicates ([`crate::predicates`]) earn correct *orientation
-//! decisions* on any finite input, but nothing downstream is specified for
-//! NaN or infinite coordinates: a NaN poisons every comparison it meets
+//! decisions* on finite input (within the coordinate range their docs
+//! state), but nothing downstream is specified for NaN or infinite
+//! coordinates: a NaN poisons every comparison it meets
 //! (`cmp_xy` declares an arbitrary order, the expansion arithmetic produces
 //! NaN certificates), and an infinity overflows the two-product splitter.
 //! Duplicate points are a second hazard class — legal for some algorithms

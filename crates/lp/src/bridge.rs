@@ -92,6 +92,13 @@ pub fn bridge_brute(
         return None;
     }
     let npairs = n * n;
+    // Host gather, once per call: the subset's points and each point's
+    // side of x0 (`lo`: x ≤ x0, `hi`: x0 < x). As with the Cramer systems
+    // in `brute.rs`, this is addressing, not work: every processor of the
+    // marking step still runs and makes the same writes, it just reads
+    // its operands without the id indirection.
+    let pts: Vec<Point2> = ids.iter().map(|&i| points[i]).collect();
+    let (lo, hi): (Vec<bool>, Vec<bool>) = pts.iter().map(|p| (p.x <= x0, x0 < p.x)).unzip();
 
     // Step 1: knock out non-straddling and non-supporting pairs.
     let bad = shm.alloc("bridge.bad", npairs, 0);
@@ -99,15 +106,14 @@ pub fn bridge_brute(
         let p = ctx.pid / n;
         let k = ctx.pid % n;
         let (i, j) = (p / n, p % n);
-        let (pi, pj) = (points[ids[i]], points[ids[j]]);
-        if !(pi.x <= x0 && x0 < pj.x) {
+        if !(lo[i] && hi[j]) {
             if k == 0 {
                 ctx.write(bad, p, 1);
             }
             return;
         }
-        // pi.x ≤ x0 < pj.x ⇒ pi.x < pj.x: left-to-right orientation is valid
-        if orient2d_sign(pi, pj, points[ids[k]]) > 0 {
+        // x_i ≤ x0 < x_j ⇒ x_i < x_j: left-to-right orientation is valid
+        if orient2d_sign(pts[i], pts[j], pts[k]) > 0 {
             ctx.write(bad, p, 1);
         }
     });
@@ -130,7 +136,7 @@ pub fn bridge_brute(
         return None;
     }
     let (wi, wj) = ((w as usize) / n, (w as usize) % n);
-    let (a, b) = (points[ids[wi]], points[ids[wj]]);
+    let (a, b) = (pts[wi], pts[wj]);
 
     // Steps 3–4: canonicalize collinear contacts — among subset points *on*
     // the supporting line, the left contact is the one with the largest
@@ -140,14 +146,14 @@ pub fn bridge_brute(
     let rmin = shm.alloc("bridge.rmin", 1, i64::MAX);
     m.step_with_policy(shm, 0..n, WritePolicy::CombineMax, |ctx| {
         let k = ctx.pid;
-        let pk = points[ids[k]];
+        let pk = pts[k];
         if orient2d_sign(a, b, pk) == 0 && pk.x <= x0 {
             ctx.write(lmax, 0, f64_key(pk.x));
         }
     });
     m.step_with_policy(shm, 0..n, WritePolicy::CombineMin, |ctx| {
         let k = ctx.pid;
-        let pk = points[ids[k]];
+        let pk = pts[k];
         if orient2d_sign(a, b, pk) == 0 && pk.x > x0 {
             ctx.write(rmin, 0, f64_key(pk.x));
         }
@@ -157,7 +163,7 @@ pub fn bridge_brute(
     let rwin = shm.alloc("bridge.rwin", 1, EMPTY);
     m.step_with_policy(shm, 0..n, WritePolicy::PriorityMin, |ctx| {
         let k = ctx.pid;
-        let pk = points[ids[k]];
+        let pk = pts[k];
         if orient2d_sign(a, b, pk) == 0 {
             if pk.x <= x0 && f64_key(pk.x) == lkey {
                 ctx.write(lwin, 0, ids[k] as i64);
@@ -217,18 +223,16 @@ pub fn facet_brute(
         v
     };
     let nt = triples.len();
+    // Host gather, once per call (addressing, as in `bridge_brute`).
+    let pts: Vec<Point3> = ids.iter().map(|&i| points[i]).collect();
+    let corners = |(i, j, k): (u32, u32, u32)| (pts[i as usize], pts[j as usize], pts[k as usize]);
 
     // Step 1: knock out degenerate triples and those whose projected
     // triangle misses the splitter (C(n,3) processors, O(1) work each).
     let bad = shm.alloc("facet.bad", nt, 0);
     let triples_ref = &triples;
     m.step_with_policy(shm, 0..nt, WritePolicy::CombineOr, |ctx| {
-        let (i, j, k) = triples_ref[ctx.pid];
-        let (a3, b3, c3) = (
-            points[ids[i as usize]],
-            points[ids[j as usize]],
-            points[ids[k as usize]],
-        );
+        let (a3, b3, c3) = corners(triples_ref[ctx.pid]);
         let s = orient2d_sign(a3.xy(), b3.xy(), c3.xy());
         if s == 0 {
             ctx.write(bad, ctx.pid, 1);
@@ -249,24 +253,26 @@ pub fn facet_brute(
         return None;
     }
     let nc = cands.len();
+    // Each candidate's corners, counter-clockwise seen from above: oriented
+    // once here instead of by each of its n processors (addressing, as the
+    // gather above; the step still runs all nc·n processors).
+    let ccw: Vec<(Point3, Point3, Point3)> = cands
+        .iter()
+        .map(|&t| {
+            let (a3, b3, c3) = corners(triples[t]);
+            if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) > 0 {
+                (a3, b3, c3)
+            } else {
+                (a3, c3, b3)
+            }
+        })
+        .collect();
     let bad2 = shm.alloc("facet.bad2", nc, 0);
-    let cands_ref = &cands;
     m.step_with_policy(shm, 0..nc * n, WritePolicy::CombineOr, |ctx| {
         let c = ctx.pid / n;
-        let d = ctx.pid % n;
-        let (i, j, k) = triples_ref[cands_ref[c]];
-        let (a3, b3, c3) = (
-            points[ids[i as usize]],
-            points[ids[j as usize]],
-            points[ids[k as usize]],
-        );
-        let (a3, b3, c3) = if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) > 0 {
-            (a3, b3, c3)
-        } else {
-            (a3, c3, b3)
-        };
+        let (a3, b3, c3) = ccw[c];
         // point d above the plane? (orient3d > 0 ⇔ below for a CCW triple)
-        if orient3d_sign(a3, b3, c3, points[ids[d]]) < 0 {
+        if orient3d_sign(a3, b3, c3, pts[ctx.pid % n]) < 0 {
             ctx.write(bad2, c, 1);
         }
     });
@@ -276,6 +282,7 @@ pub fn facet_brute(
     // not identical, so Priority elects the least candidate index instead
     // of a seed-dependent Arbitrary winner.
     let win = shm.alloc("facet.win", 1, EMPTY);
+    let cands_ref = &cands;
     m.step_with_policy(shm, 0..nc, WritePolicy::PriorityMin, |ctx| {
         let c = ctx.pid;
         if ctx.read(bad2, c) == 0 {
@@ -287,8 +294,8 @@ pub fn facet_brute(
         return None;
     }
     let (i, j, k) = triples[w as usize];
+    let (a3, b3, c3) = corners((i, j, k));
     let (i, j, k) = (i as usize, j as usize, k as usize);
-    let (a3, b3, c3) = (points[ids[i]], points[ids[j]], points[ids[k]]);
     if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) > 0 {
         Some((ids[i], ids[j], ids[k]))
     } else {

@@ -1,0 +1,169 @@
+//! Simulated-cost pins for the brute-force base oracles
+//! ([`ipch_lp::bridge::bridge_brute`] and [`ipch_lp::bridge::facet_brute`]).
+//!
+//! Each case runs one oracle on a fixed input and asserts its answer and
+//! the machine's `steps`, `work`, `writes_buffered`, `write_conflicts` and
+//! dropped-processor count against recorded values. Host-side hoisting in
+//! the oracles (gathering points, orienting candidates once per call) must
+//! leave every processor's writes unchanged; any change to which
+//! processors write, or how many, moves `writes_buffered` or
+//! `write_conflicts` and fails here.
+
+use ipch_geom::gen3d::{in_ball, on_sphere};
+use ipch_geom::generators::uniform_disk;
+use ipch_geom::{Point2, Point3};
+use ipch_lp::bridge::{bridge_brute, facet_brute, Bridge};
+use ipch_pram::{DropWindow, FaultPlan, Machine, Shm};
+
+/// `(steps, work, writes_buffered, write_conflicts, dropped_processors)`.
+type Costs = (u64, u64, u64, u64, u64);
+
+fn costs(m: &Machine) -> Costs {
+    let x = &m.metrics;
+    (
+        x.steps,
+        x.work,
+        x.writes_buffered,
+        x.write_conflicts,
+        x.faults.dropped_processors,
+    )
+}
+
+fn drop_plan(from_step: u64, rate: f64) -> FaultPlan {
+    FaultPlan {
+        drop_window: Some(DropWindow {
+            from_step,
+            until_step: from_step + 1,
+            rate,
+        }),
+        ..FaultPlan::default()
+    }
+}
+
+fn run_bridge(
+    points: &[Point2],
+    ids: &[usize],
+    x0: f64,
+    plan: Option<FaultPlan>,
+) -> (Option<(usize, usize)>, Costs) {
+    let mut m = Machine::new(17);
+    if let Some(plan) = plan {
+        m.install_faults(plan);
+    }
+    let mut shm = Shm::new();
+    let b = bridge_brute(&mut m, &mut shm, points, ids, x0);
+    (b.map(|Bridge { left, right }| (left, right)), costs(&m))
+}
+
+fn run_facet(
+    points: &[Point3],
+    ids: &[usize],
+    q: (f64, f64),
+    plan: Option<FaultPlan>,
+) -> (Option<(usize, usize, usize)>, Costs) {
+    let mut m = Machine::new(17);
+    if let Some(plan) = plan {
+        m.install_faults(plan);
+    }
+    let mut shm = Shm::new();
+    let f = facet_brute(&mut m, &mut shm, points, ids, q.0, q.1);
+    (f, costs(&m))
+}
+
+fn all(n: usize) -> Vec<usize> {
+    (0..n).collect()
+}
+
+#[test]
+fn cost_pins_bridge_random_disk() {
+    let pts = uniform_disk(40, 3);
+    assert_eq!(
+        run_bridge(&pts, &all(40), 0.1, None),
+        (Some((33, 34)), (5, 65720, 7923, 348, 0))
+    );
+    // a strided subset: ids index a larger array
+    let ids: Vec<usize> = (0..40).step_by(3).collect();
+    assert_eq!(
+        run_bridge(&pts, &ids, -0.2, None),
+        (Some((0, 33)), (5, 2982, 446, 46, 0))
+    );
+}
+
+#[test]
+fn cost_pins_bridge_collinear_contacts() {
+    let pts: Vec<Point2> = [
+        (0.0, 1.0),
+        (1.0, 1.0),
+        (2.0, 1.0),
+        (3.0, 1.0),
+        (1.5, 0.0),
+        (0.5, -2.0),
+        (2.5, 0.25),
+    ]
+    .iter()
+    .map(|&(x, y)| Point2::new(x, y))
+    .collect();
+    assert_eq!(
+        run_bridge(&pts, &all(pts.len()), 1.5, None),
+        (Some((1, 2)), (5, 413, 72, 11, 0))
+    );
+    // x0 on a contact: the left contact is the point at x0 itself
+    assert_eq!(
+        run_bridge(&pts, &all(pts.len()), 2.0, None),
+        (Some((2, 3)), (5, 413, 70, 8, 0))
+    );
+}
+
+#[test]
+fn cost_pins_bridge_drop_window() {
+    let pts = uniform_disk(24, 9);
+    // half the knock-out step's processors lose their writes, and the
+    // answer with them
+    assert_eq!(
+        run_bridge(&pts, &all(24), 0.0, Some(drop_plan(0, 0.5))),
+        (None, (5, 14472, 1170, 124, 6842))
+    );
+}
+
+#[test]
+fn cost_pins_facet_random_ball_and_sphere() {
+    let pts = in_ball(20, 5);
+    assert_eq!(
+        run_facet(&pts, &all(20), (0.05, -0.1), None),
+        (Some((4, 17, 19)), (3, 5676, 2761, 212, 0))
+    );
+    let pts = on_sphere(16, 8);
+    let ids: Vec<usize> = (0..16).rev().collect();
+    assert_eq!(
+        run_facet(&pts, &ids, (-0.2, 0.15), None),
+        (Some((14, 2, 7)), (3, 3416, 1485, 164, 0))
+    );
+}
+
+#[test]
+fn cost_pins_facet_coplanar_top() {
+    // a flat square top over interior points: several triples support
+    // the pierced facet; all five top points are coplanar
+    let mut pts = vec![
+        Point3::new(1.0, 1.0, 2.0),
+        Point3::new(1.0, -1.0, 2.0),
+        Point3::new(-1.0, 1.0, 2.0),
+        Point3::new(-1.0, -1.0, 2.0),
+        Point3::new(0.0, 0.0, 2.0),
+    ];
+    pts.extend(in_ball(7, 11));
+    assert_eq!(
+        run_facet(&pts, &all(pts.len()), (0.1, 0.05), None),
+        (Some((0, 2, 1)), (3, 1026, 431, 56, 0))
+    );
+}
+
+#[test]
+fn cost_pins_facet_drop_window() {
+    let pts = in_ball(14, 21);
+    // a third of the supporting step's processors lose their writes
+    assert_eq!(
+        run_facet(&pts, &all(14), (0.0, 0.0), Some(drop_plan(1, 0.3))),
+        (Some((0, 3, 2)), (3, 1624, 597, 77, 353))
+    );
+}
