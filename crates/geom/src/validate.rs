@@ -1,8 +1,12 @@
 //! Typed input validation for the public hull/LP entry points.
 //!
 //! The robust predicates ([`crate::predicates`]) earn correct *orientation
-//! decisions* on finite input (within the coordinate range their docs
-//! state), but nothing downstream is specified for NaN or infinite
+//! decisions* on finite input within the coordinate range their docs
+//! state: every |coordinate| at most `f64::MAX / 2`, and the nonzero ones
+//! within a factor `2^200` of one another. Outside it the exact fallback
+//! loses terms to underflow and disagrees with the filter, so hull entry
+//! points reject such inputs ([`InputError::OutOfRange`]). Nothing
+//! downstream is specified for NaN or infinite
 //! coordinates: a NaN poisons every comparison it meets
 //! (`cmp_xy` declares an arbitrary order, the expansion arithmetic produces
 //! NaN certificates), and an infinity overflows the two-product splitter.
@@ -42,6 +46,15 @@ pub enum InputError {
         /// Name of the parameter.
         name: &'static str,
     },
+    /// A coordinate lies outside the range the exact predicates cover:
+    /// its magnitude exceeds `f64::MAX / 2`, or it is nonzero and more
+    /// than a factor `2^200` below the input's largest |coordinate|.
+    OutOfRange {
+        /// Index of the first offending point in the input slice.
+        index: usize,
+        /// Which coordinate (`"x"`, `"y"` or `"z"`).
+        axis: &'static str,
+    },
     /// The input has fewer points than the algorithm is defined on.
     TooFew {
         /// Points provided.
@@ -58,6 +71,7 @@ impl InputError {
             InputError::NonFinite { .. } => "non_finite_coordinate",
             InputError::Duplicate { .. } => "duplicate_point",
             InputError::NonFiniteQuery { .. } => "non_finite_query",
+            InputError::OutOfRange { .. } => "coordinate_out_of_range",
             InputError::TooFew { .. } => "too_few_points",
         }
     }
@@ -75,6 +89,11 @@ impl std::fmt::Display for InputError {
             InputError::NonFiniteQuery { name } => {
                 write!(f, "query parameter `{name}` is not finite")
             }
+            InputError::OutOfRange { index, axis } => write!(
+                f,
+                "point {index}: {axis} coordinate is outside the exact predicates' range \
+                 (|v| <= f64::MAX / 2, nonzero |v| within 2^200 of the largest)"
+            ),
             InputError::TooFew { got, need } => {
                 write!(f, "{got} points where at least {need} are required")
             }
@@ -108,6 +127,38 @@ pub fn ensure_finite3(points: &[Point3]) -> Result<(), InputError> {
         }
         if !p.z.is_finite() {
             return Err(InputError::NonFinite { index, axis: "z" });
+        }
+    }
+    Ok(())
+}
+
+/// Reject the first coordinate outside the exact predicates' range: a
+/// magnitude above `f64::MAX / 2`, or a nonzero one more than a factor
+/// `2^200` below the largest |coordinate| of `points`. Expects finite
+/// coordinates ([`ensure_finite2`]).
+pub fn ensure_exact_range2(points: &[Point2]) -> Result<(), InputError> {
+    ensure_exact_range(points.iter().map(|p| [p.x, p.y]), ["x", "y"])
+}
+
+/// [`ensure_exact_range2`] for 3-D `points`.
+pub fn ensure_exact_range3(points: &[Point3]) -> Result<(), InputError> {
+    ensure_exact_range(points.iter().map(|p| [p.x, p.y, p.z]), ["x", "y", "z"])
+}
+
+fn ensure_exact_range<const D: usize>(
+    points: impl Iterator<Item = [f64; D]> + Clone,
+    axes: [&'static str; D],
+) -> Result<(), InputError> {
+    let largest = points.clone().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
+    // Scaling by a power of two is exact (an overflow to infinity only
+    // happens far above `largest`), so the span test has no rounding.
+    let span = 2f64.powi(200);
+    for (index, p) in points.enumerate() {
+        for (&axis, v) in axes.iter().zip(p) {
+            let a = v.abs();
+            if a > f64::MAX / 2.0 || (a != 0.0 && a * span < largest) {
+                return Err(InputError::OutOfRange { index, axis });
+            }
         }
     }
     Ok(())
@@ -174,15 +225,19 @@ pub fn ensure_at_least(points_len: usize, need: usize) -> Result<(), InputError>
     }
 }
 
-/// Full 2-D hull-entry validation: finite coordinates and distinct points.
+/// Full 2-D hull-entry validation: finite coordinates in the exact
+/// predicates' range, and distinct points.
 pub fn validate_points2(points: &[Point2]) -> Result<(), InputError> {
     ensure_finite2(points)?;
+    ensure_exact_range2(points)?;
     ensure_distinct2(points)
 }
 
-/// Full 3-D hull-entry validation: finite coordinates and distinct points.
+/// Full 3-D hull-entry validation: finite coordinates in the exact
+/// predicates' range, and distinct points.
 pub fn validate_points3(points: &[Point3]) -> Result<(), InputError> {
     ensure_finite3(points)?;
+    ensure_exact_range3(points)?;
     ensure_distinct3(points)
 }
 
@@ -261,6 +316,60 @@ mod tests {
     }
 
     #[test]
+    fn coordinates_outside_the_exact_range_are_rejected() {
+        let mk = |x, y, z| Point3 { x, y, z };
+        // Offsets ~1e-130 in xy under z = 1e200: a span of ~2^1100, where
+        // the exact fallback disagrees with the filter.
+        let probe = [
+            mk(0.0, 0.0, 0.0),
+            mk(1e-130, 0.0, 0.0),
+            mk(0.0, 1e-130, 1e200),
+            mk(1e-130, 1e-130, 1e200),
+        ];
+        assert_eq!(
+            validate_points3(&probe),
+            Err(InputError::OutOfRange {
+                index: 1,
+                axis: "x"
+            })
+        );
+        let huge = pts(&[(1e300, 1e300), (f64::MAX / 1.5, 1e300)]);
+        assert_eq!(
+            validate_points2(&huge),
+            Err(InputError::OutOfRange {
+                index: 1,
+                axis: "x"
+            })
+        );
+        // Exactly 2^200 apart is in range; one step further is not.
+        let edge = |small: f64| pts(&[(2f64.powi(200), 0.0), (0.0, small)]);
+        assert_eq!(validate_points2(&edge(1.0)), Ok(()));
+        assert_eq!(
+            validate_points2(&edge(1.0 - f64::EPSILON / 2.0)),
+            Err(InputError::OutOfRange {
+                index: 1,
+                axis: "y"
+            })
+        );
+        // Zeros never count, and a tiny input is fine on its own.
+        let tiny = pts(&[(0.0, 0.0), (1e-300, 0.0), (0.0, 3e-300)]);
+        assert_eq!(validate_points2(&tiny), Ok(()));
+    }
+
+    #[test]
+    fn generated_workloads_stay_in_range() {
+        use crate::{gen3d, generators};
+        for seed in 0..8 {
+            for n in [64, 4096] {
+                assert_eq!(validate_points2(&generators::uniform_disk(n, seed)), Ok(()));
+                assert_eq!(validate_points2(&generators::on_circle(n, seed)), Ok(()));
+                assert_eq!(validate_points3(&gen3d::in_ball(n, seed)), Ok(()));
+                assert_eq!(validate_points3(&gen3d::on_sphere(n, seed)), Ok(()));
+            }
+        }
+    }
+
+    #[test]
     fn query_and_size_guards() {
         assert_eq!(ensure_query("x0", 1.5), Ok(()));
         assert_eq!(
@@ -291,6 +400,13 @@ mod tests {
             (
                 InputError::NonFiniteQuery { name: "y0" },
                 "non_finite_query",
+            ),
+            (
+                InputError::OutOfRange {
+                    index: 3,
+                    axis: "z",
+                },
+                "coordinate_out_of_range",
             ),
             (InputError::TooFew { got: 0, need: 1 }, "too_few_points"),
         ];

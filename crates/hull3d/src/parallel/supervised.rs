@@ -117,9 +117,24 @@ mod tests {
         nan[5].z = f64::NAN;
         let mut dup = sphere_plus_interior(12, 64, 4);
         dup[8] = dup[9];
-        for pts in [&nan, &dup] {
+        // xy offsets ~1e-130 under z = 1e200: outside the exact
+        // predicates' range, where the fallback disagrees with the filter
+        let span: Vec<Point3> = (0..16)
+            .map(|i| Point3 {
+                x: (i % 4) as f64 * 1e-130,
+                y: (i / 4) as f64 * 1e-130,
+                z: if i % 2 == 0 { 1e200 } else { 0.0 },
+            })
+            .collect();
+        let cases = [
+            (&nan, "not finite"),
+            (&dup, "duplicates"),
+            (&span, "exact predicates' range"),
+        ];
+        for (pts, why) in cases {
             let e = upper_hull3_unsorted_supervised(&mut m, pts, &params, &cfg).unwrap_err();
             assert!(matches!(e, RunError::InvalidInput { .. }), "got {e}");
+            assert!(e.to_string().contains(why), "got {e}");
         }
         assert_eq!(m.metrics.steps, 0);
         assert_eq!(m.metrics.supervisor.attempts, 0);

@@ -27,7 +27,7 @@
 //! costs retries, never a wrong bridge.
 
 use ipch_geom::predicates::orient2d_sign;
-use ipch_geom::validate::{ensure_finite2, ensure_query};
+use ipch_geom::validate::{ensure_exact_range2, ensure_finite2, ensure_query};
 use ipch_geom::Point2;
 use ipch_pram::{
     supervise, ArrayId, Machine, ModelClass, ModelContract, RaceExpectation, RunError, Shm,
@@ -214,6 +214,7 @@ pub fn frugal_bridge_supervised(
 ) -> Result<Supervised<Bridge>, RunError> {
     const ALG: &str = FRUGAL_BRIDGE_CONTRACT.algorithm;
     ensure_finite2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
+    ensure_exact_range2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     validate_active(ALG, points.len(), active)?;
     let mut fallback = |fm: &mut Machine| {

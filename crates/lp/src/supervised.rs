@@ -16,7 +16,9 @@
 //!   transient corruption).
 
 use ipch_geom::predicates::{on_or_below, orient2d_sign, orient3d_sign};
-use ipch_geom::validate::{ensure_finite2, ensure_finite3, ensure_query};
+use ipch_geom::validate::{
+    ensure_exact_range2, ensure_exact_range3, ensure_finite2, ensure_finite3, ensure_query,
+};
 use ipch_geom::{Point2, Point3};
 use ipch_pram::{supervise, Machine, RunError, Shm, SuperviseConfig, Supervised};
 
@@ -100,6 +102,7 @@ pub fn find_bridge_inplace_supervised(
 ) -> Result<Supervised<(Bridge, IbTrace)>, RunError> {
     const ALG: &str = crate::inplace_bridge::INPLACE_BRIDGE_CONTRACT.algorithm;
     ensure_finite2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
+    ensure_exact_range2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     validate_active(ALG, points.len(), active)?;
     let mut fallback = |fm: &mut Machine| {
@@ -140,6 +143,7 @@ pub fn bridge_brute_supervised(
 ) -> Result<Supervised<Bridge>, RunError> {
     const ALG: &str = crate::bridge::BRIDGE_BRUTE_CONTRACT.algorithm;
     ensure_finite2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
+    ensure_exact_range2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     validate_active(ALG, points.len(), active)?;
     supervise(
@@ -172,6 +176,7 @@ pub fn facet_brute_supervised(
 ) -> Result<Supervised<(usize, usize, usize)>, RunError> {
     const ALG: &str = crate::bridge::FACET_BRUTE_CONTRACT.algorithm;
     ensure_finite3(points).map_err(|e| RunError::invalid_input(ALG, e))?;
+    ensure_exact_range3(points).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
     ensure_query("y0", y0).map_err(|e| RunError::invalid_input(ALG, e))?;
     validate_active(ALG, points.len(), active)?;

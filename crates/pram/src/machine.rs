@@ -48,12 +48,24 @@
 //! * **Write-buffer arena** — every chunk of processors appends to a pooled
 //!   per-chunk buffer owned by the machine. Buffers (and the flat gather /
 //!   sort-scratch buffers behind them) survive across steps, so steady-state
-//!   steps perform **zero heap allocation**.
+//!   steps perform **zero heap allocation**. Each buffer sits in its own
+//!   128-byte `ChunkCell`, so lanes appending to neighbouring chunks never
+//!   share a cache line.
+//! * **Run folding at buffer time** — under every rule but `Arbitrary`, a
+//!   write to the cell of its chunk's last log entry is folded into that
+//!   entry by the rule itself (`WritePolicy::fold`): the knock-out steps
+//!   in which every processor of a candidate ORs one flag buffer one entry
+//!   per run instead of one per write. A folded entry carries the
+//!   `FOLDED` bit, so the commit still counts its cell as one conflict,
+//!   and `writes_buffered` still counts every write. Nothing folds while the
+//!   concurrency analyzer is attached: it reads the raw log.
 //! * **Conflict-free fast path** — scatter-style steps (each cell written at
 //!   most once, in increasing cell order: the overwhelmingly common shape of
 //!   the hull algorithms' marking steps) are detected by a single strictly-
 //!   monotone scan over the buffered log and committed **directly**: no
-//!   gather, no sort, no policy resolution, no per-cell tiebreak hash.
+//!   gather, no sort, no policy resolution, no per-cell tiebreak hash. A
+//!   run folded into one entry takes this path too, when the log is
+//!   otherwise monotone.
 //! * **Sorted slow path** — otherwise the log is gathered flat, sorted by a
 //!   packed 64-bit `(array, idx)` key (in parallel above a threshold), and
 //!   resolved run-by-run *in place*: singleton runs commit directly, and
@@ -133,9 +145,10 @@ impl<'a> From<&'a Vec<usize>> for Pids<'a> {
 pub(crate) struct WriteEntry {
     /// `array << 32 | idx` — the cell address.
     pub(crate) key: u64,
-    /// `pid << 32 | seq` — writer id and its per-step write sequence number;
-    /// makes the total sort key unique, so resolution is deterministic even
-    /// under an unstable sort.
+    /// `pid << 32 | seq << 1 | folded` — writer id and its per-step write
+    /// sequence number, which make the total sort key unique, so
+    /// resolution is deterministic even under an unstable sort; the low
+    /// bit is [`FOLDED`].
     pub(crate) pidseq: u64,
     /// The written value.
     pub(crate) val: Word,
@@ -159,8 +172,17 @@ impl WriteEntry {
     }
 }
 
+/// Low bit of [`WriteEntry::pidseq`]: the entry holds two or more writes
+/// to its cell folded by the step's rule ([`WritePolicy`]'s fold), so its
+/// cell is conflicted even when no other entry names it. Every `seq` is
+/// shifted above it, so it never changes the sort order.
+pub(crate) const FOLDED: u64 = 1;
+
 /// Interior-mutable cell handed to pool chunks; each chunk index touches
-/// exactly one cell, which is what makes the unsafe access sound.
+/// exactly one cell, which is what makes the unsafe access sound. Aligned
+/// to 128 bytes (two cache lines, the adjacent-line prefetch pair), so
+/// lanes working on neighbouring chunks never share a line.
+#[repr(align(128))]
 pub(crate) struct ChunkCell<T>(pub(crate) UnsafeCell<T>);
 
 // SAFETY: access discipline is "chunk c touches cell c only", enforced by
@@ -219,7 +241,9 @@ impl WriteArena {
     }
 }
 
-/// Per-processor view during the compute phase of a step.
+/// Per-processor view during the compute phase of a step. One `Ctx`
+/// serves a whole chunk; its per-processor fields are reset before each
+/// processor runs.
 pub struct Ctx<'a, 'b> {
     /// This processor's id.
     pub pid: usize,
@@ -228,7 +252,14 @@ pub struct Ctx<'a, 'b> {
     step_no: u64,
     rng: Option<SplitMix64>,
     writes: &'b mut Vec<WriteEntry>,
+    /// `seq << 1` of this processor's next write: its write sequence
+    /// number, kept above the [`FOLDED`] bit.
     wseq: u32,
+    /// The step's rule when writes fold into the previous log entry of
+    /// the same cell (`None` while the analyzer is attached).
+    fold: Option<WritePolicy>,
+    /// Writes of this chunk folded into an earlier entry.
+    folded: u64,
     /// Read-trace buffer of this processor's chunk, when the concurrency
     /// analyzer ([`crate::analyze`]) is attached.
     trace: Option<&'b ReadTrace>,
@@ -290,6 +321,11 @@ impl<'a, 'b> Ctx<'a, 'b> {
 
     /// Buffer a write to be committed at the end of the step.
     ///
+    /// A write to the same cell as the chunk's last buffered write is
+    /// folded into that entry by the step's rule, unless the rule is
+    /// `Arbitrary` or the analyzer is attached (see the module doc); the
+    /// committed value and every counter are the same either way.
+    ///
     /// # Panics
     /// With a typed [`crate::memory::ShmError`] message on an out-of-range
     /// index or a stale (scope-exited) array id — in every build profile:
@@ -311,12 +347,20 @@ impl<'a, 'b> Ctx<'a, 'b> {
             // identically with and without the fault).
             return;
         }
+        let key = ((a.slot() as u64) << 32) | i as u64;
+        let pidseq = ((self.pid as u64) << 32) | self.wseq as u64;
+        self.wseq += 2;
+        if let (Some(policy), Some(last)) = (self.fold, self.writes.last_mut()) {
+            if last.key == key && policy.fold(last, pidseq, v) {
+                self.folded += 1;
+                return;
+            }
+        }
         self.writes.push(WriteEntry {
-            key: ((a.slot() as u64) << 32) | i as u64,
-            pidseq: ((self.pid as u64) << 32) | self.wseq as u64,
+            key,
+            pidseq,
             val: v,
         });
-        self.wseq += 1;
     }
 
     /// This processor's private RNG for this step (constructed lazily, so
@@ -901,12 +945,19 @@ impl Machine {
         crate::cancel::unwind(cause)
     }
 
-    /// Close an open step: commit the buffered log under `policy`, then the
-    /// single place a step's host time
-    /// ([`Metrics::record_host_ns`]), analyzer classification, cell
-    /// corruption and workspace peak ([`Machine::note_workspace`]) are
-    /// charged. Puts the pooled state back.
-    pub(crate) fn close_step(&mut self, shm: &mut Shm, frame: StepFrame, policy: WritePolicy) {
+    /// Close an open step: commit the buffered log under `policy` (with
+    /// `folded` writes folded into its entries), then the single place a
+    /// step's host time ([`Metrics::record_host_ns`]), analyzer
+    /// classification, cell corruption and workspace peak
+    /// ([`Machine::note_workspace`]) are charged. Puts the pooled state
+    /// back.
+    pub(crate) fn close_step(
+        &mut self,
+        shm: &mut Shm,
+        frame: StepFrame,
+        policy: WritePolicy,
+        folded: u64,
+    ) {
         let StepFrame {
             step_no,
             nchunks,
@@ -916,7 +967,7 @@ impl Machine {
             ..
         } = frame;
         let t_computed = Instant::now();
-        self.commit(shm, policy, step_no, &mut arena, nchunks);
+        self.commit(shm, policy, step_no, &mut arena, nchunks, folded);
         let commit_ns = t_computed.elapsed().as_nanos() as u64;
         let compute_ns = t_computed.duration_since(t_start).as_nanos() as u64;
         self.metrics.record_host_ns(compute_ns, commit_ns);
@@ -1015,8 +1066,12 @@ impl Machine {
         let pids_ref = &pids;
         let bufs = frame.log();
         let trace_bufs = frame.reads();
-        let outs: Vec<ChunkCell<Vec<R>>> =
-            (0..nchunks).map(|_| ChunkCell::new(Vec::new())).collect();
+        // The analyzer reads the raw log, so nothing folds while it runs.
+        let fold = trace_bufs.is_none().then_some(policy);
+        // Per chunk: the processors' results and the writes folded.
+        let outs: Vec<ChunkCell<(Vec<R>, u64)>> = (0..nchunks)
+            .map(|_| ChunkCell::new((Vec::new(), 0)))
+            .collect();
 
         // One compute chunk: run processors `c*CHUNK ..` against the
         // snapshot, appending writes to the chunk's pooled buffer.
@@ -1026,41 +1081,50 @@ impl Machine {
             // SAFETY: chunk c is executed exactly once; cells c are ours.
             let writes = unsafe { bufs[c].get_mut_unchecked() };
             // SAFETY: likewise, result slot c belongs to chunk c alone.
-            let results = unsafe { outs[c].get_mut_unchecked() };
+            let (results, folded) = unsafe { outs[c].get_mut_unchecked() };
             // SAFETY: same chunk-exclusive discipline for the read trace.
             let trace = trace_bufs.map(|t| unsafe { &*t[c].0.get() });
             results.reserve(hi - lo);
+            let mut ctx = Ctx {
+                pid: 0,
+                shm: shm_ref,
+                seed,
+                step_no,
+                rng: None,
+                writes,
+                wseq: 0,
+                trace,
+                bias: None,
+                dropped: false,
+                fold,
+                folded: 0,
+            };
             for i in lo..hi {
                 let pid = pids_ref.get(i);
-                let (bias, dropped) = match &step_faults {
+                (ctx.bias, ctx.dropped) = match &step_faults {
                     Some(sf) => (
                         sf.bias_for(step_no, pid as u64),
                         sf.dropped(step_no, pid as u64),
                     ),
                     None => (None, false),
                 };
-                let mut ctx = Ctx {
-                    pid,
-                    shm: shm_ref,
-                    seed,
-                    step_no,
-                    rng: None,
-                    writes,
-                    wseq: 0,
-                    trace,
-                    bias,
-                    dropped,
-                };
+                ctx.pid = pid;
+                ctx.rng = None;
+                ctx.wseq = 0;
                 results.push(f(&mut ctx));
             }
+            *folded = ctx.folded;
         };
         if let Some(cause) = self.run_chunks(&frame, &run_chunk) {
             self.abort_step(frame, cause);
         }
 
         let mut results: Vec<R> = Vec::with_capacity(count);
+        let mut folded = 0;
         for out in outs {
-            results.extend(out.into_inner());
+            let (chunk_results, chunk_folded) = out.into_inner();
+            results.extend(chunk_results);
+            folded += chunk_folded;
         }
 
         // Count this step's per-pid fault events (host-side recount of the
@@ -1076,11 +1140,12 @@ impl Machine {
             self.metrics.faults.dropped_processors += dropped;
         }
 
-        self.close_step(shm, frame, policy);
+        self.close_step(shm, frame, policy, folded);
         results
     }
 
-    /// Resolve and commit the buffered writes of one step.
+    /// Resolve and commit the buffered writes of one step: the log's
+    /// entries plus `folded` writes folded into them.
     pub(crate) fn commit(
         &mut self,
         shm: &mut Shm,
@@ -1088,13 +1153,14 @@ impl Machine {
         step_no: u64,
         arena: &mut WriteArena,
         nchunks: usize,
+        folded: u64,
     ) {
         let bufs = &mut arena.chunk_bufs[..nchunks];
         let total: usize = bufs.iter_mut().map(|b| b.0.get_mut().len()).sum();
         if total == 0 {
             return;
         }
-        self.metrics.writes_buffered += total as u64;
+        self.metrics.writes_buffered += total as u64 + folded;
 
         let max_lanes = self.max_lanes();
         let parallel_commit = total >= self.tuning.par_threshold.saturating_mul(2)
@@ -1105,10 +1171,16 @@ impl Machine {
         let lanes = max_lanes.min(pool::num_threads()).max(1);
 
         // Fast path: if the concatenated log is strictly increasing by cell
-        // key, every cell receives exactly one write — commit it verbatim.
-        // (Strict monotonicity is a pure function of the log, so the
-        // fast/slow decision is identical across execution modes.)
-        if !self.tuning.disable_fast_path && log_is_strictly_monotone(bufs) {
+        // key, every cell receives exactly one entry — commit it verbatim,
+        // counting each folded entry's cell as one conflict. (Strict
+        // monotonicity is a pure function of the log, so the fast/slow
+        // decision is identical across execution modes.)
+        let monotone = if self.tuning.disable_fast_path {
+            None
+        } else {
+            monotone_log_folds(bufs)
+        };
+        if let Some(folded_cells) = monotone {
             let writer = ShmWriter::new(shm);
             if parallel_commit {
                 let bufs_ref = &bufs[..];
@@ -1132,6 +1204,7 @@ impl Machine {
                 }
             }
             self.metrics.writes_committed += total as u64;
+            self.metrics.write_conflicts += folded_cells;
             self.metrics.fastpath_steps += 1;
             return;
         }
@@ -1168,22 +1241,22 @@ impl Machine {
     }
 }
 
-/// True if every buffer is strictly increasing by cell key and buffer
-/// boundaries preserve the order — i.e. the whole log is a strictly
-/// increasing sequence of distinct cells.
-fn log_is_strictly_monotone(bufs: &mut [ChunkCell<Vec<WriteEntry>>]) -> bool {
+/// The number of [`FOLDED`] entries, if every buffer is strictly
+/// increasing by cell key and buffer boundaries preserve the order — i.e.
+/// the whole log is a strictly increasing sequence of distinct cells.
+fn monotone_log_folds(bufs: &mut [ChunkCell<Vec<WriteEntry>>]) -> Option<u64> {
     let mut prev: Option<u64> = None;
+    let mut folds = 0;
     for buf in bufs.iter_mut() {
         for e in buf.0.get_mut().iter() {
-            if let Some(p) = prev {
-                if e.key <= p {
-                    return false;
-                }
+            if prev.is_some_and(|p| e.key <= p) {
+                return None;
             }
             prev = Some(e.key);
+            folds += e.pidseq & FOLDED;
         }
     }
-    true
+    Some(folds)
 }
 
 /// Raw shared-memory committer used where disjointness of the written cells
@@ -1256,12 +1329,14 @@ unsafe fn resolve_runs(
     let n = flat.len();
     while i < n {
         let e = flat[i];
-        // singleton run: direct commit, no policy, no tiebreak hash
+        // singleton run: direct commit, no policy, no tiebreak hash (a
+        // folded entry is already resolved, and its cell is conflicted)
         if i + 1 == n || flat[i + 1].key != e.key {
             // SAFETY: exclusivity forwarded from this function's contract;
             // entries come from the machine's own in-bounds write log.
             unsafe { writer.commit(e.array(), e.idx(), e.val) };
             committed += 1;
+            conflicts += e.pidseq & FOLDED;
             i += 1;
             continue;
         }
@@ -1489,7 +1564,14 @@ mod tests {
         assert_eq!(m.metrics.write_conflicts, 1);
         assert_eq!(m.metrics.writes_committed, 1);
         assert_eq!(m.metrics.writes_buffered, 16);
-        assert_eq!(m.metrics.fastpath_steps, 0);
+        // the 16 writes fold into one log entry, which commits directly
+        assert_eq!(m.metrics.fastpath_steps, 1);
+    }
+
+    #[test]
+    fn chunk_buffers_never_share_a_cache_line() {
+        assert!(std::mem::align_of::<ChunkCell<Vec<WriteEntry>>>() >= 128);
+        assert!(std::mem::size_of::<ChunkCell<Vec<WriteEntry>>>() >= 128);
     }
 
     #[test]
@@ -1734,14 +1816,7 @@ mod tests {
 
     #[test]
     fn duplicate_writes_from_one_pid_resolve_deterministically() {
-        for policy in [
-            WritePolicy::Arbitrary,
-            WritePolicy::PriorityMin,
-            WritePolicy::CombineMin,
-            WritePolicy::CombineMax,
-            WritePolicy::CombineSum,
-            WritePolicy::CombineOr,
-        ] {
+        for policy in POLICIES {
             let run = || {
                 let mut m = Machine::with_policy(13, policy);
                 let mut shm = Shm::new();
@@ -2117,6 +2192,252 @@ mod tests {
         let Ok(seeds) = m.fork_join(tags, |&t| t, |c, _| Ok::<_, Infallible>(c.seed()));
         let expected: Vec<u64> = tags.iter().map(|&t| m.child(t).seed()).collect();
         assert_eq!(seeds, expected);
+    }
+
+    const POLICIES: [WritePolicy; 6] = [
+        WritePolicy::Arbitrary,
+        WritePolicy::PriorityMin,
+        WritePolicy::CombineMin,
+        WritePolicy::CombineMax,
+        WritePolicy::CombineSum,
+        WritePolicy::CombineOr,
+    ];
+
+    /// Length of a fold test's runs: `RUN` consecutive pid positions
+    /// write one cell.
+    const RUN: usize = 100;
+
+    /// Pids `0..n` (`n` a multiple of [`RUN`]) as runs of `RUN` positions
+    /// that write one cell (`pid / RUN`), with the runs and the pids
+    /// inside each run shuffled.
+    fn shuffled_runs(n: usize) -> Vec<usize> {
+        let mut rng = SplitMix64::new(n as u64);
+        let mut shuffle = |v: &mut [usize]| {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+        };
+        let mut runs: Vec<usize> = (0..n / RUN).collect();
+        shuffle(&mut runs);
+        let mut pids = Vec::with_capacity(n);
+        for r in runs {
+            let start = pids.len();
+            pids.extend(r * RUN..(r + 1) * RUN);
+            shuffle(&mut pids[start..]);
+        }
+        pids
+    }
+
+    /// The fold tests' program over `pids` under `policy`: one write per
+    /// processor to its run's cell, one to a cell shared by every fifth
+    /// run (the sorted path), two from each processor to its run's cell.
+    /// Values mix the pid with a coin, so biased streams change them.
+    /// Returns each round's per-processor values, then memory.
+    fn fold_program(m: &mut Machine, pids: Pids, policy: WritePolicy) -> Vec<Vec<Word>> {
+        let n = pids.count();
+        let mut shm = Shm::new();
+        let runs = shm.alloc("runs", n / RUN, 0);
+        let shared = shm.alloc("shared", 5, 0);
+        let value = |ctx: &mut Ctx| {
+            let coin = ctx.rng().bernoulli(0.5);
+            (ctx.pid as Word).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as Word) ^ coin as Word
+        };
+        let mut out = vec![];
+        for round in 0..3 {
+            let values = m.step_map_with_policy(&mut shm, pids.clone(), policy, |ctx| {
+                let v = value(ctx);
+                let cell = ctx.pid / RUN;
+                match round {
+                    0 => ctx.write(runs, cell, v),
+                    1 => ctx.write(shared, cell % 5, v),
+                    _ => {
+                        ctx.write(runs, cell, v);
+                        ctx.write(runs, cell, !v);
+                    }
+                }
+                v
+            });
+            out.push(values);
+        }
+        out.extend([shm.slice(runs).to_vec(), shm.slice(shared).to_vec()]);
+        out
+    }
+
+    /// Every simulated counter of a metrics record: host time, lanes and
+    /// the fast-path count excluded.
+    fn fold_counters(m: &Metrics) -> ([u64; 8], crate::faults::FaultCounters) {
+        (
+            [
+                m.steps,
+                m.work,
+                m.peak_processors,
+                m.peak_live_cells,
+                m.host_steps,
+                m.writes_buffered,
+                m.writes_committed,
+                m.write_conflicts,
+            ],
+            m.faults,
+        )
+    }
+
+    #[test]
+    fn fold_matches_the_unfolded_log_under_every_policy_pid_set_and_fault() {
+        use crate::analyze::AnalyzeConfig;
+        use crate::faults::{DropWindow, FaultPlan, RngBias};
+        let plans = [
+            FaultPlan::default(),
+            FaultPlan {
+                drop_window: Some(DropWindow {
+                    from_step: 0,
+                    until_step: u64::MAX,
+                    rate: 0.3,
+                }),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                rng_bias: Some(RngBias {
+                    rate: 0.5,
+                    force: true,
+                }),
+                ..FaultPlan::default()
+            },
+        ];
+        // 30 runs inside one chunk; 112 runs over two chunks, one of
+        // them straddling the boundary at position CHUNK.
+        const { assert!(30 * RUN < CHUNK && !CHUNK.is_multiple_of(RUN) && 112 * RUN < 2 * CHUNK) };
+        for n in [30 * RUN, 112 * RUN] {
+            let list = shuffled_runs(n);
+            for pids in [Pids::Range(0, n), Pids::List(&list)] {
+                for policy in POLICIES {
+                    for plan in &plans {
+                        let machine = |analyzed: bool, par_threshold: usize| {
+                            let mut m = Machine::new(51);
+                            m.tuning.par_threshold = par_threshold;
+                            m.install_faults(plan.clone());
+                            if analyzed {
+                                m.enable_analysis(AnalyzeConfig::default());
+                            }
+                            m
+                        };
+                        let run = |mut m: Machine| {
+                            let out = fold_program(&mut m, pids.clone(), policy);
+                            (out, m.metrics)
+                        };
+                        let what = format!("n {n} {pids:?} {policy:?} {plan:?}");
+                        let what = &what[..what.len().min(160)];
+                        let (reference, unfolded) = run(machine(true, usize::MAX));
+                        let (inline, folded) = run(machine(false, usize::MAX));
+                        let (pooled, pooled_folded) = run(machine(false, 0));
+                        assert_eq!(inline, reference, "{what}: memory");
+                        assert_eq!(
+                            fold_counters(&folded),
+                            fold_counters(&unfolded),
+                            "{what}: counters"
+                        );
+                        assert_eq!(pooled, inline, "{what}: pooled memory");
+                        assert_eq!(
+                            sim_counters(&pooled_folded),
+                            sim_counters(&folded),
+                            "{what}: pooled counters"
+                        );
+                        // In one chunk, in pid order, folding makes round
+                        // 0's log monotone: it commits on the fast path.
+                        let one_chunk_range = n < CHUNK && matches!(pids, Pids::Range(..));
+                        if policy == WritePolicy::Arbitrary || !one_chunk_range {
+                            continue;
+                        }
+                        assert!(
+                            folded.fastpath_steps > unfolded.fastpath_steps,
+                            "{what}: nothing folded"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_never_happens_under_arbitrary() {
+        let mut m = Machine::new(52);
+        let mut shm = Shm::new();
+        let a = shm.alloc("a", 1, 0);
+        m.step(&mut shm, 0..16, |ctx| ctx.write(a, 0, ctx.pid as Word));
+        assert_eq!(m.arena.chunk_bufs[0].0.get_mut().len(), 16);
+        assert_eq!(m.metrics.fastpath_steps, 0);
+        assert_eq!(m.metrics.write_conflicts, 1);
+    }
+
+    #[test]
+    fn fold_counts_one_conflict_per_folded_cell_on_the_fast_path() {
+        let mut m = Machine::with_policy(53, WritePolicy::CombineOr);
+        let mut shm = Shm::new();
+        let a = shm.alloc("a", 4, 0);
+        let cells = [0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2];
+        m.step(&mut shm, 0..16, |ctx| {
+            ctx.write(a, cells[ctx.pid], 1 << (ctx.pid % 4));
+        });
+        assert_eq!(m.arena.chunk_bufs[0].0.get_mut().len(), 3);
+        assert_eq!(shm.slice(a), &[15, 1, 15, 0]);
+        assert_eq!(m.metrics.fastpath_steps, 1);
+        assert_eq!(m.metrics.writes_buffered, 16);
+        assert_eq!(m.metrics.writes_committed, 3);
+        assert_eq!(m.metrics.write_conflicts, 2);
+    }
+
+    #[test]
+    fn fold_counts_one_conflict_per_folded_cell_on_the_sorted_path() {
+        let mut m = Machine::with_policy(54, WritePolicy::CombineOr);
+        let mut shm = Shm::new();
+        let a = shm.alloc("a", 4, 0);
+        // runs to cells 2 (folded), 0 (folded), 1 (single), 0 (folded
+        // again: a second entry in cell 0's sorted run)
+        let cells = [2, 2, 2, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0];
+        m.step(&mut shm, 0..16, |ctx| {
+            ctx.write(a, cells[ctx.pid], 1 << (ctx.pid % 4));
+        });
+        assert_eq!(m.metrics.fastpath_steps, 0);
+        assert_eq!(m.metrics.writes_buffered, 16);
+        assert_eq!(m.metrics.writes_committed, 3);
+        assert_eq!(m.metrics.write_conflicts, 2);
+    }
+
+    #[test]
+    fn fold_keeps_the_first_write_of_one_pid_under_priority_min() {
+        for pids in [vec![0usize], vec![3, 1, 2]] {
+            let run = |analyzed: bool| {
+                let mut m = Machine::with_policy(55, WritePolicy::PriorityMin);
+                if analyzed {
+                    m.enable_analysis(crate::analyze::AnalyzeConfig::default());
+                }
+                let mut shm = Shm::new();
+                let a = shm.alloc("a", 1, EMPTY);
+                m.step(&mut shm, &pids, |ctx| {
+                    ctx.write(a, 0, 10 * ctx.pid as Word + 5);
+                    ctx.write(a, 0, 10 * ctx.pid as Word + 7);
+                });
+                (shm.get(a, 0), fold_counters(&m.metrics))
+            };
+            let min_pid = *pids.iter().min().unwrap_or(&0) as Word;
+            assert_eq!(run(false).0, 10 * min_pid + 5, "pids {pids:?}");
+            assert_eq!(run(false), run(true), "pids {pids:?}");
+        }
+    }
+
+    #[test]
+    fn fold_wraps_combine_sum_like_the_sorted_run() {
+        let run = |analyzed: bool| {
+            let mut m = Machine::with_policy(56, WritePolicy::CombineSum);
+            if analyzed {
+                m.enable_analysis(crate::analyze::AnalyzeConfig::default());
+            }
+            let mut shm = Shm::new();
+            let a = shm.alloc("a", 1, 0);
+            m.step(&mut shm, 0..3, |ctx| ctx.write(a, 0, Word::MAX));
+            (shm.get(a, 0), fold_counters(&m.metrics))
+        };
+        assert_eq!(run(false).0, Word::MAX.wrapping_mul(3));
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -19,6 +19,14 @@
 //! A simulated `Arbitrary` winner is chosen by a seeded hash of
 //! (step, array, index) over the contending writers, so runs replay exactly
 //! while algorithms cannot rely on a fixed rule.
+//!
+//! Every rule but `Arbitrary` is an associative, commutative fold over the
+//! contenders (`PriorityMin` folds to the smallest `(pid, seq)`), so the
+//! machine folds a write into the previous buffered write when both target
+//! the same cell (`WritePolicy::fold`) and resolves the run's remaining
+//! entries with the same rule. `Arbitrary` never folds: its winner is an
+//! index into the whole run, which depends on the run's length, the seeded
+//! tiebreak and, under the adversarial-write fault, on every contender.
 
 /// Conflict-resolution rule for concurrent writes to one cell in one step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,6 +64,36 @@ impl WritePolicy {
             WritePolicy::CombineSum => run.iter().fold(0i64, |a, e| a.wrapping_add(e.val)),
             WritePolicy::CombineOr => run.iter().fold(0i64, |a, e| a | e.val),
         }
+    }
+
+    /// Fold one more write `(pidseq, val)` to `last`'s cell into `last`,
+    /// the buffered entry it follows, and mark `last` as
+    /// [`crate::machine::FOLDED`]. Returns `false`, leaving `last`
+    /// untouched, for `Arbitrary`, which never folds (see the module doc).
+    #[inline]
+    pub(crate) fn fold(
+        &self,
+        last: &mut crate::machine::WriteEntry,
+        pidseq: u64,
+        val: i64,
+    ) -> bool {
+        match self {
+            WritePolicy::Arbitrary => return false,
+            // The fold bit is below every `seq` bit, so it never changes
+            // which of two writes has the smaller `(pid, seq)`.
+            WritePolicy::PriorityMin => {
+                if pidseq < last.pidseq {
+                    last.pidseq = pidseq;
+                    last.val = val;
+                }
+            }
+            WritePolicy::CombineMin => last.val = last.val.min(val),
+            WritePolicy::CombineMax => last.val = last.val.max(val),
+            WritePolicy::CombineSum => last.val = last.val.wrapping_add(val),
+            WritePolicy::CombineOr => last.val |= val,
+        }
+        last.pidseq |= crate::machine::FOLDED;
+        true
     }
 }
 

@@ -1445,6 +1445,33 @@ mod tests {
     }
 
     #[test]
+    fn coordinates_outside_the_exact_range_are_a_typed_invalid_input() {
+        let svc = manual(ServiceConfig::default());
+        // xy offsets ~1e-130 under z = 1e200
+        let points = (0..16)
+            .map(|i| ipch_geom::Point3 {
+                x: (i % 4) as f64 * 1e-130,
+                y: (i / 4) as f64 * 1e-130,
+                z: if i % 2 == 0 { 1e200 } else { 0.0 },
+            })
+            .collect();
+        let t = svc
+            .submit(Request::new("acme", 1, Workload::Hull3d { points }))
+            .unwrap();
+        svc.drain();
+        match t.wait() {
+            Err(ServiceError::Run(e @ RunError::InvalidInput { .. })) => {
+                assert_eq!(e.code(), "invalid_input");
+                assert!(e.to_string().contains("exact predicates' range"), "{e}");
+            }
+            other => panic!("expected typed invalid input, got {other:?}"),
+        }
+        let h = svc.health();
+        assert_eq!(h.stats.invalid_inputs, 1);
+        assert_resolved(&h.stats);
+    }
+
+    #[test]
     fn breaker_trips_through_tiers_and_recovers_via_probes() {
         let svc = manual(ServiceConfig {
             breaker: BreakerConfig {
