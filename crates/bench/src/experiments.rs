@@ -364,7 +364,7 @@ pub fn t7() -> Table {
         let mut vote_failures = 0usize;
         for seed in 0..trials {
             let (mut m, mut shm) = machine(seed * 31 + k as u64);
-            let out = ipch_inplace::sample::random_sample(&mut m, &mut shm, &active, mcount, k, 4);
+            let out = ipch_inplace::sample::random_sample(&mut m, &mut shm, &active, k, 4);
             sizes.push(out.sample.len() as f64);
             if out.size_in_bounds(k) {
                 inb += 1;
@@ -373,8 +373,7 @@ pub fn t7() -> Table {
                 counts[e] += 1;
             }
             let (mut m2, mut shm2) = machine(seed * 37 + k as u64);
-            if ipch_inplace::vote::random_vote(&mut m2, &mut shm2, &active, mcount, k, 4).is_none()
-            {
+            if ipch_inplace::vote::random_vote(&mut m2, &mut shm2, &active, k, 4).is_none() {
                 vote_failures += 1;
             }
         }

@@ -12,7 +12,7 @@
 
 use ipch_geom::predicates::orient2d_sign;
 use ipch_geom::{Point2, UpperHull};
-use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy};
+use ipch_pram::{Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy};
 
 use crate::{assign_edges_pram, HullOutput};
 
@@ -45,10 +45,10 @@ pub fn upper_hull_brute(
     // loops, and each invocation recycles the same slot
     let mut edges: Vec<(usize, usize)> = shm.scope(|shm| {
         let bad = shm.alloc("pbrute.bad", npairs, 0);
-        m.kernel_scatter_with_policy(shm, 0..npairs * n, WritePolicy::CombineOr, |_, pid| {
-            let p = pid / n;
-            let w = pid % n;
-            let (i, j) = (p / n, p % n);
+        let grid = Pids::Grid([n, n, n]);
+        m.kernel_scatter_with_policy(shm, grid, WritePolicy::CombineOr, |t, _| {
+            let [i, j, w] = t.coord();
+            let p = i * n + j;
             let (u, v) = (points[ids[i]], points[ids[j]]);
             if u.x >= v.x {
                 return if w == 0 { Some((bad, p, 1)) } else { None };

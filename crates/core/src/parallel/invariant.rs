@@ -31,7 +31,7 @@ use ipch_geom::{Point2, UpperHull};
 use ipch_inplace::sample::random_sample_with_p;
 use ipch_lp::bridge::Bridge;
 use ipch_lp::inplace_bridge::SAMPLE_ATTEMPTS;
-use ipch_pram::{Machine, RunError, Shm, WritePolicy};
+use ipch_pram::{Machine, Pids, RunError, Shm, WritePolicy};
 
 /// Round cap of [`bridge_over_hulls`] before it reports failure and
 /// [`hull_of_hulls`] sweeps the node by brute force.
@@ -67,7 +67,7 @@ pub fn bridge_over_hulls(
     let mut best: Option<Bridge> = None;
     for round in 0..HULL_BRIDGE_MAX_ROUNDS {
         let survivors: Vec<usize> = (0..g).filter(|&i| shm.get(surv, i) != 0).collect();
-        let out = random_sample_with_p(m, shm, &survivors, g, k, SAMPLE_ATTEMPTS, Some(p_j));
+        let out = random_sample_with_p(m, shm, &survivors, k, SAMPLE_ATTEMPTS, Some(p_j));
         let mut base = out.sample;
         if let Some(b) = best {
             // keep the groups of the current contacts for monotonicity
@@ -262,11 +262,10 @@ pub fn hull_of_hulls(
     let x0s_ref = &x0s;
     m.step_with_policy(
         shm,
-        0..nodes.len() * nodes.len(),
+        Pids::Grid([1, nodes.len(), nodes.len()]),
         WritePolicy::CombineOr,
         |ctx| {
-            let vi = ctx.pid / nodes_ref.len();
-            let ui = ctx.pid % nodes_ref.len();
+            let [_, vi, ui] = ctx.coord();
             if vi == ui {
                 return;
             }

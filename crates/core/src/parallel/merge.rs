@@ -25,7 +25,7 @@ use std::convert::Infallible;
 use ipch_geom::hull_chain::UpperHull;
 use ipch_geom::hullops::common_upper_tangent;
 use ipch_geom::Point2;
-use ipch_pram::{Machine, Shm, WritePolicy};
+use ipch_pram::{Machine, Pids, Shm, WritePolicy};
 
 /// Merge each consecutive group of `g` hulls into one. `hulls` must be
 /// x-disjoint and ordered left to right; `g ≥ 2`.
@@ -103,10 +103,9 @@ pub fn merge_one_group(
     let contact_ref = &contact;
     let slots_ref = &slots;
     let uhs_ref = &uhs;
-    m.step_with_policy(shm, 0..nslots * g * g, WritePolicy::CombineOr, |ctx| {
-        let s = ctx.pid / (g * g);
-        let jk = ctx.pid % (g * g);
-        let (j, k) = (jk / g, jk % g);
+    let grid = Pids::Grid([nslots, g, g]);
+    m.step_with_policy(shm, grid, WritePolicy::CombineOr, |ctx| {
+        let [s, j, k] = ctx.coord();
         if j >= k {
             return;
         }

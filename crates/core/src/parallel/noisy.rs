@@ -33,8 +33,8 @@ use ipch_geom::noise::{vote_reps, NoiseCtx, NoiseMode};
 use ipch_geom::validate::validate_points2;
 use ipch_geom::{Point2, UpperHull};
 use ipch_pram::{
-    supervise, Machine, ModelClass, ModelContract, RaceExpectation, RunError, Shm, SuperviseConfig,
-    Supervised, WritePolicy,
+    supervise, Machine, ModelClass, ModelContract, Pids, RaceExpectation, RunError, Shm,
+    SuperviseConfig, Supervised, WritePolicy,
 };
 
 use crate::{assign_edges_pram, HullOutput};
@@ -105,10 +105,10 @@ fn hull_noisy_impl(
     let npairs = n * n;
     let mut edges: Vec<(usize, usize)> = shm.scope(|shm| {
         let bad = shm.alloc("pnoisy.bad", npairs, 0);
-        m.kernel_scatter_with_policy(shm, 0..npairs * n, WritePolicy::CombineOr, |_, pid| {
-            let p = pid / n;
-            let w = pid % n;
-            let (i, j) = (p / n, p % n);
+        let grid = Pids::Grid([n, n, n]);
+        m.kernel_scatter_with_policy(shm, grid, WritePolicy::CombineOr, |t, _| {
+            let [i, j, w] = t.coord();
+            let p = i * n + j;
             let (u, v) = (points[i], points[j]);
             if !before(u, v) {
                 return if w == 0 { Some((bad, p, 1)) } else { None };

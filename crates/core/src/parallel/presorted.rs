@@ -31,7 +31,9 @@ use ipch_geom::{Point2, UpperHull};
 use ipch_inplace::sweep::failure_sweep;
 use ipch_lp::bridge::Bridge;
 use ipch_lp::inplace_bridge::{find_bridge_inplace, sweep_bridge};
-use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
+use ipch_pram::{
+    Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy, EMPTY,
+};
 
 use super::folklore::upper_hull_folklore;
 use crate::HullOutput;
@@ -226,9 +228,9 @@ pub fn upper_hull_presorted(
     let paths_ref = &paths;
     let bspan_ref = &bspan;
     let x0s_ref = &x0s;
-    m.step_with_policy(shm, 0..nodes.len() * depth, WritePolicy::CombineOr, |ctx| {
-        let vi = ctx.pid / depth;
-        let lvl = ctx.pid % depth;
+    let grid = Pids::Grid([1, nodes.len(), depth]);
+    m.step_with_policy(shm, grid, WritePolicy::CombineOr, |ctx| {
+        let [_, vi, lvl] = ctx.coord();
         let v = &nodes_ref[vi];
         if lvl >= v.level {
             return; // only strict ancestors
@@ -281,9 +283,9 @@ pub fn upper_hull_presorted(
     let chosen = shm.alloc("pres.lvl", np, EMPTY);
     let ne = hull.num_edges();
     let node_edge_ref = &node_edge;
-    m.step_with_policy(shm, 0..np * depth, WritePolicy::CombineMax, |ctx| {
-        let pos = ctx.pid / depth;
-        let lvl = ctx.pid % depth;
+    let grid = Pids::Grid([1, np, depth]);
+    m.step_with_policy(shm, grid, WritePolicy::CombineMax, |ctx| {
+        let [_, pos, lvl] = ctx.coord();
         if lvl >= paths_ref[pos].len() {
             return;
         }

@@ -427,7 +427,6 @@ fn solve_problem(
     if ids.len() <= 1 {
         return Sol::Retire;
     }
-    let universe = points.len();
     let maxx = combine_max_x(child, scratch, xkeys, ids);
     let mut x0 = match params.splitter {
         SplitterPolicy::RandomVote => {
@@ -436,7 +435,6 @@ fn solve_problem(
                 child,
                 scratch,
                 ids,
-                universe,
                 params.vote_k,
                 SAMPLE_ATTEMPTS,
             ) else {

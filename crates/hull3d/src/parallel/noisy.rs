@@ -28,8 +28,8 @@ use ipch_geom::validate::validate_points3;
 use ipch_geom::Point3;
 use ipch_hull2d::parallel::noisy::{ctx_for, settle};
 use ipch_pram::{
-    supervise, Machine, ModelClass, ModelContract, RaceExpectation, RunError, Shm, SuperviseConfig,
-    Supervised, WritePolicy,
+    supervise, Machine, ModelClass, ModelContract, Pids, RaceExpectation, RunError, Shm,
+    SuperviseConfig, Supervised, WritePolicy,
 };
 
 use super::supervised::certify3;
@@ -73,8 +73,9 @@ fn hull3_noisy_impl(
     let ntriples = n * n * n;
     let facets: Vec<Facet> = shm.scope(|shm| {
         let good = shm.alloc("pnoisy3.good", ntriples, 0);
-        m.kernel_scatter_with_policy(shm, 0..ntriples, WritePolicy::CombineOr, |_, t| {
-            let (i, j, k) = (t / (n * n), (t / n) % n, t % n);
+        let grid = Pids::Grid([n, n, n]);
+        m.kernel_scatter_with_policy(shm, grid, WritePolicy::CombineOr, |me, t| {
+            let [i, j, k] = me.coord();
             if !(i < j && j < k) {
                 return None; // one processor per unordered triple
             }

@@ -45,7 +45,6 @@ pub fn find_facet_inplace(
     if p < 3 {
         return None;
     }
-    let universe = points.len();
     // the paper's 3-D base parameter k = p^{1/4}, clamped ≥ 4
     let k = ((p as f64).powf(0.25).ceil() as usize).max(4);
     let capacity = BASE_CAPACITY_FACTOR * k;
@@ -58,36 +57,30 @@ pub fn find_facet_inplace(
     // every round's workspace (survivor flags, compaction scratch, sample
     // claims) is scoped to this call — nothing leaks into the caller's Shm
     shm.scope(|shm| {
-        let surv = shm.alloc("fp.surv", universe, 0);
-        m.kernel_map(shm, active, surv, |_, _| 1);
+        // survivor flags: private registers indexed by rank in `active`
+        let surv = shm.alloc("fp.surv", p, 0);
+        m.kernel_scatter(shm, active, |t, _| Some((surv, t.rank(), 1)));
 
         let mut p_j = 2.0 * k as f64 / p as f64;
         let mut best: Option<Facet> = None;
         for round in 0..max_rounds {
-            let survivors: Vec<usize> = active
-                .iter()
-                .copied()
-                .filter(|&i| shm.get(surv, i) != 0)
+            let flags = shm.slice(surv);
+            let survivors: Vec<usize> = (active.iter().zip(flags))
+                .filter(|&(_, &f)| f != 0)
+                .map(|(&i, _)| i)
                 .collect();
 
             // per-round scratch is recycled round to round
             let mut base: Vec<usize> = shm.scope(|shm| {
                 if round >= BETA || survivors.len() <= 4 * k {
-                    let sarr = shm.alloc("fp.sarr", universe, EMPTY);
+                    // the compaction source is indexed by point id
+                    let sarr = shm.alloc("fp.sarr", points.len(), EMPTY);
                     m.kernel_map(shm, &survivors, sarr, |_, i| i as i64);
                     if let Some(c) = inplace_compact(m, shm, sarr, capacity, 0.34) {
-                        let mut b = Vec::new();
-                        for s in 0..shm.len(c.slots) {
-                            let v = shm.get(c.slots, s);
-                            if v != EMPTY {
-                                b.push(v as usize);
-                            }
-                        }
-                        return b;
+                        return c.ids_ascending(shm);
                     }
                 }
-                random_sample_with_p(m, shm, &survivors, universe, k, SAMPLE_ATTEMPTS, Some(p_j))
-                    .sample
+                random_sample_with_p(m, shm, &survivors, k, SAMPLE_ATTEMPTS, Some(p_j)).sample
             });
             if let Some(f) = best {
                 for id in f.ids() {
@@ -110,10 +103,11 @@ pub fn find_facet_inplace(
 
             // survivor step: one concurrent step over the active set
             let (pa, pb, pc) = (points[a], points[b], points[c]);
-            m.kernel_map(shm, active, surv, move |_, i| {
-                (orient3d_sign(pa, pb, pc, points[i]) < 0) as i64
+            m.kernel_scatter(shm, active, move |t, i| {
+                let above = orient3d_sign(pa, pb, pc, points[i]) < 0;
+                Some((surv, t.rank(), above as i64))
             });
-            let nsurv = active.iter().filter(|&&i| shm.get(surv, i) != 0).count();
+            let nsurv = shm.slice(surv).iter().filter(|&&f| f != 0).count();
             if nsurv == 0 {
                 return Some(facet);
             }
@@ -203,6 +197,43 @@ mod tests {
             m.metrics.total_work() < 1000 * n as u64,
             "work {}",
             m.metrics.total_work()
+        );
+    }
+
+    /// Workspace follows the subproblem: a 64-id subproblem scattered
+    /// through a 1,024- or a 65,536-point input keeps its scratch peak
+    /// within 32·(p + capacity) cells plus the brute solve's C(capacity, 3)
+    /// triple table, plus 3 cells per input point for the §3.3 step-4
+    /// compaction source (`fp.sarr`, `ipc.seg`, `ipc.marks`), the one
+    /// input-sized part left.
+    #[test]
+    fn scratch_peak_follows_the_subproblem_not_the_input() {
+        let p = 64;
+        let capacity = BASE_CAPACITY_FACTOR * 4; // k = max(4, ⌈64^{1/4}⌉)
+        let triples = capacity * (capacity - 1) * (capacity - 2) / 6;
+        let bound = (32 * (p + capacity) + triples) as u64;
+        let mut below_source = 0;
+        for n in [1024usize, 65_536] {
+            let pts = in_ball(n, 7);
+            let active: Vec<usize> = (0..p).map(|i| i * (n / p) + 3).collect();
+            for seed in 0..6 {
+                let mut m = Machine::new(seed);
+                let mut shm = Shm::new();
+                let f = find_facet_inplace(&mut m, &mut shm, &pts, &active, 0.0, 0.0, 16)
+                    .expect("facet");
+                verify_facet(&pts, &active, 0.0, 0.0, f);
+                let peak = shm.peak_live_cells();
+                assert!(
+                    peak <= bound + 3 * n as u64,
+                    "n {n} seed {seed}: peak {peak}"
+                );
+                below_source += (peak <= bound) as usize;
+            }
+        }
+        // runs that finish by sampling never touch an input-sized array
+        assert!(
+            below_source > 0,
+            "no run stayed within the subproblem bound"
         );
     }
 }

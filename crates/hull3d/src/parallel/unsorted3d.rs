@@ -36,7 +36,9 @@ use ipch_geom::predicates::orient3d_sign;
 use ipch_geom::{Point2, Point3};
 use ipch_inplace::sweep::failure_sweep;
 use ipch_lp::inplace_bridge::{SAMPLE_ATTEMPTS, SWEEP_ROUNDS};
-use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
+use ipch_pram::{
+    Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy, EMPTY,
+};
 
 use super::probe::find_facet_inplace;
 use crate::facet::{xy_contains, Facet};
@@ -183,7 +185,6 @@ pub fn upper_hull3_unsorted(
                     child,
                     &mut scratch,
                     region,
-                    n,
                     VOTE_K,
                     SAMPLE_ATTEMPTS,
                 );
@@ -268,11 +269,10 @@ pub fn upper_hull3_unsorted(
             // simulator's tiebreak seed.
             m.step_with_policy(
                 shm,
-                0..actives.len() * nf,
+                Pids::Grid([1, actives.len(), nf]),
                 WritePolicy::PriorityMin,
                 |ctx| {
-                    let ai = ctx.pid / nf;
-                    let fi = ctx.pid % nf;
+                    let [_, ai, fi] = ctx.coord();
                     let i = act[ai];
                     let (fidx, f) = nfr[fi];
                     if xy_contains(points, &f, points[i].xy())

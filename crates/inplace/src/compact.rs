@@ -41,8 +41,9 @@ pub const COMPACT_CONTRACT: ModelContract = ModelContract {
 /// Result of an in-place compaction.
 #[derive(Clone, Debug)]
 pub struct InplaceCompaction {
-    /// Compacted payloads: `count` occupied cells in an area of size
-    /// O(bound⁴), rest `EMPTY`.
+    /// Compacted payloads: `count` occupied cells in the final round's
+    /// Ragde area (O(count⁴), capped as [`ragde_compact_det`] documents),
+    /// rest `EMPTY`, in slot order (see [`InplaceCompaction::ids_ascending`]).
     pub slots: ArrayId,
     /// Parallel array: `positions[s]` = original index of the element whose
     /// payload sits in `slots[s]` (or `EMPTY`).
@@ -53,6 +54,23 @@ pub struct InplaceCompaction {
     pub rounds: usize,
     /// Largest shared workspace table allocated, in cells (for table T8).
     pub workspace_cells: usize,
+}
+
+impl InplaceCompaction {
+    /// The compacted payloads, read as element ids, in ascending order.
+    /// Slots hold them in the order `g mod p` of the count-sized Ragde
+    /// area ([`ragde_compact_det`]), not in position order; a base
+    /// problem built from them lists its ids in input order.
+    pub fn ids_ascending(&self, shm: &Shm) -> Vec<usize> {
+        let mut ids: Vec<usize> = shm
+            .slice(self.slots)
+            .iter()
+            .filter(|&&v| v != EMPTY)
+            .map(|&v| v as usize)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
 }
 
 /// In-place approximate compaction of the occupied (non-`EMPTY`) cells of
@@ -204,6 +222,24 @@ mod tests {
         let mut expect = occupied.to_vec();
         expect.sort_unstable();
         assert_eq!(got, expect);
+    }
+
+    /// The count-sized Ragde area keeps ids in slot order `g mod p`;
+    /// `ids_ascending` reads them back in position order.
+    #[test]
+    fn ids_ascending_reads_a_wrapped_area_in_position_order() {
+        let occ = [(66usize, 66i64), (70, 70), (260, 260)];
+        let (mut m, mut shm, a) = setup(1000, &occ);
+        let c = inplace_compact(&mut m, &mut shm, a, 8, 0.34).unwrap();
+        assert_eq!(shm.len(c.slots), 67);
+        let slot_order: Vec<i64> = shm
+            .slice(c.slots)
+            .iter()
+            .copied()
+            .filter(|&v| v != EMPTY)
+            .collect();
+        assert_eq!(slot_order, vec![70, 260, 66]);
+        assert_eq!(c.ids_ascending(&shm), vec![66, 70, 260]);
     }
 
     #[test]

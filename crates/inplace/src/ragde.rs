@@ -7,17 +7,17 @@
 //! Two implementations:
 //!
 //! * [`ragde_compact_det`] — deterministic, by modulus hashing: find a
-//!   prime `p ≥ bound⁴` such that `x ↦ x mod p` is injective on the set of
-//!   occupied positions, then scatter in one step. Such a prime exists
-//!   near bound⁴ because each of the ≤ C(k,2) position differences has few
-//!   prime divisors that large. Ragde's paper performs the prime search
-//!   with the m processors in O(1) time; we perform it host-side and
-//!   **charge** O(1) steps / O(m) work (recorded in the metrics' charged
-//!   bucket — see DESIGN.md's substitution table). The scatter step that
-//!   actually moves data is executed on the simulator. The modulus is
-//!   returned so callers (the in-place compaction of Lemma 3.2) can let
-//!   each element *compute* its own destination slot — the property the
-//!   refinement scheme relies on.
+//!   prime `p` near k⁴ (k the occupied count) such that `x ↦ x mod p` is
+//!   injective on the set of occupied positions, then scatter in one step.
+//!   Such a prime exists near k⁴ because each of the ≤ C(k,2) position
+//!   differences has few prime divisors that large. Ragde's paper
+//!   performs the prime search with the m processors in O(1) time; we
+//!   perform it host-side and **charge** O(1) steps / O(m) work
+//!   (recorded in the metrics' charged bucket — see DESIGN.md's
+//!   substitution table). The scatter step that actually moves data is
+//!   executed on the simulator. The modulus is returned so callers (the
+//!   in-place compaction of Lemma 3.2) can let each element *compute* its
+//!   own destination slot — the property the refinement scheme relies on.
 //! * [`ragde_compact_rand`] — fully executed randomized alternative:
 //!   occupied cells dart-throw into the bound⁴ area with CRCW collision
 //!   detection, retrying a constant number of rounds. Succeeds w.h.p.
@@ -60,20 +60,29 @@ fn is_prime(n: u64) -> bool {
     true
 }
 
-/// Destination-area size: Lemma 2.1's k⁴, capped for practicality.
+/// Destination-area size for `k` occupied cells of an `m`-cell source:
+/// Lemma 2.1's k⁴, capped for practicality.
 ///
 /// The lemma sizes the area k⁴ because that guarantees an injective prime
 /// can be *found in O(1) parallel time*; any injective prime is
-/// functionally correct. Beyond small bounds k⁴ is astronomically larger
-/// than the array itself, so we start the (host-side, charged) search at
-/// `min(k⁴, max(64, 4k², m))` — still quadratically above the worst-case
-/// collision count, and never trivially larger than the input. Documented
-/// in DESIGN.md's substitution table.
-fn dst_area(bound: usize, m: usize) -> u64 {
+/// functionally correct. Beyond small k, k⁴ is astronomically larger than
+/// the array itself, so we start the (host-side, charged) search at
+/// `min(k⁴, max(64, 4k²), m)` — still quadratically above the worst-case
+/// collision count, and never above the source: every position is below
+/// `m`, so the first prime `≥ m` is injective and the area stays within a
+/// prime gap of the source length however many cells are occupied.
+/// Documented in DESIGN.md's substitution table.
+fn dst_area(k: usize, m: usize) -> u64 {
+    let k = k as u128;
+    k.pow(4).min((4 * k * k).max(64)).min(m as u128) as u64
+}
+
+/// Dart-throwing area of [`ragde_compact_rand`]: sized by `bound` (Lemma
+/// 2.1's bound⁴, capped at `max(64, 4·bound², m)` for an `m`-cell source),
+/// since the throwers do not use the occupied count.
+fn rand_area(bound: usize, m: usize) -> u64 {
     let b = bound.max(2) as u128;
-    let k4 = b.pow(4);
-    let cap = (4 * b * b).max(64).max(m as u128);
-    k4.min(cap) as u64
+    b.pow(4).min((4 * b * b).max(64).max(m as u128)) as u64
 }
 
 /// Smallest prime `p ≥ lo` such that `x ↦ x mod p` is injective on `xs`.
@@ -125,8 +134,12 @@ pub const RAGDE_RAND_CONTRACT: ModelContract = ModelContract {
 ///
 /// Fails (returns `None`) iff more than `bound` cells are occupied — the
 /// lemma's "determine whether k < m^{1/4}" detection, with `bound` playing
-/// the role of m^{1/4}. On success the destination has size ≥ bound⁴
-/// (exactly the injective prime `p`).
+/// the role of m^{1/4}. On success the destination's size is the
+/// least injective prime `p ≥ min(k⁴, max(64, 4k²), m)` for the executed
+/// count k of occupied cells of the m-cell source: the area follows the
+/// compacted set, not `bound`, and never exceeds the first prime `≥ m`.
+/// Payloads land in slot order `x mod p`, not in position order; a
+/// reader that needs position order sorts them.
 pub fn ragde_compact_det(
     m: &mut Machine,
     shm: &mut Shm,
@@ -143,7 +156,7 @@ pub fn ragde_compact_det(
     // steps and O(m) work (the m processors it would occupy).
     m.charge(3, n as u64);
     let occupied: Vec<usize> = (0..n).filter(|&i| shm.get(src, i) != EMPTY).collect();
-    let p = injective_prime(&occupied, dst_area(bound, n));
+    let p = injective_prime(&occupied, dst_area(count, n));
 
     let dst = shm.alloc("ragde.dst", p as usize, EMPTY);
     // Executed scatter step: every processor of an occupied cell writes its
@@ -182,7 +195,7 @@ pub fn ragde_compact_rand(
     if count > bound {
         return None;
     }
-    let area = (dst_area(bound, n) as usize).max(16);
+    let area = (rand_area(bound, n) as usize).max(16);
     let dst = shm.alloc("ragde.rdst", area, EMPTY);
     let placed = shm.alloc("ragde.placed", n, 0);
     let try_slot = shm.alloc("ragde.try", n, EMPTY);
@@ -309,21 +322,43 @@ mod tests {
         assert!(contested > 0, "no dart contest across any seed");
     }
 
+    /// The area follows the executed occupied count k — the least
+    /// injective prime ≥ min(k⁴, max(64, 4k²), m) — not the bound; payloads
+    /// sit at `x mod p`, so a position-order reader sorts them.
     #[test]
     fn det_compacts_and_reports_modulus() {
-        let (mut m, mut shm, a) = setup(1000, &[(3, 30), (501, 40), (998, 50)]);
-        let c = ragde_compact_det(&mut m, &mut shm, a, 4).expect("within bound");
-        assert_eq!(c.count, 3);
-        let p = c.modulus.unwrap();
-        assert!(p >= 256, "p ≥ bound⁴");
-        assert_eq!(payloads(&shm, &c), vec![30, 40, 50]);
-        // each payload at its computed slot
-        for &(i, v) in &[(3usize, 30i64), (501, 40), (998, 50)] {
-            assert_eq!(shm.get(c.dst, i % p as usize), v);
+        let occ = [(3usize, 30i64), (501, 40), (998, 50)];
+        for (n, bound) in [(1000, 4), (1000, 64), (100_000, 4)] {
+            let (mut m, mut shm, a) = setup(n, &occ);
+            let c = ragde_compact_det(&mut m, &mut shm, a, bound).expect("within bound");
+            assert_eq!(c.count, 3);
+            let p = c.modulus.unwrap();
+            // k = 3: min(81, max(64, 36)) = 64, and 67 is injective on the
+            // positions — whatever the bound (4⁴ = 256) or the length
+            assert_eq!(p, 67, "n={n} bound={bound}");
+            assert_eq!(shm.len(c.dst), 67);
+            assert_eq!(payloads(&shm, &c), vec![30, 40, 50]);
+            // each payload at its computed slot
+            for &(i, v) in &occ {
+                assert_eq!(shm.get(c.dst, i % p as usize), v);
+            }
+            // executed cost: count step + scatter step only
+            assert_eq!(m.metrics.steps, 2);
+            assert_eq!(m.metrics.charged_steps, 3);
         }
-        // executed cost: count step + scatter step only
-        assert_eq!(m.metrics.steps, 2);
-        assert_eq!(m.metrics.charged_steps, 3);
+        // slot order is `x mod p`, not position order: 70 lands in slot 3
+        // and 260 in slot 59 before 66 in slot 66, once p = 67
+        let (mut m, mut shm, a) = setup(1000, &[(66, 1), (70, 2), (260, 3)]);
+        let c = ragde_compact_det(&mut m, &mut shm, a, 8).unwrap();
+        assert_eq!(c.modulus, Some(67));
+        let slot_order: Vec<i64> = shm
+            .slice(c.dst)
+            .iter()
+            .copied()
+            .filter(|&x| x != EMPTY)
+            .collect();
+        assert_eq!(slot_order, vec![2, 3, 1]);
+        assert_eq!(payloads(&shm, &c), vec![1, 2, 3]);
     }
 
     #[test]
@@ -332,6 +367,23 @@ mod tests {
         let (mut m, mut shm, a) = setup(200, &occ);
         assert!(ragde_compact_det(&mut m, &mut shm, a, 10).is_none());
         assert!(ragde_compact_det(&mut m, &mut shm, a, 20).is_some());
+    }
+
+    /// Many occupied cells in a short source: 4k² passes the source
+    /// length m, so the search starts at m and stops at the first prime
+    /// `≥ m` (injective, as every position is below m). The area is never
+    /// quadratic in a large occupied count.
+    #[test]
+    fn det_area_is_capped_at_the_first_prime_past_the_source() {
+        for (n, k) in [(10usize, 3usize), (100, 20), (200, 200), (4096, 273)] {
+            let occ: Vec<(usize, i64)> = (0..k).map(|j| (j * n / k, j as i64)).collect();
+            let (mut m, mut shm, a) = setup(n, &occ);
+            let c = ragde_compact_det(&mut m, &mut shm, a, k).expect("within bound");
+            let first = (n as u64..).find(|&q| is_prime(q)).unwrap();
+            assert_eq!(c.modulus, Some(first), "n={n} k={k}");
+            assert_eq!(shm.len(c.dst), first as usize);
+            assert_eq!(payloads(&shm, &c), (0..k as i64).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -62,10 +62,11 @@ impl SampleOutcome {
 }
 
 /// Run the random-sample procedure over the elements in `active` (element
-/// ids double as processor ids; `universe` bounds them, i.e. the input
-/// array length). Targets a sample of size Θ(k) in a 16k workspace with at
-/// most `attempts` retry rounds, using the paper's default attempt
-/// probability 2k/m.
+/// ids double as processor ids). Targets a sample of size Θ(k) in a 16k
+/// workspace with at most `attempts` retry rounds, using the paper's
+/// default attempt probability 2k/m. The processors' private registers
+/// are indexed by rank in `active` ([`ipch_pram::Ctx::rank`]), so every
+/// array is sized by `active` or by k, never by the input.
 ///
 /// # Examples
 ///
@@ -76,7 +77,7 @@ impl SampleOutcome {
 /// let mut m = Machine::new(3);
 /// let mut shm = Shm::new();
 /// let active: Vec<usize> = (0..500).filter(|i| i % 5 == 0).collect();
-/// let out = random_sample(&mut m, &mut shm, &active, 500, 8, 4);
+/// let out = random_sample(&mut m, &mut shm, &active, 8, 4);
 /// assert!(out.size_in_bounds(8));                 // k/2 ≤ |S| ≤ 4k
 /// assert!(out.sample.iter().all(|e| e % 5 == 0)); // subset of `active`
 /// ```
@@ -84,18 +85,18 @@ pub fn random_sample(
     m: &mut Machine,
     shm: &mut Shm,
     active: &[usize],
-    universe: usize,
     k: usize,
     attempts: usize,
 ) -> SampleOutcome {
-    random_sample_with_p(m, shm, active, universe, k, attempts, None)
+    random_sample_with_p(m, shm, active, k, attempts, None)
 }
 
+/// [`random_sample`] with the step-1 attempt probability overridden by
+/// `p_override` (the escalating rate p_j of the §3.3 bridge rounds).
 pub fn random_sample_with_p(
     m: &mut Machine,
     shm: &mut Shm,
     active: &[usize],
-    universe: usize,
     k: usize,
     attempts: usize,
     p_override: Option<f64>,
@@ -117,19 +118,19 @@ pub fn random_sample_with_p(
         .unwrap_or(2.0 * k as f64 / mcount as f64)
         .min(1.0);
 
-    // Private registers, indexed by element id — scoped so iterated
+    // Private registers, indexed by rank in `active` — scoped so iterated
     // samples (votes, bridge rounds) recycle the same slots. The claimed
     // workspace itself is the caller's and stays unscoped.
     let attempted = shm.scope(|shm| {
-        let attempt = shm.alloc("sample.attempt", universe, 0);
-        let placed = shm.alloc("sample.placed", universe, 0);
-        let try_slot = shm.alloc("sample.try", universe, EMPTY);
+        let attempt = shm.alloc("sample.attempt", mcount, 0);
+        let placed = shm.alloc("sample.placed", mcount, 0);
+        let try_slot = shm.alloc("sample.try", mcount, EMPTY);
 
         // Step 1: coin flips (per-processor RNG — stays a generic step).
         m.step(shm, active, |ctx| {
-            let pid = ctx.pid;
+            let r = ctx.rank();
             if ctx.rng().bernoulli(p_attempt) {
-                ctx.write(attempt, pid, 1);
+                ctx.write(attempt, r, 1);
             }
         });
         let attempted = shm.slice(attempt).iter().filter(|&&x| x != 0).count();
@@ -142,10 +143,10 @@ pub fn random_sample_with_p(
 
                 // Step 2a: pick a slot (per-processor RNG — generic step).
                 m.step(shm, active, |ctx| {
-                    let pid = ctx.pid;
-                    if ctx.read(attempt, pid) != 0 && ctx.read(placed, pid) == 0 {
+                    let r = ctx.rank();
+                    if ctx.read(attempt, r) != 0 && ctx.read(placed, r) == 0 {
                         let s = ctx.rng().next_below(ws_len as u64) as i64;
-                        ctx.write(try_slot, pid, s);
+                        ctx.write(try_slot, r, s);
                     }
                 });
                 // Step 2b: attempt the write if the slot is unoccupied.
@@ -159,8 +160,9 @@ pub fn random_sample_with_p(
                 // race Deterministic rather than SeedDependent, and report
                 // equality across execution modes is exact).
                 m.kernel_scatter_with_policy(shm, active, WritePolicy::PriorityMin, |t, pid| {
-                    if t.read(attempt, pid) != 0 && t.read(placed, pid) == 0 {
-                        let s = t.read(try_slot, pid) as usize;
+                    let r = t.rank();
+                    if t.read(attempt, r) != 0 && t.read(placed, r) == 0 {
+                        let s = t.read(try_slot, r) as usize;
                         if t.read(workspace, s) == EMPTY {
                             return Some((first, s, pid as i64));
                         }
@@ -171,8 +173,9 @@ pub fn random_sample_with_p(
                 // value is a constant — every poisoner writes the same
                 // thing (a benign race), and step 4 only tests occupancy.
                 m.kernel_scatter(shm, active, |t, pid| {
-                    if t.read(attempt, pid) != 0 && t.read(placed, pid) == 0 {
-                        let s = t.read(try_slot, pid) as usize;
+                    let r = t.rank();
+                    if t.read(attempt, r) != 0 && t.read(placed, r) == 0 {
+                        let s = t.read(try_slot, r) as usize;
                         if t.read(workspace, s) == EMPTY && t.read(first, s) != pid as i64 {
                             return Some((second, s, POISON));
                         }
@@ -182,12 +185,12 @@ pub fn random_sample_with_p(
                 // Step 4: collision-free winners claim their slot (writes two
                 // arrays per processor — not a kernel shape, stays generic).
                 m.step(shm, active, |ctx| {
-                    let pid = ctx.pid;
-                    if ctx.read(attempt, pid) != 0 && ctx.read(placed, pid) == 0 {
-                        let s = ctx.read(try_slot, pid) as usize;
+                    let (pid, r) = (ctx.pid, ctx.rank());
+                    if ctx.read(attempt, r) != 0 && ctx.read(placed, r) == 0 {
+                        let s = ctx.read(try_slot, r) as usize;
                         if ctx.read(first, s) == pid as i64 && ctx.read(second, s) == EMPTY {
                             ctx.write(workspace, s, pid as i64);
-                            ctx.write(placed, pid, 1);
+                            ctx.write(placed, r, 1);
                         }
                     }
                 });
@@ -219,7 +222,7 @@ mod tests {
         let mut m = Machine::new(seed);
         let mut shm = Shm::new();
         let active: Vec<usize> = (0..mcount).collect();
-        let out = random_sample(&mut m, &mut shm, &active, mcount, k, 4);
+        let out = random_sample(&mut m, &mut shm, &active, k, 4);
         (out, m)
     }
 
@@ -261,7 +264,7 @@ mod tests {
         let mut m = Machine::new(9);
         let mut shm = Shm::new();
         let active: Vec<usize> = (0..20_000).filter(|i| i % 7 == 3).collect();
-        let out = random_sample(&mut m, &mut shm, &active, 20_000, 16, 4);
+        let out = random_sample(&mut m, &mut shm, &active, 16, 4);
         for &e in &out.sample {
             assert_eq!(e % 7, 3, "sampled element not in the active subset");
         }
@@ -319,7 +322,7 @@ mod tests {
             let mut shm = Shm::new();
             shm.enable_shadow(true);
             let active: Vec<usize> = (0..10_000).collect();
-            random_sample(&mut m, &mut shm, &active, 10_000, 32, 4);
+            random_sample(&mut m, &mut shm, &active, 32, 4);
             let r = m.analysis_report().unwrap();
             assert_eq!(r.contract.unwrap().algorithm, "inplace/sample");
             assert!(r.is_clean(), "seed {seed}:\n{}", r.render());
@@ -336,7 +339,7 @@ mod tests {
         let mut m = Machine::new(2);
         let mut shm = Shm::new();
         let active: Vec<usize> = (0..50_000).collect();
-        let out = random_sample(&mut m, &mut shm, &active, 50_000, 25, 4);
+        let out = random_sample(&mut m, &mut shm, &active, 25, 4);
         assert_eq!(shm.len(out.workspace), 16 * 25);
     }
 }

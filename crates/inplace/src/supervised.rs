@@ -88,7 +88,7 @@ pub fn random_sample_supervised(
         cfg,
         |am: &mut Machine| {
             let mut shm = Shm::new();
-            let out = random_sample(am, &mut shm, active, universe, k, attempts);
+            let out = random_sample(am, &mut shm, active, k, attempts);
             certify(&out.sample, out.size_in_bounds(k))?;
             Ok(out.sample)
         },

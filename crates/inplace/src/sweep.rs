@@ -33,7 +33,7 @@ use crate::ragde::ragde_compact_det;
 /// What one failure sweep did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Swept {
-    /// The failed ids the brute oracle re-solved, in compaction order.
+    /// The failed ids the brute oracle re-solved, ascending.
     pub list: Vec<usize>,
     /// More than `bound` subproblems failed, so the compaction overflowed
     /// (the exponentially rare event) and every failure was swept anyway.
@@ -65,8 +65,12 @@ pub fn failure_sweep(
         });
         match ragde_compact_det(m, shm, flags, bound) {
             Some(c) => {
+                // the count-sized area holds the ids in slot order
+                // `j mod p`: sweep them in id order
                 let list = shm.slice(c.dst).iter().filter(|&&x| x != EMPTY);
-                (list.map(|&x| x as usize).collect(), false)
+                let mut list: Vec<usize> = list.map(|&x| x as usize).collect();
+                list.sort_unstable();
+                (list, false)
             }
             None => (failed.to_vec(), true),
         }
@@ -116,6 +120,15 @@ mod tests {
         list.sort_unstable();
         assert_eq!(list, brute_calls);
         assert!(!r.overflow);
+        // Three failures compact into a 67-cell area, where 70 (slot 3)
+        // and 260 (slot 59) sit before 66: the list and the brute
+        // children still come in id order.
+        let mut brute_calls: Vec<usize> = Vec::new();
+        let r = failure_sweep(&mut m, &mut shm, 300, &[66, 70, 260], 4, 0, |_, _, j| {
+            brute_calls.push(j)
+        });
+        assert_eq!(r.list, vec![66, 70, 260]);
+        assert_eq!(brute_calls, r.list);
     }
 
     #[test]
@@ -163,7 +176,7 @@ mod tests {
             0..n_sub,
             |&j| j as u64,
             |child, _| {
-                let out = shm.scope(|shm| random_sample(child, shm, &active, 64, k, 3));
+                let out = shm.scope(|shm| random_sample(child, shm, &active, k, 3));
                 Ok::<_, Infallible>(out.size_in_bounds(k))
             },
         );

@@ -34,7 +34,6 @@ pub fn random_vote(
     m: &mut Machine,
     shm: &mut Shm,
     active: &[usize],
-    universe: usize,
     k: usize,
     attempts: usize,
 ) -> Option<usize> {
@@ -42,7 +41,7 @@ pub fn random_vote(
     if active.is_empty() {
         return None;
     }
-    let out = random_sample(m, shm, active, universe, k, attempts);
+    let out = random_sample(m, shm, active, k, attempts);
     if out.sample.is_empty() {
         return None;
     }
@@ -73,7 +72,7 @@ mod tests {
         let mut shm = Shm::new();
         let active: Vec<usize> = (0..1000).filter(|i| i % 3 == 0).collect();
         for tag in 0..20 {
-            let v = m.sub(tag, |c| random_vote(c, &mut shm, &active, 1000, 8, 4));
+            let v = m.sub(tag, |c| random_vote(c, &mut shm, &active, 8, 4));
             assert_eq!(v.unwrap() % 3, 0);
         }
     }
@@ -82,14 +81,14 @@ mod tests {
     fn vote_single_element() {
         let mut m = Machine::new(2);
         let mut shm = Shm::new();
-        assert_eq!(random_vote(&mut m, &mut shm, &[42], 100, 4, 4), Some(42));
+        assert_eq!(random_vote(&mut m, &mut shm, &[42], 4, 4), Some(42));
     }
 
     #[test]
     fn vote_empty_set() {
         let mut m = Machine::new(3);
         let mut shm = Shm::new();
-        assert_eq!(random_vote(&mut m, &mut shm, &[], 10, 4, 4), None);
+        assert_eq!(random_vote(&mut m, &mut shm, &[], 4, 4), None);
     }
 
     #[test]
@@ -98,7 +97,7 @@ mod tests {
             let mut m = Machine::new(4);
             let mut shm = Shm::new();
             let active: Vec<usize> = (0..mcount).collect();
-            random_vote(&mut m, &mut shm, &active, mcount, 8, 4).unwrap();
+            random_vote(&mut m, &mut shm, &active, 8, 4).unwrap();
             m.metrics.steps
         };
         assert_eq!(steps_for(500), steps_for(50_000));
@@ -113,7 +112,7 @@ mod tests {
         for seed in 0..trials {
             let mut m = Machine::new(seed as u64 + 7);
             let mut shm = Shm::new();
-            if let Some(v) = random_vote(&mut m, &mut shm, &active, mcount, 8, 4) {
+            if let Some(v) = random_vote(&mut m, &mut shm, &active, 8, 4) {
                 counts[v] += 1;
             }
         }

@@ -23,7 +23,9 @@
 
 use ipch_geom::predicates::{orient2d_sign, orient3d_sign};
 use ipch_geom::{Point2, Point3};
-use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
+use ipch_pram::{
+    Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy, EMPTY,
+};
 
 use crate::constraint::{f64_key, Halfplane, Objective2};
 
@@ -102,10 +104,9 @@ pub fn bridge_brute(
 
     // Step 1: knock out non-straddling and non-supporting pairs.
     let bad = shm.alloc("bridge.bad", npairs, 0);
-    m.step_with_policy(shm, 0..npairs * n, WritePolicy::CombineOr, |ctx| {
-        let p = ctx.pid / n;
-        let k = ctx.pid % n;
-        let (i, j) = (p / n, p % n);
+    m.step_with_policy(shm, Pids::Grid([n, n, n]), WritePolicy::CombineOr, |ctx| {
+        let [i, j, k] = ctx.coord();
+        let p = i * n + j;
         if !(lo[i] && hi[j]) {
             if k == 0 {
                 ctx.write(bad, p, 1);
@@ -268,11 +269,11 @@ pub fn facet_brute(
         })
         .collect();
     let bad2 = shm.alloc("facet.bad2", nc, 0);
-    m.step_with_policy(shm, 0..nc * n, WritePolicy::CombineOr, |ctx| {
-        let c = ctx.pid / n;
+    m.step_with_policy(shm, Pids::Grid([1, nc, n]), WritePolicy::CombineOr, |ctx| {
+        let [_, c, d] = ctx.coord();
         let (a3, b3, c3) = ccw[c];
         // point d above the plane? (orient3d > 0 ⇔ below for a CCW triple)
-        if orient3d_sign(a3, b3, c3, pts[ctx.pid % n]) < 0 {
+        if orient3d_sign(a3, b3, c3, pts[d]) < 0 {
             ctx.write(bad2, c, 1);
         }
     });

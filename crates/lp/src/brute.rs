@@ -14,7 +14,7 @@
 //! breaks the tie host-side (charged O(1)).
 
 use ipch_pram::{
-    Machine, ModelClass, ModelContract, RaceExpectation, ReduceOp, Shm, WritePolicy, EMPTY,
+    Machine, ModelClass, ModelContract, Pids, RaceExpectation, ReduceOp, Shm, WritePolicy, EMPTY,
 };
 
 use crate::constraint::{
@@ -89,9 +89,10 @@ pub fn solve_lp2_brute(
         // checks candidate (i, j) against constraint k. Infeasible or
         // degenerate pairs are knocked out via a Combining-Or write.
         let bad = shm.alloc("lp2.bad", npairs, 0);
-        m.kernel_scatter_with_policy(shm, 0..npairs * n, WritePolicy::CombineOr, |_, pid| {
-            let p = pid / n;
-            let k = pid % n;
+        let grid = Pids::Grid([n, n, n]);
+        m.kernel_scatter_with_policy(shm, grid, WritePolicy::CombineOr, |t, _| {
+            let [i, j, k] = t.coord();
+            let p = i * n + j;
             match &cands[p] {
                 None => {
                     if k == 0 {

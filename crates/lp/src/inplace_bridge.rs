@@ -152,7 +152,6 @@ pub fn find_bridge_inplace_traced(
     if p < 2 {
         return (None, trace);
     }
-    let universe = points.len();
     // the paper's 2-D base parameter k = p^{1/3}, clamped ≥ 4
     let k = ((p as f64).cbrt().ceil() as usize).max(4);
     let capacity = BASE_CAPACITY_FACTOR * k;
@@ -169,11 +168,11 @@ pub fn find_bridge_inplace_traced(
         return (b, trace);
     }
 
-    // Survivor flags: private registers indexed by point id.
-    let surv = shm.alloc("ib.surv", universe, 0);
+    // Survivor flags: private registers indexed by rank in `active`.
+    let surv = shm.alloc("ib.surv", p, 0);
     m.step(shm, active, |ctx| {
-        let i = ctx.pid;
-        ctx.write(surv, i, 1);
+        let r = ctx.rank();
+        ctx.write(surv, r, 1);
     });
 
     let mut p_j = 2.0 * k as f64 / p as f64;
@@ -182,10 +181,10 @@ pub fn find_bridge_inplace_traced(
     for round in 0..max_rounds {
         trace.rounds = round + 1;
         // survivors list (in-model: the flagged processors themselves)
-        let survivors: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&i| shm.get(surv, i) != 0)
+        let flags = shm.slice(surv);
+        let survivors: Vec<usize> = (active.iter().zip(flags))
+            .filter(|&(_, &f)| f != 0)
+            .map(|(&i, _)| i)
             .collect();
 
         // Each round's base is a *fresh* Θ(k) workspace (24k cells,
@@ -194,36 +193,23 @@ pub fn find_bridge_inplace_traced(
         let mut base: Vec<usize> = Vec::new();
         if round >= BETA || survivors.len() <= 4 * k {
             // §3.3 step 4: compact ALL survivors into the base via the
-            // in-place approximate compaction and solve.
-            let sarr = shm.alloc("ib.sarr", universe, EMPTY);
+            // in-place approximate compaction and solve. The compaction
+            // source is indexed by point id, so it spans the input.
+            let sarr = shm.alloc("ib.sarr", points.len(), EMPTY);
             m.step(shm, &survivors, |ctx| {
                 let i = ctx.pid;
                 ctx.write(sarr, i, i as i64);
             });
             if let Some(c) = inplace_compact(m, shm, sarr, capacity, 0.34) {
                 trace.compaction_used = true;
-                for s in 0..shm.len(c.slots) {
-                    let v = shm.get(c.slots, s);
-                    if v != EMPTY {
-                        base.push(v as usize);
-                    }
-                }
+                base = c.ids_ascending(shm);
             } else {
                 // too many survivors to compact: fall back to sampling
-                let out = random_sample_with_p(
-                    m,
-                    shm,
-                    &survivors,
-                    universe,
-                    k,
-                    SAMPLE_ATTEMPTS,
-                    Some(p_j),
-                );
+                let out = random_sample_with_p(m, shm, &survivors, k, SAMPLE_ATTEMPTS, Some(p_j));
                 base.extend_from_slice(&out.sample);
             }
         } else {
-            let out =
-                random_sample_with_p(m, shm, &survivors, universe, k, SAMPLE_ATTEMPTS, Some(p_j));
+            let out = random_sample_with_p(m, shm, &survivors, k, SAMPLE_ATTEMPTS, Some(p_j));
             base.extend_from_slice(&out.sample);
         }
         if let Some(b) = best {
@@ -251,13 +237,12 @@ pub fn find_bridge_inplace_traced(
         // Step 3: global survivor check — one concurrent step.
         let (u, v) = (points[bridge.left], points[bridge.right]);
         // Arbitrary never resolves a collision here: each processor writes
-        // only surv[pid], an exclusive cell.
+        // only surv[rank], an exclusive cell.
         m.step_with_policy(shm, active, WritePolicy::Arbitrary, |ctx| {
-            let i = ctx.pid;
-            let above = orient2d_sign(u, v, points[i]) > 0;
-            ctx.write(surv, i, if above { 1 } else { 0 });
+            let above = orient2d_sign(u, v, points[ctx.pid]) > 0;
+            ctx.write(surv, ctx.rank(), if above { 1 } else { 0 });
         });
-        let nsurv = active.iter().filter(|&&i| shm.get(surv, i) != 0).count();
+        let nsurv = shm.slice(surv).iter().filter(|&&f| f != 0).count();
         trace.survivors.push(nsurv);
         if nsurv == 0 {
             return (Some(bridge), trace);
@@ -411,5 +396,47 @@ mod tests {
             "work {} not near-linear in {n}",
             m.metrics.total_work()
         );
+    }
+
+    /// Workspace follows the subproblem: a 64-id subproblem scattered
+    /// through a 1,024- or a 65,536-point input keeps its scratch peak
+    /// within 32·(p + capacity) cells plus the brute solve's capacity²
+    /// pair table, whatever the input size. The one input-sized part left
+    /// is the §3.3 step-4 compaction source (`ib.sarr` and the
+    /// compaction's `ipc.seg`/`ipc.marks`, 3 cells per input point), so a
+    /// run that compacts is allowed 3n more.
+    #[test]
+    fn scratch_peak_follows_the_subproblem_not_the_input() {
+        let p = 64;
+        let capacity = BASE_CAPACITY_FACTOR * 4; // k = ⌈64^{1/3}⌉ = 4
+        let bound = (32 * (p + capacity) + capacity * capacity) as u64;
+        let (mut compacted, mut sampled_only) = (0, 0);
+        for n in [1024usize, 65_536] {
+            let pts = uniform_disk(n, 7);
+            let active: Vec<usize> = (0..p).map(|i| i * (n / p) + 3).collect();
+            let mut xs: Vec<f64> = active.iter().map(|&i| pts[i].x).collect();
+            xs.sort_by(f64::total_cmp);
+            let x0 = (xs[p / 2 - 1] + xs[p / 2]) / 2.0;
+            for seed in 0..6 {
+                let mut m = Machine::new(seed);
+                let mut shm = Shm::new();
+                let (b, trace) =
+                    find_bridge_inplace_traced(&mut m, &mut shm, &pts, &active, x0, 16);
+                verify_bridge(&pts, &active, x0, b.expect("bridge"));
+                let source = if trace.compaction_used {
+                    3 * n as u64
+                } else {
+                    0
+                };
+                let peak = shm.peak_live_cells();
+                assert!(
+                    peak <= bound + source,
+                    "n {n} seed {seed}: peak {peak} > {bound} + {source}"
+                );
+                compacted += trace.compaction_used as usize;
+                sampled_only += !trace.compaction_used as usize;
+            }
+        }
+        assert!(compacted > 0 && sampled_only > 0, "both paths pinned");
     }
 }

@@ -12,7 +12,9 @@
 //! expansions) and each test is a sign computation.
 
 use ipch_geom::exact::{two_product, Expansion};
-use ipch_pram::{Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY};
+use ipch_pram::{
+    Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy, EMPTY,
+};
 
 use crate::constraint::{f64_key, Halfspace};
 
@@ -145,9 +147,8 @@ pub fn solve_lp3_brute(
     // Step 1: feasibility marking over (triple, constraint) pairs.
     let bad = shm.alloc("lp3.bad", nt, 0);
     let cands_ref = &cands;
-    m.step_with_policy(shm, 0..nt * n, WritePolicy::CombineOr, |ctx| {
-        let t = ctx.pid / n;
-        let w = ctx.pid % n;
+    m.step_with_policy(shm, Pids::Grid([1, nt, n]), WritePolicy::CombineOr, |ctx| {
+        let [_, t, w] = ctx.coord();
         match &cands_ref[t] {
             None => {
                 if w == 0 {

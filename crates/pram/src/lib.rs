@@ -68,7 +68,7 @@ pub use analyze::{
 pub use cancel::{silence_cancel_unwinds, CancelCause, CancelToken, CancelUnwind};
 pub use faults::{Budget, DropWindow, FaultCounters, FaultPlan, NoiseMode, NoisePlan, RngBias};
 pub use kernel::ReduceOp;
-pub use machine::{Ctx, Machine, Tuning};
+pub use machine::{Ctx, Machine, Pids, Tuning};
 pub use memory::{ArrayId, Shm, ShmError};
 pub use metrics::{Metrics, PhaseRecord, ServiceStats};
 pub use policy::WritePolicy;

@@ -101,6 +101,13 @@ pub enum Pids<'a> {
     /// the paper's *in-place* methods exploit: the processors of one
     /// subproblem are scattered through the input).
     List(&'a [usize]),
+    /// The row-major product `0..a × 0..b × 0..c` of processor
+    /// coordinates: the `pid` of coordinates `[i, j, k]` is its linear
+    /// index `(i·b + j)·c + k`, so a grid step runs, draws coins and
+    /// writes exactly as `Range(0, a·b·c)`, and [`Ctx::coord`] hands each
+    /// processor `[i, j, k]` without a division. A 2-D grid is
+    /// `Grid([1, b, c])`.
+    Grid([usize; 3]),
 }
 
 impl Pids<'_> {
@@ -109,6 +116,10 @@ impl Pids<'_> {
         match self {
             Pids::Range(lo, hi) => hi.saturating_sub(*lo),
             Pids::List(l) => l.len(),
+            Pids::Grid([a, b, c]) => match a.checked_mul(*b).and_then(|ab| ab.checked_mul(*c)) {
+                Some(n) => n,
+                None => panic!("grid {a}×{b}×{c} overflows usize"),
+            },
         }
     }
 
@@ -117,6 +128,7 @@ impl Pids<'_> {
         match self {
             Pids::Range(lo, _) => lo + i,
             Pids::List(l) => l[i],
+            Pids::Grid(_) => i,
         }
     }
 }
@@ -247,6 +259,12 @@ impl WriteArena {
 pub struct Ctx<'a, 'b> {
     /// This processor's id.
     pub pid: usize,
+    /// This processor's position in the step's pid set.
+    rank: usize,
+    /// This processor's coordinates, in a [`Pids::Grid`] step.
+    coord: [usize; 3],
+    /// The step's pids are a [`Pids::Grid`].
+    grid: bool,
     shm: &'a Shm,
     seed: u64,
     step_no: u64,
@@ -272,6 +290,26 @@ pub struct Ctx<'a, 'b> {
 }
 
 impl<'a, 'b> Ctx<'a, 'b> {
+    /// This processor's position in the step's pid set: `i` for the
+    /// `i`-th pid of a [`Pids::List`] or [`Pids::Range`]. Private
+    /// registers of a subproblem's processors are indexed by it, so they
+    /// are sized by the subproblem, not by the largest pid.
+    #[inline]
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// This processor's coordinates `[i, j, k]` in a [`Pids::Grid`] step
+    /// (`[0, 0, rank]` in any other step).
+    #[inline]
+    pub fn coord(&self) -> [usize; 3] {
+        if self.grid {
+            self.coord
+        } else {
+            [0, 0, self.rank]
+        }
+    }
+
     /// Read a cell of the pre-step memory snapshot.
     #[inline]
     pub fn read(&self, a: ArrayId, i: usize) -> Word {
@@ -330,17 +368,17 @@ impl<'a, 'b> Ctx<'a, 'b> {
     /// With a typed [`crate::memory::ShmError`] message on an out-of-range
     /// index or a stale (scope-exited) array id — in every build profile:
     /// the commit phase writes through raw pointers, so an unchecked bad
-    /// index would be undefined behaviour, not a recoverable error.
-    #[inline]
+    /// index would be undefined behaviour, not a recoverable error. (The
+    /// panics are out of line, so this per-write hot path inlines into
+    /// every step closure.)
+    #[inline(always)]
     pub fn write(&mut self, a: ArrayId, i: usize, v: Word) {
-        if let Err(e) = self.shm.check_access(a, i) {
-            panic!("{e}");
+        if !self.shm.access_ok(a, i) {
+            self.shm.access_failed(a, i);
         }
-        assert!(
-            self.pid <= u32::MAX as usize,
-            "pid {} exceeds u32 range",
-            self.pid
-        );
+        if self.pid > u32::MAX as usize {
+            pid_overflow(self.pid);
+        }
         if self.dropped {
             // Fault plane: a dropped processor's writes silently vanish
             // (bounds are still validated above so a buggy index panics
@@ -376,6 +414,14 @@ impl<'a, 'b> Ctx<'a, 'b> {
             r
         })
     }
+}
+
+/// Panic for a writer whose pid does not fit the write log's 32 bits.
+/// Out of line, like [`Shm::access_failed`].
+#[cold]
+#[inline(never)]
+fn pid_overflow(pid: usize) -> ! {
+    panic!("pid {pid} exceeds u32 range")
 }
 
 /// Performance knobs. Defaults are right for production use; tests force
@@ -1087,6 +1133,9 @@ impl Machine {
             results.reserve(hi - lo);
             let mut ctx = Ctx {
                 pid: 0,
+                rank: 0,
+                coord: [0; 3],
+                grid: matches!(pids_ref, Pids::Grid(_)),
                 shm: shm_ref,
                 seed,
                 step_no,
@@ -1099,6 +1148,13 @@ impl Machine {
                 fold,
                 folded: 0,
             };
+            // A grid chunk divides out its first coordinates once, then
+            // advances them as an odometer (innermost fastest).
+            let [_, gb, gc] = match pids_ref {
+                Pids::Grid(dims) => *dims,
+                _ => [1, 1, 1],
+            };
+            ctx.coord = [lo / (gb * gc), lo / gc % gb, lo % gc];
             for i in lo..hi {
                 let pid = pids_ref.get(i);
                 (ctx.bias, ctx.dropped) = match &step_faults {
@@ -1109,9 +1165,22 @@ impl Machine {
                     None => (None, false),
                 };
                 ctx.pid = pid;
+                ctx.rank = i;
                 ctx.rng = None;
                 ctx.wseq = 0;
                 results.push(f(&mut ctx));
+                if ctx.grid {
+                    let [x, y, z] = &mut ctx.coord;
+                    *z += 1;
+                    if *z == gc {
+                        *z = 0;
+                        *y += 1;
+                        if *y == gb {
+                            *y = 0;
+                            *x += 1;
+                        }
+                    }
+                }
             }
             *folded = ctx.folded;
         };
@@ -2468,5 +2537,189 @@ mod tests {
             cap_before, cap_after,
             "steady-state steps must reuse arena capacity"
         );
+    }
+
+    /// Every counter of a metrics record but host time: the simulated
+    /// costs, the host step, fast-path, kernel and lane counts, the fault
+    /// counters and the analyzer report.
+    type AllCounters = (
+        [u64; 12],
+        crate::faults::FaultCounters,
+        Option<Box<crate::AnalysisReport>>,
+    );
+
+    fn all_counters(m: &Metrics) -> AllCounters {
+        (
+            [
+                m.steps,
+                m.work,
+                m.peak_processors,
+                m.peak_live_cells,
+                m.charged_steps,
+                m.charged_work,
+                m.host_steps,
+                m.writes_buffered,
+                m.writes_committed,
+                m.write_conflicts,
+                m.fastpath_steps,
+                m.kernel_steps,
+            ],
+            m.faults,
+            m.analysis.clone(),
+        )
+    }
+
+    /// The grid test's program, decoded either by [`Ctx::coord`] over a
+    /// [`Pids::Grid`] or by hand, with `/` and `%`, over the equivalent
+    /// range: a coin-dependent generic step that writes a shared cell per
+    /// `(i, j)` row and returns the coordinates, then a kernel scatter
+    /// that ORs a bit of `k` into the row's cell.
+    fn grid_program(m: &mut Machine, dims: [usize; 3], grid: bool) -> Vec<Vec<Word>> {
+        let [a, b, c] = dims;
+        let pids = if grid {
+            Pids::Grid(dims)
+        } else {
+            Pids::Range(0, a * b * c)
+        };
+        let coord = |ctx: &Ctx| {
+            if grid {
+                ctx.coord()
+            } else {
+                [ctx.pid / (b * c), ctx.pid / c % b, ctx.pid % c]
+            }
+        };
+        let mut shm = Shm::new();
+        let rows = shm.alloc("rows", a * b, 0);
+        let bits = shm.alloc("bits", a * b, 0);
+        let mut out = vec![];
+        let values =
+            m.step_map_with_policy(&mut shm, pids.clone(), WritePolicy::CombineSum, |ctx| {
+                let [i, j, k] = coord(ctx);
+                let coin = ctx.rng().bernoulli(0.5) as Word;
+                ctx.write(rows, i * b + j, coin + k as Word);
+                ((i * b + j) * c + k) as Word * 2 + coin
+            });
+        out.push(values);
+        m.kernel_scatter_with_policy(&mut shm, pids, WritePolicy::CombineOr, |ctx, _| {
+            let [i, j, k] = coord(ctx);
+            (k % 3 != 0).then_some((bits, i * b + j, 1 << (k % 61)))
+        });
+        out.extend([shm.slice(rows).to_vec(), shm.slice(bits).to_vec()]);
+        out
+    }
+
+    /// The rank test's program over a scattered pid list: private
+    /// registers sized by the list, indexed by [`Ctx::rank`] or by a
+    /// host-built position map, written from a coin and read back.
+    fn rank_program(m: &mut Machine, list: &[usize], by_rank: bool) -> Vec<Vec<Word>> {
+        let mut pos = vec![usize::MAX; list.iter().max().map_or(0, |&p| p + 1)];
+        for (r, &p) in list.iter().enumerate() {
+            pos[p] = r;
+        }
+        let slot = |ctx: &Ctx| if by_rank { ctx.rank() } else { pos[ctx.pid] };
+        let mut shm = Shm::new();
+        let regs = shm.alloc("regs", list.len(), EMPTY);
+        let seen = shm.alloc("seen", 1, 0);
+        let mut out = vec![];
+        out.push(m.step_map(&mut shm, list, |ctx| {
+            let r = slot(ctx);
+            let v = ctx.pid as Word * 4 + ctx.rng().bernoulli(0.5) as Word;
+            ctx.write(regs, r, v);
+            r as Word
+        }));
+        m.kernel_scatter_with_policy(&mut shm, list, WritePolicy::CombineSum, |ctx, pid| {
+            let v = ctx.read(regs, slot(ctx));
+            (v != EMPTY && v / 4 == pid as Word).then_some((seen, 0, 1))
+        });
+        out.extend([shm.slice(regs).to_vec(), shm.slice(seen).to_vec()]);
+        out
+    }
+
+    #[test]
+    fn grid_and_rank_steps_equal_the_hand_decode() {
+        use crate::analyze::AnalyzeConfig;
+        use crate::faults::{DropWindow, FaultPlan, RngBias};
+        let plans = [
+            FaultPlan::default(),
+            FaultPlan {
+                drop_window: Some(DropWindow {
+                    from_step: 0,
+                    until_step: u64::MAX,
+                    rate: 0.3,
+                }),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                rng_bias: Some(RngBias {
+                    rate: 0.5,
+                    force: true,
+                }),
+                ..FaultPlan::default()
+            },
+        ];
+        // Two grids longer than CHUNK, so later chunks start mid-row and
+        // mid-plane, and one inside a chunk.
+        let grids = [[3, 7, 401], [1, 90, 100], [5, 4, 3]];
+        const { assert!(3 * 7 * 401 > CHUNK && 90 * 100 > CHUNK) };
+        let list: Vec<usize> = shuffled_runs(90 * RUN).iter().map(|p| 3 * p + 1).collect();
+        for plan in &plans {
+            for lanes in [Some(1), Some(2), None] {
+                for analyzed in [false, true] {
+                    let machine = || {
+                        let mut m = Machine::new(61);
+                        m.tuning.par_threshold = 0;
+                        m.tuning.num_threads = lanes;
+                        m.install_faults(plan.clone());
+                        if analyzed {
+                            m.enable_analysis(AnalyzeConfig::default());
+                        }
+                        m
+                    };
+                    let what = format!("{plan:?} lanes {lanes:?} analyzed {analyzed}");
+                    for dims in grids {
+                        let (mut g, mut h) = (machine(), machine());
+                        let out = grid_program(&mut g, dims, true);
+                        assert_eq!(out, grid_program(&mut h, dims, false), "{dims:?} {what}");
+                        assert_eq!(
+                            all_counters(&g.metrics),
+                            all_counters(&h.metrics),
+                            "{dims:?} {what}"
+                        );
+                    }
+                    let (mut r, mut h) = (machine(), machine());
+                    let out = rank_program(&mut r, &list, true);
+                    assert_eq!(out, rank_program(&mut h, &list, false), "rank {what}");
+                    assert_eq!(out[0], (0..list.len() as Word).collect::<Vec<_>>());
+                    assert_eq!(
+                        all_counters(&r.metrics),
+                        all_counters(&h.metrics),
+                        "rank {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn a_grid_larger_than_usize_panics_before_any_step() {
+        let mut m = Machine::new(63);
+        m.step(&mut Shm::new(), Pids::Grid([1 << 32, 1 << 32, 2]), |_| {});
+    }
+
+    #[test]
+    fn coord_outside_a_grid_is_the_rank() {
+        let mut m = Machine::new(62);
+        let mut shm = Shm::new();
+        let list = [9usize, 4, 7];
+        let got = m.step_map(&mut shm, &list[..], |ctx| (ctx.rank(), ctx.coord()));
+        assert_eq!(got, vec![(0, [0, 0, 0]), (1, [0, 0, 1]), (2, [0, 0, 2])]);
+        let got = m.step_map(&mut shm, 5..7, |ctx| (ctx.rank(), ctx.coord()));
+        assert_eq!(got, vec![(0, [0, 0, 0]), (1, [0, 0, 1])]);
+        let got = m.step_map(&mut shm, Pids::Grid([2, 1, 2]), |ctx| {
+            (ctx.pid, ctx.coord())
+        });
+        let want = [[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1]];
+        assert_eq!(got, want.into_iter().enumerate().collect::<Vec<_>>());
     }
 }

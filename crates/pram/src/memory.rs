@@ -488,9 +488,24 @@ impl Shm {
                 return v;
             }
         }
-        match self.try_get(a, i) {
+        self.access_failed(a, i)
+    }
+
+    /// `a` is live and `i` is in range: [`Shm::check_access`] without
+    /// building the error, for the per-write fast path.
+    #[inline]
+    pub(crate) fn access_ok(&self, a: ArrayId, i: usize) -> bool {
+        self.gens[a.slot as usize] == a.gen && i < self.arrays[a.slot as usize].len()
+    }
+
+    /// Panic with the typed message of a failed access. Out of line, so
+    /// the per-processor read and write paths stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn access_failed(&self, a: ArrayId, i: usize) -> ! {
+        match self.check_access(a, i) {
             Err(e) => panic!("{e}"),
-            Ok(_) => unreachable!(),
+            Ok(()) => unreachable!("access_failed on a valid access"),
         }
     }
 

@@ -332,7 +332,9 @@ impl Metrics {
     /// the children's summed host time capped at `wall_ns`, the fork's
     /// wall-clock time (children that ran at once spent more CPU time than
     /// wall time; the cap keeps the split between compute and commit).
-    /// `host_steps` still sums: it counts what the host ran.
+    /// The open phase, if any, is charged the same capped host time, so
+    /// a phase that forks its work to children still shows where the
+    /// host spent it. `host_steps` still sums: it counts what the host ran.
     pub(crate) fn absorb_parallel(&mut self, children: &[Metrics], wall_ns: u64) {
         if children.is_empty() {
             return;
@@ -361,6 +363,9 @@ impl Metrics {
         }
         if let Some(i) = self.current_phase {
             let p = &mut self.phases[i];
+            // The phase that forked is charged the host time the fork
+            // added, wall-capped like the totals above.
+            p.host_ns += (self.host_compute_ns - compute) + (self.host_commit_ns - commit);
             p.steps += children.iter().map(|c| c.steps).max().unwrap_or(0);
             p.charged_steps += children.iter().map(|c| c.charged_steps).max().unwrap_or(0);
             p.work += children.iter().map(|c| c.work).sum::<u64>();
@@ -467,6 +472,34 @@ mod tests {
         assert_eq!(a.work, 6);
         assert_eq!(b.steps, 1);
         assert_eq!(m.steps, 4);
+    }
+
+    /// A phase whose steps all run in fork children is charged the host
+    /// time the fork added — the children's sum, capped at the fork's
+    /// wall time — not 0.
+    #[test]
+    fn absorb_parallel_charges_the_open_phase_its_capped_host_time() {
+        let child = |compute: u64, commit: u64| {
+            let mut c = Metrics::new();
+            c.record_step(4);
+            c.record_host_ns(compute, commit);
+            c
+        };
+        let kids = [child(300, 100), child(500, 100)];
+        let mut m = Metrics::new();
+        m.begin_phase("probe");
+        m.absorb_parallel(&kids, 10_000);
+        assert_eq!(m.phase("probe").unwrap().host_ns, 1_000);
+        assert_eq!(m.host_total_ns(), 1_000);
+        // children that ran at once: capped at the fork's wall time
+        m.absorb_parallel(&kids, 600);
+        assert_eq!(m.phase("probe").unwrap().host_ns, 1_600);
+        assert_eq!(m.host_total_ns(), 1_600);
+        // no open phase: only the totals grow
+        m.end_phase();
+        m.absorb_parallel(&kids, 600);
+        assert_eq!(m.phase("probe").unwrap().host_ns, 1_600);
+        assert_eq!(m.host_total_ns(), 2_200);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! call inside a loop recycles a constant set of array slots instead of
 //! growing shared memory without bound.
 
-use crate::machine::Machine;
+use crate::machine::{Machine, Pids};
 use crate::memory::{ArrayId, Shm};
 use crate::{Word, EMPTY};
 
@@ -49,9 +49,9 @@ pub fn leftmost_nonzero(m: &mut Machine, shm: &mut Shm, bits: ArrayId) -> Option
             }
         });
 
-        // Step 2: knockout among blocks. Processor p encodes pair (u, v).
-        m.kernel_scatter(shm, 0..nblocks * nblocks, |t, pid| {
-            let (u, v) = (pid / nblocks, pid % nblocks);
+        // Step 2: knockout among blocks, one processor per pair (u, v).
+        m.kernel_scatter(shm, Pids::Grid([1, nblocks, nblocks]), |t, _| {
+            let [_, u, v] = t.coord();
             if u < v && t.read(flagged, u) != 0 && t.read(flagged, v) != 0 {
                 Some((loser, v, 1))
             } else {
@@ -88,8 +88,8 @@ pub fn leftmost_nonzero(m: &mut Machine, shm: &mut Shm, bits: ArrayId) -> Option
                 None
             }
         });
-        m.kernel_scatter(shm, 0..blen * blen, |t, pid| {
-            let (u, v) = (pid / blen, pid % blen);
+        m.kernel_scatter(shm, Pids::Grid([1, blen, blen]), |t, _| {
+            let [_, u, v] = t.coord();
             if u < v && t.read(eflag, u) != 0 && t.read(eflag, v) != 0 {
                 Some((eloser, v, 1))
             } else {

@@ -254,12 +254,12 @@ rows! {
     inplace_sample_clean: sample::SAMPLE_CONTRACT, [(25, 256), (26, 4096)],
     |m, shm, _seed, n| {
         let active: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
-        sample::random_sample(m, shm, &active, n, 8, 4);
+        sample::random_sample(m, shm, &active, 8, 4);
     };
     inplace_vote_clean: vote::VOTE_CONTRACT, [(27, 256), (28, 4096)],
     |m, shm, _seed, n| {
         let active: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
-        vote::random_vote(m, shm, &active, n, 8, 4);
+        vote::random_vote(m, shm, &active, 8, 4);
     };
     inplace_compact_clean: compact::COMPACT_CONTRACT, [(29, 256), (30, 4096)],
     |m, shm, _seed, n| {

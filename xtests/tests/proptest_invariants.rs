@@ -121,7 +121,7 @@ proptest! {
         let active: Vec<usize> = active.into_iter().collect();
         let mut m = Machine::new(seed);
         let mut shm = Shm::new();
-        let out = ipch_inplace::sample::random_sample(&mut m, &mut shm, &active, 300, k, 4);
+        let out = ipch_inplace::sample::random_sample(&mut m, &mut shm, &active, k, 4);
         for &e in &out.sample {
             prop_assert!(active.contains(&e));
         }
