@@ -682,6 +682,33 @@ mod tests {
         assert!(works[1] < 4 * works[0], "not output-sensitive: {works:?}");
     }
 
+    /// Theorem 5's O(n log h) shape on T3's inputs (n = 8192, h = 8, 32,
+    /// 128, point seeds 17–21 and machine seeds 5–9, averaged as T3
+    /// averages): work/(n·log₂h) stays in a flat band before the fallback.
+    /// An O(n)-per-subproblem cost (a compaction source spanning the
+    /// input) or a base solve paying for non-straddling pairs bends it.
+    #[test]
+    fn work_per_n_log_h_is_flat() {
+        let n = 8192;
+        let per_log_h: Vec<f64> = [8usize, 32, 128]
+            .iter()
+            .map(|&h| {
+                let mut work = 0;
+                for seed in 0..5 {
+                    let pts = circle_plus_interior(h, n, 17 + seed);
+                    let (out, trace, m) = run(&pts, 5 + seed, &UnsortedParams::default());
+                    assert!(!trace.fallback, "h={h} seed {seed} fell back");
+                    assert_eq!(out.hull, UpperHull::of(&pts), "h={h} seed {seed}");
+                    work += m.metrics.total_work();
+                }
+                work as f64 / 5.0 / (n as f64 * (h as f64).log2())
+            })
+            .collect();
+        let max = per_log_h.iter().copied().fold(f64::MIN, f64::max);
+        let min = per_log_h.iter().copied().fold(f64::MAX, f64::min);
+        assert!(max / min < 1.25, "work/(n·log₂h) not flat: {per_log_h:?}");
+    }
+
     #[test]
     fn large_h_triggers_fallback() {
         let pts = on_circle(4096, 7);

@@ -65,17 +65,18 @@ pub fn find_facet_inplace(
         let mut best: Option<Facet> = None;
         for round in 0..max_rounds {
             let flags = shm.slice(surv);
-            let survivors: Vec<usize> = (active.iter().zip(flags))
-                .filter(|&(_, &f)| f != 0)
-                .map(|(&i, _)| i)
-                .collect();
+            let (ranks, survivors): (Vec<usize>, Vec<usize>) = (active.iter().enumerate())
+                .filter(|&(r, _)| flags[r] != 0)
+                .map(|(r, &i)| (r, i))
+                .unzip();
 
             // per-round scratch is recycled round to round
             let mut base: Vec<usize> = shm.scope(|shm| {
                 if round >= BETA || survivors.len() <= 4 * k {
-                    // the compaction source is indexed by point id
-                    let sarr = shm.alloc("fp.sarr", points.len(), EMPTY);
-                    m.kernel_map(shm, &survivors, sarr, |_, i| i as i64);
+                    // the compaction source is indexed by rank in
+                    // `active`; its payload is the point id
+                    let sarr = shm.alloc("fp.sarr", p, EMPTY);
+                    m.kernel_scatter(shm, &ranks, |_, r| Some((sarr, r, active[r] as i64)));
                     if let Some(c) = inplace_compact(m, shm, sarr, capacity, 0.34) {
                         return c.ids_ascending(shm);
                     }
@@ -203,9 +204,9 @@ mod tests {
     /// Workspace follows the subproblem: a 64-id subproblem scattered
     /// through a 1,024- or a 65,536-point input keeps its scratch peak
     /// within 32·(p + capacity) cells plus the brute solve's C(capacity, 3)
-    /// triple table, plus 3 cells per input point for the §3.3 step-4
-    /// compaction source (`fp.sarr`, `ipc.seg`, `ipc.marks`), the one
-    /// input-sized part left.
+    /// triple table, plus 3 cells per subproblem point for the §3.3 step-4
+    /// compaction source (`fp.sarr`, `ipc.seg`, `ipc.marks`); a source
+    /// that spanned the input would need 3n.
     #[test]
     fn scratch_peak_follows_the_subproblem_not_the_input() {
         let p = 64;
@@ -224,13 +225,13 @@ mod tests {
                 verify_facet(&pts, &active, 0.0, 0.0, f);
                 let peak = shm.peak_live_cells();
                 assert!(
-                    peak <= bound + 3 * n as u64,
+                    peak <= bound + 3 * p as u64,
                     "n {n} seed {seed}: peak {peak}"
                 );
                 below_source += (peak <= bound) as usize;
             }
         }
-        // runs that finish by sampling never touch an input-sized array
+        // runs that finish by sampling never touch the compaction source
         assert!(
             below_source > 0,
             "no run stayed within the subproblem bound"

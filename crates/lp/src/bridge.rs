@@ -11,11 +11,13 @@
 //! (used by the LP experiments, T6). The hull algorithms themselves use
 //! [`bridge_brute`]: the fully *exact* all-pairs formulation — a pair
 //! (i, j) straddling x₀ is the bridge iff every other point is on or below
-//! the line through it, which is a pure orientation test. One marking step
-//! with n³ virtual processors, one election step, and two combining steps
-//! to canonicalize collinear contacts. This is Observation 2.3's n³
-//! brute-force specialized to one probe, and it is the deterministic
-//! base-problem solver of §3.3 step 2.
+//! the line through it, which is a pure orientation test. It has
+//! [`facet_brute`]'s filter-then-test shape: one n² step ranks each point
+//! within its side of x₀, one marking step tests only the |lo|·|hi|
+//! straddling pairs against all n points, one election step picks a pair,
+//! and three steps canonicalize collinear contacts. At most n³/4 + n²
+//! virtual processors: Observation 2.3's n³ brute force specialized to one
+//! probe, and the deterministic base-problem solver of §3.3 step 2.
 //!
 //! [`facet_brute`] is the 3-D analogue (Observation 2.2 with d = 3): the
 //! upper-hull facet pierced by the vertical line through a splitter,
@@ -76,11 +78,14 @@ pub fn bridge_lp_objective(x0: f64) -> Objective2 {
 
 /// Exact brute-force bridge over the subset `ids` of `points`, straddling
 /// the vertical line `x = x0`. Returns `None` when no pair straddles
-/// (x0 outside the subset's open x-range), or when a contact election
-/// came back empty because a step lost its writes (a fault plan); the
-/// supervised wrappers type both as [`ipch_pram::RunError::Invariant`].
+/// (x0 outside the subset's open x-range), or when a step did not commit
+/// as the model says (a fault plan: side ranks that are not a
+/// permutation, an empty or out-of-range election); the supervised
+/// wrappers type both as [`ipch_pram::RunError::Invariant`].
 ///
-/// Cost: O(1) executed steps, Θ(|ids|³) work.
+/// Cost: O(1) executed steps; Θ(|lo|·|hi|·b + b²) work for b = |ids|
+/// split into |lo| points with x ≤ x0 and |hi| with x0 < x, at most
+/// b³/4 + b².
 pub fn bridge_brute(
     m: &mut Machine,
     shm: &mut Shm,
@@ -93,38 +98,70 @@ pub fn bridge_brute(
     if n < 2 {
         return None;
     }
-    let npairs = n * n;
     // Host gather, once per call: the subset's points and each point's
     // side of x0 (`lo`: x ≤ x0, `hi`: x0 < x). As with the Cramer systems
     // in `brute.rs`, this is addressing, not work: every processor of the
-    // marking step still runs and makes the same writes, it just reads
-    // its operands without the id indirection.
+    // steps below still runs and makes the same writes, it just reads its
+    // operands without the id indirection.
     let pts: Vec<Point2> = ids.iter().map(|&i| points[i]).collect();
-    let (lo, hi): (Vec<bool>, Vec<bool>) = pts.iter().map(|p| (p.x <= x0, x0 < p.x)).unzip();
+    let is_hi: Vec<bool> = pts.iter().map(|p| x0 < p.x).collect();
 
-    // Step 1: knock out non-straddling and non-supporting pairs.
-    let bad = shm.alloc("bridge.bad", npairs, 0);
-    m.step_with_policy(shm, Pids::Grid([n, n, n]), WritePolicy::CombineOr, |ctx| {
-        let [i, j, k] = ctx.coord();
-        let p = i * n + j;
-        if !(lo[i] && hi[j]) {
-            if k == 0 {
-                ctx.write(bad, p, 1);
-            }
-            return;
-        }
-        // x_i ≤ x0 < x_j ⇒ x_i < x_j: left-to-right orientation is valid
-        if orient2d_sign(pts[i], pts[j], pts[k]) > 0 {
-            ctx.write(bad, p, 1);
+    // Step 1: rank each point within its side — processor (i, j) counts
+    // j < i on i's side.
+    let rank = shm.alloc("bridge.rank", n, 0);
+    m.step_with_policy(shm, Pids::Grid([1, n, n]), WritePolicy::CombineSum, |ctx| {
+        let [_, i, j] = ctx.coord();
+        if j < i && is_hi[i] == is_hi[j] {
+            ctx.write(rank, i, 1);
         }
     });
+    let nhi = is_hi.iter().filter(|&&h| h).count();
+    let nlo = n - nhi;
+    if nlo == 0 || nhi == 0 {
+        return None;
+    }
+    // Read the ranks back into the ascending `lo` and `hi` index lists
+    // (addressing, as `facet_brute`'s candidate list). Under a fault plan
+    // the ranks need not be a permutation of each side: report no bridge
+    // rather than index out of range.
+    let (mut lo, mut hi) = (vec![usize::MAX; nlo], vec![usize::MAX; nhi]);
+    for (k, &h) in is_hi.iter().enumerate() {
+        let side = if h { &mut hi } else { &mut lo };
+        let slot = usize::try_from(shm.get(rank, k))
+            .ok()
+            .and_then(|r| side.get_mut(r))
+            .filter(|s| **s == usize::MAX)?;
+        *slot = k;
+    }
 
-    // Step 2: surviving pairs elect a representative supporting line. All
+    // Step 2: knock out the straddling pairs that do not support: pair
+    // (a, b) = (lo[a], hi[b]) is bad when some point lies above it.
+    // x_lo ≤ x0 < x_hi, so left-to-right orientation is valid.
+    let npairs = nlo * nhi;
+    let bad = shm.alloc("bridge.bad", npairs, 0);
+    let (lo_pts, hi_pts): (Vec<Point2>, Vec<Point2>) = (
+        lo.iter().map(|&i| pts[i]).collect(),
+        hi.iter().map(|&j| pts[j]).collect(),
+    );
+    m.step_with_policy(
+        shm,
+        Pids::Grid([nlo, nhi, n]),
+        WritePolicy::CombineOr,
+        |ctx| {
+            let [a, b, k] = ctx.coord();
+            if orient2d_sign(lo_pts[a], hi_pts[b], pts[k]) > 0 {
+                ctx.write(bad, a * nhi + b, 1);
+            }
+        },
+    );
+
+    // Step 3: surviving pairs elect a representative supporting line. All
     // survivors support the same bridge geometry, but their ids differ, so
-    // the election runs under Priority (lexicographically least pair) —
-    // an Arbitrary-policy election here would make the representative, and
-    // hence the returned contact pair, depend on the simulator's tiebreak
-    // seed whenever contacts are collinear.
+    // the election runs under Priority — an Arbitrary-policy election here
+    // would make the representative, and hence the returned contact pair,
+    // depend on the simulator's tiebreak seed whenever contacts are
+    // collinear. Both lists ascend, so the least pid a·|hi| + b is the
+    // lexicographically least (i, j) pair.
     let win = shm.alloc("bridge.win", 1, EMPTY);
     m.step_with_policy(shm, 0..npairs, WritePolicy::PriorityMin, |ctx| {
         let p = ctx.pid;
@@ -132,17 +169,16 @@ pub fn bridge_brute(
             ctx.write(win, 0, p as i64);
         }
     });
-    let w = shm.get(win, 0);
-    if w == EMPTY {
-        return None;
-    }
-    let (wi, wj) = ((w as usize) / n, (w as usize) % n);
+    let w = usize::try_from(shm.get(win, 0))
+        .ok()
+        .filter(|&w| w < npairs)?;
+    let (wi, wj) = (lo[w / nhi], hi[w % nhi]);
     let (a, b) = (pts[wi], pts[wj]);
 
-    // Steps 3–4: canonicalize collinear contacts — among subset points *on*
+    // Steps 4–6: canonicalize collinear contacts — among subset points *on*
     // the supporting line, the left contact is the one with the largest
     // x ≤ x0 and the right contact the smallest x > x0 (combining min/max
-    // over order-isomorphic f64 keys, then an election step each).
+    // over order-isomorphic f64 keys, then one election step for both).
     let lmax = shm.alloc("bridge.lmax", 1, i64::MIN);
     let rmin = shm.alloc("bridge.rmin", 1, i64::MAX);
     m.step_with_policy(shm, 0..n, WritePolicy::CombineMax, |ctx| {
@@ -364,20 +400,55 @@ mod tests {
         use ipch_pram::{DropWindow, FaultPlan};
         let pts = vec![p(0.0, 0.0), p(2.0, 2.0), p(4.0, 0.0), p(1.0, -1.0)];
         let ids: Vec<usize> = (0..pts.len()).collect();
-        // Steps 0–3 elect the supporting pair and the contact keys; step 4
-        // elects the contacts. Drop every processor of step 4.
+        // Steps 0–4 rank the sides, elect the supporting pair and the
+        // contact keys; step 5 elects the contacts. Drop every processor of
+        // step 5.
         let mut m = Machine::new(7);
         m.install_faults(FaultPlan {
             drop_window: Some(DropWindow {
-                from_step: 4,
-                until_step: 5,
+                from_step: 5,
+                until_step: 6,
                 rate: 1.0,
             }),
             ..FaultPlan::default()
         });
         let mut shm = Shm::new();
         assert_eq!(bridge_brute(&mut m, &mut shm, &pts, &ids, 1.5), None);
+        assert_eq!(m.metrics.steps, 6, "every step ran");
         assert!(m.metrics.faults.dropped_processors > 0);
+        assert!(check_bridge(&pts, 1.5).is_some(), "fault-free run finds it");
+    }
+
+    /// A faulted rank step (step 0) leaves side ranks that are not a
+    /// permutation: the read-back reports no bridge instead of indexing
+    /// out of range.
+    #[test]
+    fn corrupt_rank_step_is_no_bridge() {
+        use ipch_pram::{DropWindow, FaultPlan};
+        let pts = vec![p(0.0, 0.0), p(2.0, 2.0), p(4.0, 0.0), p(1.0, -1.0)];
+        let ids: Vec<usize> = (0..pts.len()).collect();
+        let dropped = FaultPlan {
+            drop_window: Some(DropWindow {
+                from_step: 0,
+                until_step: 1,
+                rate: 1.0,
+            }),
+            ..FaultPlan::default()
+        };
+        // step 0 has only `bridge.rank` live, so its one corruption flips a
+        // rank's low bit: a duplicate or an out-of-range rank
+        let corrupted = FaultPlan {
+            corrupt_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        for plan in [dropped, corrupted] {
+            let mut m = Machine::new(7);
+            m.install_faults(plan);
+            let mut shm = Shm::new();
+            assert_eq!(bridge_brute(&mut m, &mut shm, &pts, &ids, 1.5), None);
+            assert_eq!(m.metrics.steps, 1, "stopped after the rank step");
+            assert!(m.metrics.faults.total() > 0);
+        }
         assert!(check_bridge(&pts, 1.5).is_some(), "fault-free run finds it");
     }
 

@@ -10,7 +10,8 @@
 //!    constraints (k = p^{1/3} in 2-D) into a workspace of at most
 //!    [`BASE_CAPACITY_FACTOR`]·k = 24k cells.
 //! 2. Solve the base problem deterministically in constant time
-//!    ([`crate::bridge::bridge_brute`] — the exact n³ brute force).
+//!    ([`crate::bridge::bridge_brute`] — the exact brute force over the
+//!    straddling pairs, at most b³/4 + b² processors for b base points).
 //! 3. Every point checks whether it violates the solution (lies strictly
 //!    above the candidate bridge line); violators are *survivors* and are
 //!    candidates for the next base, sampled at the escalating rate
@@ -180,12 +181,13 @@ pub fn find_bridge_inplace_traced(
 
     for round in 0..max_rounds {
         trace.rounds = round + 1;
-        // survivors list (in-model: the flagged processors themselves)
+        // survivors list and their ranks in `active` (in-model: the
+        // flagged processors themselves)
         let flags = shm.slice(surv);
-        let survivors: Vec<usize> = (active.iter().zip(flags))
-            .filter(|&(_, &f)| f != 0)
-            .map(|(&i, _)| i)
-            .collect();
+        let (ranks, survivors): (Vec<usize>, Vec<usize>) = (active.iter().enumerate())
+            .filter(|&(r, _)| flags[r] != 0)
+            .map(|(r, &i)| (r, i))
+            .unzip();
 
         // Each round's base is a *fresh* Θ(k) workspace (24k cells,
         // `capacity`): a sample of the survivors, plus the current bridge
@@ -194,11 +196,12 @@ pub fn find_bridge_inplace_traced(
         if round >= BETA || survivors.len() <= 4 * k {
             // §3.3 step 4: compact ALL survivors into the base via the
             // in-place approximate compaction and solve. The compaction
-            // source is indexed by point id, so it spans the input.
-            let sarr = shm.alloc("ib.sarr", points.len(), EMPTY);
-            m.step(shm, &survivors, |ctx| {
-                let i = ctx.pid;
-                ctx.write(sarr, i, i as i64);
+            // source is indexed by rank in `active`, so it is sized by
+            // the subproblem; its payload is the point id.
+            let sarr = shm.alloc("ib.sarr", p, EMPTY);
+            m.step(shm, &ranks, |ctx| {
+                let r = ctx.pid;
+                ctx.write(sarr, r, active[r] as i64);
             });
             if let Some(c) = inplace_compact(m, shm, sarr, capacity, 0.34) {
                 trace.compaction_used = true;
@@ -401,10 +404,10 @@ mod tests {
     /// Workspace follows the subproblem: a 64-id subproblem scattered
     /// through a 1,024- or a 65,536-point input keeps its scratch peak
     /// within 32·(p + capacity) cells plus the brute solve's capacity²
-    /// pair table, whatever the input size. The one input-sized part left
-    /// is the §3.3 step-4 compaction source (`ib.sarr` and the
-    /// compaction's `ipc.seg`/`ipc.marks`, 3 cells per input point), so a
-    /// run that compacts is allowed 3n more.
+    /// pair table, whatever the input size. A run that compacts is
+    /// allowed 3p more for the §3.3 step-4 compaction source (`ib.sarr`
+    /// and the compaction's `ipc.seg`/`ipc.marks`, 3 cells per subproblem
+    /// point); a source that spanned the input would need 3n.
     #[test]
     fn scratch_peak_follows_the_subproblem_not_the_input() {
         let p = 64;
@@ -424,7 +427,7 @@ mod tests {
                     find_bridge_inplace_traced(&mut m, &mut shm, &pts, &active, x0, 16);
                 verify_bridge(&pts, &active, x0, b.expect("bridge"));
                 let source = if trace.compaction_used {
-                    3 * n as u64
+                    3 * p as u64
                 } else {
                     0
                 };

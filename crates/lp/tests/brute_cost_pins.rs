@@ -79,13 +79,13 @@ fn cost_pins_bridge_random_disk() {
     let pts = uniform_disk(40, 3);
     assert_eq!(
         run_bridge(&pts, &all(40), 0.1, None),
-        (Some((33, 34)), (5, 65720, 7923, 348, 0))
+        (Some((33, 34)), (6, 16111, 7103, 384, 0))
     );
     // a strided subset: ids index a larger array
     let ids: Vec<usize> = (0..40).step_by(3).collect();
     assert_eq!(
         run_bridge(&pts, &ids, -0.2, None),
-        (Some((0, 33)), (5, 2982, 446, 46, 0))
+        (Some((0, 33)), (6, 973, 341, 56, 0))
     );
 }
 
@@ -105,23 +105,42 @@ fn cost_pins_bridge_collinear_contacts() {
     .collect();
     assert_eq!(
         run_bridge(&pts, &all(pts.len()), 1.5, None),
-        (Some((1, 2)), (5, 413, 72, 11, 0))
+        (Some((1, 2)), (6, 166, 44, 14, 0))
     );
     // x0 on a contact: the left contact is the point at x0 itself
     assert_eq!(
         run_bridge(&pts, &all(pts.len()), 2.0, None),
-        (Some((2, 3)), (5, 413, 70, 8, 0))
+        (Some((2, 3)), (6, 150, 42, 11, 0))
+    );
+}
+
+#[test]
+fn cost_pins_bridge_lopsided_split() {
+    // x0 between the two largest abscissae: one point on the hi side, so
+    // the |lo|·|hi|·n knock-out is below the n² rank step
+    let pts = uniform_disk(40, 3);
+    let mut xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
+    xs.sort_by(f64::total_cmp);
+    let x0 = (xs[38] + xs[39]) / 2.0;
+    assert_eq!(
+        run_bridge(&pts, &all(40), x0, None),
+        (Some((21, 6)), (6, 3319, 1487, 74, 0))
     );
 }
 
 #[test]
 fn cost_pins_bridge_drop_window() {
     let pts = uniform_disk(24, 9);
-    // half the knock-out step's processors lose their writes, and the
-    // answer with them
+    // half the knock-out step's (step 1's) processors lose their writes;
+    // the least surviving pair is still the bridge, so only the writes
+    // and the dropped count tell the runs apart
     assert_eq!(
-        run_bridge(&pts, &all(24), 0.0, Some(drop_plan(0, 0.5))),
-        (None, (5, 14472, 1170, 124, 6842))
+        run_bridge(&pts, &all(24), 0.0, Some(drop_plan(1, 0.5))),
+        (Some((5, 14)), (6, 3848, 837, 135, 1522))
+    );
+    assert_eq!(
+        run_bridge(&pts, &all(24), 0.0, None),
+        (Some((5, 14)), (6, 3848, 1561, 145, 0))
     );
 }
 
