@@ -20,8 +20,13 @@
 //! probe, and the deterministic base-problem solver of §3.3 step 2.
 //!
 //! [`facet_brute`] is the 3-D analogue (Observation 2.2 with d = 3): the
-//! upper-hull facet pierced by the vertical line through a splitter,
-//! found over all point triples with n⁴ work.
+//! upper-hull facet pierced by the vertical line through a splitter. One
+//! step marks the triples whose projected triangle contains the splitter
+//! and ranks the points by height, one knocks out the candidates that one
+//! of the 4 highest points lies above, one tests only the candidates left
+//! standing against all n points, and one elects a triple: O(1) steps
+//! within Observation 2.2's n⁴ work, with C(n,3) + n² processors in the
+//! widest step on random inputs.
 
 use ipch_geom::predicates::{orient2d_sign, orient3d_sign};
 use ipch_geom::{Point2, Point3};
@@ -78,8 +83,8 @@ pub fn bridge_lp_objective(x0: f64) -> Objective2 {
 
 /// Exact brute-force bridge over the subset `ids` of `points`, straddling
 /// the vertical line `x = x0`. Returns `None` when no pair straddles
-/// (x0 outside the subset's open x-range), or when a step did not commit
-/// as the model says (a fault plan: side ranks that are not a
+/// (x0 outside the subset's open x-range), when an id is out of range, or
+/// when a step did not commit as the model says (a fault plan: side ranks that are not a
 /// permutation, an empty or out-of-range election); the supervised
 /// wrappers type both as [`ipch_pram::RunError::Invariant`].
 ///
@@ -102,8 +107,12 @@ pub fn bridge_brute(
     // side of x0 (`lo`: x ≤ x0, `hi`: x0 < x). As with the Cramer systems
     // in `brute.rs`, this is addressing, not work: every processor of the
     // steps below still runs and makes the same writes, it just reads its
-    // operands without the id indirection.
-    let pts: Vec<Point2> = ids.iter().map(|&i| points[i]).collect();
+    // operands without the id indirection. An out-of-range id (a corrupted
+    // id list) is no bridge, never a panic.
+    let pts: Vec<Point2> = ids
+        .iter()
+        .map(|&i| points.get(i).copied())
+        .collect::<Option<_>>()?;
     let is_hi: Vec<bool> = pts.iter().map(|p| x0 < p.x).collect();
 
     // Step 1: rank each point within its side — processor (i, j) counts
@@ -224,13 +233,27 @@ pub fn bridge_brute(
     })
 }
 
+/// Highest base points that [`facet_brute`] tests every candidate triple
+/// against before the full supporting test. A candidate with a witness
+/// above its plane cannot support the base, so the witness step only
+/// narrows the full test's processor set. Of 4, 6 and 8 witnesses, 4 gave
+/// the least work summed over the random bases of the work-shape test
+/// (0.68 M, 0.75 M and 0.87 M).
+const FACET_WITNESSES: usize = 4;
+
 /// Exact brute-force 3-D facet probe: the upper-hull facet whose
 /// xy-projection contains the splitter abscissa `(x0, y0)`, over the subset
 /// `ids` of `points`. Returns the facet's three vertex ids (counter-
 /// clockwise seen from above), or `None` if `(x0, y0)` is outside the
-/// subset's xy convex hull or the subset is degenerate.
+/// subset's xy convex hull, the subset is degenerate, an id is out of
+/// range, or a step did not commit as the model says (a fault plan:
+/// height ranks without one point per witness rank, an out-of-range
+/// election).
 ///
-/// Cost: O(1) executed steps, Θ(|ids|⁴) work.
+/// Cost: 4 executed steps; C(b,3) + b² + (nc·W + nl·b + nl) work for
+/// b = |ids|, nc candidate triples (projected triangle contains the
+/// splitter), nl of them left standing by the W = 4 highest points — at
+/// most C(b,3)·(b + 6) + b², the paper's O(b⁴).
 pub fn facet_brute(
     m: &mut Machine,
     shm: &mut Shm,
@@ -260,39 +283,78 @@ pub fn facet_brute(
         v
     };
     let nt = triples.len();
-    // Host gather, once per call (addressing, as in `bridge_brute`).
-    let pts: Vec<Point3> = ids.iter().map(|&i| points[i]).collect();
+    // Host gather, once per call (addressing, as in `bridge_brute`; an
+    // out-of-range id is no facet).
+    let pts: Vec<Point3> = ids
+        .iter()
+        .map(|&i| points.get(i).copied())
+        .collect::<Option<_>>()?;
     let corners = |(i, j, k): (u32, u32, u32)| (pts[i as usize], pts[j as usize], pts[k as usize]);
+    // Height keys: point j outranks point i when (z_j, -j) > (z_i, -i), a
+    // strict total order even on equal heights.
+    let zkey: Vec<i64> = pts.iter().map(|p| f64_key(p.z)).collect();
+    let nw = FACET_WITNESSES.min(n);
 
-    // Step 1: knock out degenerate triples and those whose projected
-    // triangle misses the splitter (C(n,3) processors, O(1) work each).
-    let bad = shm.alloc("facet.bad", nt, 0);
-    let triples_ref = &triples;
-    m.step_with_policy(shm, 0..nt, WritePolicy::CombineOr, |ctx| {
-        let (a3, b3, c3) = corners(triples_ref[ctx.pid]);
-        let s = orient2d_sign(a3.xy(), b3.xy(), c3.xy());
-        if s == 0 {
-            ctx.write(bad, ctx.pid, 1);
-            return;
+    // Step 1: mark and rank (C(n,3) + n² processors, one step). Triple
+    // processor t marks its triple a candidate when the projected triangle
+    // is non-degenerate and contains the splitter; pair processor (i, j)
+    // counts j above i into i's height rank. A processor that loses its
+    // write can lose a candidate but never invent one. The host reads back
+    // the ascending candidate list and the `nw` highest points (addressing,
+    // as `bridge_brute`'s side lists); both arrays are freed here.
+    let (cands, witnesses) = shm.scope(|shm| {
+        let cand = shm.alloc("facet.cand", nt, 0);
+        let zrank = shm.alloc("facet.zrank", n, 0);
+        m.step_with_policy(shm, 0..nt + n * n, WritePolicy::CombineSum, |ctx| {
+            let t = ctx.pid;
+            if t >= nt {
+                let (i, j) = ((t - nt) / n, (t - nt) % n);
+                let (zi, zj) = (zkey[i], zkey[j]);
+                if zj > zi || (zj == zi && j < i) {
+                    ctx.write(zrank, i, 1);
+                }
+                return;
+            }
+            let (a3, b3, c3) = corners(triples[t]);
+            let s = orient2d_sign(a3.xy(), b3.xy(), c3.xy());
+            if s == 0 {
+                return;
+            }
+            let (a3, b3, c3) = if s > 0 { (a3, b3, c3) } else { (a3, c3, b3) };
+            if orient2d_sign(a3.xy(), b3.xy(), q) >= 0
+                && orient2d_sign(b3.xy(), c3.xy(), q) >= 0
+                && orient2d_sign(c3.xy(), a3.xy(), q) >= 0
+            {
+                ctx.write(cand, t, 1);
+            }
+        });
+        let cands: Vec<usize> = (0..nt).filter(|&t| shm.get(cand, t) != 0).collect();
+        // Under a fault plan the ranks need not give one point per witness
+        // rank: report no facet rather than test against a missing point.
+        let mut witnesses = [usize::MAX; FACET_WITNESSES];
+        for k in 0..n {
+            if let Some(slot) = usize::try_from(shm.get(zrank, k))
+                .ok()
+                .and_then(|r| witnesses[..nw].get_mut(r))
+            {
+                if *slot != usize::MAX {
+                    return None;
+                }
+                *slot = k;
+            }
         }
-        let (a3, b3, c3) = if s > 0 { (a3, b3, c3) } else { (a3, c3, b3) };
-        if orient2d_sign(a3.xy(), b3.xy(), q) < 0
-            || orient2d_sign(b3.xy(), c3.xy(), q) < 0
-            || orient2d_sign(c3.xy(), a3.xy(), q) < 0
-        {
-            ctx.write(bad, ctx.pid, 1);
-        }
-    });
-
-    // Step 2: supporting test over the surviving candidates × all points.
-    let cands: Vec<usize> = (0..nt).filter(|&t| shm.get(bad, t) == 0).collect();
+        witnesses[..nw]
+            .iter()
+            .all(|&w| w != usize::MAX)
+            .then_some((cands, witnesses))
+    })?;
     if cands.is_empty() {
         return None;
     }
     let nc = cands.len();
     // Each candidate's corners, counter-clockwise seen from above: oriented
-    // once here instead of by each of its n processors (addressing, as the
-    // gather above; the step still runs all nc·n processors).
+    // once here instead of by each of its processors (addressing, as the
+    // gather above; the steps still run every processor).
     let ccw: Vec<(Point3, Point3, Point3)> = cands
         .iter()
         .map(|&t| {
@@ -304,33 +366,57 @@ pub fn facet_brute(
             }
         })
         .collect();
-    let bad2 = shm.alloc("facet.bad2", nc, 0);
-    m.step_with_policy(shm, Pids::Grid([1, nc, n]), WritePolicy::CombineOr, |ctx| {
-        let [_, c, d] = ctx.coord();
-        let (a3, b3, c3) = ccw[c];
-        // point d above the plane? (orient3d > 0 ⇔ below for a CCW triple)
-        if orient3d_sign(a3, b3, c3, pts[d]) < 0 {
-            ctx.write(bad2, c, 1);
+    // point d above the plane of a CCW triple? (orient3d > 0 ⇔ below)
+    let above =
+        |(a3, b3, c3): (Point3, Point3, Point3), d: Point3| orient3d_sign(a3, b3, c3, d) < 0;
+
+    // Step 2: witness knock-out — candidate c is bad when one of the `nw`
+    // highest points lies above its plane (nc·W processors).
+    let wpts: Vec<Point3> = witnesses[..nw].iter().map(|&k| pts[k]).collect();
+    let bad = shm.alloc("facet.bad", nc, 0);
+    m.step_with_policy(
+        shm,
+        Pids::Grid([1, nc, nw]),
+        WritePolicy::CombineOr,
+        |ctx| {
+            let [_, c, w] = ctx.coord();
+            if above(ccw[c], wpts[w]) {
+                ctx.write(bad, c, 1);
+            }
+        },
+    );
+
+    // Step 3: full supporting test over the nl candidates the witnesses
+    // left standing, in ascending order, × all points. A candidate a
+    // witness knocked out has a base point above it, so it would fail this
+    // test too: the same candidates reach the election.
+    let live: Vec<usize> = (0..nc).filter(|&c| shm.get(bad, c) == 0).collect();
+    if live.is_empty() {
+        return None;
+    }
+    let nl = live.len();
+    let bad2 = shm.alloc("facet.bad2", nl, 0);
+    m.step_with_policy(shm, Pids::Grid([1, nl, n]), WritePolicy::CombineOr, |ctx| {
+        let [_, l, d] = ctx.coord();
+        if above(ccw[live[l]], pts[d]) {
+            ctx.write(bad2, l, 1);
         }
     });
 
-    // Step 3: elect a surviving triple. As in [`bridge_brute`], survivors
+    // Step 4: elect a surviving triple. As in [`bridge_brute`], survivors
     // are interchangeable (coplanar-contact degeneracies yield several) but
     // not identical, so Priority elects the least candidate index instead
-    // of a seed-dependent Arbitrary winner.
+    // of a seed-dependent Arbitrary winner; `live` and `cands` ascend, so
+    // the least pid is the least candidate index.
     let win = shm.alloc("facet.win", 1, EMPTY);
-    let cands_ref = &cands;
-    m.step_with_policy(shm, 0..nc, WritePolicy::PriorityMin, |ctx| {
-        let c = ctx.pid;
-        if ctx.read(bad2, c) == 0 {
-            ctx.write(win, 0, cands_ref[c] as i64);
+    m.step_with_policy(shm, 0..nl, WritePolicy::PriorityMin, |ctx| {
+        let l = ctx.pid;
+        if ctx.read(bad2, l) == 0 {
+            ctx.write(win, 0, cands[live[l]] as i64);
         }
     });
-    let w = shm.get(win, 0);
-    if w == EMPTY {
-        return None;
-    }
-    let (i, j, k) = triples[w as usize];
+    let w = usize::try_from(shm.get(win, 0)).ok().filter(|&w| w < nt)?;
+    let (i, j, k) = triples[w];
     let (a3, b3, c3) = corners((i, j, k));
     let (i, j, k) = (i as usize, j as usize, k as usize);
     if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) > 0 {
@@ -548,6 +634,241 @@ mod tests {
         assert_eq!(r.seed_dependent_races, 0);
         assert_eq!(r.unconfirmed_arbitrary_races, 0);
         assert!(r.deterministic_races > 0, "election should be contested");
+    }
+
+    /// The three-step `facet_brute` this module had before the witness
+    /// filter (mark non-candidates, test every candidate against all
+    /// points, elect): the oracle the filtered version must match.
+    fn facet_brute_unfiltered(
+        m: &mut Machine,
+        shm: &mut Shm,
+        points: &[Point3],
+        ids: &[usize],
+        x0: f64,
+        y0: f64,
+    ) -> Option<(usize, usize, usize)> {
+        let n = ids.len();
+        if n < 3 {
+            return None;
+        }
+        let q = Point2::new(x0, y0);
+        let mut triples = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                for k in j + 1..n {
+                    triples.push((i, j, k));
+                }
+            }
+        }
+        let nt = triples.len();
+        let pts: Vec<Point3> = ids.iter().map(|&i| points[i]).collect();
+        let ccw = |(i, j, k): (usize, usize, usize)| {
+            let (a3, b3, c3) = (pts[i], pts[j], pts[k]);
+            if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) > 0 {
+                (a3, b3, c3)
+            } else {
+                (a3, c3, b3)
+            }
+        };
+        let bad = shm.alloc("oracle.bad", nt, 0);
+        m.step_with_policy(shm, 0..nt, WritePolicy::CombineOr, |ctx| {
+            let (i, j, k) = triples[ctx.pid];
+            let (a3, b3, c3) = ccw((i, j, k));
+            if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) == 0
+                || orient2d_sign(a3.xy(), b3.xy(), q) < 0
+                || orient2d_sign(b3.xy(), c3.xy(), q) < 0
+                || orient2d_sign(c3.xy(), a3.xy(), q) < 0
+            {
+                ctx.write(bad, ctx.pid, 1);
+            }
+        });
+        let cands: Vec<usize> = (0..nt).filter(|&t| shm.get(bad, t) == 0).collect();
+        if cands.is_empty() {
+            return None;
+        }
+        let nc = cands.len();
+        let bad2 = shm.alloc("oracle.bad2", nc, 0);
+        m.step_with_policy(shm, Pids::Grid([1, nc, n]), WritePolicy::CombineOr, |ctx| {
+            let [_, c, d] = ctx.coord();
+            let (a3, b3, c3) = ccw(triples[cands[c]]);
+            if orient3d_sign(a3, b3, c3, pts[d]) < 0 {
+                ctx.write(bad2, c, 1);
+            }
+        });
+        let win = shm.alloc("oracle.win", 1, EMPTY);
+        m.step_with_policy(shm, 0..nc, WritePolicy::PriorityMin, |ctx| {
+            if ctx.read(bad2, ctx.pid) == 0 {
+                ctx.write(win, 0, cands[ctx.pid] as i64);
+            }
+        });
+        let w = shm.get(win, 0);
+        if w == EMPTY {
+            return None;
+        }
+        let (i, j, k) = triples[w as usize];
+        if orient2d_sign(pts[i].xy(), pts[j].xy(), pts[k].xy()) > 0 {
+            Some((ids[i], ids[j], ids[k]))
+        } else {
+            Some((ids[i], ids[k], ids[j]))
+        }
+    }
+
+    /// The witness knock-out only narrows the full test: on random,
+    /// coplanar, xy-collinear and boundary-splitter bases the filtered
+    /// oracle returns exactly the unfiltered one's triple.
+    #[test]
+    fn facet_brute_matches_the_unfiltered_oracle() {
+        use ipch_geom::gen3d::{in_ball, on_sphere};
+        let mut bases = 0;
+        let mut found = 0;
+        let mut check = |pts: &[Point3], ids: &[usize], (x0, y0): (f64, f64)| {
+            let f = facet_brute(&mut Machine::new(3), &mut Shm::new(), pts, ids, x0, y0);
+            let (mut m, mut shm) = (Machine::new(3), Shm::new());
+            let g = facet_brute_unfiltered(&mut m, &mut shm, pts, ids, x0, y0);
+            assert_eq!(f, g, "{} points, q ({x0}, {y0})", ids.len());
+            bases += 1;
+            found += usize::from(f.is_some());
+        };
+        for b in [4usize, 5, 8, 16, 24, 48] {
+            for seed in 0..17u64 {
+                for pts in [in_ball(b, seed), on_sphere(b, seed)] {
+                    let ids: Vec<usize> = (0..b).collect();
+                    let s = pts[(7 * seed as usize) % b];
+                    check(&pts, &ids, (0.5 * s.x, 0.5 * s.y));
+                }
+            }
+        }
+        // a flat square top over interior points (the coplanar cost pin)
+        let mut top = vec![
+            Point3::new(1.0, 1.0, 2.0),
+            Point3::new(1.0, -1.0, 2.0),
+            Point3::new(-1.0, 1.0, 2.0),
+            Point3::new(-1.0, -1.0, 2.0),
+            Point3::new(0.0, 0.0, 2.0),
+        ];
+        top.extend(in_ball(7, 11));
+        let ids: Vec<usize> = (0..top.len()).collect();
+        for q in [(0.1, 0.05), (0.0, 0.0), (1.0, 0.0), (-0.5, 0.9)] {
+            check(&top, &ids, q);
+        }
+        // a 4×4 xy-grid (many xy-collinear triples) under a paraboloid
+        // with integer bumps, probed at interior grid points (a base
+        // point's xy) and at edge midpoints
+        let grid: Vec<Point3> = (0..16)
+            .map(|k| {
+                let (x, y) = ((k % 4) as f64, (k / 4) as f64);
+                Point3::new(
+                    x,
+                    y,
+                    -(x - 1.5).powi(2) - (y - 1.5).powi(2) + (k % 3) as f64,
+                )
+            })
+            .collect();
+        let ids: Vec<usize> = (0..16).collect();
+        for q in [(1.0, 1.0), (2.0, 1.0), (1.5, 1.0), (1.0, 2.5), (1.5, 1.5)] {
+            check(&grid, &ids, q);
+        }
+        // the splitter on a base point's xy and on a triangle edge
+        let pts = in_ball(12, 4);
+        let ids: Vec<usize> = (0..12).collect();
+        for k in 0..12 {
+            let (a, b) = (pts[k], pts[(k + 5) % 12]);
+            check(&pts, &ids, (a.x, a.y));
+            check(&pts, &ids, (0.5 * (a.x + b.x), 0.5 * (a.y + b.y)));
+        }
+        assert!(bases >= 200, "{bases} bases");
+        assert!(
+            found * 2 > bases,
+            "most probes should find a facet: {found}/{bases}"
+        );
+    }
+
+    /// The witness step leaves few candidates standing, so the whole call
+    /// costs little more than its widest step (C(b,3) + b² processors).
+    /// The unfiltered oracle reads 3.8–11.8× that on these bases.
+    #[test]
+    fn facet_brute_work_is_near_the_triangle_step() {
+        use ipch_geom::gen3d::{in_ball, on_sphere};
+        for b in [24usize, 48] {
+            let widest = (b * (b - 1) * (b - 2) / 6 + b * b) as u64;
+            for seed in 0..8u64 {
+                for pts in [in_ball(b, seed), on_sphere(b, seed)] {
+                    let ids: Vec<usize> = (0..b).collect();
+                    let s = pts[(7 * seed as usize) % b];
+                    let mut m = Machine::new(5);
+                    let mut shm = Shm::new();
+                    facet_brute(&mut m, &mut shm, &pts, &ids, 0.5 * s.x, 0.5 * s.y);
+                    let work = m.metrics.work;
+                    assert!(
+                        work <= 3 * widest,
+                        "b {b} seed {seed}: work {work} > 3·{widest}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A faulted mark-and-rank step (step 0) leaves height ranks without
+    /// one point per witness rank (or no candidate at all): the read-back
+    /// reports no facet instead of testing against a missing point.
+    #[test]
+    fn corrupt_witness_rank_is_no_facet() {
+        use ipch_pram::{DropWindow, FaultPlan};
+        let pts = vec![
+            Point3::new(0.0, 0.0, 0.0),
+            Point3::new(4.0, 0.0, 0.0),
+            Point3::new(0.0, 4.0, 0.0),
+            Point3::new(1.0, 1.0, 3.0),
+            Point3::new(1.0, 1.0, -5.0),
+        ];
+        let ids: Vec<usize> = (0..pts.len()).collect();
+        let dropped = FaultPlan {
+            drop_window: Some(DropWindow {
+                from_step: 0,
+                until_step: 1,
+                rate: 1.0,
+            }),
+            ..FaultPlan::default()
+        };
+        // at machine seed 7 the one corruption of step 0 flips the low bit
+        // of a witness's height rank: two points claim one rank
+        let corrupted = FaultPlan {
+            corrupt_rate: 1.0,
+            ..FaultPlan::default()
+        };
+        for plan in [dropped, corrupted] {
+            let mut m = Machine::new(7);
+            m.install_faults(plan);
+            let mut shm = Shm::new();
+            assert_eq!(facet_brute(&mut m, &mut shm, &pts, &ids, 1.0, 1.0), None);
+            assert_eq!(m.metrics.steps, 1, "stopped after the mark-and-rank step");
+            assert!(m.metrics.faults.total() > 0);
+        }
+        let mut shm = Shm::new();
+        let f = facet_brute(&mut Machine::new(7), &mut shm, &pts, &ids, 1.0, 1.0);
+        assert!(f.is_some(), "fault-free run finds it");
+    }
+
+    /// An id past the end of the point array (a corrupted id list) is no
+    /// bridge and no facet, never a panic.
+    #[test]
+    fn out_of_range_id_is_no_bridge_or_facet() {
+        let pts2 = vec![p(0.0, 0.0), p(2.0, 2.0), p(4.0, 0.0), p(1.0, -1.0)];
+        let pts3 = vec![
+            Point3::new(0.0, 0.0, 0.0),
+            Point3::new(4.0, 0.0, 0.0),
+            Point3::new(0.0, 4.0, 0.0),
+            Point3::new(1.0, 1.0, 3.0),
+        ];
+        // `EMPTY ^ 1` read back as an id is 2⁶⁴ − 2
+        for bad in [4usize, (EMPTY ^ 1) as usize] {
+            let ids = vec![0, 1, bad, 2, 3];
+            let mut m = Machine::new(7);
+            let mut shm = Shm::new();
+            assert_eq!(bridge_brute(&mut m, &mut shm, &pts2, &ids, 1.5), None);
+            assert_eq!(facet_brute(&mut m, &mut shm, &pts3, &ids, 1.0, 1.0), None);
+            assert_eq!(m.metrics.steps, 0, "rejected before any step");
+        }
     }
 
     #[test]
