@@ -77,7 +77,7 @@ impl HullOutput {
             return Err("edge_above length mismatch".into());
         }
         for (i, &e) in self.edge_above.iter().enumerate() {
-            if e + 1 >= self.hull.vertices.len() {
+            if e >= self.hull.vertices.len() - 1 {
                 return Err(format!("point {i}: edge index {e} out of range"));
             }
             let u = points[self.hull.vertices[e]];

@@ -382,7 +382,11 @@ pub fn upper_hull_unsorted(
     for i in 0..n {
         let rec = shm.get(above, i);
         if rec != EMPTY {
-            let f = edge_map[rec as usize];
+            // A record outside the edge map (a corrupted cell) leaves the
+            // pointer out of range, which the pointer certificate rejects.
+            let Some(&f) = usize::try_from(rec).ok().and_then(|r| edge_map.get(r)) else {
+                continue;
+            };
             if f != EMPTY {
                 edge_above[i] = f as usize;
                 continue;
@@ -430,17 +434,19 @@ fn solve_problem(
     let maxx = combine_max_x(child, scratch, xkeys, ids);
     let mut x0 = match params.splitter {
         SplitterPolicy::RandomVote => {
-            // random vote (Corollary 3.1)
-            let Some(s) = ipch_inplace::vote::random_vote(
+            // random vote (Corollary 3.1); a splitter id outside the
+            // input (a corrupted sample cell) is a failed vote
+            let Some(splitter) = ipch_inplace::vote::random_vote(
                 child,
                 scratch,
                 ids,
                 params.vote_k,
                 SAMPLE_ATTEMPTS,
-            ) else {
+            )
+            .and_then(|s| points.get(s)) else {
                 return Sol::Pending;
             };
-            points[s].x
+            splitter.x
         }
         SplitterPolicy::MidExtent => {
             let minx = combine_min_x(child, scratch, xkeys, ids);
@@ -617,6 +623,20 @@ mod tests {
         assert_eq!(r.unconfirmed_arbitrary_races, 0);
         assert_eq!(r.uninit_reads, 0);
         assert!(r.deterministic_races > 0, "elections should be exercised");
+    }
+
+    /// A pointer left at `usize::MAX` (an `above` record outside the edge
+    /// map, from a corrupted cell) fails the pointer certificate with a
+    /// typed message instead of overflowing or indexing past the hull.
+    #[test]
+    fn out_of_range_pointer_fails_the_certificate() {
+        let pts = uniform_disk(256, 4);
+        let (mut out, _, _) = run(&pts, 4, &UnsortedParams::default());
+        out.verify_pointers(&pts)
+            .expect("a fault-free run certifies");
+        out.edge_above[17] = usize::MAX;
+        let e = out.verify_pointers(&pts).unwrap_err();
+        assert!(e.contains("point 17") && e.contains("out of range"), "{e}");
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! Identical structure to the 2-D in-place bridge finder, with the paper's
 //! 3-D parameters: base size k = p^{1/4}, the deterministic base solver is
 //! the exact brute-force facet probe ([`ipch_lp::bridge::facet_brute`],
-//! Observation 2.2 with d = 3: O(1) steps within n⁴ work on the base, the
-//! full supporting test run only on the candidate triples that the base's
-//! 4 highest points leave standing), survivors are points strictly above
-//! the candidate facet's plane, sampled into the next base at the
-//! escalating rate p_j, and the round is finished by the in-place
-//! compaction of §3.2 once the survivors are few.
+//! Observation 2.2 with d = 3: O(1) steps within n⁴ work on the base; the
+//! pairs' sides of the splitter decide which triples' projections contain
+//! it, and the full supporting test runs only on the contained triples
+//! that the base's 4 highest points leave standing), survivors are points
+//! strictly above the candidate facet's plane, sampled into the next base
+//! at the escalating rate p_j (the sample's rounds run over its attempters
+//! only), and the round is finished by the in-place compaction of §3.2
+//! once the survivors are few.
 
 use ipch_geom::predicates::orient3d_sign;
 use ipch_geom::Point3;

@@ -181,13 +181,16 @@ pub fn upper_hull3_unsorted(
             |&(j, _)| (trace.levels.len() as u64) << 32 | j as u64,
             |child, (_, region)| {
                 let mut scratch = Shm::new();
+                // a splitter id outside the input (a corrupted sample
+                // cell) is a failed vote
                 let s = ipch_inplace::vote::random_vote(
                     child,
                     &mut scratch,
                     region,
                     VOTE_K,
                     SAMPLE_ATTEMPTS,
-                );
+                )
+                .filter(|&s| s < points.len());
                 let f = s.and_then(|s| {
                     let (x, y) = (points[s].x, points[s].y);
                     find_facet_inplace(child, &mut scratch, points, &actives, x, y, PROBE_ROUNDS)

@@ -199,6 +199,9 @@ pub fn ragde_compact_rand(
     let dst = shm.alloc("ragde.rdst", area, EMPTY);
     let placed = shm.alloc("ragde.placed", n, 0);
     let try_slot = shm.alloc("ragde.try", n, EMPTY);
+    // A slot register outside the area (one a fault plan left unwritten or
+    // corrupted) leaves its thrower idle: it stays unplaced.
+    let slot_of = |v: i64| usize::try_from(v).ok().filter(|&s| s < area);
 
     for _ in 0..rounds {
         // Step A: each unplaced occupied cell picks a slot and records it.
@@ -217,7 +220,9 @@ pub fn ragde_compact_rand(
         m.step_with_policy(shm, 0..n, WritePolicy::PriorityMin, |ctx| {
             let i = ctx.pid;
             if ctx.read(src, i) != EMPTY && ctx.read(placed, i) == 0 {
-                let s = ctx.read(try_slot, i) as usize;
+                let Some(s) = slot_of(ctx.read(try_slot, i)) else {
+                    return;
+                };
                 if ctx.read(dst, s) == EMPTY {
                     ctx.write(dst, s, i as i64);
                 }
@@ -228,7 +233,9 @@ pub fn ragde_compact_rand(
         m.step(shm, 0..n, |ctx| {
             let i = ctx.pid;
             if ctx.read(src, i) != EMPTY && ctx.read(placed, i) == 0 {
-                let s = ctx.read(try_slot, i) as usize;
+                let Some(s) = slot_of(ctx.read(try_slot, i)) else {
+                    return;
+                };
                 if ctx.read(dst, s) == i as i64 {
                     let v = ctx.read(src, i);
                     ctx.write(dst, s, v);
@@ -422,6 +429,34 @@ mod tests {
         assert!(c.modulus.is_none());
         // O(1) steps: count + 3 per round + final OR
         assert_eq!(m.metrics.steps, 1 + 3 * 4 + 1);
+    }
+
+    /// A slot register that step A never wrote (its thrower was dropped)
+    /// holds `EMPTY`, outside the area: steps B and C leave that thrower
+    /// idle instead of reading index 2⁶⁴ − 1, and it throws again next
+    /// round.
+    #[test]
+    fn unwritten_slot_register_leaves_the_thrower_idle() {
+        use ipch_pram::{DropWindow, FaultPlan};
+        let occ: Vec<(usize, i64)> = (0..6).map(|i| (i * 31 + 5, i as i64 + 1)).collect();
+        for rounds in [1, 4] {
+            let (mut m, mut shm, a) = setup(500, &occ);
+            // step 0 counts; step 1 is round 1's step A
+            m.install_faults(FaultPlan {
+                drop_window: Some(DropWindow {
+                    from_step: 1,
+                    until_step: 2,
+                    rate: 1.0,
+                }),
+                ..FaultPlan::default()
+            });
+            let c = ragde_compact_rand(&mut m, &mut shm, a, 6, rounds);
+            assert_eq!(m.metrics.faults.dropped_processors, 500);
+            match rounds {
+                1 => assert!(c.is_none(), "nobody threw, so nobody landed"),
+                _ => assert_eq!(payloads(&shm, &c.expect("placed")), vec![1, 2, 3, 4, 5, 6]),
+            }
+        }
     }
 
     #[test]

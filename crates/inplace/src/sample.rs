@@ -22,9 +22,17 @@
 //!
 //! The procedure never re-orders the input and the sample lives entirely
 //! in the Θ(k) workspace.
+//!
+//! Only step 1 runs over every processor. Steps 2–4 run over the pid set
+//! of the attempters not yet placed, read back after step 1 and after
+//! each round, so a round's work is 4 per pending attempter (≈ 2k at the
+//! default rate) instead of 4 per processor. Each processor's coins are
+//! drawn from a stream keyed by (step, pid), and a round whose pid set is
+//! empty still takes its steps, so every draw, claim and step count is
+//! what the all-processor procedure gives.
 
 use ipch_pram::{
-    ArrayId, Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY,
+    ArrayId, Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy, EMPTY,
 };
 
 /// Poison marker for a contested workspace cell (any non-`EMPTY` constant:
@@ -64,9 +72,10 @@ impl SampleOutcome {
 /// Run the random-sample procedure over the elements in `active` (element
 /// ids double as processor ids). Targets a sample of size Θ(k) in a 16k
 /// workspace with at most `attempts` retry rounds, using the paper's
-/// default attempt probability 2k/m. The processors' private registers
-/// are indexed by rank in `active` ([`ipch_pram::Ctx::rank`]), so every
-/// array is sized by `active` or by k, never by the input.
+/// default attempt probability 2k/m. Step 1's coin registers are indexed
+/// by rank in `active` ([`ipch_pram::Ctx::rank`]) and the attempters'
+/// registers by rank among the attempters, so every array is sized by
+/// `active` or by k, never by the input.
 ///
 /// # Examples
 ///
@@ -118,36 +127,53 @@ pub fn random_sample_with_p(
         .unwrap_or(2.0 * k as f64 / mcount as f64)
         .min(1.0);
 
-    // Private registers, indexed by rank in `active` — scoped so iterated
-    // samples (votes, bridge rounds) recycle the same slots. The claimed
-    // workspace itself is the caller's and stays unscoped.
+    // Registers scoped so iterated samples (votes, bridge rounds) recycle
+    // the same slots. The claimed workspace itself is the caller's and
+    // stays unscoped.
     let attempted = shm.scope(|shm| {
+        // Step 1: coin flips, one per processor of `active` into its
+        // rank-indexed register (per-processor RNG — a generic step).
         let attempt = shm.alloc("sample.attempt", mcount, 0);
-        let placed = shm.alloc("sample.placed", mcount, 0);
-        let try_slot = shm.alloc("sample.try", mcount, EMPTY);
-
-        // Step 1: coin flips (per-processor RNG — stays a generic step).
         m.step(shm, active, |ctx| {
             let r = ctx.rank();
             if ctx.rng().bernoulli(p_attempt) {
                 ctx.write(attempt, r, 1);
             }
         });
-        let attempted = shm.slice(attempt).iter().filter(|&&x| x != 0).count();
+        // The attempters, read back in rank order (addressing, as a
+        // compaction's read-back). Only they act in steps 2–4, so those
+        // steps run over them alone; their private registers are indexed
+        // by attempter rank a.
+        let attempters: Vec<usize> = active
+            .iter()
+            .zip(shm.slice(attempt))
+            .filter_map(|(&pid, &flag)| (flag != 0).then_some(pid))
+            .collect();
+        let na = attempters.len();
+        let placed = shm.alloc("sample.placed", na, 0);
+        let try_slot = shm.alloc("sample.try", na, EMPTY);
+        // The attempter ranks still unplaced (`pending`) and their pids.
+        // RNG streams are keyed by (step, pid) and an empty pid set still
+        // takes its step, so each round draws what it would draw over all
+        // of `active`, where the idle processors write nothing.
+        let mut pending: Vec<usize> = (0..na).collect();
+        let mut pids = attempters.clone();
+        // A slot register outside the workspace (a register a fault plan
+        // left unwritten or corrupted) leaves its processor idle.
+        let slot_of = |v: i64| usize::try_from(v).ok().filter(|&s| s < ws_len);
 
         for _round in 0..attempts {
             // this round's collision-protocol cells, recycled across rounds
             shm.scope(|shm| {
                 let first = shm.alloc("sample.first", ws_len, EMPTY);
                 let second = shm.alloc("sample.second", ws_len, EMPTY);
+                let pending = &pending;
 
                 // Step 2a: pick a slot (per-processor RNG — generic step).
-                m.step(shm, active, |ctx| {
-                    let r = ctx.rank();
-                    if ctx.read(attempt, r) != 0 && ctx.read(placed, r) == 0 {
-                        let s = ctx.rng().next_below(ws_len as u64) as i64;
-                        ctx.write(try_slot, r, s);
-                    }
+                m.step(shm, Pids::List(&pids), |ctx| {
+                    let a = pending[ctx.rank()];
+                    let s = ctx.rng().next_below(ws_len as u64) as i64;
+                    ctx.write(try_slot, a, s);
                 });
                 // Step 2b: attempt the write if the slot is unoccupied.
                 //
@@ -159,44 +185,42 @@ pub fn random_sample_with_p(
                 // simulator's tiebreak seed (the analyzer classifies the
                 // race Deterministic rather than SeedDependent, and report
                 // equality across execution modes is exact).
-                m.kernel_scatter_with_policy(shm, active, WritePolicy::PriorityMin, |t, pid| {
-                    let r = t.rank();
-                    if t.read(attempt, r) != 0 && t.read(placed, r) == 0 {
-                        let s = t.read(try_slot, r) as usize;
-                        if t.read(workspace, s) == EMPTY {
-                            return Some((first, s, pid as i64));
-                        }
-                    }
-                    None
-                });
+                m.kernel_scatter_with_policy(
+                    shm,
+                    Pids::List(&pids),
+                    WritePolicy::PriorityMin,
+                    |t, pid| {
+                        let s = slot_of(t.read(try_slot, pending[t.rank()]))?;
+                        (t.read(workspace, s) == EMPTY).then_some((first, s, pid as i64))
+                    },
+                );
                 // Step 3: losers re-attempt, poisoning the cell. The poison
                 // value is a constant — every poisoner writes the same
                 // thing (a benign race), and step 4 only tests occupancy.
-                m.kernel_scatter(shm, active, |t, pid| {
-                    let r = t.rank();
-                    if t.read(attempt, r) != 0 && t.read(placed, r) == 0 {
-                        let s = t.read(try_slot, r) as usize;
-                        if t.read(workspace, s) == EMPTY && t.read(first, s) != pid as i64 {
-                            return Some((second, s, POISON));
-                        }
-                    }
-                    None
+                m.kernel_scatter(shm, Pids::List(&pids), |t, pid| {
+                    let s = slot_of(t.read(try_slot, pending[t.rank()]))?;
+                    (t.read(workspace, s) == EMPTY && t.read(first, s) != pid as i64)
+                        .then_some((second, s, POISON))
                 });
                 // Step 4: collision-free winners claim their slot (writes two
                 // arrays per processor — not a kernel shape, stays generic).
-                m.step(shm, active, |ctx| {
-                    let (pid, r) = (ctx.pid, ctx.rank());
-                    if ctx.read(attempt, r) != 0 && ctx.read(placed, r) == 0 {
-                        let s = ctx.read(try_slot, r) as usize;
-                        if ctx.read(first, s) == pid as i64 && ctx.read(second, s) == EMPTY {
-                            ctx.write(workspace, s, pid as i64);
-                            ctx.write(placed, r, 1);
-                        }
+                m.step(shm, Pids::List(&pids), |ctx| {
+                    let (pid, a) = (ctx.pid, pending[ctx.rank()]);
+                    let Some(s) = slot_of(ctx.read(try_slot, a)) else {
+                        return;
+                    };
+                    if ctx.read(first, s) == pid as i64 && ctx.read(second, s) == EMPTY {
+                        ctx.write(workspace, s, pid as i64);
+                        ctx.write(placed, a, 1);
                     }
                 });
             });
+            // The placed attempters leave the pid set (read back, as above).
+            let placed_now = shm.slice(placed);
+            pending.retain(|&a| placed_now[a] == 0);
+            pids = pending.iter().map(|&a| attempters[a]).collect();
         }
-        attempted
+        attempters.len()
     });
 
     let sample: Vec<usize> = shm
@@ -217,6 +241,7 @@ pub fn random_sample_with_p(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipch_pram::Ctx;
 
     fn run(mcount: usize, k: usize, seed: u64) -> (SampleOutcome, Machine) {
         let mut m = Machine::new(seed);
@@ -332,6 +357,176 @@ mod tests {
         }
         // ~64 attempts into 512 slots: contests are statistically certain.
         assert!(contested > 0, "no claim contest across any seed");
+    }
+
+    /// The sample as it ran before steps 2–4 were restricted to the
+    /// unplaced attempters: every processor of `active` runs every step
+    /// and decides from its rank-indexed registers whether it acts. Its
+    /// slot check is the only change (without it a fault plan that leaves
+    /// a register unwritten panics the oracle). Returns the outcome's
+    /// sample and attempt count, and each round's unplaced attempters.
+    fn all_processor_sample(
+        m: &mut Machine,
+        shm: &mut Shm,
+        active: &[usize],
+        k: usize,
+        attempts: usize,
+    ) -> (Vec<usize>, usize, Vec<usize>) {
+        let mcount = active.len();
+        let ws_len = 16 * k;
+        let workspace = shm.alloc("oracle.claim", ws_len, EMPTY);
+        let p_attempt = (2.0 * k as f64 / mcount as f64).min(1.0);
+        let attempt = shm.alloc("oracle.attempt", mcount, 0);
+        let placed = shm.alloc("oracle.placed", mcount, 0);
+        let try_slot = shm.alloc("oracle.try", mcount, EMPTY);
+        let slot_of = |v: i64| usize::try_from(v).ok().filter(|&s| s < ws_len);
+        m.step(shm, active, |ctx| {
+            let r = ctx.rank();
+            if ctx.rng().bernoulli(p_attempt) {
+                ctx.write(attempt, r, 1);
+            }
+        });
+        let pending = |shm: &Shm| {
+            (0..mcount)
+                .filter(|&r| shm.get(attempt, r) != 0 && shm.get(placed, r) == 0)
+                .count()
+        };
+        let mut per_round = Vec::new();
+        for _ in 0..attempts {
+            per_round.push(pending(shm));
+            let first = shm.alloc("oracle.first", ws_len, EMPTY);
+            let second = shm.alloc("oracle.second", ws_len, EMPTY);
+            let acts = |ctx: &Ctx| {
+                let r = ctx.rank();
+                ctx.read(attempt, r) != 0 && ctx.read(placed, r) == 0
+            };
+            m.step(shm, active, |ctx| {
+                if acts(ctx) {
+                    let s = ctx.rng().next_below(ws_len as u64) as i64;
+                    ctx.write(try_slot, ctx.rank(), s);
+                }
+            });
+            m.step_with_policy(shm, active, WritePolicy::PriorityMin, |ctx| {
+                let Some(s) = slot_of(ctx.read(try_slot, ctx.rank())) else {
+                    return;
+                };
+                if acts(ctx) && ctx.read(workspace, s) == EMPTY {
+                    ctx.write(first, s, ctx.pid as i64);
+                }
+            });
+            m.step(shm, active, |ctx| {
+                let Some(s) = slot_of(ctx.read(try_slot, ctx.rank())) else {
+                    return;
+                };
+                if acts(ctx)
+                    && ctx.read(workspace, s) == EMPTY
+                    && ctx.read(first, s) != ctx.pid as i64
+                {
+                    ctx.write(second, s, POISON);
+                }
+            });
+            m.step(shm, active, |ctx| {
+                let Some(s) = slot_of(ctx.read(try_slot, ctx.rank())) else {
+                    return;
+                };
+                let pid = ctx.pid as i64;
+                if acts(ctx) && ctx.read(first, s) == pid && ctx.read(second, s) == EMPTY {
+                    ctx.write(workspace, s, pid);
+                    ctx.write(placed, ctx.rank(), 1);
+                }
+            });
+        }
+        let sample = shm
+            .slice(workspace)
+            .iter()
+            .filter(|&&x| x != EMPTY)
+            .map(|&x| x as usize)
+            .collect();
+        let attempted = shm.slice(attempt).iter().filter(|&&x| x != 0).count();
+        (sample, attempted, per_round)
+    }
+
+    /// Running steps 2–4 over the unplaced attempters alone changes no
+    /// draw: the sample, the attempt count and the step count equal the
+    /// all-processor oracle's, with and without dropped processors and
+    /// biased coins, and the work is m plus 4 per pending attempter per
+    /// round.
+    #[test]
+    fn thrower_steps_match_the_all_processor_sample() {
+        use ipch_pram::{DropWindow, FaultPlan, RngBias};
+        let plans = [
+            FaultPlan::default(),
+            FaultPlan {
+                drop_window: Some(DropWindow {
+                    from_step: 0,
+                    until_step: u64::MAX,
+                    rate: 0.2,
+                }),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                rng_bias: Some(RngBias {
+                    rate: 0.3,
+                    force: true,
+                }),
+                ..FaultPlan::default()
+            },
+        ];
+        let mut placed_after_round_one = 0;
+        for seed in 0..12u64 {
+            for plan in &plans {
+                for (mcount, k) in [(40usize, 8usize), (3000, 16)] {
+                    let active: Vec<usize> = (0..mcount).map(|i| 3 * i + 1).collect();
+                    let machine = || {
+                        let mut m = Machine::new(seed);
+                        if !plan.is_empty() {
+                            m.install_faults(plan.clone());
+                        }
+                        m
+                    };
+                    let (mut m, mut shm) = (machine(), Shm::new());
+                    let out = random_sample(&mut m, &mut shm, &active, k, 4);
+                    let (mut mo, mut so) = (machine(), Shm::new());
+                    let (sample, attempted, pending) =
+                        all_processor_sample(&mut mo, &mut so, &active, k, 4);
+                    let case = format!("seed {seed}, m {mcount}, plan {plan:?}");
+                    assert_eq!(out.sample, sample, "{case}");
+                    assert_eq!(out.attempted, attempted, "{case}");
+                    assert_eq!(m.metrics.steps, mo.metrics.steps, "{case}");
+                    let work = mcount + 4 * pending.iter().sum::<usize>();
+                    assert_eq!(m.metrics.work, work as u64, "{case}");
+                    placed_after_round_one += usize::from(pending[1] < pending[0]);
+                }
+            }
+        }
+        assert!(placed_after_round_one > 0, "the pid set never shrank");
+    }
+
+    /// A slot register that step 2a never wrote (its processor was
+    /// dropped) holds `EMPTY`, outside the workspace: that processor idles
+    /// for the round instead of reading index 2⁶⁴ − 1, and throws again in
+    /// the next round.
+    #[test]
+    fn unwritten_slot_register_leaves_the_thrower_idle() {
+        use ipch_pram::{DropWindow, FaultPlan};
+        let active: Vec<usize> = (0..1000).collect();
+        for (attempts, placed) in [(1, 0..=0), (4, 8..=64)] {
+            let mut m = Machine::new(5);
+            // step 1 is round 1's step 2a
+            m.install_faults(FaultPlan {
+                drop_window: Some(DropWindow {
+                    from_step: 1,
+                    until_step: 2,
+                    rate: 1.0,
+                }),
+                ..FaultPlan::default()
+            });
+            let mut shm = Shm::new();
+            let out = random_sample(&mut m, &mut shm, &active, 16, attempts);
+            assert!(out.attempted > 0);
+            assert_eq!(m.metrics.faults.dropped_processors, out.attempted as u64);
+            assert!(placed.contains(&out.sample.len()), "{}", out.sample.len());
+        }
     }
 
     #[test]

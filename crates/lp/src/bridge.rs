@@ -21,12 +21,13 @@
 //!
 //! [`facet_brute`] is the 3-D analogue (Observation 2.2 with d = 3): the
 //! upper-hull facet pierced by the vertical line through a splitter. One
-//! step marks the triples whose projected triangle contains the splitter
-//! and ranks the points by height, one knocks out the candidates that one
-//! of the 4 highest points lies above, one tests only the candidates left
-//! standing against all n points, and one elects a triple: O(1) steps
-//! within Observation 2.2's n⁴ work, with C(n,3) + n² processors in the
-//! widest step on random inputs.
+//! n² step ranks the points by height and writes each pair's side of the
+//! splitter into a triangular table; one C(n,3) step decides from three
+//! table cells whether a triple's projected triangle contains the splitter
+//! (no orientation test) and, if so, tests it against the 4 highest
+//! points; one tests only the triples left standing against all n points,
+//! and one elects a triple: O(1) steps within Observation 2.2's n⁴ work,
+//! with C(n,3) processors in the widest step.
 
 use ipch_geom::predicates::{orient2d_sign, orient3d_sign};
 use ipch_geom::{Point2, Point3};
@@ -233,13 +234,24 @@ pub fn bridge_brute(
     })
 }
 
-/// Highest base points that [`facet_brute`] tests every candidate triple
-/// against before the full supporting test. A candidate with a witness
-/// above its plane cannot support the base, so the witness step only
-/// narrows the full test's processor set. Of 4, 6 and 8 witnesses, 4 gave
-/// the least work summed over the random bases of the work-shape test
-/// (0.68 M, 0.75 M and 0.87 M).
+/// Highest base points that [`facet_brute`]'s triple step tests each
+/// contained triple against. A triple with a witness above its plane
+/// cannot support the base, so the witnesses only narrow the full test's
+/// processor set. More witnesses lower the work (0.43 M, 0.37 M and
+/// 0.36 M for 4, 6 and 8 over the work-shape test's bases), but each is
+/// one more orientation test inside a unit-cost processor; 4 keeps that
+/// test small.
 const FACET_WITNESSES: usize = 4;
+
+/// A [`facet_brute`] side-table cell that no pair processor wrote: not a
+/// sign, so a triple reading it is no candidate.
+const SIDE_UNSET: i64 = 2;
+
+/// Cell of pair `i < j` in [`facet_brute`]'s triangular side table.
+#[inline]
+fn pair_cell(i: usize, j: usize) -> usize {
+    j * (j - 1) / 2 + i
+}
 
 /// Exact brute-force 3-D facet probe: the upper-hull facet whose
 /// xy-projection contains the splitter abscissa `(x0, y0)`, over the subset
@@ -250,10 +262,10 @@ const FACET_WITNESSES: usize = 4;
 /// height ranks without one point per witness rank, an out-of-range
 /// election).
 ///
-/// Cost: 4 executed steps; C(b,3) + b² + (nc·W + nl·b + nl) work for
-/// b = |ids|, nc candidate triples (projected triangle contains the
-/// splitter), nl of them left standing by the W = 4 highest points — at
-/// most C(b,3)·(b + 6) + b², the paper's O(b⁴).
+/// Cost: 4 executed steps; b² + C(b,3) + nl·(b + 1) work for b = |ids|
+/// and nl triples whose projected triangle contains the splitter and that
+/// none of the W = 4 highest points lies above — at most
+/// b² + C(b,3)·(b + 2), the paper's O(b⁴).
 pub fn facet_brute(
     m: &mut Machine,
     shm: &mut Shm,
@@ -289,48 +301,40 @@ pub fn facet_brute(
         .iter()
         .map(|&i| points.get(i).copied())
         .collect::<Option<_>>()?;
-    let corners = |(i, j, k): (u32, u32, u32)| (pts[i as usize], pts[j as usize], pts[k as usize]);
     // Height keys: point j outranks point i when (z_j, -j) > (z_i, -i), a
     // strict total order even on equal heights.
     let zkey: Vec<i64> = pts.iter().map(|p| f64_key(p.z)).collect();
     let nw = FACET_WITNESSES.min(n);
+    // point d above the plane of a CCW triple? (orient3d > 0 ⇔ below)
+    let above =
+        |(a3, b3, c3): (Point3, Point3, Point3), d: Point3| orient3d_sign(a3, b3, c3, d) < 0;
 
-    // Step 1: mark and rank (C(n,3) + n² processors, one step). Triple
-    // processor t marks its triple a candidate when the projected triangle
-    // is non-degenerate and contains the splitter; pair processor (i, j)
-    // counts j above i into i's height rank. A processor that loses its
-    // write can lose a candidate but never invent one. The host reads back
-    // the ascending candidate list and the `nw` highest points (addressing,
-    // as `bridge_brute`'s side lists); both arrays are freed here.
-    let (cands, witnesses) = shm.scope(|shm| {
-        let cand = shm.alloc("facet.cand", nt, 0);
+    // Steps 1–2 share a scope: the side table, the height ranks and the
+    // packed survivor flags are freed once the host has read back the
+    // ascending list of triples left standing.
+    let live: Vec<usize> = shm.scope(|shm| {
+        // Step 1: pairs (n² processors). Pair (i, j) counts j above i into
+        // i's height rank and, for i < j, writes the side of the splitter,
+        // sign orient2d(pᵢ, pⱼ, q), into the triangular side table. The
+        // table starts at `SIDE_UNSET`, so a lost write loses a candidate
+        // but never invents one.
+        let side = shm.alloc("facet.side", n * (n - 1) / 2, SIDE_UNSET);
         let zrank = shm.alloc("facet.zrank", n, 0);
-        m.step_with_policy(shm, 0..nt + n * n, WritePolicy::CombineSum, |ctx| {
-            let t = ctx.pid;
-            if t >= nt {
-                let (i, j) = ((t - nt) / n, (t - nt) % n);
-                let (zi, zj) = (zkey[i], zkey[j]);
-                if zj > zi || (zj == zi && j < i) {
-                    ctx.write(zrank, i, 1);
-                }
-                return;
+        m.step_with_policy(shm, Pids::Grid([1, n, n]), WritePolicy::CombineSum, |ctx| {
+            let [_, i, j] = ctx.coord();
+            let (zi, zj) = (zkey[i], zkey[j]);
+            if zj > zi || (zj == zi && j < i) {
+                ctx.write(zrank, i, 1);
             }
-            let (a3, b3, c3) = corners(triples[t]);
-            let s = orient2d_sign(a3.xy(), b3.xy(), c3.xy());
-            if s == 0 {
-                return;
-            }
-            let (a3, b3, c3) = if s > 0 { (a3, b3, c3) } else { (a3, c3, b3) };
-            if orient2d_sign(a3.xy(), b3.xy(), q) >= 0
-                && orient2d_sign(b3.xy(), c3.xy(), q) >= 0
-                && orient2d_sign(c3.xy(), a3.xy(), q) >= 0
-            {
-                ctx.write(cand, t, 1);
+            if i < j {
+                let s = orient2d_sign(pts[i].xy(), pts[j].xy(), q);
+                ctx.write(side, pair_cell(i, j), i64::from(s));
             }
         });
-        let cands: Vec<usize> = (0..nt).filter(|&t| shm.get(cand, t) != 0).collect();
-        // Under a fault plan the ranks need not give one point per witness
-        // rank: report no facet rather than test against a missing point.
+        // The `nw` highest points, read back (addressing, as
+        // `bridge_brute`'s side lists). Under a fault plan the ranks need
+        // not give one point per witness rank: report no facet rather than
+        // test against a missing point.
         let mut witnesses = [usize::MAX; FACET_WITNESSES];
         for k in 0..n {
             if let Some(slot) = usize::try_from(shm.get(zrank, k))
@@ -343,22 +347,76 @@ pub fn facet_brute(
                 *slot = k;
             }
         }
-        witnesses[..nw]
-            .iter()
-            .all(|&w| w != usize::MAX)
-            .then_some((cands, witnesses))
+        if witnesses[..nw].contains(&usize::MAX) {
+            return None;
+        }
+        let wpts: Vec<Point3> = witnesses[..nw].iter().map(|&k| pts[k]).collect();
+
+        // Step 2: triples (C(n,3) processors). The three side signs of
+        // (i, j, k) are the signs of the terms of the exact identity
+        // orient(i,j,q) + orient(j,k,q) + orient(k,i,q) = orient(i,j,k), so
+        // the projected triangle is non-degenerate and contains q exactly
+        // when no two signs are opposite and one is non-zero, and then
+        // their sum's sign is the triangle's orientation. A contained triple that none of the
+        // witnesses lies above sets its bit in the packed survivor flags.
+        let alive = shm.alloc("facet.alive", nt.div_ceil(64), 0);
+        m.step_with_policy(shm, 0..nt, WritePolicy::CombineOr, |ctx| {
+            let t = ctx.pid;
+            let (i, j, k) = triples[t];
+            let (i, j, k) = (i as usize, j as usize, k as usize);
+            let sides = ctx.slice(side);
+            let (sij, sjk, sik) = (
+                sides[pair_cell(i, j)],
+                sides[pair_cell(j, k)],
+                sides[pair_cell(i, k)],
+            );
+            if [sij, sjk, sik].iter().any(|s| !(-1..=1).contains(s)) {
+                return;
+            }
+            let ski = -sik;
+            let sum = sij + sjk + ski;
+            if sum == 0 || sum.abs() != sij.abs() + sjk.abs() + ski.abs() {
+                return;
+            }
+            let ccw = if sum > 0 {
+                (pts[i], pts[j], pts[k])
+            } else {
+                (pts[i], pts[k], pts[j])
+            };
+            if !wpts.iter().any(|&w| above(ccw, w)) {
+                ctx.write(alive, t / 64, (1u64 << (t % 64)) as i64);
+            }
+        });
+        // Read back the set bits in ascending order (a bit past the last
+        // triple, from a corrupted word, is no triple).
+        let mut live = Vec::new();
+        for (w, &word) in shm.slice(alive).iter().enumerate() {
+            let mut bits = word as u64;
+            while bits != 0 {
+                let t = 64 * w + bits.trailing_zeros() as usize;
+                if t < nt {
+                    live.push(t);
+                }
+                bits &= bits - 1;
+            }
+        }
+        Some(live)
     })?;
-    if cands.is_empty() {
+    if live.is_empty() {
         return None;
     }
-    let nc = cands.len();
-    // Each candidate's corners, counter-clockwise seen from above: oriented
+    let nl = live.len();
+    // Each survivor's corners, counter-clockwise seen from above: oriented
     // once here instead of by each of its processors (addressing, as the
     // gather above; the steps still run every processor).
-    let ccw: Vec<(Point3, Point3, Point3)> = cands
+    let corners = |t: usize| {
+        let (i, j, k) = triples[t];
+        (pts[i as usize], pts[j as usize], pts[k as usize])
+    };
+    let ccw: Vec<(Point3, Point3, Point3)> = live
         .iter()
         .map(|&t| {
-            let (a3, b3, c3) = corners(triples[t]);
+            let (a3, b3, c3) = corners(t);
             if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) > 0 {
                 (a3, b3, c3)
             } else {
@@ -366,58 +424,34 @@ pub fn facet_brute(
             }
         })
         .collect();
-    // point d above the plane of a CCW triple? (orient3d > 0 ⇔ below)
-    let above =
-        |(a3, b3, c3): (Point3, Point3, Point3), d: Point3| orient3d_sign(a3, b3, c3, d) < 0;
 
-    // Step 2: witness knock-out — candidate c is bad when one of the `nw`
-    // highest points lies above its plane (nc·W processors).
-    let wpts: Vec<Point3> = witnesses[..nw].iter().map(|&k| pts[k]).collect();
-    let bad = shm.alloc("facet.bad", nc, 0);
-    m.step_with_policy(
-        shm,
-        Pids::Grid([1, nc, nw]),
-        WritePolicy::CombineOr,
-        |ctx| {
-            let [_, c, w] = ctx.coord();
-            if above(ccw[c], wpts[w]) {
-                ctx.write(bad, c, 1);
-            }
-        },
-    );
-
-    // Step 3: full supporting test over the nl candidates the witnesses
-    // left standing, in ascending order, × all points. A candidate a
-    // witness knocked out has a base point above it, so it would fail this
-    // test too: the same candidates reach the election.
-    let live: Vec<usize> = (0..nc).filter(|&c| shm.get(bad, c) == 0).collect();
-    if live.is_empty() {
-        return None;
-    }
-    let nl = live.len();
-    let bad2 = shm.alloc("facet.bad2", nl, 0);
+    // Step 3: full supporting test over the nl survivors, in ascending
+    // order, × all points. A contained triple a witness lies above has a
+    // base point above it, so it would fail this test too: the same
+    // triples reach the election as without the witnesses.
+    let bad = shm.alloc("facet.bad", nl, 0);
     m.step_with_policy(shm, Pids::Grid([1, nl, n]), WritePolicy::CombineOr, |ctx| {
         let [_, l, d] = ctx.coord();
-        if above(ccw[live[l]], pts[d]) {
-            ctx.write(bad2, l, 1);
+        if above(ccw[l], pts[d]) {
+            ctx.write(bad, l, 1);
         }
     });
 
     // Step 4: elect a surviving triple. As in [`bridge_brute`], survivors
     // are interchangeable (coplanar-contact degeneracies yield several) but
-    // not identical, so Priority elects the least candidate index instead
-    // of a seed-dependent Arbitrary winner; `live` and `cands` ascend, so
-    // the least pid is the least candidate index.
+    // not identical, so Priority elects the least triple index instead of
+    // a seed-dependent Arbitrary winner; `live` ascends, so the least pid
+    // is the least triple index.
     let win = shm.alloc("facet.win", 1, EMPTY);
     m.step_with_policy(shm, 0..nl, WritePolicy::PriorityMin, |ctx| {
         let l = ctx.pid;
-        if ctx.read(bad2, l) == 0 {
-            ctx.write(win, 0, cands[live[l]] as i64);
+        if ctx.read(bad, l) == 0 {
+            ctx.write(win, 0, live[l] as i64);
         }
     });
     let w = usize::try_from(shm.get(win, 0)).ok().filter(|&w| w < nt)?;
+    let (a3, b3, c3) = corners(w);
     let (i, j, k) = triples[w];
-    let (a3, b3, c3) = corners((i, j, k));
     let (i, j, k) = (i as usize, j as usize, k as usize);
     if orient2d_sign(a3.xy(), b3.xy(), c3.xy()) > 0 {
         Some((ids[i], ids[j], ids[k]))
@@ -713,9 +747,10 @@ mod tests {
         }
     }
 
-    /// The witness knock-out only narrows the full test: on random,
-    /// coplanar, xy-collinear and boundary-splitter bases the filtered
-    /// oracle returns exactly the unfiltered one's triple.
+    /// The side-table containment test and the witnesses only narrow the
+    /// full test: on random, coplanar, xy-collinear and boundary-splitter
+    /// bases the filtered oracle returns exactly the unfiltered one's
+    /// triple.
     #[test]
     fn facet_brute_matches_the_unfiltered_oracle() {
         use ipch_geom::gen3d::{in_ball, on_sphere};
@@ -783,9 +818,10 @@ mod tests {
         );
     }
 
-    /// The witness step leaves few candidates standing, so the whole call
-    /// costs little more than its widest step (C(b,3) + b² processors).
-    /// The unfiltered oracle reads 3.8–11.8× that on these bases.
+    /// The triple step leaves few triples standing, so the whole call
+    /// costs little more than its pair and triple steps (C(b,3) + b²
+    /// processors). The unfiltered oracle reads 3.8–11.8× that on these
+    /// bases.
     #[test]
     fn facet_brute_work_is_near_the_triangle_step() {
         use ipch_geom::gen3d::{in_ball, on_sphere};
@@ -808,9 +844,51 @@ mod tests {
         }
     }
 
-    /// A faulted mark-and-rank step (step 0) leaves height ranks without
-    /// one point per witness rank (or no candidate at all): the read-back
-    /// reports no facet instead of testing against a missing point.
+    /// Dropped pair processors lose side signs and height counts. A lost
+    /// sign leaves its cell at `SIDE_UNSET`, so the triples reading it are
+    /// no candidates, and a lost count can leave a witness rank empty or
+    /// doubled: on random bases every faulted run returns no facet or the
+    /// unfiltered oracle's fault-free facet, never another.
+    #[test]
+    fn dropped_pair_writes_lose_a_facet_never_invent_one() {
+        use ipch_geom::gen3d::{in_ball, on_sphere};
+        use ipch_pram::{DropWindow, FaultPlan};
+        let (mut lost, mut kept) = (0, 0);
+        for b in [8usize, 16, 24] {
+            for seed in 0..12u64 {
+                for pts in [in_ball(b, seed), on_sphere(b, seed)] {
+                    let ids: Vec<usize> = (0..b).collect();
+                    let s = pts[(7 * seed as usize) % b];
+                    let (x0, y0) = (0.5 * s.x, 0.5 * s.y);
+                    let (mut mo, mut so) = (Machine::new(3), Shm::new());
+                    let want = facet_brute_unfiltered(&mut mo, &mut so, &pts, &ids, x0, y0);
+                    for rate in [0.02, 0.1, 0.3] {
+                        let mut m = Machine::new(seed);
+                        m.install_faults(FaultPlan {
+                            drop_window: Some(DropWindow {
+                                from_step: 0,
+                                until_step: 1,
+                                rate,
+                            }),
+                            ..FaultPlan::default()
+                        });
+                        let got = facet_brute(&mut m, &mut Shm::new(), &pts, &ids, x0, y0);
+                        if got.is_none() {
+                            lost += usize::from(want.is_some());
+                        } else {
+                            assert_eq!(got, want, "b {b} seed {seed} rate {rate}");
+                            kept += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(lost > 0 && kept > 0, "lost {lost}, kept {kept}");
+    }
+
+    /// A faulted pair step (step 0) leaves height ranks without one point
+    /// per witness rank: the read-back reports no facet instead of testing
+    /// against a missing point.
     #[test]
     fn corrupt_witness_rank_is_no_facet() {
         use ipch_pram::{DropWindow, FaultPlan};
@@ -841,7 +919,7 @@ mod tests {
             m.install_faults(plan);
             let mut shm = Shm::new();
             assert_eq!(facet_brute(&mut m, &mut shm, &pts, &ids, 1.0, 1.0), None);
-            assert_eq!(m.metrics.steps, 1, "stopped after the mark-and-rank step");
+            assert_eq!(m.metrics.steps, 1, "stopped after the pair step");
             assert!(m.metrics.faults.total() > 0);
         }
         let mut shm = Shm::new();
