@@ -909,26 +909,19 @@ pub fn sim() -> Table {
     t
 }
 
-/// FAULTS — empirical attempt-failure probability of the supervised Las
-/// Vegas entry points vs n, under fixed per-algorithm fault plans.
+/// FAULTS — empirical attempt-failure probability of the served Las
+/// Vegas 2-D entry point vs n, under light cell corruption.
 ///
 /// Las Vegas analysis (Lemmas 3.1/2.1, §5) bounds the probability that one
 /// *attempt* fails; the supervisor's retry count is geometric in that
-/// probability. This experiment measures the per-attempt failure rate
-/// directly, for three exposure profiles:
-///
-/// * `sample` under a forced-true coin bias — extra attempters push the
-///   sample over the 4k Lemma 3.1 ceiling, so failure rises with n;
-/// * `ragde` under cell corruption — the destination area is a shrinking
-///   fraction of live memory, so failure *falls* with n;
-/// * `unsorted` 2-D hull under light corruption — per-attempt exposure is
-///   rate × steps and steps grow with n, but the run range-checks the
-///   cells it reads and sweeps its own failed subproblems, so few
-///   corruptions fail an attempt.
+/// probability. This experiment measures the per-attempt failure rate of
+/// the supervised `unsorted` 2-D hull directly: per-attempt exposure is
+/// rate × steps and steps grow with n, but the run range-checks the cells
+/// it reads and sweeps its own failed subproblems, so few corruptions fail
+/// an attempt.
 pub fn faults() -> Table {
     use ipch_hull2d::parallel::supervised::upper_hull_unsorted_supervised;
-    use ipch_inplace::supervised::{ragde_compact_supervised, random_sample_supervised};
-    use ipch_pram::{FaultPlan, Outcome, RngBias, RunError, SuperviseConfig, Supervised};
+    use ipch_pram::{FaultPlan, Outcome, RunError, SuperviseConfig, Supervised};
 
     let mut t = Table::new(
         "attempt failure probability under injected faults",
@@ -1007,45 +1000,6 @@ pub fn faults() -> Table {
     let max_a = u64::from(cfg.max_attempts);
 
     for n in ns {
-        // sample: forced-true bias inflates the attempter count toward 4k.
-        let mut tally = Tally::default();
-        let active: Vec<usize> = (0..n).collect();
-        for s in 0..trials {
-            let mut m = Machine::new(1000 + s);
-            m.install_faults(FaultPlan {
-                rng_bias: Some(RngBias {
-                    rate: 0.06,
-                    force: true,
-                }),
-                ..FaultPlan::default()
-            });
-            let r = random_sample_supervised(&mut m, &active, n, 16, 4, &cfg);
-            tally.absorb(&r, max_a);
-        }
-        tally.row(&mut t, "sample", n);
-    }
-
-    for n in ns {
-        // ragde: heavy corruption; the n-cell source dilutes the chance a
-        // corrupted cell lands in the small destination area.
-        let mut tally = Tally::default();
-        for s in 0..trials {
-            let (mut m, mut shm) = machine(2000 + s);
-            m.install_faults(FaultPlan {
-                corrupt_rate: 0.4,
-                ..FaultPlan::default()
-            });
-            let src = shm.alloc("faults.src", n, EMPTY);
-            for i in 0..6 {
-                shm.host_set(src, i * (n / 6), (100 + i) as i64);
-            }
-            let r = ragde_compact_supervised(&mut m, &mut shm, src, 8, 6, &cfg);
-            tally.absorb(&r, max_a);
-        }
-        tally.row(&mut t, "ragde", n);
-    }
-
-    for n in ns {
         // unsorted 2-D: light corruption, but exposure = rate × steps.
         let mut tally = Tally::default();
         let pts = g2::uniform_disk(n, 77);
@@ -1063,10 +1017,9 @@ pub fn faults() -> Table {
 
     let _ = std::panic::take_hook();
     t.note(
-        "expected: sample fail_rate jumps once 0.06n crosses the 4k ceiling, unsorted stays \
-         low (its own failure sweep absorbs most corruptions); ragde stays high and flat \
-         (few, short attempts); typed_err counts runs that ended in a typed error — never a \
-         wrong answer",
+        "expected: unsorted fail_rate stays low (its own failure sweep absorbs most \
+         corruptions); typed_err counts runs that ended in a typed error — never a wrong \
+         answer",
     );
     t
 }

@@ -28,7 +28,6 @@ use ipch_pram::{supervise, Machine, RunError, Shm, SuperviseConfig, Supervised};
 
 use super::dac::upper_hull_dac;
 use super::folklore::upper_hull_folklore_full;
-use super::logstar::{upper_hull_logstar, LogstarParams, LogstarReport};
 use super::trace::UnsortedTrace;
 use super::unsorted::{upper_hull_unsorted, UnsortedParams};
 use crate::HullOutput;
@@ -39,36 +38,6 @@ fn certify(algorithm: &'static str, points: &[Point2], out: &HullOutput) -> Resu
         .map_err(|detail| RunError::Verify { algorithm, detail })?;
     out.verify_pointers(points)
         .map_err(|detail| RunError::Verify { algorithm, detail })
-}
-
-/// Supervised §2.5 O(log* n) hull. `points` must be x-sorted
-/// ([`Point2::cmp_xy`]). Falls back to the deterministic merge tree.
-pub fn upper_hull_logstar_supervised(
-    m: &mut Machine,
-    points: &[Point2],
-    params: &LogstarParams,
-    cfg: &SuperviseConfig,
-) -> Result<Supervised<(HullOutput, LogstarReport)>, RunError> {
-    const ALG: &str = super::logstar::LOGSTAR_CONTRACT.algorithm;
-    validate_points2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
-    let mut fallback = |fm: &mut Machine| {
-        let mut shm = Shm::new();
-        let out = upper_hull_dac(fm, &mut shm, points, true);
-        certify(ALG, points, &out)?;
-        Ok((out, LogstarReport::default()))
-    };
-    supervise(
-        m,
-        ALG,
-        cfg,
-        |am: &mut Machine| {
-            let mut shm = Shm::new();
-            let (out, rep) = upper_hull_logstar(am, &mut shm, points, params)?;
-            certify(ALG, points, &out)?;
-            Ok((out, rep))
-        },
-        Some(&mut fallback),
-    )
 }
 
 /// Supervised §3 output-sensitive hull on unsorted input (Theorem 5).
@@ -152,11 +121,6 @@ mod tests {
         let pts = sorted_by_x(&uniform_disk(600, 3));
         let mut m = Machine::new(1);
         let cfg = SuperviseConfig::default();
-        let s = upper_hull_logstar_supervised(&mut m, &pts, &LogstarParams::default(), &cfg)
-            .expect("clean logstar");
-        assert_eq!(s.outcome, Outcome::FirstTry);
-        assert_eq!(s.value.0.hull, UpperHull::of(&pts));
-
         let unsorted = uniform_disk(600, 4);
         let s = upper_hull_unsorted_supervised(&mut m, &unsorted, &UnsortedParams::default(), &cfg)
             .expect("clean unsorted");
@@ -166,7 +130,7 @@ mod tests {
         let s = upper_hull_dac_supervised(&mut m, &pts, true, &cfg).expect("clean dac");
         assert_eq!(s.outcome, Outcome::FirstTry);
         assert_eq!(s.value.hull, UpperHull::of(&pts));
-        assert_eq!(m.metrics.supervisor.runs, 3);
+        assert_eq!(m.metrics.supervisor.runs, 2);
         assert_eq!(m.metrics.supervisor.retries, 0);
     }
 
@@ -182,9 +146,6 @@ mod tests {
         let cfg = SuperviseConfig::default();
         let mut m = Machine::new(2);
         for pts in [&bad, &dup] {
-            let e = upper_hull_logstar_supervised(&mut m, pts, &LogstarParams::default(), &cfg)
-                .unwrap_err();
-            assert!(matches!(e, RunError::InvalidInput { .. }), "got {e}");
             let e = upper_hull_unsorted_supervised(&mut m, pts, &UnsortedParams::default(), &cfg)
                 .unwrap_err();
             assert!(matches!(e, RunError::InvalidInput { .. }), "got {e}");

@@ -77,6 +77,9 @@ impl InplaceCompaction {
 /// `src`. `bound` plays the role of m^ε: if more than `bound` cells are
 /// occupied this is detected and `None` is returned. `delta` sets the
 /// branching factor `sub = max(2, ⌊m^δ⌋)` and hence the round count.
+/// `None` also reports a step that did not commit as the model says (a
+/// fault plan: an occupied element whose group register is unwritten or
+/// outside the round's id space).
 pub fn inplace_compact(
     m: &mut Machine,
     shm: &mut Shm,
@@ -136,17 +139,28 @@ pub fn inplace_compact(
     for round in 0..=t_rounds {
         let final_round = round == t_rounds;
         // Mark occupied groups; in the final round the payload is the
-        // element's own position (groups are singletons).
+        // element's own position (groups are singletons). Each processor
+        // reports in a private register whether its group id was in range.
         let marks = shm.alloc("ipc.marks", id_space, EMPTY);
         workspace_cells = workspace_cells.max(id_space);
-        m.step(shm, 0..n, |ctx| {
+        let in_range = m.step_map(shm, 0..n, |ctx| {
             let i = ctx.pid;
-            if ctx.read(src, i) != EMPTY {
-                let g = ctx.read(seg, i) as usize;
-                let payload = if final_round { i as i64 } else { g as i64 };
-                ctx.write(marks, g, payload);
+            if ctx.read(src, i) == EMPTY {
+                return true;
             }
+            let Some(g) = usize::try_from(ctx.read(seg, i))
+                .ok()
+                .filter(|&g| g < id_space)
+            else {
+                return false;
+            };
+            let payload = if final_round { i as i64 } else { g as i64 };
+            ctx.write(marks, g, payload);
+            true
         });
+        if in_range.contains(&false) {
+            return None;
+        }
 
         let c = ragde_compact_det(m, shm, marks, bound)?;
         let p = c.modulus.expect("deterministic variant") as usize;
@@ -240,6 +254,41 @@ mod tests {
             .collect();
         assert_eq!(slot_order, vec![70, 260, 66]);
         assert_eq!(c.ids_ascending(&shm), vec![66, 70, 260]);
+    }
+
+    /// An occupied element whose group register is out of range (a
+    /// dropped write leaves it `EMPTY`, read as index 2⁶⁴ − 1; a flipped bit
+    /// can push it past the id space) makes the compaction report `None`
+    /// instead of indexing past `ipc.marks`.
+    #[test]
+    fn out_of_range_seg_register_is_no_compaction() {
+        use ipch_pram::{DropWindow, FaultPlan};
+        // step 0 writes `ipc.seg`: dropping it leaves every register EMPTY
+        let (mut m, mut shm, a) = setup(64, &[(3, 30), (40, 44)]);
+        m.install_faults(FaultPlan {
+            drop_window: Some(DropWindow {
+                from_step: 0,
+                until_step: 1,
+                rate: 1.0,
+            }),
+            ..FaultPlan::default()
+        });
+        assert!(inplace_compact(&mut m, &mut shm, a, 4, 0.3).is_none());
+        assert_eq!(m.metrics.steps, 2, "stopped after the mark step");
+        // one occupied cell: after step 0 only `src` and `ipc.seg` are
+        // live, so a corruption that hits the register flips its group id
+        // 0 to 1, past the one-group id space
+        let mut none = 0;
+        for seed in 0..16 {
+            let (_, mut shm, a) = setup(1, &[(0, 7)]);
+            let mut m = Machine::new(seed);
+            m.install_faults(FaultPlan {
+                corrupt_rate: 1.0,
+                ..FaultPlan::default()
+            });
+            none += inplace_compact(&mut m, &mut shm, a, 2, 0.5).is_none() as usize;
+        }
+        assert!(none > 0, "no seed corrupted the group register");
     }
 
     #[test]

@@ -29,7 +29,6 @@
 pub mod compact;
 pub mod ragde;
 pub mod sample;
-pub mod supervised;
 pub mod sweep;
 pub mod vote;
 

@@ -274,19 +274,6 @@ pub fn payloads(shm: &Shm, c: &Compaction) -> Vec<i64> {
     v
 }
 
-/// Convenience used by tests and experiments: the payloads that *should*
-/// end up in the destination.
-pub fn expected_payloads(shm: &Shm, src: ArrayId) -> Vec<i64> {
-    let mut v: Vec<i64> = shm
-        .slice(src)
-        .iter()
-        .copied()
-        .filter(|&x| x != EMPTY)
-        .collect();
-    v.sort_unstable();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

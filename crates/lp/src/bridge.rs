@@ -86,8 +86,7 @@ pub fn bridge_lp_objective(x0: f64) -> Objective2 {
 /// the vertical line `x = x0`. Returns `None` when no pair straddles
 /// (x0 outside the subset's open x-range), when an id is out of range, or
 /// when a step did not commit as the model says (a fault plan: side ranks that are not a
-/// permutation, an empty or out-of-range election); the supervised
-/// wrappers type both as [`ipch_pram::RunError::Invariant`].
+/// permutation, an empty or out-of-range election).
 ///
 /// Cost: O(1) executed steps; Θ(|lo|·|hi|·b + b²) work for b = |ids|
 /// split into |lo| points with x ≤ x0 and |hi| with x0 < x, at most

@@ -21,21 +21,15 @@
 //! (farther from the pivot, then larger id) pins the fixed point on
 //! degenerate inputs. Each probe is a blocked argmax: `s` processors
 //! stride over the `p` active entries in `⌈p/s⌉ + ⌈log₂ s⌉` steps with
-//! `s + O(1)` live workspace cells. The iteration count is capped; the
-//! supervised wrapper certifies whatever comes back against the straddle
-//! certificate and escalates to the brute probe, so a pathological input
-//! costs retries, never a wrong bridge.
+//! `s + O(1)` live workspace cells. The iteration count is capped, so a
+//! pathological input ends the walk with a candidate that a caller must
+//! certify (straddling and supporting), never a hang.
 
 use ipch_geom::predicates::orient2d_sign;
-use ipch_geom::validate::{ensure_exact_range2, ensure_finite2, ensure_query};
 use ipch_geom::Point2;
-use ipch_pram::{
-    supervise, ArrayId, Machine, ModelClass, ModelContract, RaceExpectation, RunError, Shm,
-    SuperviseConfig, Supervised, Word, EMPTY,
-};
+use ipch_pram::{ArrayId, Machine, ModelClass, ModelContract, RaceExpectation, Shm, Word, EMPTY};
 
-use crate::bridge::{bridge_brute, Bridge};
-use crate::supervised::{certify_bridge, validate_active};
+use crate::bridge::Bridge;
 
 /// Concurrency contract: EREW — every block scan writes only its own
 /// `best[pid]` cell and reads nothing from shared memory (input and
@@ -117,8 +111,8 @@ fn out_wraps(points: &[Point2], pivot: usize, a: usize, b: usize) -> bool {
 /// `s + O(1)` workspace cells (`scratch` clamped to `1..=p`). Returns
 /// `None` when no active pair straddles `x0` (one side empty). The
 /// result is a *candidate*: in general position the ascent provably
-/// reaches the bridge, and the supervised wrapper certifies it before
-/// anyone trusts it.
+/// reaches the bridge; a caller that needs proof checks the straddle and
+/// support conditions itself.
 pub fn frugal_bridge(
     m: &mut Machine,
     shm: &mut Shm,
@@ -196,72 +190,44 @@ pub fn frugal_bridge(
     })
 }
 
-/// Supervised bounded-workspace bridge: each attempt runs on a fresh
-/// `Shm` carrying `workspace_budget`; a tripped latch becomes the typed
-/// [`RunError::WorkspaceExceeded`]; retries halve the scratch parameter
-/// (`scratch >> attempt`, floor 1) so escalation walks toward a
-/// configuration that fits; and the deterministic fallback is the brute
-/// probe on an unbudgeted workspace. Every returned bridge has passed
-/// the straddle-and-support certificate.
-pub fn frugal_bridge_supervised(
-    m: &mut Machine,
-    points: &[Point2],
-    active: &[usize],
-    x0: f64,
-    scratch: usize,
-    workspace_budget: Option<u64>,
-    cfg: &SuperviseConfig,
-) -> Result<Supervised<Bridge>, RunError> {
-    const ALG: &str = FRUGAL_BRIDGE_CONTRACT.algorithm;
-    ensure_finite2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
-    ensure_exact_range2(points).map_err(|e| RunError::invalid_input(ALG, e))?;
-    ensure_query("x0", x0).map_err(|e| RunError::invalid_input(ALG, e))?;
-    validate_active(ALG, points.len(), active)?;
-    let mut fallback = |fm: &mut Machine| {
-        let mut shm = Shm::new();
-        let b = bridge_brute(fm, &mut shm, points, active, x0).ok_or(RunError::Invariant {
-            algorithm: ALG,
-            detail: format!("brute fallback found no bridge straddling x0 = {x0}"),
-        })?;
-        certify_bridge(ALG, points, active, x0, &b)?;
-        Ok(b)
-    };
-    let mut escalation: u32 = 0;
-    supervise(
-        m,
-        ALG,
-        cfg,
-        |am: &mut Machine| {
-            let esc = escalation;
-            escalation += 1;
-            let s = (scratch >> esc).max(1);
-            let mut shm = Shm::new();
-            shm.set_workspace_budget(workspace_budget);
-            let b = frugal_bridge(am, &mut shm, points, active, x0, s);
-            am.note_workspace(&shm);
-            if shm.workspace_tripped() {
-                return Err(RunError::WorkspaceExceeded {
-                    algorithm: ALG,
-                    budget: workspace_budget.unwrap_or(0),
-                    peak: shm.peak_live_cells(),
-                });
-            }
-            let b = b.ok_or(RunError::Invariant {
-                algorithm: ALG,
-                detail: format!("no pair of active points straddles x0 = {x0}"),
-            })?;
-            certify_bridge(ALG, points, active, x0, &b)?;
-            Ok(b)
-        },
-        Some(&mut fallback),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bridge::bridge_brute;
     use ipch_geom::generators::uniform_disk;
-    use ipch_pram::Outcome;
+    use ipch_geom::predicates::on_or_below;
+
+    /// The bridge certificate: endpoints active, straddling `x0`, and
+    /// supporting (no active point strictly above the line). Degenerate
+    /// inputs have more than one valid bridge, so the tests check this
+    /// instead of equality with the brute probe.
+    fn certify_bridge(
+        points: &[Point2],
+        active: &[usize],
+        x0: f64,
+        b: &Bridge,
+    ) -> Result<(), String> {
+        if !active.contains(&b.left) || !active.contains(&b.right) {
+            return Err(format!(
+                "bridge ({}, {}) endpoints not in the active set",
+                b.left, b.right
+            ));
+        }
+        let (u, v) = (points[b.left], points[b.right]);
+        if !(u.x <= x0 && x0 < v.x) {
+            return Err(format!(
+                "bridge ({}, {}) does not straddle x0 = {x0}",
+                b.left, b.right
+            ));
+        }
+        match active.iter().find(|&&t| !on_or_below(u, v, points[t])) {
+            Some(t) => Err(format!(
+                "active point {t} lies strictly above the bridge ({}, {})",
+                b.left, b.right
+            )),
+            None => Ok(()),
+        }
+    }
 
     #[test]
     fn matches_the_brute_probe_across_scratch_sizes() {
@@ -292,8 +258,7 @@ mod tests {
             let mut m = Machine::new(4);
             let mut shm = Shm::new();
             let b = frugal_bridge(&mut m, &mut shm, &pts, &active, 0.0, s).expect("straddles");
-            certify_bridge("lp/frugal_bridge", &pts, &active, 0.0, &b)
-                .unwrap_or_else(|e| panic!("scratch {s}: {e}"));
+            certify_bridge(&pts, &active, 0.0, &b).unwrap_or_else(|e| panic!("scratch {s}: {e}"));
             let want = s.clamp(1, pts.len()) as u64;
             assert_eq!(shm.peak_live_cells(), want, "scratch {s}");
             assert_eq!(m.metrics.peak_live_cells, want, "scratch {s}");
@@ -326,73 +291,9 @@ mod tests {
                 let mut shm = Shm::new();
                 let b = frugal_bridge(&mut m, &mut shm, pts, &active, *x0, s)
                     .unwrap_or_else(|| panic!("case {k}: straddle exists"));
-                certify_bridge("lp/frugal_bridge", pts, &active, *x0, &b)
+                certify_bridge(pts, &active, *x0, &b)
                     .unwrap_or_else(|e| panic!("case {k} scratch {s}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn budget_trip_retries_with_leaner_scratch() {
-        let pts = uniform_disk(48, 9);
-        let active: Vec<usize> = (0..pts.len()).collect();
-        let mut m = Machine::new(9);
-        let s = frugal_bridge_supervised(
-            &mut m,
-            &pts,
-            &active,
-            0.0,
-            32,
-            Some(8),
-            &SuperviseConfig::default(),
-        )
-        .expect("the halved schedule must reach the budget");
-        assert_eq!(s.outcome, Outcome::Retried(2));
-        assert!(s
-            .errors
-            .iter()
-            .all(|e| matches!(e, RunError::WorkspaceExceeded { .. })));
-        assert_eq!(m.metrics.supervisor.workspace_aborts, 2);
-        certify_bridge("lp/frugal_bridge", &pts, &active, 0.0, &s.value).expect("certified");
-    }
-
-    #[test]
-    fn impossible_budget_falls_back_to_the_brute_probe() {
-        let pts = uniform_disk(40, 3);
-        let active: Vec<usize> = (0..pts.len()).collect();
-        let mut m = Machine::new(3);
-        let s = frugal_bridge_supervised(
-            &mut m,
-            &pts,
-            &active,
-            0.0,
-            4,
-            Some(0),
-            &SuperviseConfig::default(),
-        )
-        .expect("fallback must carry");
-        assert_eq!(s.outcome, Outcome::FellBack);
-        assert_eq!(m.metrics.supervisor.workspace_aborts, 3);
-        certify_bridge("lp/frugal_bridge", &pts, &active, 0.0, &s.value).expect("certified");
-    }
-
-    #[test]
-    fn no_straddle_is_a_typed_error() {
-        let pts = uniform_disk(32, 6);
-        let active: Vec<usize> = (0..pts.len()).collect();
-        let mut m = Machine::new(6);
-        let err = frugal_bridge_supervised(
-            &mut m,
-            &pts,
-            &active,
-            1e9,
-            8,
-            None,
-            &SuperviseConfig::default(),
-        )
-        .unwrap_err();
-        // attempts exhaust on Invariant, then the brute fallback reports
-        // the same no-straddle condition as its own typed error
-        assert!(matches!(err, RunError::Invariant { .. }), "{err}");
     }
 }

@@ -34,7 +34,6 @@ pub mod inplace_bridge;
 pub mod lp3d;
 pub mod seidel;
 pub mod seidel3;
-pub mod supervised;
 
 /// Every LP entry point's concurrency contract, in the crate's canonical
 /// order. The analyzer suite runs one row per contract.

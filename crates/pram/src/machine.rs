@@ -14,17 +14,16 @@
 //!    pool once there are twice `par_threshold` of them. Metrics record
 //!    one step and `|active|` work.
 //!
-//! # The step frame
+//! # One step function
 //!
 //! Every simulated step — including each named [`crate::kernel`] shape,
-//! which is this generic step — goes through one frame: `Machine::open_step`
-//! (cancel poll, step number, [`Metrics`] step and work, fault budget,
-//! pooled arena and analyzer state, clock), `Machine::run_chunks` (the
-//! sequential-or-pool decision, cancel polls at every chunk entry, lanes
-//! used), then `Machine::close_step` (commit of a buffered log, host time,
-//! analyzer classification, cell corruption, workspace peak) or
-//! `Machine::abort_step` on cancellation, so each per-step charge is made
-//! in one place.
+//! which is this generic step — runs in [`Machine::step_map_with_policy`]:
+//! it opens the step (cancel poll, step number, [`Metrics`] step and work,
+//! fault budget, pooled arena and analyzer state, clock), runs its chunks
+//! (the sequential-or-pool decision, cancel polls at every chunk entry,
+//! lanes used), then closes it (commit of a buffered log, host time,
+//! analyzer classification, cell corruption, workspace peak) or unwinds on
+//! cancellation, so each per-step charge is made in one place.
 //!
 //! This gives exactly the textbook semantics: concurrent reads are free,
 //! concurrent writes are resolved by the model rule, and *nothing a
@@ -83,7 +82,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::analyze::{Analysis, ReadEntry, ReadTrace, READ_ALL};
-use crate::cancel::{CancelCause, CancelToken};
+use crate::cancel::CancelToken;
 use crate::faults::{FaultPlan, FaultState, StepFaults};
 use crate::memory::{ArrayId, Shm};
 use crate::metrics::Metrics;
@@ -476,34 +475,6 @@ fn env_par_threshold() -> Option<usize> {
 /// shared).
 pub(crate) const CHUNK: usize = 8192;
 
-/// One open simulated step: its number and size, plus the pooled write
-/// arena and analyzer state, taken out of the machine between
-/// [`Machine::open_step`] and [`Machine::close_step`] (or
-/// [`Machine::abort_step`]), and the step's clock.
-pub(crate) struct StepFrame {
-    pub(crate) step_no: u64,
-    /// Active processors (never 0: an empty step opens no frame).
-    pub(crate) count: usize,
-    pub(crate) nchunks: usize,
-    arena: WriteArena,
-    analysis: Option<Box<Analysis>>,
-    t_start: Instant,
-}
-
-impl StepFrame {
-    /// The per-chunk write logs, cleared for this step.
-    pub(crate) fn log(&self) -> &[ChunkCell<Vec<WriteEntry>>] {
-        &self.arena.chunk_bufs[..self.nchunks]
-    }
-
-    /// The analyzer's per-chunk read traces, when it is attached.
-    pub(crate) fn reads(&self) -> Option<&[ChunkCell<ReadTrace>]> {
-        self.analysis
-            .as_deref()
-            .map(|a| &a.read_bufs[..self.nchunks])
-    }
-}
-
 /// One finished fork child: its costs, and its result or panic payload.
 struct Joined<T, E> {
     metrics: Metrics,
@@ -820,7 +791,7 @@ impl Machine {
 
     /// Poll the installed cancel token (no-op without one), unwinding with
     /// a typed [`crate::cancel::CancelUnwind`] on expiry. Crate-internal:
-    /// called at step entry ([`Machine::open_step`]).
+    /// called at step entry ([`Machine::step_map_with_policy`]).
     #[inline]
     pub(crate) fn poll_cancel(&self) {
         if let Some(tok) = &self.cancel {
@@ -897,157 +868,6 @@ impl Machine {
         self.tuning.num_threads.unwrap_or(usize::MAX).max(1)
     }
 
-    /// Open one synchronous step over `count` processors: the single place
-    /// a step is polled for cancellation, numbered, charged
-    /// ([`Metrics::record_step`]) and metered against the fault budget. An
-    /// empty pid set costs a step and ends there (`None`); otherwise the
-    /// pooled write arena and analyzer state move into the returned frame,
-    /// prepared for the body's chunks, and the step's clock starts.
-    pub(crate) fn open_step(&mut self, count: usize) -> Option<StepFrame> {
-        // Cancellation poll at the step boundary, *before* the step is
-        // recorded: a machine past its deadline executes zero further
-        // steps, so `metrics.steps` counts completed steps exactly.
-        self.poll_cancel();
-        let step_no = self.step_counter;
-        self.step_counter += 1;
-        self.metrics.record_step(count as u64);
-        // Fault plane: budget meters tick on every executed step (including
-        // empty ones) and trip at most once per machine. Execution is never
-        // cut short — the supervisor interprets the tripped latch.
-        if let Some(fs) = self.faults.as_deref_mut() {
-            if !fs.budget_tripped {
-                if let Some(b) = fs.plan.budget {
-                    if self.metrics.steps > b.max_steps || self.metrics.work > b.max_work {
-                        fs.budget_tripped = true;
-                        self.metrics.faults.budget_exhaustions += 1;
-                    }
-                }
-            }
-        }
-        if count == 0 {
-            return None;
-        }
-        let nchunks = count.div_ceil(CHUNK);
-        let mut arena = std::mem::take(&mut self.arena);
-        arena.prepare(nchunks);
-        let mut analysis = self.analysis.take();
-        if let Some(an) = &mut analysis {
-            an.prepare(nchunks);
-        }
-        Some(StepFrame {
-            step_no,
-            count,
-            nchunks,
-            arena,
-            analysis,
-            t_start: Instant::now(),
-        })
-    }
-
-    /// Run an open step's chunks `0..nchunks`: over the pool (lane cap
-    /// [`Tuning::num_threads`]) once the step has [`Tuning::par_threshold`]
-    /// processors, otherwise on the calling thread. Both ways poll the
-    /// cancel token at every chunk entry; once a poll observes expiry the
-    /// remaining chunks are skipped (chunks already claimed run to
-    /// completion, so a pooled wave drains within one chunk per lane) and
-    /// the first observed cause is returned after the join, so the caller
-    /// unwinds ([`Machine::abort_step`]) only once no lane still references
-    /// its state. Records the lanes the chunks actually ran on.
-    pub(crate) fn run_chunks(
-        &mut self,
-        frame: &StepFrame,
-        run_chunk: &(dyn Fn(usize) + Sync),
-    ) -> Option<CancelCause> {
-        let expired = OnceLock::new();
-        let cancel = self.cancel.as_ref();
-        let guarded = |c: usize| {
-            if expired.get().is_some() {
-                return;
-            }
-            if let Some(Err(cause)) = cancel.map(CancelToken::check) {
-                let _ = expired.set(cause);
-                return;
-            }
-            run_chunk(c);
-        };
-        let lanes = if frame.count >= self.tuning.par_threshold {
-            pool::global().run_bounded(self.max_lanes(), frame.nchunks, &guarded)
-        } else {
-            (0..frame.nchunks).for_each(guarded);
-            1
-        };
-        self.metrics.record_threads(lanes);
-        expired.into_inner()
-    }
-
-    /// Abort an open step whose chunk loop observed expiry: put the pooled
-    /// arena and analyzer state back so the machine stays reusable (both
-    /// are cleared by `prepare` at the next step), then unwind with the
-    /// typed payload. The step was already recorded; a buffered log is
-    /// dropped whole, never partially committed.
-    pub(crate) fn abort_step(&mut self, frame: StepFrame, cause: CancelCause) -> ! {
-        self.arena = frame.arena;
-        self.analysis = frame.analysis;
-        crate::cancel::unwind(cause)
-    }
-
-    /// Close an open step: commit the buffered log under `policy` (with
-    /// `folded` writes folded into its entries), then the single place a
-    /// step's host time ([`Metrics::record_host_ns`]), analyzer
-    /// classification, cell corruption and workspace peak
-    /// ([`Machine::note_workspace`]) are charged. Puts the pooled state
-    /// back.
-    pub(crate) fn close_step(
-        &mut self,
-        shm: &mut Shm,
-        frame: StepFrame,
-        policy: WritePolicy,
-        folded: u64,
-    ) {
-        let StepFrame {
-            step_no,
-            nchunks,
-            mut arena,
-            mut analysis,
-            t_start,
-            ..
-        } = frame;
-        let t_computed = Instant::now();
-        self.commit(shm, policy, step_no, &mut arena, nchunks, folded);
-        let commit_ns = t_computed.elapsed().as_nanos() as u64;
-        let compute_ns = t_computed.duration_since(t_start).as_nanos() as u64;
-        self.metrics.record_host_ns(compute_ns, commit_ns);
-        if let Some(an) = &mut analysis {
-            let adversary = self.adversary_seed();
-            let report = self.metrics.analysis.get_or_insert_with(Box::default);
-            crate::analyze::finish_step(
-                an,
-                report,
-                shm,
-                self.seed,
-                step_no,
-                policy,
-                nchunks,
-                &mut arena.chunk_bufs[..nchunks],
-                adversary,
-            );
-        }
-        // Fault plane: transient cell corruption, applied *after* the
-        // analyzer observed the honestly committed step so the corruption
-        // reads as what it models — memory decay between steps, not a
-        // different write resolution.
-        if let Some(fs) = self.faults.as_deref() {
-            if let Some(h) = crate::faults::corruption_draw(fs, step_no) {
-                if shm.corrupt_cell(h).is_some() {
-                    self.metrics.faults.corrupted_cells += 1;
-                }
-            }
-        }
-        self.note_workspace(shm);
-        self.arena = arena;
-        self.analysis = analysis;
-    }
-
     /// Execute one synchronous step over `pids` with the machine policy.
     pub fn step<'a, P, F>(&mut self, shm: &mut Shm, pids: P, f: F)
     where
@@ -1081,7 +901,8 @@ impl Machine {
         self.step_map_with_policy(shm, pids, policy, f)
     }
 
-    /// [`Machine::step_map`] with an explicit write rule.
+    /// [`Machine::step_map`] with an explicit write rule: the one step
+    /// function every simulated step runs through.
     pub fn step_map_with_policy<'a, P, R, F>(
         &mut self,
         shm: &mut Shm,
@@ -1095,10 +916,42 @@ impl Machine {
         F: Fn(&mut Ctx) -> R + Sync,
     {
         let pids = pids.into();
-        let Some(frame) = self.open_step(pids.count()) else {
+        let count = pids.count();
+        // Cancellation poll at the step boundary, *before* the step is
+        // recorded: a machine past its deadline executes zero further
+        // steps, so `metrics.steps` counts completed steps exactly.
+        self.poll_cancel();
+        let step_no = self.step_counter;
+        self.step_counter += 1;
+        self.metrics.record_step(count as u64);
+        // Fault plane: budget meters tick on every executed step (including
+        // empty ones) and trip at most once per machine. Execution is never
+        // cut short — the supervisor interprets the tripped latch.
+        if let Some(fs) = self.faults.as_deref_mut() {
+            if !fs.budget_tripped {
+                if let Some(b) = fs.plan.budget {
+                    if self.metrics.steps > b.max_steps || self.metrics.work > b.max_work {
+                        fs.budget_tripped = true;
+                        self.metrics.faults.budget_exhaustions += 1;
+                    }
+                }
+            }
+        }
+        // An empty pid set costs a step and ends there.
+        if count == 0 {
             return Vec::new();
-        };
-        let (step_no, count, nchunks) = (frame.step_no, frame.count, frame.nchunks);
+        }
+        // The pooled write arena and analyzer state leave the machine for
+        // the step, prepared for its chunks, and go back when it closes or
+        // unwinds.
+        let nchunks = count.div_ceil(CHUNK);
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.prepare(nchunks);
+        let mut analysis = self.analysis.take();
+        if let Some(an) = &mut analysis {
+            an.prepare(nchunks);
+        }
+        let t_start = Instant::now();
         // Per-pid fault decisions for this step, if any are live (pure
         // hashes of (fault seed, step, pid): identical across chunking and
         // thread count).
@@ -1110,8 +963,8 @@ impl Machine {
         let seed = self.seed;
         let shm_ref: &Shm = shm;
         let pids_ref = &pids;
-        let bufs = frame.log();
-        let trace_bufs = frame.reads();
+        let bufs = &arena.chunk_bufs[..nchunks];
+        let trace_bufs = analysis.as_deref().map(|a| &a.read_bufs[..nchunks]);
         // The analyzer reads the raw log, so nothing folds while it runs.
         let fold = trace_bufs.is_none().then_some(policy);
         // Per chunk: the processors' results and the writes folded.
@@ -1184,8 +1037,39 @@ impl Machine {
             }
             *folded = ctx.folded;
         };
-        if let Some(cause) = self.run_chunks(&frame, &run_chunk) {
-            self.abort_step(frame, cause);
+        // Run the chunks over the pool (lane cap `Tuning::num_threads`)
+        // once the step has `Tuning::par_threshold` processors, otherwise
+        // on the calling thread. Both ways poll the cancel token at every
+        // chunk entry; once a poll observes expiry the remaining chunks are
+        // skipped (chunks already claimed run to completion, so a pooled
+        // wave drains within one chunk per lane), and the step unwinds
+        // only after the join, once no lane still references its state.
+        let expired = OnceLock::new();
+        let cancel = self.cancel.as_ref();
+        let guarded = |c: usize| {
+            if expired.get().is_some() {
+                return;
+            }
+            if let Some(Err(cause)) = cancel.map(CancelToken::check) {
+                let _ = expired.set(cause);
+                return;
+            }
+            run_chunk(c);
+        };
+        let lanes = if count >= self.tuning.par_threshold {
+            pool::global().run_bounded(self.max_lanes(), nchunks, &guarded)
+        } else {
+            (0..nchunks).for_each(guarded);
+            1
+        };
+        self.metrics.record_threads(lanes);
+        if let Some(cause) = expired.into_inner() {
+            // The step was already recorded; its buffered log is dropped
+            // whole, never partially committed. The pooled state goes back
+            // so the machine stays reusable.
+            self.arena = arena;
+            self.analysis = analysis;
+            crate::cancel::unwind(cause);
         }
 
         let mut results: Vec<R> = Vec::with_capacity(count);
@@ -1209,7 +1093,43 @@ impl Machine {
             self.metrics.faults.dropped_processors += dropped;
         }
 
-        self.close_step(shm, frame, policy, folded);
+        // Close the step: commit the buffered log, then charge the step's
+        // host time, analyzer classification, cell corruption and
+        // workspace peak, and put the pooled state back.
+        let t_computed = Instant::now();
+        self.commit(shm, policy, step_no, &mut arena, nchunks, folded);
+        let commit_ns = t_computed.elapsed().as_nanos() as u64;
+        let compute_ns = t_computed.duration_since(t_start).as_nanos() as u64;
+        self.metrics.record_host_ns(compute_ns, commit_ns);
+        if let Some(an) = &mut analysis {
+            let adversary = self.adversary_seed();
+            let report = self.metrics.analysis.get_or_insert_with(Box::default);
+            crate::analyze::finish_step(
+                an,
+                report,
+                shm,
+                self.seed,
+                step_no,
+                policy,
+                nchunks,
+                &mut arena.chunk_bufs[..nchunks],
+                adversary,
+            );
+        }
+        // Fault plane: transient cell corruption, applied *after* the
+        // analyzer observed the honestly committed step so the corruption
+        // reads as what it models — memory decay between steps, not a
+        // different write resolution.
+        if let Some(fs) = self.faults.as_deref() {
+            if let Some(h) = crate::faults::corruption_draw(fs, step_no) {
+                if shm.corrupt_cell(h).is_some() {
+                    self.metrics.faults.corrupted_cells += 1;
+                }
+            }
+        }
+        self.note_workspace(shm);
+        self.arena = arena;
+        self.analysis = analysis;
         results
     }
 

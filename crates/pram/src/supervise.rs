@@ -67,8 +67,8 @@ pub enum RunError {
         /// What the certificate rejected.
         detail: String,
     },
-    /// An internal invariant of the algorithm failed (e.g. a bridge that
-    /// was never found, a sample outside its size bounds).
+    /// An internal invariant of the algorithm failed (e.g. a subproblem
+    /// that its failure sweep could not solve).
     Invariant {
         /// Name of the supervised algorithm.
         algorithm: &'static str,

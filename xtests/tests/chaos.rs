@@ -1,6 +1,8 @@
-//! Chaos suite: fault plans × supervised algorithms.
+//! Chaos suite: fault plans × the supervised entry points the service
+//! runs (2-D unsorted, divide-and-conquer and frugal hulls, 3-D unsorted
+//! hull; the noisy tiers have their own suite, `noise.rs`).
 //!
-//! The supervisor's contract, asserted here for every algorithm family:
+//! The supervisor's contract, asserted here for every one of them:
 //! under *any* installed fault plan a supervised run returns either a
 //! certificate-verified, oracle-correct value or a typed `RunError` —
 //! never a silently wrong answer, never a panic. The plans:
@@ -23,20 +25,14 @@ use ipch_geom::hull_chain::verify_upper_hull;
 use ipch_geom::point::sorted_by_x;
 use ipch_geom::UpperHull;
 use ipch_hull2d::parallel::frugal::upper_hull_frugal_supervised;
-use ipch_hull2d::parallel::logstar::LogstarParams;
 use ipch_hull2d::parallel::supervised::{
-    upper_hull_dac_supervised, upper_hull_logstar_supervised, upper_hull_unsorted_supervised,
+    upper_hull_dac_supervised, upper_hull_unsorted_supervised,
 };
 use ipch_hull2d::parallel::unsorted::UnsortedParams;
 use ipch_hull3d::parallel::supervised::upper_hull3_unsorted_supervised;
 use ipch_hull3d::parallel::unsorted3d::Unsorted3Params;
 use ipch_hull3d::verify_upper_hull3;
-use ipch_inplace::supervised::{ragde_compact_supervised, random_sample_supervised};
-use ipch_lp::frugal_bridge::frugal_bridge_supervised;
-use ipch_lp::supervised::{bridge_brute_supervised, find_bridge_inplace_supervised};
-use ipch_pram::{
-    Budget, FaultPlan, Machine, Outcome, RngBias, RunError, Shm, SuperviseConfig, Tuning, EMPTY,
-};
+use ipch_pram::{Budget, FaultPlan, Machine, Outcome, RngBias, RunError, SuperviseConfig, Tuning};
 
 /// A machine with `plan` installed (empty plan = clean control run).
 fn rig(seed: u64, plan: &FaultPlan) -> Machine {
@@ -107,11 +103,11 @@ fn count_retried(vs: &[Verdict]) -> usize {
 
 // ---------------------------------------------------------------- hull2d
 
-fn logstar_run(m: &mut Machine, pts: &[ipch_geom::Point2]) -> Result<Outcome, RunError> {
-    let s = upper_hull_logstar_supervised(
+fn unsorted_run(m: &mut Machine, pts: &[ipch_geom::Point2]) -> Result<Outcome, RunError> {
+    let s = upper_hull_unsorted_supervised(
         m,
         pts,
-        &LogstarParams::default(),
+        &UnsortedParams::default(),
         &SuperviseConfig::default(),
     )?;
     assert_eq!(s.value.0.hull, UpperHull::of(pts), "silently wrong hull");
@@ -120,39 +116,9 @@ fn logstar_run(m: &mut Machine, pts: &[ipch_geom::Point2]) -> Result<Outcome, Ru
 }
 
 #[test]
-fn chaos_logstar_budget_falls_back() {
-    let pts = sorted_by_x(&uniform_disk(900, 21));
-    let vs = sweep(0..6, &budget_plan(4), |m| logstar_run(m, &pts));
-    assert!(
-        vs.iter()
-            .all(|v| matches!(v, Verdict::Correct(Outcome::FellBack))),
-        "budget must defeat every attempt, fallback must answer: {vs:?}"
-    );
-}
-
-#[test]
-fn chaos_logstar_corruption_retries_and_never_lies() {
-    let pts = sorted_by_x(&uniform_disk(700, 22));
-    let vs = sweep(0..24, &corrupt_plan(0.5), |m| logstar_run(m, &pts));
-    assert!(
-        count_retried(&vs) > 0,
-        "no Retried recovery in sweep: {vs:?}"
-    );
-}
-
-#[test]
 fn chaos_unsorted_budget_and_corruption() {
     let pts = uniform_disk(800, 23);
-    let run = |m: &mut Machine| -> Result<Outcome, RunError> {
-        let s = upper_hull_unsorted_supervised(
-            m,
-            &pts,
-            &UnsortedParams::default(),
-            &SuperviseConfig::default(),
-        )?;
-        assert_eq!(s.value.0.hull, UpperHull::of(&pts), "silently wrong hull");
-        Ok(s.outcome)
-    };
+    let run = |m: &mut Machine| unsorted_run(m, &pts);
     let vs = sweep(0..6, &budget_plan(4), run);
     assert!(
         vs.iter()
@@ -190,10 +156,10 @@ fn chaos_dac_budget_and_corruption() {
 #[test]
 fn chaos_hull2d_bias_starves_sampling_but_cannot_force_a_wrong_hull() {
     // rate-1.0 forced-false coins kill every dart/sample attempt
-    // deterministically; the algorithms' own sweeping plus supervision
+    // deterministically; the algorithm's own sweeping plus supervision
     // must still deliver a correct hull or a typed error.
-    let pts = sorted_by_x(&uniform_disk(600, 25));
-    let vs = sweep(0..8, &bias_plan(1.0, false), |m| logstar_run(m, &pts));
+    let pts = uniform_disk(600, 25);
+    let vs = sweep(0..8, &bias_plan(1.0, false), |m| unsorted_run(m, &pts));
     for v in &vs {
         assert!(
             matches!(v, Verdict::Correct(_) | Verdict::Typed),
@@ -230,148 +196,6 @@ fn chaos_hull3d_budget_falls_back() {
 fn chaos_hull3d_corruption_retries_and_never_lies() {
     let pts = ipch_geom::gen3d::sphere_plus_interior(12, 220, 27);
     let vs = sweep(0..24, &corrupt_plan(0.01), |m| hull3_run(m, &pts));
-    assert!(
-        count_retried(&vs) > 0,
-        "no Retried recovery in sweep: {vs:?}"
-    );
-}
-
-// ------------------------------------------------------------------- lp
-
-fn bridge_run(
-    m: &mut Machine,
-    pts: &[ipch_geom::Point2],
-    active: &[usize],
-) -> Result<Outcome, RunError> {
-    let s = find_bridge_inplace_supervised(m, pts, active, 0.0, 16, &SuperviseConfig::default())?;
-    // oracle: the supervised certificate is necessary AND sufficient for a
-    // bridge; cross-check against the hull edge over x0 = 0.
-    let hull = UpperHull::of(pts);
-    let (u, v) = hull
-        .edge_above(pts, ipch_geom::Point2::new(0.0, 0.0))
-        .expect("disk spans x = 0");
-    assert_eq!(
-        (s.value.0.left, s.value.0.right),
-        (u, v),
-        "silently wrong bridge"
-    );
-    Ok(s.outcome)
-}
-
-#[test]
-fn chaos_bridge_budget_falls_back() {
-    let pts = uniform_disk(500, 28);
-    let active: Vec<usize> = (0..pts.len()).collect();
-    let vs = sweep(0..6, &budget_plan(2), |m| bridge_run(m, &pts, &active));
-    assert!(
-        vs.iter()
-            .all(|v| matches!(v, Verdict::Correct(Outcome::FellBack))),
-        "{vs:?}"
-    );
-}
-
-#[test]
-fn chaos_bridge_bias_defeats_darts_then_brute_answers() {
-    // forced-false coins: no processor ever volunteers for a sample, the
-    // dart rounds come up empty, every attempt fails its invariant — the
-    // brute-force fallback still answers exactly.
-    let pts = uniform_disk(400, 29);
-    let active: Vec<usize> = (0..pts.len()).collect();
-    let vs = sweep(0..6, &bias_plan(1.0, false), |m| {
-        bridge_run(m, &pts, &active)
-    });
-    assert!(
-        vs.iter()
-            .all(|v| matches!(v, Verdict::Correct(Outcome::FellBack))),
-        "{vs:?}"
-    );
-}
-
-#[test]
-fn chaos_bridge_corruption_retries_and_never_lies() {
-    let pts = uniform_disk(500, 30);
-    let active: Vec<usize> = (0..pts.len()).collect();
-    let vs = sweep(0..24, &corrupt_plan(0.5), |m| bridge_run(m, &pts, &active));
-    assert!(
-        count_retried(&vs) > 0,
-        "no Retried recovery in sweep: {vs:?}"
-    );
-}
-
-#[test]
-fn chaos_brute_bridge_without_fallback_gives_typed_errors_only() {
-    // No fallback exists for the last-resort brute probe: under a budget
-    // no attempt can finish, and the result must be a typed exhaustion —
-    // not a panic, not a bogus bridge.
-    let pts = uniform_disk(200, 31);
-    let active: Vec<usize> = (0..pts.len()).collect();
-    for seed in 0..4 {
-        let mut m = rig(seed, &budget_plan(1));
-        let err = bridge_brute_supervised(&mut m, &pts, &active, 0.0, &SuperviseConfig::default())
-            .unwrap_err();
-        assert!(matches!(err, RunError::AttemptsExhausted { .. }), "{err}");
-    }
-}
-
-// -------------------------------------------------------------- inplace
-
-#[test]
-fn chaos_sample_bias_starves_attempts_then_falls_back() {
-    let active: Vec<usize> = (0..600).collect();
-    let run = |m: &mut Machine| -> Result<Outcome, RunError> {
-        let s = random_sample_supervised(m, &active, 600, 16, 4, &SuperviseConfig::default())?;
-        assert!(
-            s.value.iter().all(|e| *e < 600),
-            "sample outside the universe"
-        );
-        Ok(s.outcome)
-    };
-    // forced-false coins: nobody attempts, the sample is empty, Lemma 3.1's
-    // bound fails every retry; the strided deterministic sample answers.
-    let vs = sweep(0..6, &bias_plan(1.0, false), run);
-    assert!(
-        vs.iter()
-            .all(|v| matches!(v, Verdict::Correct(Outcome::FellBack))),
-        "{vs:?}"
-    );
-    // A low-rate forced-TRUE bias inflates the attempter count to hover
-    // around the 4k Lemma bound, so whether an attempt fails is a coin of
-    // its own fault schedule — reseeded retries decorrelate, and sweeping
-    // seeds must show at least one Retried recovery.
-    let vs = sweep(0..24, &bias_plan(0.06, true), run);
-    assert!(
-        count_retried(&vs) > 0,
-        "no Retried recovery in sweep: {vs:?}"
-    );
-}
-
-#[test]
-fn chaos_ragde_corruption_and_budget() {
-    let run_with = |m: &mut Machine| -> Result<Outcome, RunError> {
-        let mut shm = Shm::new();
-        let src = shm.alloc("src", 256, EMPTY);
-        for i in [5usize, 50, 111, 180, 254] {
-            shm.host_set(src, i, (2000 + i) as i64);
-        }
-        let s = ragde_compact_supervised(m, &mut shm, src, 8, 6, &SuperviseConfig::default())?;
-        let mut got = ipch_inplace::ragde::payloads(&shm, &s.value);
-        got.sort_unstable();
-        // Oracle relative to the *current* source: injected corruption may
-        // legitimately rewrite src (the input itself is faulty memory), but
-        // the destination must hold exactly what src holds now — anything
-        // else is a silently wrong compaction.
-        let mut want = ipch_inplace::ragde::expected_payloads(&shm, src);
-        want.sort_unstable();
-        assert_eq!(got, want, "silently wrong compaction");
-        Ok(s.outcome)
-    };
-    let vs = sweep(0..6, &budget_plan(2), run_with);
-    assert!(
-        vs.iter()
-            .all(|v| matches!(v, Verdict::Correct(Outcome::FellBack))),
-        "{vs:?}"
-    );
-    let vs = sweep(0..32, &corrupt_plan(0.4), run_with);
     assert!(
         count_retried(&vs) > 0,
         "no Retried recovery in sweep: {vs:?}"
@@ -480,66 +304,17 @@ fn chaos_frugal_trip_and_corruption_compose() {
     }
 }
 
-#[test]
-fn chaos_frugal_bridge_workspace_trip_and_corruption() {
-    let pts = uniform_disk(200, 44);
-    let active: Vec<usize> = (0..pts.len()).collect();
-    let hull = UpperHull::of(&pts);
-    let (u, v) = hull
-        .edge_above(&pts, ipch_geom::Point2::new(0.0, 0.0))
-        .expect("disk spans x = 0");
-    let run = |m: &mut Machine, scratch: usize, budget: Option<u64>| {
-        let s = frugal_bridge_supervised(
-            m,
-            &pts,
-            &active,
-            0.0,
-            scratch,
-            budget,
-            &SuperviseConfig::default(),
-        )?;
-        assert_eq!(
-            (s.value.left, s.value.right),
-            (u, v),
-            "silently wrong bridge"
-        );
-        let exceeded = s
-            .errors
-            .iter()
-            .filter(|e| matches!(e, RunError::WorkspaceExceeded { .. }))
-            .count() as u64;
-        assert_eq!(
-            m.metrics.supervisor.workspace_aborts, exceeded,
-            "workspace ledger out of balance"
-        );
-        Ok(s.outcome)
-    };
-    // tight budget: the halving schedule recovers in-attempt
-    let vs = sweep(0..6, &FaultPlan::default(), |m| run(m, 32, Some(8)));
-    assert!(
-        vs.iter()
-            .all(|v| matches!(v, Verdict::Correct(Outcome::Retried(_)))),
-        "{vs:?}"
-    );
-    // corruption under a roomy budget: Verify-driven retries, exact answer
-    let vs = sweep(0..24, &corrupt_plan(0.5), |m| run(m, 8, Some(64)));
-    assert!(
-        count_retried(&vs) > 0,
-        "no Retried recovery in sweep: {vs:?}"
-    );
-}
-
 // ------------------------------------------------------- cross-cutting
 
 #[test]
 fn chaos_metrics_count_what_happened() {
-    // One budget-defeated logstar run: 3 budget-voided attempts, 1 fallback.
-    let pts = sorted_by_x(&uniform_disk(400, 33));
+    // One budget-defeated unsorted run: 3 budget-voided attempts, 1 fallback.
+    let pts = uniform_disk(400, 33);
     let mut m = rig(7, &budget_plan(3));
-    let s = upper_hull_logstar_supervised(
+    let s = upper_hull_unsorted_supervised(
         &mut m,
         &pts,
-        &LogstarParams::default(),
+        &UnsortedParams::default(),
         &SuperviseConfig::default(),
     )
     .expect("fallback answers");
@@ -611,13 +386,13 @@ fn chaos_fault_counters_identical_under_parallel_backend() {
 fn chaos_empty_plan_is_the_clean_machine() {
     // Control: the supervised entry points under an empty plan behave as
     // with no plan at all — FirstTry, no fault counters.
-    let pts = sorted_by_x(&uniform_disk(300, 34));
+    let pts = uniform_disk(300, 34);
     let mut m = rig(11, &FaultPlan::default());
     assert!(!m.faults_installed());
-    let s = upper_hull_logstar_supervised(
+    let s = upper_hull_unsorted_supervised(
         &mut m,
         &pts,
-        &LogstarParams::default(),
+        &UnsortedParams::default(),
         &SuperviseConfig::default(),
     )
     .unwrap();
