@@ -910,15 +910,16 @@ pub fn sim() -> Table {
 }
 
 /// FAULTS — empirical attempt-failure probability of the served Las
-/// Vegas 2-D entry point vs n, under light cell corruption.
+/// Vegas 2-D entry point vs n, under light and heavier cell corruption.
 ///
 /// Las Vegas analysis (Lemmas 3.1/2.1, §5) bounds the probability that one
 /// *attempt* fails; the supervisor's retry count is geometric in that
 /// probability. This experiment measures the per-attempt failure rate of
 /// the supervised `unsorted` 2-D hull directly: per-attempt exposure is
 /// rate × steps and steps grow with n, but the run range-checks the cells
-/// it reads and sweeps its own failed subproblems, so few corruptions fail
-/// an attempt.
+/// it reads and sweeps its own failed subproblems, so at rate 0.01 no
+/// corruption fails an attempt; rate 0.05 fails some, so its rows show
+/// the supervisor's retries and fallbacks.
 pub fn faults() -> Table {
     use ipch_hull2d::parallel::supervised::upper_hull_unsorted_supervised;
     use ipch_pram::{FaultPlan, Outcome, RunError, SuperviseConfig, Supervised};
@@ -927,6 +928,7 @@ pub fn faults() -> Table {
         "attempt failure probability under injected faults",
         &[
             "algorithm",
+            "corrupt_rate",
             "n",
             "trials",
             "attempts",
@@ -974,9 +976,10 @@ pub fn faults() -> Table {
                 }
             }
         }
-        fn row(&self, t: &mut Table, algorithm: &str, n: usize) {
+        fn row(&self, t: &mut Table, algorithm: &str, rate: f64, n: usize) {
             t.row(vec![
                 algorithm.to_string(),
+                rate.to_string(),
                 n.to_string(),
                 self.trials.to_string(),
                 self.attempts.to_string(),
@@ -999,27 +1002,30 @@ pub fn faults() -> Table {
     let cfg = SuperviseConfig::default();
     let max_a = u64::from(cfg.max_attempts);
 
-    for n in ns {
-        // unsorted 2-D: light corruption, but exposure = rate × steps.
-        let mut tally = Tally::default();
-        let pts = g2::uniform_disk(n, 77);
-        for s in 0..trials {
-            let mut m = Machine::new(3000 + s);
-            m.install_faults(FaultPlan {
-                corrupt_rate: 0.01,
-                ..FaultPlan::default()
-            });
-            let r = upper_hull_unsorted_supervised(&mut m, &pts, &UnsortedParams::default(), &cfg);
-            tally.absorb(&r, max_a);
+    // unsorted 2-D, exposure = rate × steps
+    for rate in [0.01, 0.05] {
+        for n in ns {
+            let mut tally = Tally::default();
+            let pts = g2::uniform_disk(n, 77);
+            for s in 0..trials {
+                let mut m = Machine::new(3000 + s);
+                m.install_faults(FaultPlan {
+                    corrupt_rate: rate,
+                    ..FaultPlan::default()
+                });
+                let r =
+                    upper_hull_unsorted_supervised(&mut m, &pts, &UnsortedParams::default(), &cfg);
+                tally.absorb(&r, max_a);
+            }
+            tally.row(&mut t, "unsorted", rate, n);
         }
-        tally.row(&mut t, "unsorted", n);
     }
 
     let _ = std::panic::take_hook();
     t.note(
-        "expected: unsorted fail_rate stays low (its own failure sweep absorbs most \
-         corruptions); typed_err counts runs that ended in a typed error — never a wrong \
-         answer",
+        "expected: unsorted fail_rate stays low at rate 0.01 (its own failure sweep absorbs \
+         most corruptions) and rises at 0.05, where retries and fallbacks show; typed_err \
+         counts runs that ended in a typed error — never a wrong answer",
     );
     t
 }

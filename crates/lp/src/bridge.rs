@@ -12,12 +12,14 @@
 //! [`bridge_brute`]: the fully *exact* all-pairs formulation — a pair
 //! (i, j) straddling x₀ is the bridge iff every other point is on or below
 //! the line through it, which is a pure orientation test. It has
-//! [`facet_brute`]'s filter-then-test shape: one n² step ranks each point
-//! within its side of x₀, one marking step tests only the |lo|·|hi|
-//! straddling pairs against all n points, one election step picks a pair,
-//! and three steps canonicalize collinear contacts. At most n³/4 + n²
-//! virtual processors: Observation 2.3's n³ brute force specialized to one
-//! probe, and the deterministic base-problem solver of §3.3 step 2.
+//! [`facet_brute`]'s filter-then-test shape: the bridge is the highest
+//! straddling pair at x₀, so two n² steps keep only the pairs whose
+//! floating-point height at x₀ can be the highest (a Combining-Max lower
+//! bound, then a mark), one step tests only those against all n points,
+//! one elects a pair, and two canonicalize collinear contacts. Within
+//! Observation 2.3's n³ brute force specialized to one probe, the
+//! deterministic base-problem solver of §3.3 step 2, at 2n² + O(n) work on
+//! a base in general position.
 //!
 //! [`facet_brute`] is the 3-D analogue (Observation 2.2 with d = 3): the
 //! upper-hull facet pierced by the vertical line through a splitter. One
@@ -37,9 +39,10 @@ use ipch_pram::{
 
 use crate::constraint::{f64_key, Halfplane, Objective2};
 
-/// Concurrency contract of [`bridge_brute`]: the knock-out marks agree,
-/// and every election (winner pair, canonical contacts) runs under
-/// Priority or Combine — deterministic, never seed-dependent.
+/// Concurrency contract of [`bridge_brute`]: the height bound combines,
+/// the survivor and knock-out marks agree, and every election (winner
+/// pair, canonical contacts) runs under Priority or Combine —
+/// deterministic, never seed-dependent.
 pub const BRIDGE_BRUTE_CONTRACT: ModelContract = ModelContract {
     algorithm: "lp/bridge_brute",
     class: ModelClass::Crcw,
@@ -82,15 +85,36 @@ pub fn bridge_lp_objective(x0: f64) -> Objective2 {
     Objective2 { cx: x0, cy: 1.0 }
 }
 
+/// Relative slack of [`bridge_brute`]'s height filter, a multiple of
+/// |a.y| + |b.y| for pair (a, b). The computed height at x₀ is within
+/// 6u·(|a.y| + |b.y|) = 3ε·(|a.y| + |b.y|) of the exact one (u = ε/2 the
+/// unit roundoff), so 16ε leaves a margin of more than 5× for the
+/// roundings of the slack and of the bounds themselves.
+const HEIGHT_SLACK: f64 = 16.0 * f64::EPSILON;
+
 /// Exact brute-force bridge over the subset `ids` of `points`, straddling
 /// the vertical line `x = x0`. Returns `None` when no pair straddles
 /// (x0 outside the subset's open x-range), when an id is out of range, or
-/// when a step did not commit as the model says (a fault plan: side ranks that are not a
-/// permutation, an empty or out-of-range election).
+/// when a step did not commit as the model says (a fault plan: a lost
+/// survivor flag or supporting pair, an empty or out-of-range election).
 ///
-/// Cost: O(1) executed steps; Θ(|lo|·|hi|·b + b²) work for b = |ids|
-/// split into |lo| points with x ≤ x0 and |hi| with x0 < x, at most
-/// b³/4 + b².
+/// A straddling pair (a, b), a.x ≤ x0 < b.x, spans a segment inside the
+/// subset's hull, so its height h at x0 is at most the hull's height H
+/// there, with equality exactly when the pair supports the hull: the
+/// bridge is among the highest straddling pairs at x0. The filter
+/// computes h̃ = a.y + (b.y − a.y)·((x0 − a.x)/(b.x − a.x)) in f64, with
+/// |h̃ − h| ≤ 3ε·(|a.y| + |b.y|) in the exact range (plus a few subnormal
+/// units on underflow), and brackets it by the slack
+/// δ = 16ε·(|a.y| + |b.y|) + `f64::MIN_POSITIVE`. Every rounded h̃ − δ is
+/// then ≤ H, so their maximum L is too, and every supporting pair's
+/// rounded h̃ + δ is ≥ H ≥ L. So the filter keeps every supporting pair,
+/// and the exact orientation test that follows decides alone.
+///
+/// Cost: 6 executed steps; at most 2b² + nl·(b + 1) + 2b work for
+/// b = |ids| and nl straddling pairs whose height bracket reaches L: one
+/// on a base in general position, every pair from a hull vertex whose
+/// abscissa is x0, and all |lo|·|hi| on a base on one line (b³/4 + O(b²)
+/// at worst, the paper's O(b³)).
 pub fn bridge_brute(
     m: &mut Machine,
     shm: &mut Shm,
@@ -114,97 +138,121 @@ pub fn bridge_brute(
         .map(|&i| points.get(i).copied())
         .collect::<Option<_>>()?;
     let is_hi: Vec<bool> = pts.iter().map(|p| x0 < p.x).collect();
+    // Pair (i, j) is processor i·n + j of the n² grid; only straddling
+    // pairs act.
+    let straddles = |i: usize, j: usize| !is_hi[i] && is_hi[j];
+    // The pair's computed height at x0 and its slack (see the doc comment).
+    let height = |i: usize, j: usize| {
+        let (a, b) = (pts[i], pts[j]);
+        let h = a.y + (b.y - a.y) * ((x0 - a.x) / (b.x - a.x));
+        (
+            h,
+            HEIGHT_SLACK * (a.y.abs() + b.y.abs()) + f64::MIN_POSITIVE,
+        )
+    };
 
-    // Step 1: rank each point within its side — processor (i, j) counts
-    // j < i on i's side.
-    let rank = shm.alloc("bridge.rank", n, 0);
-    m.step_with_policy(shm, Pids::Grid([1, n, n]), WritePolicy::CombineSum, |ctx| {
-        let [_, i, j] = ctx.coord();
-        if j < i && is_hi[i] == is_hi[j] {
-            ctx.write(rank, i, 1);
+    // Steps 1–2 share a scope: the lower bound and the packed survivor
+    // flags are freed once the host has read back the ascending list of
+    // pairs left standing.
+    let live: Vec<usize> = shm.scope(|shm| {
+        // Step 1: every straddling pair writes the key of its height's
+        // lower bound h̃ − δ; Combining-Max keeps L.
+        let floor = shm.alloc("bridge.floor", 1, i64::MIN);
+        m.step_with_policy(shm, Pids::Grid([1, n, n]), WritePolicy::CombineMax, |ctx| {
+            let [_, i, j] = ctx.coord();
+            if straddles(i, j) {
+                let (h, slack) = height(i, j);
+                ctx.write(floor, 0, f64_key(h - slack));
+            }
+        });
+        if !is_hi.contains(&true) || !is_hi.contains(&false) {
+            return None;
         }
-    });
-    let nhi = is_hi.iter().filter(|&&h| h).count();
-    let nlo = n - nhi;
-    if nlo == 0 || nhi == 0 {
+        // Step 2: a straddling pair whose upper bound h̃ + δ reaches L sets
+        // its bit in the packed survivor flags. A lost write to L lowers
+        // it, so it only keeps more pairs.
+        let alive = shm.alloc("bridge.alive", (n * n).div_ceil(64), 0);
+        m.step_with_policy(shm, Pids::Grid([1, n, n]), WritePolicy::CombineOr, |ctx| {
+            let [_, i, j] = ctx.coord();
+            if straddles(i, j) {
+                let (h, slack) = height(i, j);
+                if f64_key(h + slack) >= ctx.read(floor, 0) {
+                    let t = i * n + j;
+                    ctx.write(alive, t / 64, (1u64 << (t % 64)) as i64);
+                }
+            }
+        });
+        // Read back the set bits in ascending order (a bit past the last
+        // pair, or on a pair that does not straddle, from a corrupted
+        // word, is no pair).
+        let mut live = Vec::new();
+        for (w, &word) in shm.slice(alive).iter().enumerate() {
+            let mut bits = word as u64;
+            while bits != 0 {
+                let t = 64 * w + bits.trailing_zeros() as usize;
+                if t < n * n && straddles(t / n, t % n) {
+                    live.push(t);
+                }
+                bits &= bits - 1;
+            }
+        }
+        Some(live)
+    })?;
+    if live.is_empty() {
         return None;
     }
-    // Read the ranks back into the ascending `lo` and `hi` index lists
-    // (addressing, as `facet_brute`'s candidate list). Under a fault plan
-    // the ranks need not be a permutation of each side: report no bridge
-    // rather than index out of range.
-    let (mut lo, mut hi) = (vec![usize::MAX; nlo], vec![usize::MAX; nhi]);
-    for (k, &h) in is_hi.iter().enumerate() {
-        let side = if h { &mut hi } else { &mut lo };
-        let slot = usize::try_from(shm.get(rank, k))
-            .ok()
-            .and_then(|r| side.get_mut(r))
-            .filter(|s| **s == usize::MAX)?;
-        *slot = k;
-    }
+    let nl = live.len();
+    let ends: Vec<(Point2, Point2)> = live.iter().map(|&t| (pts[t / n], pts[t % n])).collect();
 
-    // Step 2: knock out the straddling pairs that do not support: pair
-    // (a, b) = (lo[a], hi[b]) is bad when some point lies above it.
-    // x_lo ≤ x0 < x_hi, so left-to-right orientation is valid.
-    let npairs = nlo * nhi;
-    let bad = shm.alloc("bridge.bad", npairs, 0);
-    let (lo_pts, hi_pts): (Vec<Point2>, Vec<Point2>) = (
-        lo.iter().map(|&i| pts[i]).collect(),
-        hi.iter().map(|&j| pts[j]).collect(),
-    );
-    m.step_with_policy(
-        shm,
-        Pids::Grid([nlo, nhi, n]),
-        WritePolicy::CombineOr,
-        |ctx| {
-            let [a, b, k] = ctx.coord();
-            if orient2d_sign(lo_pts[a], hi_pts[b], pts[k]) > 0 {
-                ctx.write(bad, a * nhi + b, 1);
-            }
-        },
-    );
+    // Step 3: knock out the surviving pairs that do not support: pair
+    // (a, b) is bad when some point lies above it. x_a ≤ x0 < x_b, so
+    // left-to-right orientation is valid.
+    let bad = shm.alloc("bridge.bad", nl, 0);
+    m.step_with_policy(shm, Pids::Grid([1, nl, n]), WritePolicy::CombineOr, |ctx| {
+        let [_, l, k] = ctx.coord();
+        let (a, b) = ends[l];
+        if orient2d_sign(a, b, pts[k]) > 0 {
+            ctx.write(bad, l, 1);
+        }
+    });
 
-    // Step 3: surviving pairs elect a representative supporting line. All
-    // survivors support the same bridge geometry, but their ids differ, so
+    // Step 4: supporting pairs elect a representative supporting line. All
+    // of them support the same bridge geometry, but their ids differ, so
     // the election runs under Priority — an Arbitrary-policy election here
     // would make the representative, and hence the returned contact pair,
     // depend on the simulator's tiebreak seed whenever contacts are
-    // collinear. Both lists ascend, so the least pid a·|hi| + b is the
-    // lexicographically least (i, j) pair.
+    // collinear. `live` ascends, so the least pid is the lexicographically
+    // least (i, j) pair.
     let win = shm.alloc("bridge.win", 1, EMPTY);
-    m.step_with_policy(shm, 0..npairs, WritePolicy::PriorityMin, |ctx| {
-        let p = ctx.pid;
-        if ctx.read(bad, p) == 0 {
-            ctx.write(win, 0, p as i64);
+    m.step_with_policy(shm, 0..nl, WritePolicy::PriorityMin, |ctx| {
+        let l = ctx.pid;
+        if ctx.read(bad, l) == 0 {
+            ctx.write(win, 0, live[l] as i64);
         }
     });
     let w = usize::try_from(shm.get(win, 0))
         .ok()
-        .filter(|&w| w < npairs)?;
-    let (wi, wj) = (lo[w / nhi], hi[w % nhi]);
-    let (a, b) = (pts[wi], pts[wj]);
+        .filter(|&w| w < n * n && straddles(w / n, w % n))?;
+    let (a, b) = (pts[w / n], pts[w % n]);
 
-    // Steps 4–6: canonicalize collinear contacts — among subset points *on*
+    // Steps 5–6: canonicalize collinear contacts — among subset points *on*
     // the supporting line, the left contact is the one with the largest
-    // x ≤ x0 and the right contact the smallest x > x0 (combining min/max
-    // over order-isomorphic f64 keys, then one election step for both).
+    // x ≤ x0 and the right contact the smallest x > x0 (one combining-max
+    // step over order-isomorphic f64 keys, the right one stored negated,
+    // then one election step for both).
     let lmax = shm.alloc("bridge.lmax", 1, i64::MIN);
-    let rmin = shm.alloc("bridge.rmin", 1, i64::MAX);
+    let rmin = shm.alloc("bridge.rmin", 1, i64::MIN);
     m.step_with_policy(shm, 0..n, WritePolicy::CombineMax, |ctx| {
-        let k = ctx.pid;
-        let pk = pts[k];
-        if orient2d_sign(a, b, pk) == 0 && pk.x <= x0 {
-            ctx.write(lmax, 0, f64_key(pk.x));
+        let pk = pts[ctx.pid];
+        if orient2d_sign(a, b, pk) == 0 {
+            if pk.x <= x0 {
+                ctx.write(lmax, 0, f64_key(pk.x));
+            } else {
+                ctx.write(rmin, 0, !f64_key(pk.x));
+            }
         }
     });
-    m.step_with_policy(shm, 0..n, WritePolicy::CombineMin, |ctx| {
-        let k = ctx.pid;
-        let pk = pts[k];
-        if orient2d_sign(a, b, pk) == 0 && pk.x > x0 {
-            ctx.write(rmin, 0, f64_key(pk.x));
-        }
-    });
-    let (lkey, rkey) = (shm.get(lmax, 0), shm.get(rmin, 0));
+    let (lkey, rkey) = (shm.get(lmax, 0), !shm.get(rmin, 0));
     let lwin = shm.alloc("bridge.lwin", 1, EMPTY);
     let rwin = shm.alloc("bridge.rwin", 1, EMPTY);
     m.step_with_policy(shm, 0..n, WritePolicy::PriorityMin, |ctx| {
@@ -519,9 +567,9 @@ mod tests {
         use ipch_pram::{DropWindow, FaultPlan};
         let pts = vec![p(0.0, 0.0), p(2.0, 2.0), p(4.0, 0.0), p(1.0, -1.0)];
         let ids: Vec<usize> = (0..pts.len()).collect();
-        // Steps 0–4 rank the sides, elect the supporting pair and the
-        // contact keys; step 5 elects the contacts. Drop every processor of
-        // step 5.
+        // Steps 0–4 filter, test and elect the supporting pair and combine
+        // the contact keys; step 5 elects the contacts. Drop every processor
+        // of step 5.
         let mut m = Machine::new(7);
         m.install_faults(FaultPlan {
             drop_window: Some(DropWindow {
@@ -535,39 +583,6 @@ mod tests {
         assert_eq!(bridge_brute(&mut m, &mut shm, &pts, &ids, 1.5), None);
         assert_eq!(m.metrics.steps, 6, "every step ran");
         assert!(m.metrics.faults.dropped_processors > 0);
-        assert!(check_bridge(&pts, 1.5).is_some(), "fault-free run finds it");
-    }
-
-    /// A faulted rank step (step 0) leaves side ranks that are not a
-    /// permutation: the read-back reports no bridge instead of indexing
-    /// out of range.
-    #[test]
-    fn corrupt_rank_step_is_no_bridge() {
-        use ipch_pram::{DropWindow, FaultPlan};
-        let pts = vec![p(0.0, 0.0), p(2.0, 2.0), p(4.0, 0.0), p(1.0, -1.0)];
-        let ids: Vec<usize> = (0..pts.len()).collect();
-        let dropped = FaultPlan {
-            drop_window: Some(DropWindow {
-                from_step: 0,
-                until_step: 1,
-                rate: 1.0,
-            }),
-            ..FaultPlan::default()
-        };
-        // step 0 has only `bridge.rank` live, so its one corruption flips a
-        // rank's low bit: a duplicate or an out-of-range rank
-        let corrupted = FaultPlan {
-            corrupt_rate: 1.0,
-            ..FaultPlan::default()
-        };
-        for plan in [dropped, corrupted] {
-            let mut m = Machine::new(7);
-            m.install_faults(plan);
-            let mut shm = Shm::new();
-            assert_eq!(bridge_brute(&mut m, &mut shm, &pts, &ids, 1.5), None);
-            assert_eq!(m.metrics.steps, 1, "stopped after the rank step");
-            assert!(m.metrics.faults.total() > 0);
-        }
         assert!(check_bridge(&pts, 1.5).is_some(), "fault-free run finds it");
     }
 
@@ -640,6 +655,246 @@ mod tests {
         let mut shm = Shm::new();
         let b = bridge_brute(&mut m, &mut shm, &pts, &ids, 2.0).unwrap();
         assert_eq!((b.left, b.right), (3, 4));
+    }
+
+    /// The knock-out `bridge_brute` this module had before the height
+    /// filter (test every straddling pair against all points, elect the
+    /// least, canonicalize the contacts): the oracle the filtered version
+    /// must match.
+    fn bridge_brute_knockout(points: &[Point2], ids: &[usize], x0: f64) -> Option<Bridge> {
+        let (mut m, mut shm) = (Machine::new(3), Shm::new());
+        let pts: Vec<Point2> = ids.iter().map(|&i| points[i]).collect();
+        let n = pts.len();
+        let (hi, lo): (Vec<usize>, Vec<usize>) = (0..n).partition(|&k| x0 < pts[k].x);
+        let (nlo, nhi) = (lo.len(), hi.len());
+        if nlo == 0 || nhi == 0 {
+            return None;
+        }
+        let bad = shm.alloc("oracle.bad", nlo * nhi, 0);
+        m.step_with_policy(
+            &mut shm,
+            Pids::Grid([nlo, nhi, n]),
+            WritePolicy::CombineOr,
+            |ctx| {
+                let [a, b, k] = ctx.coord();
+                if orient2d_sign(pts[lo[a]], pts[hi[b]], pts[k]) > 0 {
+                    ctx.write(bad, a * nhi + b, 1);
+                }
+            },
+        );
+        let w = (0..nlo * nhi).find(|&p| shm.get(bad, p) == 0)?;
+        let (a, b) = (pts[lo[w / nhi]], pts[hi[w % nhi]]);
+        let on_line = |k: &&usize| orient2d_sign(a, b, pts[**k]) == 0;
+        let key = |k: &usize| f64_key(pts[*k].x);
+        let lkey = lo.iter().filter(on_line).map(key).max()?;
+        let rkey = hi.iter().filter(on_line).map(key).min()?;
+        let contact = |side: &[usize], want: i64| {
+            let at = side.iter().filter(|k| on_line(k) && key(k) == want);
+            at.map(|&k| ids[k]).min()
+        };
+        Some(Bridge {
+            left: contact(&lo, lkey)?,
+            right: contact(&hi, rkey)?,
+        })
+    }
+
+    /// Splitters for a base: every point's x, every midpoint of two
+    /// neighbouring distinct abscissae, and one below the range.
+    fn splitters(pts: &[Point2]) -> Vec<f64> {
+        let mut xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
+        xs.sort_by(f64::total_cmp);
+        xs.dedup();
+        let mids: Vec<f64> = xs.windows(2).map(|w| w[0] / 2.0 + w[1] / 2.0).collect();
+        let below = xs[0] - xs[0].abs() - 1.0;
+        xs.into_iter().chain(mids).chain([below]).collect()
+    }
+
+    /// The height filter only narrows the knock-out's processor set: on
+    /// random, grid, near-collinear and range-end bases, at every
+    /// splitter, the filtered version returns exactly the oracle's
+    /// contacts, or no bridge exactly when the oracle has none.
+    #[test]
+    fn bridge_brute_matches_the_knockout_oracle() {
+        use ipch_geom::generators::{grid, on_circle, uniform_disk};
+        use ipch_geom::validate::ensure_exact_range2;
+        let (mut cases, mut found) = (0, 0);
+        let mut check = |pts: &[Point2]| {
+            assert!(ensure_exact_range2(pts).is_ok(), "{pts:?}");
+            let ids: Vec<usize> = (0..pts.len()).collect();
+            for x0 in splitters(pts) {
+                let got = bridge_brute(&mut Machine::new(5), &mut Shm::new(), pts, &ids, x0);
+                let want = bridge_brute_knockout(pts, &ids, x0);
+                assert_eq!(got, want, "{} points, x0 {x0:e}", pts.len());
+                cases += 1;
+                found += usize::from(got.is_some());
+            }
+        };
+        // uniform disk and circle bases
+        for b in [2usize, 3, 5, 9, 16, 24, 40] {
+            for seed in 0..4u64 {
+                check(&uniform_disk(b, seed));
+                check(&on_circle(b, seed));
+            }
+        }
+        // integer grids: shared columns, collinear contacts on every row
+        for n in [4usize, 9, 12, 25, 36] {
+            check(&grid(n));
+        }
+        let tent: Vec<Point2> = (0..15)
+            .map(|k| {
+                p(
+                    (k % 5) as f64,
+                    (2 - (k % 5) as i64).abs() as f64 - (k / 5) as f64,
+                )
+            })
+            .collect();
+        check(&tent);
+        // a line y = x/2 + 3 at x ≈ 1e8 with ±1-ulp perturbations in y
+        let ulp = |y: f64, d: i64| f64::from_bits((y.to_bits() as i64 + d) as u64);
+        for seed in 0..4i64 {
+            let line: Vec<Point2> = (0..20i64)
+                .map(|k| {
+                    let x = 1e8 + (k * 7 % 20) as f64;
+                    p(x, ulp(x / 2.0 + 3.0, (k * seed + k / 3) % 3 - 1))
+                })
+                .collect();
+            check(&line);
+        }
+        // a steep line y = 1e8·x through the origin, ±1 ulp: near x0 ≈ 0
+        // the computed heights err by more than the pairs' true gaps, so
+        // a filter with less than ε of slack loses the bridge here
+        for seed in 0..4i64 {
+            let steep: Vec<Point2> = (0..24i64)
+                .map(|k| {
+                    let x = -1.0 + ((k * 11 + seed) % 24) as f64 / 11.5 + 0.013 * seed as f64;
+                    p(x, ulp(1e8 * x, (k * (seed + 2) + k / 5) % 3 - 1))
+                })
+                .collect();
+            check(&steep);
+        }
+        // near both ends of the exact range: magnitudes up to f64::MAX / 2,
+        // magnitudes down to the subnormals, and a 2^190 spread in one base
+        for seed in 0..3u64 {
+            for scale in [f64::MAX / 2.0, 2f64.powi(-1000), 2f64.powi(-1060)] {
+                for base in [uniform_disk(12, seed), on_circle(12, seed)] {
+                    let scaled: Vec<Point2> =
+                        base.iter().map(|q| p(q.x * scale, q.y * scale)).collect();
+                    check(&scaled);
+                }
+            }
+            let mut spread: Vec<Point2> = uniform_disk(10, seed)
+                .iter()
+                .map(|q| p(q.x * 2f64.powi(-190), q.y * 2f64.powi(-190)))
+                .collect();
+            spread.extend([p(-1.0, -1.0), p(1.0, -1.0)]);
+            check(&spread);
+        }
+        assert!(cases > 1500, "{cases} cases");
+        assert!(
+            found * 2 > cases,
+            "most splitters should have a bridge: {found}/{cases}"
+        );
+    }
+
+    /// Drop and corruption plans on the filter's two steps (the lower
+    /// bound L and the survivor mark) can only lower L, lose a survivor, or
+    /// add a pair that the exact test then judges: every faulted run
+    /// returns the oracle's bridge or no bridge, never another pair.
+    #[test]
+    fn filter_faults_lose_a_bridge_never_invent_one() {
+        use ipch_geom::generators::{on_circle, uniform_disk};
+        use ipch_pram::{DropWindow, FaultPlan};
+        // The steps at which `plan` corrupts a cell on a machine of `seed`:
+        // the draw depends only on (fault seed, step), so a probe machine
+        // with one live cell and six one-processor steps shows them.
+        let corrupted_steps = |seed: u64, plan: &FaultPlan| -> Vec<u64> {
+            let mut m = Machine::new(seed);
+            m.install_faults(plan.clone());
+            let mut shm = Shm::new();
+            shm.alloc("probe", 1, 0);
+            (0..6)
+                .filter(|_| {
+                    let before = m.metrics.faults.corrupted_cells;
+                    m.step(&mut shm, 0..1, |_| {});
+                    m.metrics.faults.corrupted_cells > before
+                })
+                .collect()
+        };
+        let (mut lost, mut kept, mut corrupted) = (0, 0, 0);
+        for b in [8usize, 16, 24] {
+            for seed in 0..8u64 {
+                for pts in [uniform_disk(b, seed), on_circle(b, seed)] {
+                    let ids: Vec<usize> = (0..b).collect();
+                    let x0 = 0.5 * pts[(7 * seed as usize) % b].x;
+                    let want = bridge_brute_knockout(&pts, &ids, x0);
+                    let mut plans: Vec<FaultPlan> = [(0, 0.3), (0, 1.0), (1, 0.1), (1, 0.5)]
+                        .iter()
+                        .map(|&(from_step, rate)| FaultPlan {
+                            drop_window: Some(DropWindow {
+                                from_step,
+                                until_step: from_step + 1,
+                                rate,
+                            }),
+                            ..FaultPlan::default()
+                        })
+                        .collect();
+                    plans.extend(
+                        (0..)
+                            .map(|salt| FaultPlan {
+                                salt,
+                                corrupt_rate: 0.5,
+                                ..FaultPlan::default()
+                            })
+                            .filter(|plan| {
+                                let at = corrupted_steps(seed, plan);
+                                !at.is_empty() && at.iter().all(|&s| s < 2)
+                            })
+                            .take(3),
+                    );
+                    for plan in plans {
+                        let mut m = Machine::new(seed);
+                        m.install_faults(plan);
+                        let got = bridge_brute(&mut m, &mut Shm::new(), &pts, &ids, x0);
+                        assert!(m.metrics.faults.total() > 0, "b {b} seed {seed}");
+                        corrupted += usize::from(m.metrics.faults.corrupted_cells > 0);
+                        if got.is_none() {
+                            lost += usize::from(want.is_some());
+                        } else {
+                            assert_eq!(got, want, "b {b} seed {seed}");
+                            kept += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            lost > 0 && kept > 0 && corrupted > 0,
+            "lost {lost}, kept {kept}"
+        );
+    }
+
+    /// The filter leaves few pairs standing, so the whole call costs
+    /// little more than its two n² steps; the knock-out oracle reads
+    /// |lo|·|hi|·b, up to b³/4.
+    #[test]
+    fn bridge_brute_work_is_quadratic() {
+        use ipch_geom::generators::{on_circle, uniform_disk};
+        for b in [24usize, 64, 128, 512] {
+            for seed in 0..3u64 {
+                for pts in [uniform_disk(b, seed), on_circle(b, seed)] {
+                    let ids: Vec<usize> = (0..b).collect();
+                    for k in [0, b / 3, (7 * seed as usize) % b] {
+                        let x0 = 0.5 * pts[k].x;
+                        let mut m = Machine::new(5);
+                        let br = bridge_brute(&mut m, &mut Shm::new(), &pts, &ids, x0);
+                        assert!(br.is_some(), "b {b} seed {seed} x0 {x0}");
+                        let work = m.metrics.work;
+                        let cap = 3 * (b * b) as u64;
+                        assert!(work <= cap, "b {b} seed {seed}: work {work} > {cap}");
+                    }
+                }
+            }
+        }
     }
 
     /// As [`analyzer_pins_bridge_election`], for the 3-D facet election: a

@@ -11,7 +11,8 @@
 //!    [`BASE_CAPACITY_FACTOR`]·k = 24k cells.
 //! 2. Solve the base problem deterministically in constant time
 //!    ([`crate::bridge::bridge_brute`] — the exact brute force over the
-//!    straddling pairs, at most b³/4 + b² processors for b base points).
+//!    straddling pairs that can be highest at x₀: 2b² + O(b) processors
+//!    for b base points in general position, b³/4 + O(b²) at worst).
 //! 3. Every point checks whether it violates the solution (lies strictly
 //!    above the candidate bridge line); violators are *survivors* and are
 //!    candidates for the next base, sampled at the escalating rate

@@ -79,13 +79,13 @@ fn cost_pins_bridge_random_disk() {
     let pts = uniform_disk(40, 3);
     assert_eq!(
         run_bridge(&pts, &all(40), 0.1, None),
-        (Some((33, 34)), (6, 16111, 7103, 384, 0))
+        (Some((33, 34)), (6, 3321, 357, 1, 0))
     );
     // a strided subset: ids index a larger array
     let ids: Vec<usize> = (0..40).step_by(3).collect();
     assert_eq!(
         run_bridge(&pts, &ids, -0.2, None),
-        (Some((0, 33)), (6, 973, 341, 56, 0))
+        (Some((0, 33)), (6, 435, 55, 1, 0))
     );
 }
 
@@ -105,42 +105,44 @@ fn cost_pins_bridge_collinear_contacts() {
     .collect();
     assert_eq!(
         run_bridge(&pts, &all(pts.len()), 1.5, None),
-        (Some((1, 2)), (6, 166, 44, 14, 0))
+        (Some((1, 2)), (6, 144, 26, 5, 0))
     );
     // x0 on a contact: the left contact is the point at x0 itself
     assert_eq!(
         run_bridge(&pts, &all(pts.len()), 2.0, None),
-        (Some((2, 3)), (6, 150, 42, 11, 0))
+        (Some((2, 3)), (6, 144, 24, 4, 0))
     );
 }
 
 #[test]
 fn cost_pins_bridge_lopsided_split() {
     // x0 between the two largest abscissae: one point on the hi side, so
-    // the |lo|·|hi|·n knock-out is below the n² rank step
+    // only |lo| = 39 pairs straddle, yet both filter steps run all n²
+    // grid processors
     let pts = uniform_disk(40, 3);
     let mut xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
     xs.sort_by(f64::total_cmp);
     let x0 = (xs[38] + xs[39]) / 2.0;
     assert_eq!(
         run_bridge(&pts, &all(40), x0, None),
-        (Some((21, 6)), (6, 3319, 1487, 74, 0))
+        (Some((21, 6)), (6, 3321, 45, 1, 0))
     );
 }
 
 #[test]
 fn cost_pins_bridge_drop_window() {
     let pts = uniform_disk(24, 9);
-    // half the knock-out step's (step 1's) processors lose their writes;
-    // the least surviving pair is still the bridge, so only the writes
-    // and the dropped count tell the runs apart
+    // half the lower-bound step's (step 0's) processors lose their
+    // writes; the highest pair's bound is not among them, so the same
+    // single pair survives the mark and only the writes and the dropped
+    // count tell the runs apart
     assert_eq!(
-        run_bridge(&pts, &all(24), 0.0, Some(drop_plan(1, 0.5))),
-        (Some((5, 14)), (6, 3848, 837, 135, 1522))
+        run_bridge(&pts, &all(24), 0.0, Some(drop_plan(0, 0.5))),
+        (Some((5, 14)), (6, 1225, 70, 1, 298))
     );
     assert_eq!(
         run_bridge(&pts, &all(24), 0.0, None),
-        (Some((5, 14)), (6, 3848, 1561, 145, 0))
+        (Some((5, 14)), (6, 1225, 134, 1, 0))
     );
 }
 
