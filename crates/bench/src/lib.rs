@@ -9,9 +9,8 @@
 //!   writes `bench_results/<id>.csv` at the workspace root. The tables
 //!   hold seeded simulated costs only, so the CSVs are byte-identical at
 //!   any thread count and CI diffs them against the committed files.
-//! * `cargo bench` runs the criterion benches (experiment F6, plus the
-//!   analyzer and voting costs). They print and write
-//!   nothing; wall-clock claims belong to `perfbench/`.
+//!
+//! Wall-clock measurement belongs to `perfbench/`, not to this crate.
 
 pub mod experiments;
 pub mod table;

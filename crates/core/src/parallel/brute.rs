@@ -14,8 +14,6 @@ use ipch_geom::predicates::orient2d_sign;
 use ipch_geom::{Point2, UpperHull};
 use ipch_pram::{Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy};
 
-use crate::{assign_edges_pram, HullOutput};
-
 /// Concurrency contract: Common-CRCW — concurrent writers of a cell always
 /// agree on the value (the only races are the constant "kill" marks).
 pub const BRUTE_CONTRACT: ModelContract = ModelContract {
@@ -100,15 +98,6 @@ pub fn upper_hull_brute(
     UpperHull::new(verts)
 }
 
-/// Observation 2.3 with the paper's full output convention (per-point edge
-/// pointers).
-pub fn upper_hull_brute_full(m: &mut Machine, shm: &mut Shm, points: &[Point2]) -> HullOutput {
-    let ids: Vec<usize> = (0..points.len()).collect();
-    let hull = upper_hull_brute(m, shm, points, &ids);
-    let edge_above = assign_edges_pram(m, shm, points, &hull);
-    HullOutput { hull, edge_above }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,15 +165,5 @@ mod tests {
         let mut shm = Shm::new();
         let h = upper_hull_brute(&mut m, &mut shm, &pts, &ids);
         assert_eq!(h.vertices, vec![0, 3, 2]);
-    }
-
-    #[test]
-    fn full_output_pointers_verify() {
-        let pts = uniform_disk(50, 9);
-        let mut m = Machine::new(4);
-        let mut shm = Shm::new();
-        let out = upper_hull_brute_full(&mut m, &mut shm, &pts);
-        verify_upper_hull(&pts, &out.hull).unwrap();
-        out.verify_pointers(&pts).unwrap();
     }
 }

@@ -20,13 +20,13 @@
 //! hulls".
 //!
 //! Hull-primitive costs: each tangent / above-line query is executed
-//! host-side in O(log q) and **charged** at the Atallah–Goodrich parallel
+//! host-side (the above-line test in O(log q), the tangent by an
+//! O(|a| + |b|) walk) and **charged** at the Atallah–Goodrich parallel
 //! cost (O(1) steps, √q processors — the b = 2 instance of their
 //! q^{1/b}-ary search); sampling and survivor bookkeeping are executed
 //! steps on the simulator.
 
 use ipch_geom::hullops::{common_upper_tangent, hull_above_line};
-use ipch_geom::predicates::orient2d_sign;
 use ipch_geom::{Point2, UpperHull};
 use ipch_inplace::sample::random_sample_with_p;
 use ipch_lp::bridge::Bridge;
@@ -338,27 +338,6 @@ pub fn hull_of_hulls(
     chain.dedup();
     super::merge::strictify(points, &mut chain);
     Ok((UpperHull::new(chain), report))
-}
-
-/// Reference check used by tests: the hull of the union computed directly.
-pub fn union_oracle(points: &[Point2], groups: &[UpperHull]) -> UpperHull {
-    let mut all: Vec<usize> = groups.iter().flat_map(|h| h.vertices.clone()).collect();
-    all.sort_by(|&a, &b| points[a].cmp_xy(&points[b]));
-    let sub: Vec<Point2> = all.iter().map(|&i| points[i]).collect();
-    UpperHull::new(
-        ipch_geom::hull_chain::upper_hull_indices(&sub)
-            .into_iter()
-            .map(|i| all[i])
-            .collect(),
-    )
-}
-
-/// Is `p` on or below the chain `hull`? Host-side test helper.
-pub fn below_chain(points: &[Point2], hull: &UpperHull, p: Point2) -> bool {
-    match hull.edge_above(points, p) {
-        Some((u, v)) => orient2d_sign(points[u], points[v], p) <= 0,
-        None => false,
-    }
 }
 
 #[cfg(test)]

@@ -245,11 +245,17 @@ pub fn upper_hull_unsorted(
         // only its own slot, an exclusive cell.
         m.step_with_policy(shm, &active, WritePolicy::Arbitrary, |ctx| {
             let i = ctx.pid;
-            let j = ctx.read(prob, i) as usize;
-            match sols_ref[j] {
+            let j = ctx.read(prob, i);
+            // a corrupted problem number that names no problem retires
+            // the point
+            let Some(&sol) = usize::try_from(j).ok().and_then(|j| sols_ref.get(j)) else {
+                ctx.write(prob, i, EMPTY);
+                return;
+            };
+            match sol {
                 // pending problems park at their left-child slot so the
                 // renumbering below sees a consistent 2·#problems id space
-                Sol::Pending => ctx.write(prob, i, (2 * j) as i64),
+                Sol::Pending => ctx.write(prob, i, 2 * j),
                 Sol::Retire => ctx.write(prob, i, EMPTY),
                 Sol::Bridge {
                     a,
@@ -282,9 +288,11 @@ pub fn upper_hull_unsorted(
                 Sol::Retire => {}
                 Sol::Bridge { .. } => {
                     for &i in ids {
-                        let v = shm.get(prob, i);
-                        if v != EMPTY {
-                            next_lists[v as usize].push(i);
+                        // EMPTY, or a corrupted slot that names no list:
+                        // the point retires
+                        let v = usize::try_from(shm.get(prob, i)).ok();
+                        if let Some(lst) = v.and_then(|v| next_lists.get_mut(v)) {
+                            lst.push(i);
                         }
                     }
                 }
@@ -309,7 +317,9 @@ pub fn upper_hull_unsorted(
             if v == EMPTY {
                 return;
             }
-            let r = remap_ref[v as usize];
+            // a corrupted slot that names no list retires the point
+            let slot = usize::try_from(v).ok();
+            let r = slot.and_then(|v| remap_ref.get(v)).copied().unwrap_or(-2);
             ctx.write(prob, i, if r == -2 { EMPTY } else { r });
         });
         problems = new_problems;
@@ -823,5 +833,28 @@ mod tests {
         let (out, trace, _) = run(&pts, 8, &params);
         assert!(trace.swept > 0);
         assert_eq!(out.hull, UpperHull::of(&pts));
+    }
+
+    /// Cell corruption can leave any value in a point's `prob` register,
+    /// `EMPTY ^ 1` included. The split step, the host rebuild and the
+    /// renumber step read it back bounded: a number that names no problem
+    /// or list retires the point, so no run indexes out of bounds (its
+    /// answer is the certificate's business, not this test's).
+    #[test]
+    fn corrupted_problem_numbers_never_index_out_of_bounds() {
+        use ipch_pram::FaultPlan;
+        for n in [64, 256] {
+            for seed in 0..80 {
+                let pts = uniform_disk(n, seed);
+                let mut m = Machine::new(seed);
+                m.install_faults(FaultPlan {
+                    corrupt_rate: 0.05,
+                    ..FaultPlan::default()
+                });
+                let mut shm = Shm::new();
+                upper_hull_unsorted(&mut m, &mut shm, &pts, &UnsortedParams::default());
+                assert!(m.metrics.faults.corrupted_cells > 0, "n={n} seed={seed}");
+            }
+        }
     }
 }

@@ -45,11 +45,6 @@ impl ConcatPoints2 {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// Total concatenated point count.
-    pub fn total_len(&self) -> usize {
-        self.points.len()
-    }
-
     /// True when no member holds any point.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
@@ -80,28 +75,6 @@ impl ConcatPoints2 {
     pub fn soa(&self) -> PointsSoA {
         PointsSoA::from_points(&self.points)
     }
-
-    /// Which member a concatenated index belongs to (binary search over the
-    /// offset table; callers in kernel closures pay O(log B) index
-    /// arithmetic per virtual processor, like the div/mod decoding of the
-    /// brute oracle's pair space).
-    pub fn member_of(&self, concat_index: usize) -> usize {
-        assert!(
-            concat_index < self.points.len(),
-            "member_of: index {concat_index} past the concatenation"
-        );
-        match self.offsets.binary_search(&concat_index) {
-            // offsets may repeat at empty members: land on the run's last
-            // boundary, which is the (only) non-empty owner's start
-            Ok(mut g) => {
-                while g + 1 < self.offsets.len() && self.offsets[g + 1] == concat_index {
-                    g += 1;
-                }
-                g
-            }
-            Err(g) => g - 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -119,27 +92,11 @@ mod tests {
         let c = vec![p(5.0, 2.0), p(6.0, 3.0), p(7.0, 4.0)];
         let cat = ConcatPoints2::from_members(&[&a, &b, &c]);
         assert_eq!(cat.member_count(), 3);
-        assert_eq!(cat.total_len(), 5);
+        assert_eq!(cat.all().len(), 5);
         assert_eq!(cat.offsets(), &[0, 2, 2, 5]);
         assert_eq!(cat.member(0), &a[..]);
         assert!(cat.member(1).is_empty());
         assert_eq!(cat.member(2), &c[..]);
         assert_eq!(cat.soa().xs(), &[0.0, 1.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn member_of_inverts_the_offsets() {
-        let a = vec![p(0.0, 0.0), p(1.0, 1.0)];
-        let b: Vec<Point2> = vec![];
-        let c = vec![p(5.0, 2.0)];
-        let cat = ConcatPoints2::from_members(&[&a, &b, &c]);
-        assert_eq!(cat.member_of(0), 0);
-        assert_eq!(cat.member_of(1), 0);
-        assert_eq!(cat.member_of(2), 2);
-        for g in 0..cat.member_count() {
-            for i in cat.member_range(g) {
-                assert_eq!(cat.member_of(i), g);
-            }
-        }
     }
 }

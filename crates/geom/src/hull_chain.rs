@@ -123,22 +123,6 @@ impl UpperHull {
             None
         }
     }
-
-    /// y-coordinate of the hull chain at abscissa `x` (linear interpolation
-    /// along the covering edge). `None` outside the hull's x-range.
-    pub fn y_at(&self, pts: &[Point2], x: f64) -> Option<f64> {
-        if self.vertices.len() == 1 {
-            let p = pts[self.vertices[0]];
-            return if p.x == x { Some(p.y) } else { None };
-        }
-        let (u, v) = self.edge_above(pts, Point2::new(x, 0.0))?;
-        let (pu, pv) = (pts[u], pts[v]);
-        if pu.x == pv.x {
-            return Some(pu.y.max(pv.y));
-        }
-        let t = (x - pu.x) / (pv.x - pu.x);
-        Some(pu.y + t * (pv.y - pu.y))
-    }
 }
 
 /// Independently verify that `hull` is the upper hull of `pts`.
@@ -335,8 +319,6 @@ mod tests {
         assert_eq!(h.edge_above(&pts, p(2.0, 0.0)), Some((1, 2)));
         assert_eq!(h.edge_above(&pts, p(-1.0, 0.0)), None);
         assert_eq!(h.edge_above(&pts, p(5.0, 0.0)), None);
-        assert_eq!(h.y_at(&pts, 1.0), Some(1.0));
-        assert_eq!(h.y_at(&pts, 3.0), Some(1.0));
     }
 
     #[test]

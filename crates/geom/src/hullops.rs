@@ -7,17 +7,19 @@
 //!
 //! | on points/lines                      | on upper hulls                       |
 //! |--------------------------------------|--------------------------------------|
-//! | coordinates / side-of-line of a point| line ∩ upper hull ([`hull_above_line`], [`vertices_above_line`]) |
+//! | coordinates / side-of-line of a point| line ∩ upper hull ([`hull_above_line`], via [`extreme_vertex`]) |
 //! | line defined by two points           | common tangent ([`common_upper_tangent`]) |
-//! | intersection of two lines            | intersection of two hulls (one crossing assumed) |
+//! | intersection of two lines            | intersection of two hulls (not needed: the callers only use tangent contacts) |
 //!
-//! Every query here exploits the strict convexity of the chain: the dot
+//! The line queries exploit the strict convexity of the chain: the dot
 //! product of vertices with a fixed direction is strictly unimodal along
-//! the chain, so all searches are O(log q) sequentially. Atallah–Goodrich
-//! evaluate the same searches in O(b) parallel time with O(q^{1/b})
-//! processors by q^{1/b}-ary branching; call sites on the PRAM charge that
-//! cost (see `ipch-hull2d`'s `invariant` module) while delegating the data
-//! work to these routines.
+//! the chain, so they binary-search in O(log q) sequentially. The common
+//! tangent is a two-pointer walk, O(|a| + |b|), checked against the
+//! brute-force [`common_upper_tangent_naive`]. Atallah–Goodrich evaluate
+//! the same queries in O(b) parallel time with O(q^{1/b}) processors by
+//! q^{1/b}-ary branching; call sites on the PRAM charge that cost (see
+//! `ipch-hull2d`'s `invariant` module) while delegating the data work to
+//! these routines.
 
 use crate::hull_chain::UpperHull;
 use crate::point::Point2;
@@ -68,114 +70,14 @@ pub fn hull_above_line(pts: &[Point2], hull: &UpperHull, a: Point2, b: Point2) -
     orient2d_sign(a, b, pts[hull.vertices[i]]) > 0
 }
 
-/// The contiguous range of hull-vertex positions strictly above line `a→b`,
-/// as `lo..hi` into `hull.vertices` (empty range if none). The above-set of
-/// a convex chain against a line is always contiguous.
-pub fn vertices_above_line(
-    pts: &[Point2],
-    hull: &UpperHull,
-    a: Point2,
-    b: Point2,
-) -> std::ops::Range<usize> {
-    let n = hull.vertices.len();
-    let above = |i: usize| orient2d_sign(a, b, pts[hull.vertices[i]]) > 0;
-    if n == 0 {
-        return 0..0;
-    }
-    // peak of signed distance = extreme vertex along upward normal
-    let normal = (-(b.y - a.y), b.x - a.x);
-    let peak = extreme_vertex(pts, hull, normal);
-    if !above(peak) {
-        return 0..0;
-    }
-    // left boundary: first above-vertex in 0..=peak (above is a suffix there)
-    let (mut lo, mut hi) = (0usize, peak);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if above(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let left = lo;
-    // right boundary: last above-vertex in peak..n (above is a prefix there)
-    let (mut lo2, mut hi2) = (peak, n - 1);
-    while lo2 < hi2 {
-        let mid = (lo2 + hi2).div_ceil(2);
-        if above(mid) {
-            lo2 = mid;
-        } else {
-            hi2 = mid - 1;
-        }
-    }
-    left..lo2 + 1
-}
-
-/// Upper tangent from an external point `q` to `hull`: the position `t`
-/// (into `hull.vertices`) such that every hull vertex lies on or below the
-/// line through `q` and vertex `t`. Requires `q.x` strictly outside the
-/// hull's x-span (the configuration that arises between x-disjoint groups).
-/// O(log q) binary search on the tangency predicate.
-pub fn tangent_from_point(pts: &[Point2], hull: &UpperHull, q: Point2) -> usize {
-    assert!(!hull.is_empty());
-    let n = hull.vertices.len();
-    if n == 1 {
-        return 0;
-    }
-    let v = |i: usize| pts[hull.vertices[i]];
-    let left_of_hull = q.x < v(0).x;
-    assert!(
-        left_of_hull || q.x > v(n - 1).x,
-        "tangent_from_point requires q outside the hull x-span"
-    );
-    // Tangency test at i: both neighbours on-or-below line(q, v(i)).
-    // For q left of the hull, walking right along the chain the slope of
-    // q→v(i) first increases then decreases... equivalently the predicate
-    // "v(i+1) is on-or-below line(q, v(i))" is monotone in i: false, …,
-    // false, true, …, true. Binary search the first true.
-    if left_of_hull {
-        let pred = |i: usize| -> bool {
-            // successor not strictly above line q→v(i)
-            i + 1 >= n || orient2d_sign(q, v(i), v(i + 1)) <= 0
-        };
-        let (mut lo, mut hi) = (0usize, n - 1);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if pred(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    } else {
-        // mirror: q right of hull; predicate on predecessor, searching from
-        // the right: "v(i-1) on-or-below line(v(i), q)" is monotone
-        // (true, …, true, false, …, false) going left→right reversed.
-        let pred = |i: usize| -> bool { i == 0 || orient2d_sign(v(i), q, v(i - 1)) <= 0 };
-        let (mut lo, mut hi) = (0usize, n - 1);
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if pred(mid) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        lo
-    }
-}
-
 /// Common upper tangent of two x-disjoint upper hulls (every `a`-vertex x
 /// strictly less than every `b`-vertex x). Returns positions `(ia, ib)`
 /// into the respective vertex lists such that all vertices of both hulls
 /// lie on or below the line through `a[ia] → b[ib]`. Collinear touching
 /// vertices resolve to the outermost pair.
 ///
-/// Two-pointer walk, O(|a| + |b|); the classic O(log) nested search exists
-/// but the walk is the verification-grade reference (call sites charge the
-/// Atallah–Goodrich parallel cost, see module docs).
+/// Two-pointer walk, O(|a| + |b|) (call sites charge the Atallah–Goodrich
+/// parallel cost, see module docs).
 pub fn common_upper_tangent(
     pts_a: &[Point2],
     a: &UpperHull,
@@ -206,92 +108,6 @@ pub fn common_upper_tangent(
             return (ia, ib);
         }
     }
-}
-
-/// Common upper tangent by nested binary search: O(log|a| · log|b|)
-/// orientation tests (the sequential counterpart of the Atallah–Goodrich
-/// q^{1/b}-ary parallel search this crate's callers charge). Same
-/// contract as [`common_upper_tangent`]; both are validated against the
-/// brute reference, and against each other, in the tests.
-///
-/// Search: for each candidate contact `i` on hull `a`, the tangent from
-/// point `a[i]` to hull `b` is found in O(log|b|); `i` is the true contact
-/// iff its neighbours on `a` fall on or below that line. The predicate
-/// "the true contact lies right of i" (neighbour `i+1` strictly above) is
-/// monotone along the chain, so `i` binary-searches in O(log|a|).
-pub fn common_upper_tangent_fast(
-    pts_a: &[Point2],
-    a: &UpperHull,
-    pts_b: &[Point2],
-    b: &UpperHull,
-) -> (usize, usize) {
-    assert!(!a.is_empty() && !b.is_empty());
-    let va = |i: usize| pts_a[a.vertices[i]];
-    let vb = |j: usize| pts_b[b.vertices[j]];
-    assert!(
-        va(a.vertices.len() - 1).x < vb(0).x,
-        "hulls must be x-disjoint (a left of b)"
-    );
-    let n = a.vertices.len();
-
-    // contact on b for a given left endpoint (a is entirely left of b)
-    let contact_b = |i: usize| tangent_from_point(pts_b, b, va(i));
-
-    let (mut lo, mut hi) = (0usize, n - 1);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let j = contact_b(mid);
-        // does the chain continue above the candidate tangent to the right?
-        if mid + 1 < n && orient2d_sign(va(mid), vb(j), va(mid + 1)) > 0 {
-            lo = mid + 1;
-        } else if mid > 0 && orient2d_sign(va(mid), vb(j), va(mid - 1)) > 0 {
-            hi = mid - 1;
-        } else {
-            // candidate supports hull a; finish like the walk so collinear
-            // contacts resolve to the same outermost pair
-            let mut ia = mid;
-            let mut ib = contact_b(ia);
-            loop {
-                let mut moved = false;
-                while ib + 1 < b.vertices.len() && orient2d_sign(va(ia), vb(ib), vb(ib + 1)) >= 0 {
-                    ib += 1;
-                    moved = true;
-                }
-                while ia > 0 && orient2d_sign(va(ia), vb(ib), va(ia - 1)) >= 0 {
-                    ia -= 1;
-                    moved = true;
-                }
-                if !moved {
-                    return (ia, ib);
-                }
-            }
-        }
-    }
-    let ia = lo;
-    let mut ib = contact_b(ia);
-    // outermost-collinear cleanup (identical to the walk's convention)
-    loop {
-        let mut moved = false;
-        while ib + 1 < b.vertices.len() && orient2d_sign(va(ia), vb(ib), vb(ib + 1)) >= 0 {
-            ib += 1;
-            moved = true;
-        }
-        if !moved {
-            break;
-        }
-    }
-    let mut ia = ia;
-    loop {
-        let mut moved = false;
-        while ia > 0 && orient2d_sign(va(ia), vb(ib), va(ia - 1)) >= 0 {
-            ia -= 1;
-            moved = true;
-        }
-        if !moved {
-            break;
-        }
-    }
-    (ia, ib)
 }
 
 /// Brute-force O(|a|·|b|·(|a|+|b|)) common-tangent reference for tests.
@@ -399,61 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn vertices_above_line_is_contiguous_and_correct() {
-        let pts = arc(0.0, 25);
-        let h = hull(&pts);
-        for yc in [0.2, 0.5, 0.9, 0.99, 1.01] {
-            let (a, b) = (p(-3.0, yc), p(3.0, yc));
-            let r = vertices_above_line(&pts, &h, a, b);
-            for i in 0..h.vertices.len() {
-                let above = orient2d_sign(a, b, pts[h.vertices[i]]) > 0;
-                assert_eq!(r.contains(&i), above, "yc={yc} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn tangent_from_point_both_sides() {
-        let pts = arc(0.0, 30);
-        let h = hull(&pts);
-        for q in [
-            p(-5.0, 0.0),
-            p(-3.0, 1.2),
-            p(5.0, 0.0),
-            p(4.0, 1.5),
-            p(-2.5, -1.0),
-        ] {
-            let t = tangent_from_point(&pts, &h, q);
-            let tv = pts[h.vertices[t]];
-            for i in 0..h.vertices.len() {
-                let w = pts[h.vertices[i]];
-                let s = if q.x < tv.x {
-                    orient2d_sign(q, tv, w)
-                } else {
-                    orient2d_sign(tv, q, w)
-                };
-                assert!(s <= 0, "q={q:?} vertex {i} above tangent");
-            }
-        }
-    }
-
-    #[test]
-    fn tangent_from_point_tiny_hulls() {
-        let pts = vec![p(0.0, 0.0)];
-        let h = hull(&pts);
-        assert_eq!(tangent_from_point(&pts, &h, p(-1.0, 0.0)), 0);
-        let pts2 = vec![p(0.0, 0.0), p(1.0, 1.0)];
-        let h2 = hull(&pts2);
-        // from high on the left the tangent line slopes steeply down, so it
-        // touches the far (right) vertex; from low on the left, the near one
-        let t = tangent_from_point(&pts2, &h2, p(-1.0, 5.0));
-        assert_eq!(h2.vertices[t], 1);
-        let t2 = tangent_from_point(&pts2, &h2, p(-1.0, -5.0));
-        assert_eq!(h2.vertices[t2], 0);
-    }
-
-    #[test]
-    fn common_tangent_matches_naive_on_arcs() {
+    fn common_tangent_matches_naive() {
         for (na, nb) in [(3usize, 3usize), (5, 9), (12, 4), (20, 20), (1, 7), (6, 1)] {
             let pa = arc(0.0, na.max(2));
             let pb = arc(5.0, nb.max(2));
@@ -465,14 +227,10 @@ mod tests {
                 (pa, pb)
             };
             let (ha, hb) = (hull(&pa), hull(&pb));
-            let fast = common_upper_tangent(&pa, &ha, &pb, &hb);
+            let walk = common_upper_tangent(&pa, &ha, &pb, &hb);
             let naive = common_upper_tangent_naive(&pa, &ha, &pb, &hb);
-            assert_eq!(fast, naive, "na={na} nb={nb}");
+            assert_eq!(walk, naive, "na={na} nb={nb}");
         }
-    }
-
-    #[test]
-    fn fast_tangent_matches_walk() {
         // random irregular hull pairs across a size grid
         let mut s = 0xfeedu64;
         let mut next = move || {
@@ -491,28 +249,10 @@ mod tests {
                     .collect();
                 let (ha, hb) = (hull(&pa), hull(&pb));
                 let walk = common_upper_tangent(&pa, &ha, &pb, &hb);
-                let fast = common_upper_tangent_fast(&pa, &ha, &pb, &hb);
-                assert_eq!(fast, walk, "na={na} nb={nb} trial={trial}");
+                let naive = common_upper_tangent_naive(&pa, &ha, &pb, &hb);
+                assert_eq!(walk, naive, "na={na} nb={nb} trial={trial}");
             }
         }
-    }
-
-    #[test]
-    fn fast_tangent_on_arcs_and_collinear() {
-        let pa = arc(0.0, 30);
-        let pb = arc(5.0, 17);
-        let (ha, hb) = (hull(&pa), hull(&pb));
-        assert_eq!(
-            common_upper_tangent_fast(&pa, &ha, &pb, &hb),
-            common_upper_tangent(&pa, &ha, &pb, &hb)
-        );
-        let ca = vec![p(0.0, 0.0), p(1.0, 1.0)];
-        let cb = vec![p(2.0, 2.0), p(3.0, 3.0)];
-        let (ha, hb) = (hull(&ca), hull(&cb));
-        assert_eq!(
-            common_upper_tangent_fast(&ca, &ha, &cb, &hb),
-            common_upper_tangent(&ca, &ha, &cb, &hb)
-        );
     }
 
     #[test]

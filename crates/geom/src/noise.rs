@@ -41,7 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// distinct predicate kinds draw independent lie streams).
 const OP_ORIENT2D: u64 = 0xA0A0_0121_D000_0001;
 const OP_ORIENT3D: u64 = 0xB0B0_0131_D000_0002;
-const OP_LESS_XY: u64 = 0xC0C0_01C0_3900_0003;
 const OP_LESS_X: u64 = 0xD0D0_01C0_3000_0004;
 
 /// SplitMix64 finalizer — the same avalanche the PRAM fault plane uses, so
@@ -230,18 +229,6 @@ impl NoiseCtx {
         }
     }
 
-    /// One (possibly lying) evaluation of the lexicographic x-then-y
-    /// "strictly less" comparison.
-    #[inline]
-    pub fn less_xy(&self, a: Point2, b: Point2, trial: u32) -> bool {
-        let truth = a.cmp_xy(&b) == std::cmp::Ordering::Less;
-        let operands = mix64(hash2(a) ^ mix64(hash2(b)));
-        match self.lies(OP_LESS_XY, operands, trial) {
-            Some(_) => !truth,
-            None => truth,
-        }
-    }
-
     /// One (possibly lying) evaluation of the strict x-order comparison
     /// (`a.x < b.x`, the pair-direction test of the brute hull oracle).
     #[inline]
@@ -295,16 +282,6 @@ impl NoiseCtx {
         2 * yes > reps
     }
 
-    /// Majority-voted lexicographic comparison over `reps` trials.
-    pub fn voted_less_xy(&self, a: Point2, b: Point2, reps: u32) -> bool {
-        if !self.is_live() {
-            return a.cmp_xy(&b) == std::cmp::Ordering::Less;
-        }
-        self.votes.fetch_add(reps as u64, Ordering::Relaxed);
-        let yes = (0..reps).filter(|&t| self.less_xy(a, b, t)).count() as u32;
-        2 * yes > reps
-    }
-
     #[inline]
     fn plurality(tally: &[u32; 3]) -> i32 {
         let mut best = 0usize;
@@ -330,7 +307,7 @@ mod tests {
         let ctx = NoiseCtx::noiseless();
         assert_eq!(ctx.orient2d_sign(A, B, UP, 0), 1);
         assert_eq!(ctx.voted_orient2d(A, B, UP, 99), 1);
-        assert!(ctx.less_xy(A, B, 0));
+        assert!(ctx.less_x(A, B, 0));
         assert_eq!(ctx.flips(), 0);
         assert_eq!(ctx.votes(), 0, "noiseless voting charges nothing");
     }
@@ -397,16 +374,6 @@ mod tests {
     impl Ctx100 {
         fn ctx() -> NoiseCtx {
             NoiseCtx::new(3, 1.0, NoiseMode::Fresh)
-        }
-    }
-
-    #[test]
-    fn voted_less_xy_majority() {
-        let ctx = NoiseCtx::new(5, 0.2, NoiseMode::Fresh);
-        for i in 0..100 {
-            let b = Point2::new(1.0 + i as f64, 0.0);
-            assert!(ctx.voted_less_xy(A, b, 21), "i={i}");
-            assert!(!ctx.voted_less_xy(b, A, 21), "i={i}");
         }
     }
 

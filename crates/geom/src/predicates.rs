@@ -207,18 +207,6 @@ fn sign_of(v: f64) -> i32 {
     (v > 0.0) as i32 - (v < 0.0) as i32
 }
 
-/// True if point `c` is strictly above the line through `a` and `b`
-/// (`a.x != b.x` assumed by the caller; "above" is +y).
-///
-/// For an upper hull with vertices left-to-right, interior points are
-/// strictly *below* every hull edge's supporting line, i.e.
-/// `orient2d(a, b, p) == Clockwise` when `a.x < b.x`.
-#[inline]
-pub fn strictly_above(a: Point2, b: Point2, c: Point2) -> bool {
-    assert!(a.x <= b.x, "strictly_above needs a.x <= b.x");
-    orient2d_sign(a, b, c) > 0
-}
-
 /// True if `c` is on or below the line through `a → b` (left-to-right).
 #[inline]
 pub fn on_or_below(a: Point2, b: Point2, c: Point2) -> bool {
@@ -437,8 +425,6 @@ mod tests {
 
     #[test]
     fn above_below_helpers() {
-        assert!(strictly_above(A, B, Point2::new(0.5, 0.1)));
-        assert!(!strictly_above(A, B, Point2::new(0.5, 0.0)));
         assert!(on_or_below(A, B, Point2::new(0.5, 0.0)));
         assert!(on_or_below(A, B, Point2::new(0.5, -2.0)));
         assert!(!on_or_below(A, B, Point2::new(0.5, 0.2)));

@@ -103,11 +103,6 @@ impl PointsSoA {
     pub fn x_keys(&self) -> Vec<i64> {
         self.xs.iter().map(|&x| f64_key(x)).collect()
     }
-
-    /// Precompute the order-isomorphic key of every y coordinate.
-    pub fn y_keys(&self) -> Vec<i64> {
-        self.ys.iter().map(|&y| f64_key(y)).collect()
-    }
 }
 
 /// One-shot key column straight from an AoS slice, for call sites that

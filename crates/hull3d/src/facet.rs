@@ -58,12 +58,6 @@ pub fn xy_contains(points: &[Point3], f: &Facet, q: Point2) -> bool {
     orient2d_sign(a, b, q) >= 0 && orient2d_sign(b, c, q) >= 0 && orient2d_sign(c, a, q) >= 0
 }
 
-/// Is point `q` strictly below the supporting plane of `f`?
-/// (`orient3d > 0` ⇔ below for a CCW-from-above facet.)
-pub fn strictly_below(points: &[Point3], f: &Facet, q: Point3) -> bool {
-    orient3d_sign(points[f.a], points[f.b], points[f.c], q) > 0
-}
-
 /// Independently verify an upper-hull facet set:
 ///
 /// 1. every facet is CCW-from-above and non-degenerate;
@@ -175,8 +169,6 @@ mod tests {
         let f = oriented_facet(&pts, 0, 1, 3).unwrap();
         assert!(xy_contains(&pts, &f, Point2::new(1.0, 0.5)));
         assert!(!xy_contains(&pts, &f, Point2::new(-1.0, -1.0)));
-        assert!(strictly_below(&pts, &f, Point3::new(1.0, 0.5, -10.0)));
-        assert!(!strictly_below(&pts, &f, Point3::new(1.0, 0.5, 100.0)));
     }
 
     #[test]

@@ -66,9 +66,15 @@ pub fn failure_sweep(
         match ragde_compact_det(m, shm, flags, bound) {
             Some(c) => {
                 // the count-sized area holds the ids in slot order
-                // `j mod p`: sweep them in id order
-                let list = shm.slice(c.dst).iter().filter(|&&x| x != EMPTY);
-                let mut list: Vec<usize> = list.map(|&x| x as usize).collect();
+                // `j mod p`: sweep them in id order. Only ids of `failed`
+                // are read back, so a corrupted cell is never taken for a
+                // subproblem (a dropped id leaves its problem pending).
+                let list = shm.slice(c.dst).iter().filter_map(|&x| {
+                    usize::try_from(x)
+                        .ok()
+                        .filter(|j| failed.binary_search(j).is_ok())
+                });
+                let mut list: Vec<usize> = list.collect();
                 list.sort_unstable();
                 (list, false)
             }
@@ -129,6 +135,33 @@ mod tests {
         });
         assert_eq!(r.list, vec![66, 70, 260]);
         assert_eq!(brute_calls, r.list);
+    }
+
+    /// Cell corruption in the compacted area can plant any value,
+    /// `EMPTY ^ 1` included; only ids that failed come back, so no brute
+    /// child runs on an id that did not fail or is out of range.
+    #[test]
+    fn corrupted_read_back_keeps_only_failed_ids() {
+        use ipch_pram::FaultPlan;
+        let failed = [3, 17, 40];
+        for seed in 0..64 {
+            let mut m = Machine::new(seed);
+            m.install_faults(FaultPlan {
+                corrupt_rate: 1.0,
+                ..FaultPlan::default()
+            });
+            let mut shm = Shm::new();
+            let mut brute_calls: Vec<usize> = Vec::new();
+            let r = failure_sweep(&mut m, &mut shm, 48, &failed, 4, 0, |_, _, j| {
+                brute_calls.push(j)
+            });
+            assert!(
+                r.list.iter().all(|j| failed.contains(j)),
+                "seed {seed}: {:?}",
+                r.list
+            );
+            assert_eq!(brute_calls, r.list, "seed {seed}");
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod alon_megiddo;
 pub mod bridge;
 pub mod brute;
 pub mod constraint;
-pub mod frugal_bridge;
 pub mod inplace_bridge;
 pub mod lp3d;
 pub mod seidel;
@@ -39,10 +38,8 @@ pub mod seidel3;
 /// order. The analyzer suite runs one row per contract.
 pub const CONTRACTS: &[ipch_pram::ModelContract] = &[
     brute::LP2_BRUTE_CONTRACT,
-    lp3d::LP3_BRUTE_CONTRACT,
     alon_megiddo::LP2_AM_CONTRACT,
     bridge::BRIDGE_BRUTE_CONTRACT,
     bridge::FACET_BRUTE_CONTRACT,
     inplace_bridge::INPLACE_BRIDGE_CONTRACT,
-    frugal_bridge::FRUGAL_BRIDGE_CONTRACT,
 ];

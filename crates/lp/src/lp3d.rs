@@ -1,22 +1,17 @@
-//! Brute-force LP in three variables (paper Observation 2.2, d = 3):
-//! *constant time with n⁴ processors* — all constraint triples form
-//! candidate vertices, each checked against every constraint.
+//! The three-variable LP objective, and the brute-force 3-variable LP
+//! (paper Observation 2.2, d = 3) as a test oracle.
 //!
-//! Used by the 3-D facet machinery's analysis experiments and as the
-//! reference the specialized [`crate::bridge::facet_brute`] probe is
-//! validated against (the facet probe is this LP with the
-//! Edelsbrunner–Shi objective "minimize plane height over the splitter").
+//! [`Objective3`] is shared by Seidel's solver ([`crate::seidel3`]) and the
+//! sequential Edelsbrunner–Shi hull. The brute solver — *constant time with
+//! n⁴ processors*: all constraint triples form candidate vertices, each
+//! checked against every constraint — is compiled for tests only, as the
+//! exact reference Seidel's solver and the facet probe
+//! ([`crate::bridge::facet_brute`], this LP with the objective "minimize
+//! plane height over the splitter") are checked against.
 //!
 //! Feasibility is decided exactly: the candidate vertex of three
 //! half-space boundaries is kept in Cramer form (4 exact 3×3 determinant
 //! expansions) and each test is a sign computation.
-
-use ipch_geom::exact::{two_product, Expansion};
-use ipch_pram::{
-    Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy, EMPTY,
-};
-
-use crate::constraint::{f64_key, Halfspace};
 
 /// Linear objective `minimize cx·x + cy·y + cz·z`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -29,187 +24,202 @@ pub struct Objective3 {
     pub cz: f64,
 }
 
-/// A 3-D LP optimum: the vertex and its three tight constraints.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Lp3Solution {
-    /// Optimal point.
-    pub x: f64,
-    /// Optimal point.
-    pub y: f64,
-    /// Optimal point.
-    pub z: f64,
-    /// Defining constraint indices.
-    pub tight: (usize, usize, usize),
-}
+/// Observation 2.2 for d = 3, the exact reference of the tests.
+#[cfg(test)]
+pub(crate) mod brute {
+    use ipch_geom::exact::{two_product, Expansion};
+    use ipch_pram::{
+        Machine, ModelClass, ModelContract, Pids, RaceExpectation, Shm, WritePolicy, EMPTY,
+    };
 
-/// Outcome of a 3-D brute solve.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Lp3Outcome {
-    /// Bounded optimum found.
-    Optimal(Lp3Solution),
-    /// No feasible candidate vertex.
-    NoVertexOptimum,
-}
+    use super::Objective3;
+    use crate::constraint::{f64_key, Halfspace};
 
-fn e2(a: f64, b: f64) -> Expansion {
-    let (h, l) = two_product(a, b);
-    Expansion::from_two(h, l)
-}
-
-/// Exact 3×3 determinant of an f64 matrix (rows r0, r1, r2).
-fn det3(r0: [f64; 3], r1: [f64; 3], r2: [f64; 3]) -> Expansion {
-    let m01 = e2(r1[1], r2[2]).sub(&e2(r1[2], r2[1]));
-    let m02 = e2(r1[0], r2[2]).sub(&e2(r1[2], r2[0]));
-    let m03 = e2(r1[0], r2[1]).sub(&e2(r1[1], r2[0]));
-    m01.scale(r0[0])
-        .sub(&m02.scale(r0[1]))
-        .add(&m03.scale(r0[2]))
-}
-
-/// Cramer system of three half-space boundaries: `(D, Dx, Dy, Dz)`.
-pub fn cramer3(
-    i: &Halfspace,
-    j: &Halfspace,
-    k: &Halfspace,
-) -> (Expansion, Expansion, Expansion, Expansion) {
-    let d = det3([i.a, i.b, i.c], [j.a, j.b, j.c], [k.a, k.b, k.c]);
-    let dx = det3([i.d, i.b, i.c], [j.d, j.b, j.c], [k.d, k.b, k.c]);
-    let dy = det3([i.a, i.d, i.c], [j.a, j.d, j.c], [k.a, k.d, k.c]);
-    let dz = det3([i.a, i.b, i.d], [j.a, j.b, j.d], [k.a, k.b, k.d]);
-    (d, dx, dy, dz)
-}
-
-/// Exact test: does the candidate satisfy half-space `h`?
-pub fn candidate3_satisfies(
-    d: &Expansion,
-    dx: &Expansion,
-    dy: &Expansion,
-    dz: &Expansion,
-    h: &Halfspace,
-) -> bool {
-    let t = dx
-        .scale(h.a)
-        .add(&dy.scale(h.b))
-        .add(&dz.scale(h.c))
-        .sub(&d.scale(h.d));
-    t.sign() * d.sign() >= 0
-}
-
-/// Concurrency contract: as the 2-D brute solver — agreeing marks plus a
-/// Combine(min) best-vertex election.
-pub const LP3_BRUTE_CONTRACT: ModelContract = ModelContract {
-    algorithm: "lp/brute3",
-    class: ModelClass::Crcw,
-    races: RaceExpectation::Deterministic,
-};
-
-/// Solve `minimize obj` over `constraints` by Observation 2.2 (d = 3).
-///
-/// Costs O(1) executed steps and Θ(n⁴)-scale work. Like the 2-D solver,
-/// the instance must be bounded in the objective direction for the result
-/// to be the true optimum (callers add artificial bounds when unsure).
-pub fn solve_lp3_brute(
-    m: &mut Machine,
-    shm: &mut Shm,
-    constraints: &[Halfspace],
-    obj: &Objective3,
-) -> Lp3Outcome {
-    m.declare_contract(&LP3_BRUTE_CONTRACT);
-    let n = constraints.len();
-    if n < 3 {
-        return Lp3Outcome::NoVertexOptimum;
+    /// A 3-D LP optimum: the vertex and its three tight constraints.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(crate) struct Lp3Solution {
+        /// Optimal point.
+        pub(crate) x: f64,
+        /// Optimal point.
+        pub(crate) y: f64,
+        /// Optimal point.
+        pub(crate) z: f64,
+        /// Defining constraint indices.
+        pub(crate) tight: (usize, usize, usize),
     }
-    // host-enumerated unordered triples (processor wiring)
-    let triples: Vec<(u32, u32, u32)> = {
-        let mut v = Vec::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                for k in j + 1..n {
-                    v.push((i as u32, j as u32, k as u32));
+
+    /// Outcome of a 3-D brute solve.
+    #[derive(Clone, Debug, PartialEq)]
+    pub(crate) enum Lp3Outcome {
+        /// Bounded optimum found.
+        Optimal(Lp3Solution),
+        /// No feasible candidate vertex.
+        NoVertexOptimum,
+    }
+
+    fn e2(a: f64, b: f64) -> Expansion {
+        let (h, l) = two_product(a, b);
+        Expansion::from_two(h, l)
+    }
+
+    /// Exact 3×3 determinant of an f64 matrix (rows r0, r1, r2).
+    fn det3(r0: [f64; 3], r1: [f64; 3], r2: [f64; 3]) -> Expansion {
+        let m01 = e2(r1[1], r2[2]).sub(&e2(r1[2], r2[1]));
+        let m02 = e2(r1[0], r2[2]).sub(&e2(r1[2], r2[0]));
+        let m03 = e2(r1[0], r2[1]).sub(&e2(r1[1], r2[0]));
+        m01.scale(r0[0])
+            .sub(&m02.scale(r0[1]))
+            .add(&m03.scale(r0[2]))
+    }
+
+    /// Cramer system of three half-space boundaries: `(D, Dx, Dy, Dz)`.
+    fn cramer3(
+        i: &Halfspace,
+        j: &Halfspace,
+        k: &Halfspace,
+    ) -> (Expansion, Expansion, Expansion, Expansion) {
+        let d = det3([i.a, i.b, i.c], [j.a, j.b, j.c], [k.a, k.b, k.c]);
+        let dx = det3([i.d, i.b, i.c], [j.d, j.b, j.c], [k.d, k.b, k.c]);
+        let dy = det3([i.a, i.d, i.c], [j.a, j.d, j.c], [k.a, k.d, k.c]);
+        let dz = det3([i.a, i.b, i.d], [j.a, j.b, j.d], [k.a, k.b, k.d]);
+        (d, dx, dy, dz)
+    }
+
+    /// Exact test: does the candidate satisfy half-space `h`?
+    fn candidate3_satisfies(
+        d: &Expansion,
+        dx: &Expansion,
+        dy: &Expansion,
+        dz: &Expansion,
+        h: &Halfspace,
+    ) -> bool {
+        let t = dx
+            .scale(h.a)
+            .add(&dy.scale(h.b))
+            .add(&dz.scale(h.c))
+            .sub(&d.scale(h.d));
+        t.sign() * d.sign() >= 0
+    }
+
+    /// Concurrency contract: as the 2-D brute solver — agreeing marks plus a
+    /// Combine(min) best-vertex election.
+    pub(crate) const LP3_BRUTE_CONTRACT: ModelContract = ModelContract {
+        algorithm: "lp/brute3",
+        class: ModelClass::Crcw,
+        races: RaceExpectation::Deterministic,
+    };
+
+    /// Solve `minimize obj` over `constraints` by Observation 2.2 (d = 3).
+    ///
+    /// Costs O(1) executed steps and Θ(n⁴)-scale work. Like the 2-D solver,
+    /// the instance must be bounded in the objective direction for the result
+    /// to be the true optimum (callers add artificial bounds when unsure).
+    pub(crate) fn solve_lp3_brute(
+        m: &mut Machine,
+        shm: &mut Shm,
+        constraints: &[Halfspace],
+        obj: &Objective3,
+    ) -> Lp3Outcome {
+        m.declare_contract(&LP3_BRUTE_CONTRACT);
+        let n = constraints.len();
+        if n < 3 {
+            return Lp3Outcome::NoVertexOptimum;
+        }
+        // host-enumerated unordered triples (processor wiring)
+        let triples: Vec<(u32, u32, u32)> = {
+            let mut v = Vec::new();
+            for i in 0..n {
+                for j in i + 1..n {
+                    for k in j + 1..n {
+                        v.push((i as u32, j as u32, k as u32));
+                    }
                 }
             }
+            v
+        };
+        let nt = triples.len();
+        let cands: Vec<Option<(Expansion, Expansion, Expansion, Expansion)>> = triples
+            .iter()
+            .map(|&(i, j, k)| {
+                let c = cramer3(
+                    &constraints[i as usize],
+                    &constraints[j as usize],
+                    &constraints[k as usize],
+                );
+                (c.0.sign() != 0).then_some(c)
+            })
+            .collect();
+
+        // Step 1: feasibility marking over (triple, constraint) pairs.
+        let bad = shm.alloc("lp3.bad", nt, 0);
+        let cands_ref = &cands;
+        m.step_with_policy(shm, Pids::Grid([1, nt, n]), WritePolicy::CombineOr, |ctx| {
+            let [_, t, w] = ctx.coord();
+            match &cands_ref[t] {
+                None => {
+                    if w == 0 {
+                        ctx.write(bad, t, 1);
+                    }
+                }
+                Some((d, dx, dy, dz)) => {
+                    if !candidate3_satisfies(d, dx, dy, dz, &constraints[w]) {
+                        ctx.write(bad, t, 1);
+                    }
+                }
+            }
+        });
+
+        // Step 2: Combining-Min over feasible candidates' objective keys.
+        let objective = |c: &(Expansion, Expansion, Expansion, Expansion)| -> f64 {
+            (obj.cx * c.1.approx() + obj.cy * c.2.approx() + obj.cz * c.3.approx()) / c.0.approx()
+        };
+        let best = shm.alloc("lp3.best", 1, i64::MAX);
+        m.step_with_policy(shm, 0..nt, WritePolicy::CombineMin, |ctx| {
+            let t = ctx.pid;
+            if ctx.read(bad, t) != 0 {
+                return;
+            }
+            if let Some(c) = &cands_ref[t] {
+                ctx.write(best, 0, f64_key(objective(c)));
+            }
+        });
+        let best_key = shm.get(best, 0);
+        if best_key == i64::MAX {
+            return Lp3Outcome::NoVertexOptimum;
         }
-        v
-    };
-    let nt = triples.len();
-    let cands: Vec<Option<(Expansion, Expansion, Expansion, Expansion)>> = triples
-        .iter()
-        .map(|&(i, j, k)| {
-            let c = cramer3(
-                &constraints[i as usize],
-                &constraints[j as usize],
-                &constraints[k as usize],
-            );
-            (c.0.sign() != 0).then_some(c)
+
+        // Step 3: election.
+        let win = shm.alloc("lp3.win", 1, EMPTY);
+        m.step_with_policy(shm, 0..nt, WritePolicy::PriorityMin, |ctx| {
+            let t = ctx.pid;
+            if ctx.read(bad, t) != 0 {
+                return;
+            }
+            if let Some(c) = &cands_ref[t] {
+                if f64_key(objective(c)) == best_key {
+                    ctx.write(win, 0, t as i64);
+                }
+            }
+        });
+        let w = shm.get(win, 0) as usize;
+        let (i, j, k) = triples[w];
+        let c = cands[w].as_ref().unwrap();
+        let d = c.0.approx();
+        Lp3Outcome::Optimal(Lp3Solution {
+            x: c.1.approx() / d,
+            y: c.2.approx() / d,
+            z: c.3.approx() / d,
+            tight: (i as usize, j as usize, k as usize),
         })
-        .collect();
-
-    // Step 1: feasibility marking over (triple, constraint) pairs.
-    let bad = shm.alloc("lp3.bad", nt, 0);
-    let cands_ref = &cands;
-    m.step_with_policy(shm, Pids::Grid([1, nt, n]), WritePolicy::CombineOr, |ctx| {
-        let [_, t, w] = ctx.coord();
-        match &cands_ref[t] {
-            None => {
-                if w == 0 {
-                    ctx.write(bad, t, 1);
-                }
-            }
-            Some((d, dx, dy, dz)) => {
-                if !candidate3_satisfies(d, dx, dy, dz, &constraints[w]) {
-                    ctx.write(bad, t, 1);
-                }
-            }
-        }
-    });
-
-    // Step 2: Combining-Min over feasible candidates' objective keys.
-    let objective = |c: &(Expansion, Expansion, Expansion, Expansion)| -> f64 {
-        (obj.cx * c.1.approx() + obj.cy * c.2.approx() + obj.cz * c.3.approx()) / c.0.approx()
-    };
-    let best = shm.alloc("lp3.best", 1, i64::MAX);
-    m.step_with_policy(shm, 0..nt, WritePolicy::CombineMin, |ctx| {
-        let t = ctx.pid;
-        if ctx.read(bad, t) != 0 {
-            return;
-        }
-        if let Some(c) = &cands_ref[t] {
-            ctx.write(best, 0, f64_key(objective(c)));
-        }
-    });
-    let best_key = shm.get(best, 0);
-    if best_key == i64::MAX {
-        return Lp3Outcome::NoVertexOptimum;
     }
-
-    // Step 3: election.
-    let win = shm.alloc("lp3.win", 1, EMPTY);
-    m.step_with_policy(shm, 0..nt, WritePolicy::PriorityMin, |ctx| {
-        let t = ctx.pid;
-        if ctx.read(bad, t) != 0 {
-            return;
-        }
-        if let Some(c) = &cands_ref[t] {
-            if f64_key(objective(c)) == best_key {
-                ctx.write(win, 0, t as i64);
-            }
-        }
-    });
-    let w = shm.get(win, 0) as usize;
-    let (i, j, k) = triples[w];
-    let c = cands[w].as_ref().unwrap();
-    let d = c.0.approx();
-    Lp3Outcome::Optimal(Lp3Solution {
-        x: c.1.approx() / d,
-        y: c.2.approx() / d,
-        z: c.3.approx() / d,
-        tight: (i as usize, j as usize, k as usize),
-    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::brute::*;
+    use super::Objective3;
+    use crate::constraint::Halfspace;
+    use ipch_pram::{Machine, Shm};
 
     fn hs(a: f64, b: f64, c: f64, d: f64) -> Halfspace {
         Halfspace { a, b, c, d }

@@ -158,7 +158,7 @@ fn solve_on_plane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lp3d::{solve_lp3_brute, Lp3Outcome};
+    use crate::lp3d::brute::{solve_lp3_brute, Lp3Outcome};
     use ipch_pram::{Machine, Shm};
 
     fn hs(a: f64, b: f64, c: f64, d: f64) -> Halfspace {

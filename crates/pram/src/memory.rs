@@ -604,11 +604,6 @@ impl Shm {
         }));
     }
 
-    /// True if the initialisation shadow is attached.
-    pub fn shadow_enabled(&self) -> bool {
-        self.shadow.is_some()
-    }
-
     /// Mark one cell initialised (no-op without a shadow).
     #[inline]
     pub(crate) fn mark_init(&mut self, slot: u32, i: usize) {

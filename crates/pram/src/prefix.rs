@@ -97,17 +97,20 @@ pub fn compact_indices(m: &mut Machine, shm: &mut Shm, flags: ArrayId) -> (Array
             },
         );
         let (excl, total) = exclusive_prefix_sum(m, shm, ranks);
-        let dest = shm.alloc("compact.dest", total as usize, crate::EMPTY);
+        // a corrupted prefix sum may read past `0..=n`: the area never
+        // outgrows the input, and a rank outside it writes nothing
+        let total = total.clamp(0, n as Word) as usize;
+        let dest = shm.alloc("compact.dest", total, crate::EMPTY);
         m.kernel_scatter(shm, 0..n, |t, i| {
-            if t.read(flags, i) != 0 {
-                Some((dest, t.read(excl, i) as usize, i as Word))
-            } else {
-                None
+            if t.read(flags, i) == 0 {
+                return None;
             }
+            let r = usize::try_from(t.read(excl, i)).ok()?;
+            (r < total).then_some((dest, r, i as Word))
         });
         // the result outlives the workspace scope
         shm.promote(dest);
-        (dest, total as usize)
+        (dest, total)
     })
 }
 
@@ -204,5 +207,26 @@ mod tests {
         let (d, count) = compact_indices(&mut m, &mut shm, g);
         assert_eq!(count, 2);
         assert_eq!(shm.slice(d), &[0, 1]);
+    }
+
+    /// A corrupted cell anywhere in the compaction (flags, ranks or the
+    /// prefix sum) may move the total or a rank past the area: the area
+    /// stays within `0..=n` and no scatter lands outside it.
+    #[test]
+    fn corrupted_ranks_never_overrun_the_area() {
+        use crate::faults::FaultPlan;
+        let flags: Vec<Word> = (0..24).map(|i| (i % 3 == 0) as Word).collect();
+        for seed in 0..64 {
+            let mut m = Machine::new(seed);
+            m.install_faults(FaultPlan {
+                corrupt_rate: 1.0,
+                ..FaultPlan::default()
+            });
+            let mut shm = Shm::new();
+            let f = arr_from(&mut shm, &flags);
+            let (dest, count) = compact_indices(&mut m, &mut shm, f);
+            assert!(count <= flags.len(), "seed {seed}: count {count}");
+            assert_eq!(shm.len(dest), count, "seed {seed}");
+        }
     }
 }

@@ -36,7 +36,7 @@ use ipch_hull2d::parallel::{
 use ipch_hull3d::paper_contracts;
 use ipch_hull3d::parallel::{noisy as noisy3, probe, unsorted3d};
 use ipch_inplace::{compact, ragde, sample, vote};
-use ipch_lp::{alon_megiddo, bridge, frugal_bridge, inplace_bridge, lp3d};
+use ipch_lp::{alon_megiddo, bridge, inplace_bridge};
 use ipch_pram::{
     AnalyzeConfig, Machine, ModelClass, ModelContract, RaceExpectation, Shm, WritePolicy, EMPTY,
 };
@@ -199,21 +199,6 @@ rows! {
         let cons = bridge::bridge_lp_constraints(&pts, &active);
         ipch_lp::brute::solve_lp2_brute(m, shm, &cons, &bridge::bridge_lp_objective(0.0));
     };
-    // Θ(n⁴) work: scaled sizes. Tangent planes of the unit sphere bound
-    // the instance in every direction.
-    lp_brute3_clean: lp3d::LP3_BRUTE_CONTRACT, [(19, 16), (20, 40)],
-    |m, shm, _seed, n| {
-        let cons: Vec<ipch_lp::constraint::Halfspace> = (0..n)
-            .map(|i| {
-                let t = std::f64::consts::TAU * i as f64 / n as f64;
-                let ph = std::f64::consts::PI * (i as f64 + 0.5) / n as f64;
-                let (a, b, c) = (ph.sin() * t.cos(), ph.sin() * t.sin(), ph.cos());
-                ipch_lp::constraint::Halfspace { a, b, c, d: -1.0 }
-            })
-            .collect();
-        let obj = lp3d::Objective3 { cx: 0.3, cy: -0.2, cz: 1.0 };
-        lp3d::solve_lp3_brute(m, shm, &cons, &obj);
-    };
     lp_alon_megiddo_clean: alon_megiddo::LP2_AM_CONTRACT, [(21, 256), (22, 4096)],
     |m, shm, seed, n| {
         let pts = g2::uniform_disk(n, seed);
@@ -241,13 +226,6 @@ rows! {
         let pts = g2::uniform_disk(n, seed);
         let active: Vec<usize> = (0..n).collect();
         inplace_bridge::find_bridge_inplace_traced(m, shm, &pts, &active, 0.0, 16);
-    };
-    // Θ(p·rounds) ascent in 16 cells: scaled sizes.
-    lp_frugal_bridge_clean: frugal_bridge::FRUGAL_BRIDGE_CONTRACT, [(56, 256), (57, 1024)],
-    |m, shm, seed, n| {
-        let pts = g2::uniform_disk(n, seed);
-        let active: Vec<usize> = (0..n).collect();
-        frugal_bridge::frugal_bridge(m, shm, &pts, &active, 0.0, 16);
     };
 
     // ---- In-place toolbox ------------------------------------------------
